@@ -18,20 +18,17 @@ from fractions import Fraction
 import numpy as np
 
 from .exactpoly import ExactPolynomial
-from .polynomials import eval_hermite, eval_hermite_function, hermite_explicit
-from .quadrature import (
-    gauss_hermite_rule,
-    integrate_cubature,
-    integrate_weighted,
-    integrate_whole_line,
-    tensor_cubature,
+from .polynomials import (
+    SQRT_TWO_PI,
+    eval_hermite_function,
+    hermite_explicit,
+    hermite_table,
 )
-from .tensors import tensor_component
+from .quadrature import gauss_hermite_rule, integrand_values, tensor_cubature, whole_line_terms
+from .tensors import index_multiplicities, tensor_component
 
 DENSITY_WEIGHTED = "density-weighted"   # f(x) = e^{-x^2/2} sum a_n He_n(x)
 PLAIN_RV = "plain-rv"                   # f(Y) = sum b_n He_n(Y)
-
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -101,32 +98,32 @@ def _default_quad_order(order):
     return 2 * order + 12
 
 
+def _normalized(moments):
+    # moments sqrt(2 pi) n! a_n -> coefficients a_n
+    return tuple(float(m) / (SQRT_TWO_PI * math.factorial(n)) for n, m in enumerate(moments))
+
+
 def fourier_hermite_coeffs(f, order, quad_order=None):
     """Density-weighted expansion coefficients
     a_n = (1 / (sqrt(2*pi) n!)) int He_n(x) f(x) dx, by whole-line quadrature.
 
-    quad_order must be at least order + 2 (defaults to 2*order + 12).
+    f is called once per node of the Q-point rule and the Hermite table is
+    contracted with those values, in O(order * Q).  quad_order must be at
+    least order + 2 (defaults to 2*order + 12).
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     if quad_order is not None and quad_order < order + 2:
         raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
     rule = gauss_hermite_rule(quad_order or _default_quad_order(order))
-    coeffs = []
-    for n in range(order + 1):
-        integral = integrate_whole_line(lambda x: eval_hermite(n, x) * f(x), rule)
-        coeffs.append(integral / (SQRT_TWO_PI * math.factorial(n)))
-    return HermiteSeries(coeffs=tuple(coeffs), convention=DENSITY_WEIGHTED)
+    moments = hermite_table(order, rule.nodes) @ whole_line_terms(f, rule)
+    return HermiteSeries(coeffs=_normalized(moments), convention=DENSITY_WEIGHTED)
 
 
 def evaluate_series(series, x):
     """Value of the truncated expansion at x, honoring its convention."""
     x = float(x)
-    prev, cur = 1.0, x
-    total = series.coeffs[0] * prev
-    for n in range(1, len(series.coeffs)):
-        total += series.coeffs[n] * cur
-        prev, cur = cur, x * cur - n * prev
+    total = sum(c * h for c, h in zip(series.coeffs, hermite_table(series.truncation, x)))
     if series.convention == DENSITY_WEIGHTED:
         total *= math.exp(-x * x / 2.0)
     return total
@@ -143,49 +140,41 @@ def series_tail_indicator(series):
 def gram_charlier_density(moments, order, x):
     """Gram-Charlier density approximation around the Gaussian N(mu, sigma^2).
 
-    Up to order 4 the classical closed form
-    w(z)/(sqrt(2*pi) sigma) * (1 + nu_3/6 He_3(z) + (nu_4 - 3)/24 He_4(z))
-    is used; beyond that each coefficient E[He_n(Z)]/n! is assembled from
-    the supplied standardized moments.  Truncated values can go negative
-    and are returned as-is.
+    Each coefficient E[He_n(Z)]/n! is assembled from the supplied
+    standardized moments; up to order 4 this is the classical form
+    w(z)/(sqrt(2*pi) sigma) * (1 + nu_3/6 He_3(z) + (nu_4 - 3)/24 He_4(z)).
+    Truncated values can go negative and are returned as-is.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     z = (float(x) - moments.mu) / moments.sigma
     base = math.exp(-z * z / 2.0) / (SQRT_TWO_PI * moments.sigma)
-    if order <= 4:
-        correction = 1.0
-        if order >= 3:
-            correction += moments.standardized(3) / 6.0 * eval_hermite(3, z)
-        if order >= 4:
-            correction += (moments.standardized(4) - 3.0) / 24.0 * eval_hermite(4, z)
-        return base * correction
     correction = 0.0
-    for n in range(order + 1):
+    for n, he in enumerate(hermite_table(order, z)):
         expected = 0.0
         for k, c in enumerate(hermite_explicit(n).coeffs):
             if c:
                 expected += float(c) * moments.standardized(k)
-        correction += expected / math.factorial(n) * eval_hermite(n, z)
+        correction += expected / math.factorial(n) * he
     return base * correction
 
 
 def wce_coeffs_1d(f, order, quad_order=None):
     """Chaos coefficients b_n = E[He_n(Y) f(Y)] / n! for Y ~ N(0, 1).
 
-    E[f(Y)^2] is evaluated first and must be finite.
+    f is called once per node of the Q-point rule; E[f(Y)^2] is formed
+    from those values first and must be finite.  Cost O(order * Q).
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     rule = gauss_hermite_rule(quad_order or _default_quad_order(order))
-    second_moment = integrate_weighted(lambda y: f(y) ** 2, rule) / SQRT_TWO_PI
+    values = integrand_values(f, rule)
+    with np.errstate(over="ignore"):
+        second_moment = float(np.dot(rule.weights, values * values)) / SQRT_TWO_PI
     if not math.isfinite(second_moment):
         raise ValueError("E[f(Y)^2] is not finite on the quadrature grid")
-    coeffs = []
-    for n in range(order + 1):
-        integral = integrate_weighted(lambda y: eval_hermite(n, y) * f(y), rule)
-        coeffs.append(integral / (SQRT_TWO_PI * math.factorial(n)))
-    return HermiteSeries(coeffs=tuple(coeffs), convention=PLAIN_RV)
+    moments = hermite_table(order, rule.nodes) @ (rule.weights * values)
+    return HermiteSeries(coeffs=_normalized(moments), convention=PLAIN_RV)
 
 
 MAX_WCE_DIMENSION = 3
@@ -193,22 +182,31 @@ MAX_WCE_ORDER = 4
 
 
 def wce_coeffs_multi(f, dimension, order, quad_order=None):
-    """Rank-n tensors b^(n) = E[He^(n)(Y) f(Y)] / n! for Y ~ N(0, I_d)."""
+    """Rank-n tensors b^(n) = E[He^(n)(Y) f(Y)] / n! for Y ~ N(0, I_d).
+
+    f is called once per point of the Q^d cubature.  Contracting each axis
+    of the weighted values with the 1-d table yields every moment
+    E[prod_i He_{m_i}(Y_i) f(Y)] in O(Q^d * d * order); an entry of b^(n)
+    is the moment at its index multiplicities.
+    """
     if not 1 <= dimension <= MAX_WCE_DIMENSION:
         raise ValueError(f"dimension must be 1..{MAX_WCE_DIMENSION}, got {dimension!r}")
     if not 0 <= order <= MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = tensor_cubature(dimension, quad_order or _default_quad_order(order))
+    # the first rule.order points run through the 1-d nodes on the last axis
+    table = hermite_table(order, rule.points[: rule.order, -1])
+    moments = (rule.weights * integrand_values(f, rule)).reshape((rule.order,) * dimension)
+    for _ in range(dimension):
+        # contracts the leading node axis and appends a degree axis
+        moments = np.tensordot(moments, table, axes=([0], [1]))
     normalization = (2.0 * math.pi) ** (dimension / 2.0)
     tensors = []
     for rank in range(order + 1):
         tensor = np.empty((dimension,) * rank)
         for indices in itertools.product(range(dimension), repeat=rank):
-            integral = integrate_cubature(
-                lambda point: tensor_component(indices, point) * f(point), rule
-            )
-            tensor[indices] = integral / (normalization * math.factorial(rank))
-        tensors.append(tensor)
+            tensor[indices] = moments[index_multiplicities(indices, dimension)]
+        tensors.append(tensor / (normalization * math.factorial(rank)))
     return WCETensorCoeffs(dimension=dimension, tensors=tuple(tensors))
 
 
@@ -260,12 +258,9 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
         raise ValueError(f"quad_order must be at least {2 * n + 10}, got {quad_order}")
     rule = gauss_hermite_rule(quad_order or max(2 * n + 10, 40))
     eigenvalue = (-1j) ** (n % 4)
-    worst = 0.0
-    for k in k_grid:
-        k = float(k)
-        real = integrate_weighted(lambda x: eval_hermite(n, x, "h") * math.cos(k * x), rule)
-        imag = -integrate_weighted(lambda x: eval_hermite(n, x, "h") * math.sin(k * x), rule)
-        transform = complex(real, imag) / SQRT_TWO_PI
-        expected = eigenvalue * eval_hermite_function(n, k, "h")
-        worst = max(worst, abs(transform - expected))
-    return worst
+    column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
+    k = np.asarray(k_grid, dtype=float)
+    kx = np.multiply.outer(k, rule.nodes)
+    transform = (np.cos(kx) @ column - 1j * (np.sin(kx) @ column)) / SQRT_TWO_PI
+    expected = eigenvalue * np.array([eval_hermite_function(n, q, "h") for q in k])
+    return float(np.max(np.abs(transform - expected), initial=0.0))

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .exactpoly import ExactPolynomial
-from .polynomials import hermite_recurrence
+from .polynomials import SQRT_TWO_PI, hermite_recurrence, pairings
 
 MAX_MATCH_VERTICES = 24
-
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 class GraphFileError(ValueError):
@@ -196,10 +194,7 @@ def complete_kpartite(part_sizes):
 
 def closed_form_complete_counts(m):
     """j-match counts of K_m from m! / (2^j (m-2j)! j!)."""
-    return tuple(
-        math.factorial(m) // (2**j * math.factorial(m - 2 * j) * math.factorial(j))
-        for j in range(m // 2 + 1)
-    )
+    return tuple(pairings(m, j) for j in range(m // 2 + 1))
 
 
 def verify_hermite_matching(m):

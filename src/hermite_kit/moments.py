@@ -12,9 +12,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .exactpoly import ExactPolynomial
-from .polynomials import eval_hermite, hermite_explicit
+from .polynomials import eval_hermite, hermite_explicit, pairings
 
 MONOMIAL = "monomial"
 TWO_X_MONOMIAL = "2x-monomial"
@@ -98,11 +99,7 @@ def hermite_in_moments(n):
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    nfact = math.factorial(n)
-    return [
-        (-1) ** j * nfact // (math.factorial(n - 2 * j) * math.factorial(j))
-        for j in range(n // 2 + 1)
-    ]
+    return [(-1) ** j * pairings(n, j) << j for j in range(n // 2 + 1)]
 
 
 def moments_in_hermite(n):
@@ -111,11 +108,7 @@ def moments_in_hermite(n):
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    nfact = math.factorial(n)
-    return [
-        nfact // (math.factorial(n - 2 * j) * math.factorial(j))
-        for j in range(n // 2 + 1)
-    ]
+    return [pairings(n, j) << j for j in range(n // 2 + 1)]
 
 
 def gauss_moment_polynomial(n):
@@ -126,57 +119,27 @@ def gauss_moment_polynomial(n):
     if n < 0:
         raise ValueError("order must be nonnegative")
     coeffs = [0] * (n + 1)
-    nfact = math.factorial(n)
     for j in range(n // 2 + 1):
-        k = n - 2 * j
-        coeffs[k] = nfact // (2**j * math.factorial(k) * math.factorial(j))
+        coeffs[n - 2 * j] = pairings(n, j)
     return ExactPolynomial(coeffs)
 
 
-def _alternating_column(n, k):
-    # expansion of element k with coefficients (-1)^j k! / ((k-2j)! j!)
+def _pairing_column(n, k, sign=1, shift=1):
+    # element k expands with sign^j k! 2^((shift-1) j) / ((k-2j)! j!) at row k - 2j
     col = [0] * (n + 1)
-    kfact = math.factorial(k)
     for j in range(k // 2 + 1):
-        i = k - 2 * j
-        col[i] = (-1) ** j * kfact // (math.factorial(i) * math.factorial(j))
-    return col
-
-
-def _positive_column(n, k):
-    # inverse direction: coefficients k! / ((k-2j)! j!)
-    col = [0] * (n + 1)
-    kfact = math.factorial(k)
-    for j in range(k // 2 + 1):
-        i = k - 2 * j
-        col[i] = kfact // (math.factorial(i) * math.factorial(j))
-    return col
-
-
-def _monomial_column(n, k):
-    col = [0] * (n + 1)
-    for i, c in enumerate(hermite_explicit(k).coeffs):
-        col[i] = c
-    return col
-
-
-def _monomial_inverse_column(n, k):
-    # x^k = k! sum_j He_(k-2j) / (2^j (k-2j)! j!)
-    col = [0] * (n + 1)
-    kfact = math.factorial(k)
-    for j in range(k // 2 + 1):
-        i = k - 2 * j
-        col[i] = kfact // (2**j * math.factorial(i) * math.factorial(j))
+        col[k - 2 * j] = sign**j * pairings(k, j) << (shift * j)
     return col
 
 
 _COLUMN_BUILDERS = {
-    (HE_BASIS, MONOMIAL): _monomial_column,
-    (MONOMIAL, HE_BASIS): _monomial_inverse_column,
-    (H_BASIS, TWO_X_MONOMIAL): _alternating_column,
-    (TWO_X_MONOMIAL, H_BASIS): _positive_column,
-    (HE_BASIS, GAUSS_MOMENT): _alternating_column,
-    (GAUSS_MOMENT, HE_BASIS): _positive_column,
+    (HE_BASIS, MONOMIAL): partial(_pairing_column, sign=-1, shift=0),
+    # x^k = k! sum_j He_(k-2j) / (2^j (k-2j)! j!)
+    (MONOMIAL, HE_BASIS): partial(_pairing_column, shift=0),
+    (H_BASIS, TWO_X_MONOMIAL): partial(_pairing_column, sign=-1),
+    (TWO_X_MONOMIAL, H_BASIS): _pairing_column,
+    (HE_BASIS, GAUSS_MOMENT): partial(_pairing_column, sign=-1),
+    (GAUSS_MOMENT, HE_BASIS): _pairing_column,
 }
 
 

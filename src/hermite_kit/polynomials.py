@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .exactpoly import ExactPolynomial
 
 PROBABILIST = "he"
@@ -19,6 +21,8 @@ _FAMILIES = (PROBABILIST, PHYSICIST)
 
 CHEBYSHEV_HERMITE_FN = "he"
 HERMITE_FN = "h"
+
+SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 def _check_family(family):
@@ -61,6 +65,11 @@ def hermite_recurrence(n, family=PROBABILIST):
     return cur if family == PROBABILIST else _he_to_physicist(cur, n)
 
 
+def pairings(n, j):
+    """n! / (2^j (n-2j)! j!), the ways to choose j disjoint pairs from n items."""
+    return math.comb(n, 2 * j) * math.perm(2 * j, j) >> j
+
+
 def hermite_explicit(n, family=PROBABILIST):
     """Exact degree-n polynomial from the closed coefficient sum.
 
@@ -70,22 +79,15 @@ def hermite_explicit(n, family=PROBABILIST):
     _check_order(n)
     _check_family(family)
     coeffs = [0] * (n + 1)
-    nfact = math.factorial(n)
     for j in range(n // 2 + 1):
-        k = n - 2 * j
-        if family == PROBABILIST:
-            c = (-1) ** j * nfact // (2**j * math.factorial(k) * math.factorial(j))
-        else:
-            c = (-1) ** j * nfact * 2**k // (math.factorial(k) * math.factorial(j))
-        coeffs[k] = c
+        c = (-1) ** j * pairings(n, j)
+        coeffs[n - 2 * j] = c if family == PROBABILIST else c << (n - j)
     return ExactPolynomial(coeffs)
 
 
 def _gaussian_moment_exact(k):
     # int x^k e^{-x^2/2} dx in units of sqrt(2*pi): (k-1)!! for even k, 0 odd
-    if k % 2:
-        return 0
-    return math.factorial(k) // (2 ** (k // 2) * math.factorial(k // 2))
+    return 0 if k % 2 else pairings(k, k // 2)
 
 
 def gram_schmidt_construct(n):
@@ -121,57 +123,113 @@ def gram_schmidt_construct(n):
     return basis
 
 
+# Rows past _RESCALE_AT / (1 + |a| + b n_max) are rescaled before the next
+# step, which keeps a m_k - b k m_{k-1} inside double range.
+_RESCALE_AT = 2.0**960
+_LN2 = math.log(2.0)
+
+
+def _ldexp(m, e):
+    # m * 2**e, saturating to a signed infinity past double range
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
+    """Run the recurrence at one float x up to degree n_max, scaled by
+    e**log_weight: (prev, cur, e), the last two rows as mantissas over a
+    common factor 2**e.  rows, if given, receives rows 1..n_max as floats.
+
+    Plain float arithmetic, no numpy per step.  The weight starts as
+    cur * 2**e, and dividing both carried rows by a power of two is exact,
+    so rows inside double range keep the plain recurrence's bits, a huge
+    row times a tiny weight neither overflows nor underflows on the way,
+    and rows past double range saturate with their own sign.
+    """
+    a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
+    big = _RESCALE_AT / (1.0 + abs(a) + b * n_max)
+    prev, cur, e = 0.0, 1.0, 0
+    if log_weight:
+        # past -1e15 the weight wins at any degree; keeps floor() and exp() in range
+        log_weight = max(-1e15, log_weight)
+        e = math.floor(log_weight / _LN2)
+        cur = math.exp(log_weight - e * _LN2)
+    for k in range(n_max):
+        prev, cur = cur, a * cur - b * k * prev
+        if abs(cur) > big:
+            cur, s = math.frexp(cur)
+            prev = math.ldexp(prev, -s)
+            e += s
+        if rows is not None:
+            rows.append(_ldexp(cur, e) if e else cur)
+    return prev, cur, e
+
+
+def hermite_table(n_max, x, family=PROBABILIST):
+    """Rows He_0(x) .. He_{n_max}(x), or H_0 .. H_{n_max} for family 'h'.
+
+    He_{k+1} = x He_k - k He_{k-1} and H_{k+1} = 2x H_k - 2k H_{k-1}.  A
+    float x gives a list from plain float arithmetic; a 1-d numpy array of
+    nodes gives an array of shape (n_max + 1, len(x)), one step per row over
+    all nodes.  Both give the same bits, and values past double range are
+    infinities with the sign of their own degree.
+    """
+    _check_order(n_max)
+    _check_family(family)
+    if not isinstance(x, np.ndarray):
+        rows = [1.0]
+        _recurrence(n_max, float(x), family, rows)
+        return rows
+    x = x.astype(float)
+    a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
+    rows = [np.ones_like(x), a]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_max):
+            rows.append(a * rows[k] - (b * k) * rows[k - 1])
+    table = np.array(rows[: n_max + 1])
+    # columns that left double range: redo them with the rescaling kernel
+    for i in np.flatnonzero(~np.isfinite(table).all(axis=0)):
+        table[:, i] = hermite_table(n_max, float(x[i]), family)
+    return table
+
+
 def eval_hermite(n, x, family=PROBABILIST):
     """Float value of He_n(x) or H_n(x) via the forward recurrence.
 
-    Overflows to +-inf for large n and |x|, as floats do.
+    Past double range the result is an infinity with the sign of the true value.
     """
     _check_order(n)
     _check_family(family)
-    x = float(x)
-    if family == PROBABILIST:
-        prev, cur = 1.0, x
-        a, b = x, 1.0
-    else:
-        prev, cur = 1.0, 2.0 * x
-        a, b = 2.0 * x, 2.0
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        nxt = a * cur - b * k * prev
-        if not math.isfinite(nxt):
-            # past float range; rescale to recover the sign and report
-            # a signed infinity rather than nan from inf - inf
-            scale = max(abs(cur), abs(prev))
-            return math.copysign(math.inf, a * (cur / scale) - b * k * (prev / scale))
-        prev, cur = cur, nxt
-    return cur
+    _, cur, e = _recurrence(n, float(x), family)
+    return _ldexp(cur, e)
 
 
 def eval_hermite_function(n, x, kind=CHEBYSHEV_HERMITE_FN):
     """Weighted Hermite function he_n(x) = e^{-x^2/4} He_n(x) or
     h_n(x) = e^{-x^2/2} H_n(x).
 
-    The recurrence runs on the weighted values themselves, so the
-    exponential damping is applied before the polynomial can overflow.
+    The weight multiplies the rescaled row: the result is finite wherever
+    the true value is, and a signed infinity where that overflows.
     """
     _check_order(n)
     _check_family(kind)
     x = float(x)
-    if kind == CHEBYSHEV_HERMITE_FN:
-        prev = math.exp(-x * x / 4.0)
-        cur = x * prev
-    else:
-        prev = math.exp(-x * x / 2.0)
-        cur = 2.0 * x * prev
-    if n == 0:
-        return prev
-    for k in range(1, n):
-        if kind == CHEBYSHEV_HERMITE_FN:
-            prev, cur = cur, x * cur - k * prev
-        else:
-            prev, cur = cur, 2.0 * x * cur - 2.0 * k * prev
-    return cur
+    log_weight = -x * x / (4.0 if kind == CHEBYSHEV_HERMITE_FN else 2.0)
+    _, cur, e = _recurrence(n, x, kind, log_weight=log_weight)
+    return _ldexp(cur, e)
+
+
+def _orthonormal_pair(n, x):
+    # (psi_n(x), psi_{n-1}(x)), psi_n = he_n / sqrt(sqrt(2 pi) n!), both
+    # O(1); n! enters exactly, shifted by an even power of two
+    prev, cur, e = _recurrence(n, x, PROBABILIST, log_weight=-x * x / 4.0)
+    f = math.factorial(n)
+    shift = max(f.bit_length() - 64, 0) & ~1
+    scale = 1.0 / math.sqrt(SQRT_TWO_PI * (f >> shift))
+    e -= shift // 2
+    return math.ldexp(scale * cur, e), math.ldexp(scale * math.sqrt(n) * prev, e)
 
 
 def eval_orthonormal_hermite_function(n, x):
@@ -181,14 +239,7 @@ def eval_orthonormal_hermite_function(n, x):
     root residual checks at high order.
     """
     _check_order(n)
-    x = float(x)
-    prev = math.exp(-x * x / 4.0) / (2.0 * math.pi) ** 0.25
-    if n == 0:
-        return prev
-    cur = x * prev
-    for k in range(1, n):
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1.0)
-    return cur
+    return _orthonormal_pair(n, float(x))[0]
 
 
 def hermite_derivative(n):
@@ -209,13 +260,11 @@ def generating_function_check(x, t, order):
     x = float(x)
     t = float(t)
     target = math.exp(x * t - t * t / 2.0)
-    prev, cur = 1.0, x
-    partial = prev
-    term = 1.0  # t^n / n!
-    for k in range(1, order + 1):
-        term *= t / k
-        partial += cur * term
-        prev, cur = cur, x * cur - k * prev
+    partial, term = 0.0, 1.0  # term = t^k / k!
+    for k, value in enumerate(hermite_table(order, x)):
+        if k:
+            term *= t / k
+        partial += value * term
     return partial, target
 
 

@@ -10,7 +10,6 @@ form e^{-x^2/2} / (N psi_{N-1}(x_i)^2).
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,12 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .polynomials import eval_orthonormal_hermite_function
+from .polynomials import _orthonormal_pair
 
 MAX_ORDER = 200
 CUBATURE_POINT_BUDGET = 10**7
-
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 _NEWTON_MAX_ITER = 100
 _NODE_RESIDUAL_TOL = 1e-13
@@ -52,17 +49,6 @@ class CubatureRule:
     weights: np.ndarray = field(repr=False)
 
 
-def _orthonormal_pair(n, x):
-    # (psi_n(x), psi_{n-1}(x)) in one recurrence sweep
-    prev = math.exp(-x * x / 4.0) / (2.0 * math.pi) ** 0.25
-    if n == 0:
-        return prev, 0.0
-    cur = x * prev
-    for k in range(1, n):
-        prev, cur = cur, (x * cur - math.sqrt(k) * prev) / math.sqrt(k + 1.0)
-    return cur, prev
-
-
 def gauss_hermite_rule(N):
     """N-point rule whose nodes are the zeros of He_N.
 
@@ -81,7 +67,7 @@ def gauss_hermite_rule(N):
         nodes = eigh_tridiagonal(np.zeros(N), off_diag, eigvals_only=True)
         nodes.sort()
 
-    polished = []
+    polished, psi_lower = [], []
     for i, x in enumerate(nodes):
         x = float(x)
         for _ in range(_NEWTON_MAX_ITER):
@@ -94,15 +80,32 @@ def gauss_hermite_rule(N):
             raise RuntimeError(f"node {i} of the order-{N} rule did not converge "
                                f"after {_NEWTON_MAX_ITER} Newton iterations")
         polished.append(x)
+        psi_lower.append(lower)
 
-    # parity of He_N is exact; enforce the same on the float nodes
     nodes = np.array(polished)
-    nodes = 0.5 * (nodes - nodes[::-1])
-
-    psi_lower = np.array([eval_orthonormal_hermite_function(N - 1, x) for x in nodes])
     log_w = -np.log(N) - 0.5 * nodes**2 - 2.0 * np.log(np.abs(psi_lower))
-    weights = np.exp(log_w)
+    # parity of He_N is exact; enforce the same on the float nodes and weights
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = np.exp(0.5 * (log_w + log_w[::-1]))
     return QuadratureRule(order=N, nodes=nodes, weights=weights)
+
+
+def integrand_values(f, rule):
+    """f at every node of a QuadratureRule, or every point of a CubatureRule,
+    as an array: one call per node, in order.
+
+    A non-finite value raises ValueError naming its index.
+    """
+    cubature = isinstance(rule, CubatureRule)
+    points = rule.points if cubature else rule.nodes
+    values = np.empty(len(points))
+    for i, x in enumerate(points):
+        y = float(f(x))
+        if not math.isfinite(y):
+            where = f"point index {i}" if cubature else f"node index {i} (x={x!r})"
+            raise ValueError(f"integrand returned non-finite value {y!r} at {where}")
+        values[i] = y
+    return values
 
 
 def integrate_weighted(f, rule):
@@ -110,19 +113,14 @@ def integrate_weighted(f, rule):
 
     Exact (to rounding) whenever f is a polynomial of degree <= 2N-1.
     """
-    values = []
-    for i, x in enumerate(rule.nodes):
-        y = float(f(x))
-        if not math.isfinite(y):
-            raise ValueError(f"integrand returned non-finite value {y!r} at node index {i} (x={x!r})")
-        values.append(y)
-    return float(np.dot(rule.weights, values))
+    return float(np.dot(rule.weights, integrand_values(f, rule)))
 
 
-def integrate_whole_line(f, rule):
-    """int f(x) dx over the real line via f(x) = [f(x) e^{x^2/2}] e^{-x^2/2}.
+def whole_line_terms(f, rule):
+    """w_i e^{x_i^2/2} f(x_i) per node, so that their sum is int f(x) dx.
 
-    Accurate when f(x) e^{x^2/2} is moderate at the outermost nodes.
+    A node where f is exactly 0 contributes 0 even where e^{x^2/2}
+    overflows; that overflow raises QuadratureRangeWarning first.
     """
     with np.errstate(over="ignore"):
         boost = np.exp(0.5 * rule.nodes**2)
@@ -131,18 +129,18 @@ def integrate_whole_line(f, rule):
             f"e^(x^2/2) overflows at the outer nodes of the order-{rule.order} rule; "
             "whole-line reweighting is out of range there",
             QuadratureRangeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    total = 0.0
-    for i, x in enumerate(rule.nodes):
-        y = float(f(x))
-        if not math.isfinite(y):
-            raise ValueError(f"integrand returned non-finite value {y!r} at node index {i} (x={x!r})")
-        if y == 0.0:
-            # the term is exactly zero even where the boost overflows
-            continue
-        total += rule.weights[i] * boost[i] * y
-    return total
+    values = integrand_values(f, rule)
+    return values * np.where(values == 0.0, 0.0, rule.weights * boost)
+
+
+def integrate_whole_line(f, rule):
+    """int f(x) dx over the real line via f(x) = [f(x) e^{x^2/2}] e^{-x^2/2}.
+
+    Accurate when f(x) e^{x^2/2} is moderate at the outermost nodes.
+    """
+    return float(np.sum(whole_line_terms(f, rule)))
 
 
 def tensor_cubature(d, N):
@@ -156,20 +154,15 @@ def tensor_cubature(d, N):
             f"above the budget of {CUBATURE_POINT_BUDGET}"
         )
     base = gauss_hermite_rule(N)
-    points = np.array(list(itertools.product(base.nodes, repeat=d)))
+    # C order varies the last axis fastest, as itertools.product does
+    grids = np.meshgrid(*[base.nodes] * d, indexing="ij", copy=False)
+    points = np.stack(grids, axis=-1).reshape(-1, d)
     weights = base.weights
     for _ in range(d - 1):
         weights = np.multiply.outer(weights, base.weights)
-    # C-order ravel varies the last axis fastest, matching itertools.product
     return CubatureRule(dimension=d, order=N, points=points, weights=weights.ravel())
 
 
 def integrate_cubature(f, rule):
     """sum_p W_p f(x_p) approximating int e^{-|x|^2/2} f(x) dx over R^d."""
-    values = []
-    for i, point in enumerate(rule.points):
-        y = float(f(point))
-        if not math.isfinite(y):
-            raise ValueError(f"integrand returned non-finite value {y!r} at point index {i}")
-        values.append(y)
-    return float(np.dot(rule.weights, values))
+    return float(np.dot(rule.weights, integrand_values(f, rule)))

@@ -13,15 +13,19 @@ from hermite_kit import (
     ExactPolynomial,
     HermiteSeries,
     StandardizedMoments,
+    eval_hermite,
     evaluate_series,
     fourier_eigen_check,
     fourier_hermite_coeffs,
     gauss_hermite_rule,
     gaussian_mixture_deconvolve,
     gram_charlier_density,
+    integrate_cubature,
     integrate_weighted,
     integrate_whole_line,
     series_tail_indicator,
+    tensor_component_recursive,
+    tensor_cubature,
     wce_coeffs_1d,
     wce_coeffs_multi,
     wce_reconstruct,
@@ -33,6 +37,52 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 def shifted_gaussian(mu):
     return lambda x: math.exp(-0.5 * (x - mu) ** 2) / SQRT_TWO_PI
+
+
+class CountingIntegrand:
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+# Oracles: one quadrature per coefficient, calling the integrand again for
+# every degree or index tuple.
+
+def per_degree_fourier_hermite(f, order, quad_order):
+    rule = gauss_hermite_rule(quad_order)
+    return [
+        integrate_whole_line(lambda x: eval_hermite(n, x) * f(x), rule)
+        / (SQRT_TWO_PI * math.factorial(n))
+        for n in range(order + 1)
+    ]
+
+
+def per_degree_wce_1d(f, order, quad_order):
+    rule = gauss_hermite_rule(quad_order)
+    return [
+        integrate_weighted(lambda y: eval_hermite(n, y) * f(y), rule)
+        / (SQRT_TWO_PI * math.factorial(n))
+        for n in range(order + 1)
+    ]
+
+
+def per_tuple_wce_multi(f, dimension, order, quad_order):
+    rule = tensor_cubature(dimension, quad_order)
+    normalization = (2.0 * math.pi) ** (dimension / 2.0)
+    tensors = []
+    for rank in range(order + 1):
+        tensor = np.empty((dimension,) * rank)
+        for indices in itertools.product(range(dimension), repeat=rank):
+            integral = integrate_cubature(
+                lambda p: tensor_component_recursive(indices, p) * f(p), rule
+            )
+            tensor[indices] = integral / (normalization * math.factorial(rank))
+        tensors.append(tensor)
+    return tensors
 
 
 class TestFourierHermite:
@@ -82,6 +132,62 @@ class TestFourierHermite:
             lambda x: shifted_gaussian(mu)(x) ** 2 * math.exp(0.5 * x * x), rule
         )
         assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+class TestOneEvaluationPerNode:
+    def test_fourier_hermite_calls_f_once_per_node(self):
+        f = CountingIntegrand(shifted_gaussian(0.3))
+        fourier_hermite_coeffs(f, 30, 70)
+        assert f.calls == 70
+
+    def test_wce_1d_calls_f_once_per_node(self):
+        f = CountingIntegrand(math.sin)
+        wce_coeffs_1d(f, 21, 60)
+        assert f.calls == 60
+
+    def test_wce_multi_calls_f_once_per_point(self):
+        f = CountingIntegrand(lambda p: p[0] * p[1] ** 2 + p[2])
+        wce_coeffs_multi(f, 3, 4, 7)
+        assert f.calls == 7**3
+
+    @pytest.mark.parametrize("order", [30, 60, 90])
+    def test_fourier_hermite_matches_per_degree_quadrature(self, order):
+        density = lambda x: 0.7 * shifted_gaussian(0.4)(x) + 0.3 * shifted_gaussian(-1.1)(x)
+        quad_order = 2 * order + 12
+        want = per_degree_fourier_hermite(density, order, quad_order)
+        got = fourier_hermite_coeffs(density, order, quad_order).coeffs
+        scale = max(abs(a) for a in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("order", [30, 60, 90])
+    def test_wce_1d_matches_per_degree_quadrature(self, order):
+        f = lambda y: math.sin(y) + 0.25 * y**3
+        quad_order = 2 * order + 12
+        want = per_degree_wce_1d(f, order, quad_order)
+        got = wce_coeffs_1d(f, order, quad_order).coeffs
+        scale = max(abs(b) for b in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+    def test_wce_multi_matches_per_tuple_quadrature(self):
+        f = lambda p: 1.5 * p[0] ** 2 * p[1] - p[1] * p[2] ** 3 + 0.5 * p[2] + math.cos(p[0])
+        want = per_tuple_wce_multi(f, 3, 4, 6)
+        got = wce_coeffs_multi(f, 3, 4, 6).tensors
+        scale = max(float(np.max(np.abs(t))) for t in want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w), initial=0.0) <= 1e-12 * scale
+
+    def test_non_finite_integrand_names_the_node(self):
+        rule = gauss_hermite_rule(20)
+        bad = lambda x: math.nan if x == rule.nodes[3] else 1.0
+        with pytest.raises(ValueError, match="node index 3"):
+            fourier_hermite_coeffs(bad, 5, 20)
+        with pytest.raises(ValueError, match="node index 3"):
+            wce_coeffs_1d(bad, 5, 20)
+        # point 4 of the 2-d rule is (node 0, node 4): the last axis runs fastest
+        corner = lambda p: math.inf if (p[0], p[1]) == (rule.nodes[0], rule.nodes[4]) else 1.0
+        with pytest.raises(ValueError, match="point index 4"):
+            wce_coeffs_multi(corner, 2, 2, 20)
 
 
 class TestSeriesEvaluation:

@@ -16,6 +16,7 @@ from hermite_kit import (
     hermite_explicit,
     hermite_ode_residual,
     hermite_recurrence,
+    hermite_table,
 )
 
 
@@ -136,6 +137,69 @@ class TestEvaluation:
 
     def test_polynomial_overflow_reports_infinity(self):
         assert math.isinf(eval_hermite(300, 30.0))
+
+    @pytest.mark.parametrize("family", ["he", "h"])
+    def test_overflow_sign_is_that_of_degree_n(self, family):
+        # e.g. He_400(0) = +399!!, where a sign taken from the first degree
+        # to overflow would be wrong
+        assert eval_hermite(400, 0.0, family) == math.inf
+        for n in (170, 200, 250, 300, 400):
+            poly = hermite_recurrence(n, family)
+            for x in (0.0, 0.5, 1.0, 3.0, 30.0, -7.25):
+                exact = poly(Fraction(x))
+                value = eval_hermite(n, x, family)
+                if math.isinf(value):
+                    assert abs(exact) > 2**1023 and (value > 0) == (exact > 0), (n, x)
+                else:
+                    assert value == pytest.approx(float(exact), rel=1e-9), (n, x)
+
+    @pytest.mark.parametrize("kind", ["he", "h"])
+    def test_weighted_overflow_is_signed_infinity_not_nan(self, kind):
+        # e^{-x^2/4} He_400(x) or e^{-x^2/2} H_400(x) against the exact
+        # polynomial times the weight taken in logarithms
+        poly = hermite_recurrence(400, kind)
+        log_weight_scale = 4.0 if kind == "he" else 2.0
+        for x in (0.0, 1.0, 30.0, 45.5, 60.0, -60.0, 70.0):
+            exact = Fraction(poly(Fraction(x)))
+            value = eval_hermite_function(400, x, kind)
+            assert not math.isnan(value)
+            log_abs = math.log(abs(exact.numerator)) - math.log(exact.denominator)
+            log_true = log_abs - x * x / log_weight_scale
+            if log_true > math.log(2.0) * 1024:
+                assert value == (math.inf if exact > 0 else -math.inf), x
+            else:
+                assert math.isfinite(value) and (value > 0) == (exact > 0), x
+                assert math.log(abs(value)) == pytest.approx(log_true, abs=1e-12), x
+
+
+class TestTable:
+    @pytest.mark.parametrize("family", ["he", "h"])
+    def test_rows_match_exact_polynomials(self, family):
+        for x in (-3, -1, 0, 2, 5):
+            rows = hermite_table(20, float(x), family)
+            assert rows == [float(hermite_explicit(n, family)(Fraction(x))) for n in range(21)]
+
+    @pytest.mark.parametrize("family", ["he", "h"])
+    def test_array_path_gives_the_scalar_bits(self, family):
+        # the numpy path runs the same steps over all nodes, and hands the
+        # columns that leave double range to the rescaling scalar kernel
+        x = np.linspace(-40.0, 40.0, 41)
+        table = hermite_table(400, x, family)
+        assert table.shape == (401, 41)
+        for i, xi in enumerate(x):
+            assert table[:, i].tolist() == hermite_table(400, float(xi), family)
+        assert not np.isnan(table).any()
+
+    def test_last_row_is_eval_hermite(self):
+        for n in (0, 1, 7, 60):
+            for family in ("he", "h"):
+                assert hermite_table(n, 1.3, family)[-1] == eval_hermite(n, 1.3, family)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            hermite_table(-1, 0.0)
+        with pytest.raises(ValueError):
+            hermite_table(3, 0.0, "x")
 
 
 class TestDerivative:

@@ -1,6 +1,7 @@
 """Gauss-Hermite rules checked against exact Gaussian moments and
 independent weight recovery."""
 
+import itertools
 import math
 
 import numpy as np
@@ -189,6 +190,16 @@ class TestCubature:
         cube = tensor_cubature(2, 4)
         sep = integrate_cubature(lambda p: (p[0] ** 2 + 1.0) * (p[1] ** 2 + 1.0), cube)
         assert sep == pytest.approx(one_dim**2, rel=1e-12)
+
+    @pytest.mark.parametrize("d, N", [(1, 3), (2, 4), (3, 5), (4, 3)])
+    def test_points_in_product_order(self, d, N):
+        # the last axis varies fastest, as in itertools.product, and the
+        # weights follow the same order
+        base = gauss_hermite_rule(N)
+        cube = tensor_cubature(d, N)
+        assert cube.points.tolist() == [list(p) for p in itertools.product(base.nodes, repeat=d)]
+        products = [math.prod(w) for w in itertools.product(base.weights, repeat=d)]
+        assert cube.weights == pytest.approx(products, rel=1e-15)
 
     def test_point_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
