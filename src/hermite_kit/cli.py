@@ -73,6 +73,13 @@ def _env_quad_order():
     return value
 
 
+def _check_default_rule(flag, value, rule_order):
+    # a default rule sized from a flag: name the flag, not the rule size
+    largest = max(v for v in range(quadrature.MAX_ORDER) if rule_order(v) <= quadrature.MAX_ORDER)
+    if value > largest:
+        raise ValueError(f"{flag} {value} exceeds {largest}, the default quadrature's limit")
+
+
 def cmd_poly(args, out):
     if args.n > 200:
         raise ValueError(f"--n is capped at 200, got {args.n}")
@@ -175,6 +182,10 @@ def _read_moments_csv(path):
 
 def cmd_expand(args, out):
     quad_order = _env_quad_order()
+    if quad_order is None and args.expand_command in ("fourier-hermite", "wce"):
+        _check_default_rule("--order", args.order, expansions._quad_order)
+    elif quad_order is None and args.expand_command == "fourier-check":
+        _check_default_rule("--n", args.n, expansions._eigen_quad_order)
     if args.expand_command == "fourier-hermite":
         mu = args.mu
 
@@ -322,7 +333,7 @@ def main(argv=None):
     except (graphs.GraphFileError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, quadrature.NodeConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

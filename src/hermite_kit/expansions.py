@@ -93,9 +93,13 @@ class WCETensorCoeffs:
     tensors: tuple  # tuple of numpy arrays, tensors[r] has shape (d,) * r
 
 
-def _default_quad_order(order):
-    # keeps polynomial integrands exact with margin
-    return 2 * order + 12
+def _quad_order(order, quad_order=None):
+    # the default keeps polynomial integrands exact with margin
+    return 2 * order + 12 if quad_order is None else quad_order
+
+
+def _eigen_quad_order(n, quad_order=None):
+    return max(2 * n + 10, 40) if quad_order is None else quad_order
 
 
 def _normalized(moments):
@@ -115,7 +119,7 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
         raise ValueError("truncation order must be nonnegative")
     if quad_order is not None and quad_order < order + 2:
         raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
-    rule = gauss_hermite_rule(quad_order or _default_quad_order(order))
+    rule = gauss_hermite_rule(_quad_order(order, quad_order))
     moments = hermite_table(order, rule.nodes) @ whole_line_terms(f, rule)
     return HermiteSeries(coeffs=_normalized(moments), convention=DENSITY_WEIGHTED)
 
@@ -167,7 +171,7 @@ def wce_coeffs_1d(f, order, quad_order=None):
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    rule = gauss_hermite_rule(quad_order or _default_quad_order(order))
+    rule = gauss_hermite_rule(_quad_order(order, quad_order))
     values = integrand_values(f, rule)
     with np.errstate(over="ignore"):
         second_moment = float(np.dot(rule.weights, values * values)) / SQRT_TWO_PI
@@ -193,7 +197,7 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
         raise ValueError(f"dimension must be 1..{MAX_WCE_DIMENSION}, got {dimension!r}")
     if not 0 <= order <= MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
-    rule = tensor_cubature(dimension, quad_order or _default_quad_order(order))
+    rule = tensor_cubature(dimension, _quad_order(order, quad_order))
     # the first rule.order points run through the 1-d nodes on the last axis
     table = hermite_table(order, rule.points[: rule.order, -1])
     moments = (rule.weights * integrand_values(f, rule)).reshape((rule.order,) * dimension)
@@ -256,7 +260,7 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
         raise ValueError("order must be nonnegative")
     if quad_order is not None and quad_order < 2 * n + 10:
         raise ValueError(f"quad_order must be at least {2 * n + 10}, got {quad_order}")
-    rule = gauss_hermite_rule(quad_order or max(2 * n + 10, 40))
+    rule = gauss_hermite_rule(_eigen_quad_order(n, quad_order))
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
     k = np.asarray(k_grid, dtype=float)

@@ -1,21 +1,23 @@
 """Gauss-Hermite quadrature for the weight e^{-x^2/2} and tensor cubature.
 
-Nodes come from the eigenvalues of the Jacobi matrix of the monic
-three-term recurrence (zero diagonal, off-diagonals sqrt(1..N-1)), then get
-polished by Newton iteration on the unit-norm weighted Hermite function and
-symmetrized about the origin.  Weights use the closed form
+Nodes start as the eigenvalues of the Jacobi matrix of the monic three-term
+recurrence (zero diagonal, off-diagonals sqrt(1..N-1)) from numpy's dense
+symmetric eigensolver.  Newton steps on the unit-norm weighted Hermite
+function then polish every node at once, one Hermite-table sweep per step,
+and the nodes are symmetrized about the origin.  Weights use the closed form
 sqrt(2*pi) N! / [N He_{N-1}(x_i)]^2 rewritten in the overflow-safe weighted
-form e^{-x^2/2} / (N psi_{N-1}(x_i)^2).
+form e^{-x^2/2} / (N psi_{N-1}(x_i)^2).  Each order is built once per process
+and shared, so its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .polynomials import _orthonormal_pair
 
@@ -28,6 +30,10 @@ _NODE_RESIDUAL_TOL = 1e-13
 
 class QuadratureRangeWarning(UserWarning):
     """Raised when whole-line reweighting leaves double range at outer nodes."""
+
+
+class NodeConvergenceError(RuntimeError):
+    """Raised when Newton polishing leaves a node above the residual tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,41 +58,38 @@ class CubatureRule:
 def gauss_hermite_rule(N):
     """N-point rule whose nodes are the zeros of He_N.
 
-    Raises ValueError for N outside 1..200 and RuntimeError (with the node
-    index) if Newton polishing fails to reach the residual tolerance.
+    Built once per order and shared: the returned arrays are read-only.
+    Raises ValueError for N outside 1..200 and NodeConvergenceError, a
+    RuntimeError naming the first such node, if Newton polishing fails to
+    reach the residual tolerance.
     """
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"quadrature order must be a positive integer, got {N!r}")
     if N > MAX_ORDER:
         raise ValueError(f"quadrature order {N} exceeds the supported maximum {MAX_ORDER}")
+    return _build_rule(int(N))
 
-    if N == 1:
-        nodes = np.array([0.0])
+
+@functools.cache
+def _build_rule(N):
+    # eigvalsh reads only the lower triangle of the Jacobi matrix
+    nodes = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, N)), -1))
+    for _ in range(_NEWTON_MAX_ITER):
+        value, lower = _orthonormal_pair(N, nodes)
+        pending = ~(np.abs(value) <= _NODE_RESIDUAL_TOL)   # a nan is pending too
+        if not pending.any():
+            break
+        slope = math.sqrt(N) * lower - 0.5 * nodes * value
+        nodes = np.where(pending, nodes - value / slope, nodes)
     else:
-        off_diag = np.sqrt(np.arange(1.0, N))
-        nodes = eigh_tridiagonal(np.zeros(N), off_diag, eigvals_only=True)
-        nodes.sort()
+        raise NodeConvergenceError(f"node {np.argmax(pending)} of the order-{N} rule did not "
+                                   f"converge after {_NEWTON_MAX_ITER} Newton iterations")
 
-    polished, psi_lower = [], []
-    for i, x in enumerate(nodes):
-        x = float(x)
-        for _ in range(_NEWTON_MAX_ITER):
-            value, lower = _orthonormal_pair(N, x)
-            if abs(value) <= _NODE_RESIDUAL_TOL:
-                break
-            slope = math.sqrt(N) * lower - 0.5 * x * value
-            x -= value / slope
-        else:
-            raise RuntimeError(f"node {i} of the order-{N} rule did not converge "
-                               f"after {_NEWTON_MAX_ITER} Newton iterations")
-        polished.append(x)
-        psi_lower.append(lower)
-
-    nodes = np.array(polished)
-    log_w = -np.log(N) - 0.5 * nodes**2 - 2.0 * np.log(np.abs(psi_lower))
+    log_w = -np.log(N) - 0.5 * nodes**2 - 2.0 * np.log(np.abs(lower))
     # parity of He_N is exact; enforce the same on the float nodes and weights
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = np.exp(0.5 * (log_w + log_w[::-1]))
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(order=N, nodes=nodes, weights=weights)
 
 

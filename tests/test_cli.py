@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hermite_kit import quadrature
 from hermite_kit.cli import main
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -68,6 +69,14 @@ class TestQuad:
     def test_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "quad", "--n", "0")
         assert code == 2 and "error" in err
+
+    def test_newton_failure_is_exit_2(self, capsys, monkeypatch):
+        # no residual passes a negative tolerance, so every build fails
+        monkeypatch.setattr(quadrature, "_NODE_RESIDUAL_TOL", -1.0)
+        quadrature._build_rule.cache_clear()
+        code, out, err = run_cli(capsys, "quad", "--n", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: node 0 of the order-5 rule did not converge")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "quad", "--n", "2", "--format", "json")
@@ -236,6 +245,16 @@ class TestExpand:
         assert payload["convention"] == "plain-rv"
         assert payload["coeffs"][0] == pytest.approx(1.0, rel=1e-12)
         assert payload["coeffs"][2] == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fourier-hermite", "--mu", "0", "--order", "150"), "--order 150 exceeds 94"),
+        (("wce", "--coeffs", "0,0,1", "--order", "150"), "--order 150 exceeds 94"),
+        (("fourier-check", "--n", "100"), "--n 100 exceeds 95"),
+    ])
+    def test_default_rule_limit_names_the_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "expand", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}, the default quadrature's limit\n"
 
     def test_quad_order_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "4")

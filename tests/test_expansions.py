@@ -321,6 +321,10 @@ class TestWienerChaos1D:
         for y in (-1.0, 0.0, 0.7, 2.0):
             assert evaluate_series(series, y) == pytest.approx(f(y), abs=1e-8)
 
+    def test_explicit_zero_quad_order_is_rejected(self):
+        with pytest.raises(ValueError, match="positive integer, got 0"):
+            wce_coeffs_1d(lambda y: y, 3, 0)
+
 
 class TestWienerChaosMulti:
     def test_constant(self):
@@ -362,6 +366,10 @@ class TestWienerChaosMulti:
             wce_coeffs_multi(lambda p: 1.0, 4, 2)
         with pytest.raises(ValueError):
             wce_coeffs_multi(lambda p: 1.0, 2, 5)
+
+    def test_explicit_zero_quad_order_is_rejected(self):
+        with pytest.raises(ValueError, match="positive integer, got 0"):
+            wce_coeffs_multi(lambda p: 1.0, 2, 2, 0)
 
 
 class TestDeconvolution:

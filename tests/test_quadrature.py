@@ -3,9 +3,13 @@ independent weight recovery."""
 
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_kit import (
     gauss_hermite_rule,
@@ -14,6 +18,8 @@ from hermite_kit import (
     integrate_whole_line,
     tensor_cubature,
 )
+from hermite_kit import quadrature
+from hermite_kit.polynomials import eval_orthonormal_hermite_function
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -72,7 +78,86 @@ class TestRuleInvariants:
             prev = cur
 
 
+class TestRuleBuilder:
+    def test_rule_is_cached_and_read_only(self):
+        rule = gauss_hermite_rule(17)
+        assert gauss_hermite_rule(17) is rule
+        with pytest.raises(ValueError, match="read-only"):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            rule.weights[0] = 1.0
+
+    def test_unhashable_order_is_a_value_error(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            gauss_hermite_rule([3])
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, hermite_kit; print('scipy' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "False"
+
+    def test_node_residuals_at_every_order(self):
+        # the scalar evaluator, not the array path the builder polishes with
+        for N in range(1, quadrature.MAX_ORDER + 1):
+            for x in gauss_hermite_rule(N).nodes:
+                assert abs(eval_orthonormal_hermite_function(N, x)) <= 1e-13
+
+    @pytest.mark.parametrize("N, bound", [(20, 1e-13), (60, 6e-13)])
+    def test_weights_against_mpmath(self, N, bound):
+        # roots of He_N polished at 50 digits from the float nodes, weights
+        # sqrt(2 pi) N! / (N He_{N-1})^2; each bound rounds up the error of
+        # the earlier scipy tridiagonal-eigensolver build (8.6e-14 at N=20,
+        # 5.5e-13 at N=60), which this builder matches
+        import mpmath as mp
+
+        def he_pair(x):
+            prev, cur = mp.mpf(0), mp.mpf(1)
+            for k in range(N):
+                prev, cur = cur, x * cur - k * prev
+            return cur, prev
+
+        rule = gauss_hermite_rule(N)
+        with mp.workdps(50):
+            for x, w in zip(rule.nodes, rule.weights):
+                t = mp.mpf(float(x))
+                for _ in range(5):
+                    value, lower = he_pair(t)
+                    t -= value / (N * lower)
+                lower = he_pair(t)[1]
+                want = mp.sqrt(2 * mp.pi) * mp.factorial(N) / (N * lower) ** 2
+                assert abs(float(t) - x) <= 1e-13 * max(1.0, abs(x))
+                assert abs(w - want) <= bound * want
+
+    def test_non_convergence_names_first_node(self, monkeypatch):
+        real = quadrature._orthonormal_pair
+
+        def stuck_from_node_3(n, x):
+            # a nan residual must count as not converged
+            value, lower = real(n, x)
+            return np.where(np.arange(len(x)) >= 3, np.nan, value), lower
+
+        monkeypatch.setattr(quadrature, "_orthonormal_pair", stuck_from_node_3)
+        monkeypatch.setattr(quadrature, "_NEWTON_MAX_ITER", 2)
+        quadrature._build_rule.cache_clear()
+        with pytest.raises(RuntimeError, match="node 3 of the order-9 rule did not converge"):
+            gauss_hermite_rule(9)
+
+
 class TestExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda N: st.tuples(
+        st.just(N), st.lists(st.integers(-9, 9), min_size=1, max_size=2 * N))))
+    def test_random_polynomials_of_degree_below_2n(self, case):
+        # against sum_k c_k (k-1)!! sqrt(2 pi), scaled by sum_k |c_k| E|x|^k
+        # bounded through the next even moment
+        N, coeffs = case
+        result = integrate_weighted(
+            lambda x: sum(c * x**k for k, c in enumerate(coeffs)), gauss_hermite_rule(N))
+        expected = sum(c * exact_gaussian_moment(k) for k, c in enumerate(coeffs))
+        scale = sum(abs(c) * exact_gaussian_moment(k + k % 2) for k, c in enumerate(coeffs))
+        assert abs(result - expected) <= 1e-12 * max(scale, 1.0)
+
     def test_polynomial_exactness_to_20(self):
         for N in range(1, 21):
             rule = gauss_hermite_rule(N)
