@@ -7,6 +7,7 @@ Floats print with 17 significant digits so output round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -35,8 +36,20 @@ def _emit_table(header, rows, fmt, out):
         print(sep.join(str(c) if isinstance(c, str) else _fmt(c) for c in row), file=out)
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    # exact integers print at any length; parsed input keeps the default digit guard
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit_coeffs(poly, fmt, out):
-    strings = poly.coeff_strings()
+    with _exact_digits():
+        strings = poly.coeff_strings()
     if fmt == "json":
         print(json.dumps(strings), file=out)
     elif fmt == "tsv":
@@ -50,6 +63,13 @@ def _parse_int_list(text):
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _finite_float(text):
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _parse_number_list(text):
@@ -144,22 +164,25 @@ def cmd_graph(args, out):
     elif args.graph_command == "kpartite":
         print(graphs.format_edge_list(graphs.complete_kpartite(args.parts)), file=out)
     elif args.graph_command == "product-integral":
-        count = graphs.count_complete_matches(args.parts)
+        with _exact_digits():
+            count = str(graphs.count_complete_matches(args.parts))
         value = graphs.hermite_product_integral(args.parts)
         if args.format == "json":
-            print(json.dumps({"parts": args.parts, "P": str(count), "J": float(value)}), file=out)
+            print(json.dumps({"parts": args.parts, "P": count, "J": float(value)}), file=out)
         elif args.format == "plain":
             print(_fmt(value), file=out)
         else:
             parts_label = " ".join(str(p) for p in args.parts)
-            _emit_table(("parts", "P", "J"), [(parts_label, str(count), value)], args.format, out)
+            _emit_table(("parts", "P", "J"), [(parts_label, count, value)], args.format, out)
     else:  # linearize
         table = graphs.linearization_coeffs(args.m, args.n)
-        if args.format in ("csv", "tsv"):
-            rows = [(str(l), str(a)) for l, a in table.items()]
-            _emit_table(("l", "coefficient"), rows, args.format, out)
-        else:
-            print(json.dumps({str(l): a for l, a in table.items()}, separators=(",", ":")), file=out)
+        with _exact_digits():
+            if args.format in ("csv", "tsv"):
+                rows = [(str(l), str(a)) for l, a in table.items()]
+                _emit_table(("l", "coefficient"), rows, args.format, out)
+            else:
+                payload = {str(l): a for l, a in table.items()}
+                print(json.dumps(payload, separators=(",", ":")), file=out)
     return 0
 
 
@@ -172,9 +195,9 @@ def _read_moments_csv(path):
     values = []
     for number, tok in enumerate(raw, start=1):
         try:
-            values.append(float(tok))
-        except ValueError:
-            raise InputFileError(f"{path}: line {number}: expected a number, got {tok!r}") from None
+            values.append(_finite_float(tok))
+        except argparse.ArgumentTypeError as exc:
+            raise InputFileError(f"{path}: line {number}: {exc}") from None
     if len(values) < 2:
         raise InputFileError(f"{path}: moment list needs at least mu and sigma")
     return expansions.StandardizedMoments(mu=values[0], sigma=values[1], nu=tuple(values[2:]))
@@ -254,8 +277,8 @@ def build_parser():
     p.add_argument("--family", choices=("he", "h"), default="he")
     p.add_argument("--coeffs", type=_parse_number_list, default=[])
     p.add_argument("--convention", choices=("density", "plain"), default="density")
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmin", type=_finite_float, required=True)
+    p.add_argument("--xmax", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, required=True)
     add_format(p, default="tsv")
     p.set_defaults(func=cmd_plotdata)
@@ -291,17 +314,17 @@ def build_parser():
 
     e = esub.add_parser("fourier-hermite",
                         help="density-weighted expansion of a shifted Gaussian density")
-    e.add_argument("--mu", type=float, required=True)
+    e.add_argument("--mu", type=_finite_float, required=True)
     e.add_argument("--order", type=int, default=30)
     add_format(e, default="json")
 
     e = esub.add_parser("gram-charlier", help="Gram-Charlier density value")
-    e.add_argument("--mu", type=float, default=0.0)
-    e.add_argument("--sigma", type=float, default=1.0)
-    e.add_argument("--nu3", type=float, default=0.0)
-    e.add_argument("--nu4", type=float, default=3.0)
+    e.add_argument("--mu", type=_finite_float, default=0.0)
+    e.add_argument("--sigma", type=_finite_float, default=1.0)
+    e.add_argument("--nu3", type=_finite_float, default=0.0)
+    e.add_argument("--nu4", type=_finite_float, default=3.0)
     e.add_argument("--order", type=int, default=4)
-    e.add_argument("--x", type=float, required=True)
+    e.add_argument("--x", type=_finite_float, required=True)
     e.add_argument("--moments-csv", default=None,
                    help="file with one value per line: mu, sigma, nu3, nu4, ...")
     add_format(e)
@@ -313,12 +336,12 @@ def build_parser():
 
     e = esub.add_parser("deconvolve", help="exact Gaussian-mixture deconvolution of a polynomial")
     e.add_argument("--coeffs", type=_parse_number_list, required=True)
-    e.add_argument("--sigma", type=float, required=True)
+    e.add_argument("--sigma", type=_finite_float, required=True)
     add_format(e)
 
     e = esub.add_parser("fourier-check", help="Fourier eigenfunction residual of h_n")
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--kmax", type=float, default=3.0)
+    e.add_argument("--kmax", type=_finite_float, default=3.0)
     add_format(e)
     p.set_defaults(func=cmd_expand)
 

@@ -3,8 +3,10 @@
 j-match counts come from the pivot-edge deletion recurrence
 p(G, j) = p(G - e, j) + p(G - {u, v}, j - 1), memoized on the residual edge
 set, which makes complete graphs up to 24 vertices tractable.  Complete
-k-partite perfect-match counts use their own part-lowering recurrence and
-have closed forms for two and three parts.
+k-partite perfect-match counts have closed forms for two and three parts;
+any other count is the Hermite product integral, folded part by part through
+the He linearization coefficients and closed by the three-part form, which
+takes milliseconds for parts in the thousands.
 """
 
 from __future__ import annotations
@@ -150,14 +152,17 @@ def count_j_matches(graph, j):
     return counts[j] if j < len(counts) else 0
 
 
-def matching_polynomial(graph):
-    """alpha(G, x) = sum_j (-1)^j p(G, j) x^(|v| - 2j), exactly."""
-    counts = match_count_table(graph)
-    m = graph.vertex_count
+def _alternating_polynomial(counts, m):
+    # sum_j (-1)^j counts[j] x^(m - 2j)
     coeffs = [0] * (m + 1)
     for j, p in enumerate(counts):
         coeffs[m - 2 * j] = (-1) ** j * p
     return ExactPolynomial(coeffs)
+
+
+def matching_polynomial(graph):
+    """alpha(G, x) = sum_j (-1)^j p(G, j) x^(|v| - 2j), exactly."""
+    return _alternating_polynomial(match_count_table(graph), graph.vertex_count)
 
 
 def complete_graph(m):
@@ -192,94 +197,62 @@ def complete_kpartite(part_sizes):
     return SimpleGraph(vertex_count=total, edges=frozenset(edges))
 
 
-def closed_form_complete_counts(m):
-    """j-match counts of K_m from m! / (2^j (m-2j)! j!)."""
-    return tuple(pairings(m, j) for j in range(m // 2 + 1))
-
-
 def verify_hermite_matching(m):
     """True iff the matching polynomial of K_m equals He_m coefficientwise.
 
     Counts come from the deletion recurrence up to m = 14 and from the
-    closed form above that (guarded at m = 20).
+    closed form m! / (2^j (m-2j)! j!) above that (guarded at m = 20).
     """
     if not 1 <= m <= 20:
         raise ValueError(f"m must be in 1..20, got {m!r}")
     if m <= 14:
         counts = match_count_table(complete_graph(m))
     else:
-        counts = closed_form_complete_counts(m)
-    coeffs = [0] * (m + 1)
-    for j, p in enumerate(counts):
-        coeffs[m - 2 * j] = (-1) ** j * p
-    return ExactPolynomial(coeffs) == hermite_recurrence(m)
+        counts = [pairings(m, j) for j in range(m // 2 + 1)]
+    return _alternating_polynomial(counts, m) == hermite_recurrence(m)
 
 
 def count_complete_matches(part_sizes):
     """Perfect-match count P of the complete multipartite graph.
 
-    Uses the part-lowering recurrence P = sum_i n_i P^(1i) with the pivot
-    on the first nonzero part, memoized on the sorted multiset of sizes.
-    Zero for odd total vertex count.
+    P = int e^{-x^2/2} prod_i He_(n_i) / sqrt(2 pi).  The product of all but
+    the last two factors is folded into He coefficients with
+    linearization_coeffs; the last two close it through the three-part form,
+    P = sum_l c_l P(l, m, n).  Exact, iterative, and O(N^2) big-integer
+    products for parts of total N.  Zero for odd total vertex count.
     """
     sizes = tuple(int(s) for s in part_sizes)
     if any(s < 0 for s in sizes):
         raise ValueError("part sizes must be nonnegative")
-    if sum(sizes) % 2:
-        return 0
-    memo = {}
-
-    def rec(key):
-        if not key:
-            return 1
-        if len(key) == 1:
-            return 0
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        pivot = key[0]
-        total = 0
-        for i in range(1, len(key)):
-            lowered = list(key)
-            lowered[0] = pivot - 1
-            lowered[i] -= 1
-            total += key[i] * rec(tuple(sorted(s for s in lowered if s > 0)))
-        memo[key] = total
-        return total
-
-    return rec(tuple(sorted(s for s in sizes if s > 0)))
+    *head, m, n = (0, 0, *sizes)  # He_0 = 1 pads short products
+    product = {0: 1}
+    for part in head:
+        folded = {}
+        for l, c in product.items():
+            for t, a in linearization_coeffs(l, part).items():
+                folded[t] = folded.get(t, 0) + c * a
+        product = folded
+    return sum(c * partite_closed_form([l, m, n]) for l, c in product.items())
 
 
 def partite_closed_form(part_sizes):
     """Closed-form perfect-match count for two or three parts.
 
-    Two parts: m! when m = n, else 0.  Three parts with half-sum s:
-    l! m! n! / ((s-l)! (s-m)! (s-n)!) when the total is even and each part
-    is at most the sum of the other two, else 0.
+    Three parts with half-sum s: l! m! n! / ((s-l)! (s-m)! (s-n)!) when the
+    total is even and each part is at most the sum of the other two, else 0.
+    Two parts are three with l = 0, which leaves m! when m = n, else 0.
     """
     sizes = tuple(int(s) for s in part_sizes)
-    if len(sizes) == 2:
-        m, n = sizes
-        if m < 0 or n < 0:
-            raise ValueError("part sizes must be nonnegative")
-        return math.factorial(m) if m == n else 0
-    if len(sizes) == 3:
-        l, m, n = sizes
-        if l < 0 or m < 0 or n < 0:
-            raise ValueError("part sizes must be nonnegative")
-        total = l + m + n
-        if total % 2:
-            return 0
-        s = total // 2
-        if s - l < 0 or s - m < 0 or s - n < 0:
-            return 0
-        return (
-            math.factorial(l)
-            * math.factorial(m)
-            * math.factorial(n)
-            // (math.factorial(s - l) * math.factorial(s - m) * math.factorial(s - n))
-        )
-    raise ValueError(f"closed forms exist for 2 or 3 parts, got {len(sizes)}")
+    if len(sizes) not in (2, 3):
+        raise ValueError(f"closed forms exist for 2 or 3 parts, got {len(sizes)}")
+    if any(s < 0 for s in sizes):
+        raise ValueError("part sizes must be nonnegative")
+    l, m, n = (0, *sizes)[-3:]
+    s, odd = divmod(l + m + n, 2)
+    if odd or s < max(l, m, n):
+        return 0
+    f = math.factorial
+    return f(l) * f(m) * f(n) // (f(s - l) * f(s - m) * f(s - n))
 
 
 def hermite_product_integral(orders):
@@ -297,7 +270,8 @@ def linearization_coeffs(m, n):
     """
     if m < 0 or n < 0:
         raise ValueError("orders must be nonnegative")
-    return {
-        m + n - 2 * j: math.comb(m, j) * math.comb(n, j) * math.factorial(j)
-        for j in range(min(m, n) + 1)
-    }
+    table, a = {}, 1
+    for j in range(min(m, n) + 1):
+        table[m + n - 2 * j] = a
+        a = a * (m - j) * (n - j) // (j + 1)  # exact: the next coefficient is an integer
+    return table

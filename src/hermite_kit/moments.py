@@ -53,21 +53,21 @@ class ChangeOfBasisMatrix:
 
 
 def gaussian_raw_moment(n, mu, sigma):
-    """E[Y^n] for Y ~ N(mu, sigma^2) from the closed sum
-    sigma^n n! sum_j (mu/sigma)^(n-2j) / (2^j (n-2j)! j!).
+    """E[Y^n] for Y ~ N(mu, sigma^2) = sigma^n E[(mu/sigma + Z)^n], the moment
+    polynomial sum_j pairings(n, j) x^(n-2j) at x = mu/sigma, evaluated exactly
+    at the binary values of mu and sigma and rounded once; a signed inf past
+    double range.
     """
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    mu = float(mu)
-    sigma = float(sigma)
-    ratio = mu / sigma
-    total = 0.0
-    for j in range(n // 2 + 1):
-        k = n - 2 * j
-        total += ratio**k / (2**j * math.factorial(k) * math.factorial(j))
-    return sigma**n * math.factorial(n) * total
+    if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(mu)):
+        raise ValueError(f"need finite mu and positive finite sigma, got {mu!r}, {sigma!r}")
+    mu, sigma = Fraction(mu), Fraction(sigma)
+    exact = sigma**n * gauss_moment_polynomial(n)(mu / sigma)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 def gaussian_raw_moment_hermite_form(n, mu, sigma):

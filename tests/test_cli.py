@@ -1,11 +1,16 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hermite_kit import quadrature
+from hermite_kit import partite_closed_form, quadrature
 from hermite_kit.cli import main
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -15,6 +20,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def decimal(value):
+    # str() of an int of any length, the process-wide digit guard restored after
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestPoly:
@@ -194,6 +209,142 @@ class TestGraph:
     def test_linearize_json(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "linearize", "--m", "2", "--n", "2")
         assert (code, out) == (0, '{"4":1,"2":4,"0":2}\n')
+
+
+class TestExactIntegerOutput:
+    """Exact integers print at any length; parsed input keeps Python's
+    default int-to-string digit guard."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "tsv", "json"])
+    def test_product_integral_in_the_thousands(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(
+            capsys, "graph", "product-integral", "--parts", "2000,2000", "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        p = decimal(math.factorial(2000))
+        assert len(p) > limit
+        if fmt == "plain":
+            assert out == "inf\n"
+        elif fmt == "json":
+            assert out == json.dumps({"parts": [2000, 2000], "P": p, "J": math.inf}) + "\n"
+        else:
+            sep = "," if fmt == "csv" else "\t"
+            rows = [sep.join(("parts", "P", "J")), sep.join(("2000 2000", p, "inf"))]
+            assert out.splitlines() == rows
+
+    def test_three_parts_in_the_thousands(self, capsys):
+        p = decimal(partite_closed_form([3000, 2999, 2999]))
+        for fmt in ("plain", "csv", "tsv", "json"):
+            code, out, err = run_cli(
+                capsys, "graph", "product-integral", "--parts", "3000,2999,2999", "--format", fmt
+            )
+            assert (code, err) == (0, "")
+            if fmt == "json":
+                assert json.loads(out)["P"] == p
+            elif fmt != "plain":
+                assert out.splitlines()[1].split("," if fmt == "csv" else "\t")[1] == p
+
+    @staticmethod
+    def _linearize(capsys, order, fmt):
+        code, out, err = run_cli(capsys, "graph", "linearize", "--m", str(order),
+                                 "--n", str(order), "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            return [tuple(item.split(":")) for item in out.strip()[1:-1].split(",")]
+        sep = "," if fmt == "csv" else "\t"
+        lines = out.splitlines()
+        assert lines[0] == f"l{sep}coefficient"
+        return [tuple(line.split(sep)) for line in lines[1:]]
+
+    @staticmethod
+    def _coefficient(order, j):
+        return decimal(math.comb(order, j) ** 2 * math.factorial(j))
+
+    @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+    def test_linearize_past_the_digit_guard(self, capsys, fmt):
+        rows = self._linearize(capsys, 1600, fmt)
+        quote = '"' if fmt == "json" else ""
+        want = [(f"{quote}{3200 - 2 * j}{quote}", self._coefficient(1600, j)) for j in range(1601)]
+        assert rows == want
+        assert max(len(a) for _, a in want) > sys.get_int_max_str_digits()
+
+    def test_linearize_in_the_thousands(self, capsys):
+        rows = self._linearize(capsys, 3000, "json")
+        assert [l for l, _ in rows] == [f'"{6000 - 2 * j}"' for j in range(3001)]
+        for j in (0, 1, 1000, 2999, 3000):
+            assert rows[j][1] == self._coefficient(3000, j)
+
+    def test_long_vertex_token_still_exit_3(self, capsys, tmp_path):
+        for text in ("3\n1 " + "2" * 5000 + "\n", "1" * 5000 + "\n1 2\n"):
+            path = tmp_path / "long.txt"
+            path.write_text(text, encoding="utf-8")
+            code, out, _ = run_cli(capsys, "graph", "match-poly", "--file", str(path))
+            assert (code, out) == (3, "")
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("argv", [
+        ("expand", "deconvolve", "--coeffs", "0,0,1", "--sigma", "inf"),
+        ("plotdata", "--kind", "poly", "--xmin", "0", "--xmax", "inf", "--samples", "3"),
+        ("expand", "gram-charlier", "--x", "inf"),
+        ("expand", "gram-charlier", "--x", "0", "--sigma", "nan"),
+        ("expand", "gram-charlier", "--x", "0", "--nu3", "inf"),
+        ("expand", "fourier-check", "--n", "2", "--kmax", "inf"),
+        ("expand", "fourier-hermite", "--mu=-inf"),
+    ])
+    def test_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "expected a finite number" in captured.err
+
+    def test_moments_file_names_the_line(self, capsys, tmp_path):
+        path = tmp_path / "moments.csv"
+        path.write_text("0.0\n1.0\ninf\n3.0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "expand", "gram-charlier", "--moments-csv", str(path), "--x", "0"
+        )
+        assert (code, out) == (3, "")
+        assert "line 3" in err
+
+
+_NUMBERS = st.sampled_from(["0", "-1", "1", "2", "3", "7", "50", "1e308", "inf", "-inf", "nan"])
+_LISTS = st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join)
+_COMMANDS = {
+    ("poly",): ("--n",),
+    ("quad",): ("--n",),
+    ("plotdata", "--kind", "poly"): ("--n", "--xmin", "--xmax", "--samples"),
+    ("plotdata", "--kind", "function"): ("--n", "--xmin", "--xmax", "--samples"),
+    ("plotdata", "--kind", "series"): ("--coeffs", "--xmin", "--xmax", "--samples"),
+    ("graph", "kpartite"): ("--parts",),
+    ("graph", "product-integral"): ("--parts",),
+    ("graph", "linearize"): ("--m", "--n"),
+    ("expand", "fourier-hermite"): ("--mu", "--order"),
+    ("expand", "gram-charlier"): ("--mu", "--sigma", "--nu3", "--nu4", "--order", "--x"),
+    ("expand", "wce"): ("--coeffs", "--order"),
+    ("expand", "deconvolve"): ("--coeffs", "--sigma"),
+    ("expand", "fourier-check"): ("--n", "--kmax"),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS), ids=" ".join)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_0_2_or_3(self, command, data):
+        argv = list(command)
+        for flag in _COMMANDS[command]:
+            values = _LISTS if flag in ("--coeffs", "--parts") else _NUMBERS
+            argv.append(f"{flag}={data.draw(values)}")  # "=" keeps "-1" a value, not a flag
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), argv
 
 
 class TestExpand:

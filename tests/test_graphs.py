@@ -1,10 +1,14 @@
 """Matching combinatorics against enumeration, closed forms, and quadrature."""
 
+import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_kit import (
     GraphFileError,
@@ -45,6 +49,36 @@ def enumerate_j_matches(graph, j):
         else:
             count += 1
     return count
+
+
+def part_lowering_count(part_sizes):
+    """The combinatorial route to perfect matches of K_(n_1, ..., n_k): a
+    vertex of the smallest nonzero part pairs with one of the n_i vertices of
+    another part, so P = sum_i n_i P(parts with both lowered by one).
+    Memoized on the sorted multiset; it recurses once per vertex pair, so it
+    serves only small totals."""
+
+    @functools.lru_cache(maxsize=None)
+    def rec(key):
+        if not key:
+            return 1
+        pivot, rest = key[0], key[1:]
+        total = 0
+        for i, size in enumerate(rest):
+            lowered = (pivot - 1, *rest[:i], size - 1, *rest[i + 1 :])
+            total += size * rec(tuple(sorted(s for s in lowered if s > 0)))
+        return total
+
+    sizes = sorted(s for s in part_sizes if s > 0)
+    return 0 if sum(sizes) % 2 else rec(tuple(sizes))
+
+
+@st.composite
+def partitions(draw, max_parts=5, max_total=40):
+    sizes = []
+    for _ in range(draw(st.integers(0, max_parts))):
+        sizes.append(draw(st.integers(0, max_total - sum(sizes))))
+    return draw(st.permutations(sizes))
 
 
 def random_graph(rng, max_vertices=10):
@@ -206,6 +240,27 @@ class TestCompleteMatchCounts:
                     assert recurrence == partite_closed_form(parts)
                 if k == 3:
                     assert recurrence == partite_closed_form(parts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partitions())
+    def test_fold_matches_part_lowering_recurrence(self, parts):
+        assert count_complete_matches(parts) == part_lowering_count(parts)
+
+    def test_oracle_against_realized_graphs(self):
+        for parts in [(2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 2), (3, 1, 2, 2), (1, 1, 1, 1, 2)]:
+            total = sum(parts)
+            assert part_lowering_count(parts) == count_j_matches(
+                complete_kpartite(parts), total // 2
+            )
+
+    def test_parts_in_the_thousands(self):
+        # the former recursion raised RecursionError here
+        start = time.perf_counter()
+        count = count_complete_matches([3000, 2999, 2999])
+        assert time.perf_counter() - start < 1.0
+        assert count == partite_closed_form([3000, 2999, 2999])
+        assert count_complete_matches([1200, 1200]) == math.factorial(1200)
+        assert hermite_product_integral([1200, 1200]) == math.inf
 
 
 class TestProductIntegrals:

@@ -66,6 +66,36 @@ class TestRawMoments:
                 rebuilt = rebuilt + d * hermite_explicit(n - 2 * j)
             assert rebuilt == gauss_moment_polynomial(n)
 
+    @staticmethod
+    def _binomial_moment(n, mu, sigma):
+        # exact E[(mu + sigma Z)^n] = sum_k C(n,k) mu^(n-k) sigma^k E[Z^k] at
+        # the binary values of mu and sigma, with E[Z^k] = (k-1)!! for even k
+        mu, sigma = Fraction(mu), Fraction(sigma)
+        total = Fraction(0)
+        for k in range(0, n + 1, 2):
+            total += math.comb(n, k) * mu ** (n - k) * sigma**k * math.prod(range(k - 1, 0, -2))
+        return total
+
+    def test_orders_past_the_float_factorial(self):
+        # n! leaves double range at n = 171; the moments themselves need not
+        assert gaussian_raw_moment(171, 0.0, 1.0) == 0.0
+        for n, mu, sigma in [(172, 0.0, 1.0), (172, 0.3, 1.7), (400, 0.0, 0.1),
+                             (400, -2.5, 0.25), (401, -0.75, 0.125)]:
+            exact = self._binomial_moment(n, mu, sigma)
+            value = gaussian_raw_moment(n, mu, sigma)
+            assert math.isfinite(value)
+            assert value == pytest.approx(float(exact), rel=1e-15)
+
+    def test_overflow_is_a_signed_inf(self):
+        assert gaussian_raw_moment(400, 0.0, 1.0) == math.inf
+        assert gaussian_raw_moment(401, -1.0, 1.0) == -math.inf
+        assert self._binomial_moment(400, 0.0, 1.0) > 2**1024
+
+    def test_non_finite_arguments_rejected(self):
+        for mu, sigma in [(math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)]:
+            with pytest.raises(ValueError):
+                gaussian_raw_moment(3, mu, sigma)
+
     def test_moment_polynomial_evaluates_to_raw_moment(self):
         for n in range(16):
             for mu in (Fraction(1, 2), Fraction(-3), Fraction(7, 4)):

@@ -260,24 +260,24 @@ class TestDifferentialEquations:
         # digits; the float evaluator is tied to those values separately.
         import mpmath as mp
 
-        mp.mp.dps = 50
-        h = mp.mpf("1e-4")
-        grid = np.linspace(-3.0, 3.0, 20)
-        for n in range(9):
-            residuals = []
-            scales = []
-            for x in grid:
-                xm = mp.mpf(float(x))
-                f0 = self._weighted_recurrence_mp(n, xm)
-                fp = self._weighted_recurrence_mp(n, xm + h)
-                fm = self._weighted_recurrence_mp(n, xm - h)
-                second = (fp - 2 * f0 + fm) / (h * h)
-                potential = (-xm * xm / 4 + n + mp.mpf(1) / 2) * f0
-                residuals.append(abs(second + potential))
-                scales.append(max(abs(second), abs(potential)))
+        with mp.workdps(50):
+            h = mp.mpf("1e-4")
+            grid = np.linspace(-3.0, 3.0, 20)
+            for n in range(9):
+                residuals = []
+                scales = []
+                for x in grid:
+                    xm = mp.mpf(float(x))
+                    f0 = self._weighted_recurrence_mp(n, xm)
+                    fp = self._weighted_recurrence_mp(n, xm + h)
+                    fm = self._weighted_recurrence_mp(n, xm - h)
+                    second = (fp - 2 * f0 + fm) / (h * h)
+                    potential = (-xm * xm / 4 + n + mp.mpf(1) / 2) * f0
+                    residuals.append(abs(second + potential))
+                    scales.append(max(abs(second), abs(potential)))
 
-                assert float(abs(eval_hermite_function(n, float(x)) - f0)) <= 1e-12 * float(abs(f0)) + 1e-15
-            assert max(residuals) <= 1e-8 * max(scales)
+                    assert float(abs(eval_hermite_function(n, float(x)) - f0)) <= 1e-12 * float(abs(f0)) + 1e-15
+                assert max(residuals) <= 1e-8 * max(scales)
 
 
 class TestSerialization:
