@@ -120,12 +120,19 @@ def cmd_quad(args, out):
     return 0
 
 
+def _grid(lo, hi, samples):
+    # past double range for hi - lo, halve the ends: exact at that size, same points
+    if math.isfinite(hi - lo):
+        return np.linspace(lo, hi, samples)
+    return 2.0 * np.linspace(lo / 2.0, hi / 2.0, samples)
+
+
 def cmd_plotdata(args, out):
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     if args.xmax < args.xmin:
         raise ValueError(f"empty range [{args.xmin}, {args.xmax}]")
-    grid = np.linspace(args.xmin, args.xmax, args.samples)
+    grid = _grid(args.xmin, args.xmax, args.samples)
     if args.kind == "poly":
         values = [polynomials.eval_hermite(args.n, x, args.family) for x in grid]
     elif args.kind == "function":
@@ -164,9 +171,11 @@ def cmd_graph(args, out):
     elif args.graph_command == "kpartite":
         print(graphs.format_edge_list(graphs.complete_kpartite(args.parts)), file=out)
     elif args.graph_command == "product-integral":
+        p = graphs.count_complete_matches(args.parts)
+        # as hermite_product_integral: float(p) overflows from 2^1024, the product from 2^1023
+        value = polynomials.SQRT_TWO_PI * float(p) if p.bit_length() <= 1023 else math.inf
         with _exact_digits():
-            count = str(graphs.count_complete_matches(args.parts))
-        value = graphs.hermite_product_integral(args.parts)
+            count = str(p)
         if args.format == "json":
             print(json.dumps({"parts": args.parts, "P": count, "J": float(value)}), file=out)
         elif args.format == "plain":
@@ -243,8 +252,11 @@ def cmd_expand(args, out):
         )
         _emit_coeffs(result, args.format, out)
     else:  # fourier-check
-        grid = np.linspace(-args.kmax, args.kmax, 25)
-        error = expansions.fourier_eigen_check(args.n, grid, quad_order)
+        try:
+            error = expansions.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25),
+                                                   quad_order)
+        except OverflowError as exc:
+            raise ValueError(f"--kmax {args.kmax:g} is too large: {exc}") from None
         print(_fmt(error), file=out)
     return 0
 

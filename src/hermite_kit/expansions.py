@@ -20,6 +20,7 @@ import numpy as np
 from .exactpoly import ExactPolynomial
 from .polynomials import (
     SQRT_TWO_PI,
+    _exact_he_sum,
     eval_hermite_function,
     hermite_explicit,
     hermite_table,
@@ -125,12 +126,13 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
 
 
 def evaluate_series(series, x):
-    """Value of the truncated expansion at x, honoring its convention."""
+    """Value of the truncated expansion at x, honoring its convention; a
+    float sum that leaves double range is redone in exact rationals."""
     x = float(x)
+    log_weight = -x * x / 2.0 if series.convention == DENSITY_WEIGHTED else 0.0
     total = sum(c * h for c, h in zip(series.coeffs, hermite_table(series.truncation, x)))
-    if series.convention == DENSITY_WEIGHTED:
-        total *= math.exp(-x * x / 2.0)
-    return total
+    total *= math.exp(log_weight)
+    return total if math.isfinite(total) else _exact_he_sum(series.coeffs, x, log_weight)
 
 
 def series_tail_indicator(series):
@@ -147,20 +149,24 @@ def gram_charlier_density(moments, order, x):
     Each coefficient E[He_n(Z)]/n! is assembled from the supplied
     standardized moments; up to order 4 this is the classical form
     w(z)/(sqrt(2*pi) sigma) * (1 + nu_3/6 He_3(z) + (nu_4 - 3)/24 He_4(z)).
+    A float value that leaves double range is redone as evaluate_series does.
     Truncated values can go negative and are returned as-is.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     z = (float(x) - moments.mu) / moments.sigma
     base = math.exp(-z * z / 2.0) / (SQRT_TWO_PI * moments.sigma)
-    correction = 0.0
+    coeffs, correction = [], 0.0
     for n, he in enumerate(hermite_table(order, z)):
         expected = 0.0
         for k, c in enumerate(hermite_explicit(n).coeffs):
             if c:
                 expected += float(c) * moments.standardized(k)
-        correction += expected / math.factorial(n) * he
-    return base * correction
+        coeffs.append(expected / math.factorial(n))
+        correction += coeffs[-1] * he
+    if math.isfinite(value := base * correction):
+        return value
+    return _exact_he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * moments.sigma)
 
 
 def wce_coeffs_1d(f, order, quad_order=None):
@@ -264,7 +270,10 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
     k = np.asarray(k_grid, dtype=float)
-    kx = np.multiply.outer(k, rule.nodes)
+    with np.errstate(over="ignore"):
+        kx = np.multiply.outer(k, rule.nodes)
+    if not np.isfinite(kx).all():
+        raise OverflowError("k times the quadrature nodes is not finite")
     transform = (np.cos(kx) @ column - 1j * (np.sin(kx) @ column)) / SQRT_TWO_PI
     expected = eigenvalue * np.array([eval_hermite_function(n, q, "h") for q in k])
     return float(np.max(np.abs(transform - expected), initial=0.0))

@@ -56,13 +56,11 @@ def hermite_recurrence(n, family=PROBABILIST):
     """
     _check_order(n)
     _check_family(family)
-    prev = ExactPolynomial((1,))
-    if n == 0:
-        return prev if family == PROBABILIST else _he_to_physicist(prev, 0)
-    cur = ExactPolynomial((0, 1))
-    for k in range(1, n):
-        prev, cur = cur, ExactPolynomial([0, *cur.coeffs]) - k * prev
-    return cur if family == PROBABILIST else _he_to_physicist(cur, n)
+    prev, cur = [], [1]  # int coefficient lists of He_(k-1), He_k
+    for k in range(n):
+        prev, cur = cur, [a - k * b for a, b in zip([0, *cur], [*prev, 0, 0])]
+    he = ExactPolynomial(cur)
+    return he if family == PROBABILIST else _he_to_physicist(he, n)
 
 
 def pairings(n, j):
@@ -165,6 +163,26 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
         if rows is not None:
             rows.append(_ldexp(cur, e) if e else cur)
     return prev, cur, e
+
+
+def _exact_he_sum(coeffs, x, log_weight=0.0):
+    """sum_k coeffs[k] He_k(x) * e**log_weight, the sum exact at the binary
+    values of coeffs and x: finite wherever the true value is, a signed inf
+    past double range, 0 where the weight wins.  The sum is rounded once; a
+    weight, applied as 2**e e**r with r in [0, ln 2), adds about |e| ulps."""
+    if log_weight == -math.inf:  # the weight wins at any degree, infinite x included
+        return 0.0
+    x, prev, cur, total = Fraction(x), 0, 1, 0
+    for k, c in enumerate(coeffs):
+        total += Fraction(c) * cur
+        prev, cur = cur, x * cur - k * prev
+    if not total:
+        return 0.0
+    # total / 2**s and e**(t - e ln 2) are O(1); their product is scaled by 2**(s + e)
+    s = total.numerator.bit_length() - total.denominator.bit_length()
+    t = max(-1e15, log_weight)  # as in _recurrence: past -1e15 the weight wins anyway
+    e = math.floor(t / _LN2)
+    return _ldexp(float(total / Fraction(2) ** s) * math.exp(t - e * _LN2), s + e)
 
 
 def hermite_table(n_max, x, family=PROBABILIST):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermite_kit import partite_closed_form, quadrature
+from hermite_kit import graphs, partite_closed_form, quadrature
 from hermite_kit.cli import main
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -210,6 +210,17 @@ class TestGraph:
         code, out, _ = run_cli(capsys, "graph", "linearize", "--m", "2", "--n", "2")
         assert (code, out) == (0, '{"4":1,"2":4,"0":2}\n')
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "tsv", "json"])
+    def test_product_integral_counts_once(self, capsys, monkeypatch, fmt):
+        calls = []
+        count = graphs.count_complete_matches
+        monkeypatch.setattr(graphs, "count_complete_matches",
+                            lambda parts: calls.append(parts) or count(parts))
+        code, _, _ = run_cli(
+            capsys, "graph", "product-integral", "--parts", "100,100,100,100", "--format", fmt
+        )
+        assert (code, len(calls)) == (0, 1)
+
 
 class TestExactIntegerOutput:
     """Exact integers print at any length; parsed input keeps Python's
@@ -301,6 +312,28 @@ class TestNonFiniteFloats:
         captured = capsys.readouterr()
         assert captured.out == "" and "expected a finite number" in captured.err
 
+    @pytest.mark.parametrize("argv, expected", [
+        (("expand", "gram-charlier", "--mu", "1e308", "--x", "0"), "0\n"),
+        (("expand", "gram-charlier", "--x", "1e308"), "0\n"),
+        (("expand", "gram-charlier", "--x", "1e308", "--nu4", "1e308"), "0\n"),
+        (("plotdata", "--kind", "poly", "--n", "2", "--xmin=-1e308", "--xmax", "1e308",
+          "--samples", "3"), "x\tvalue\n-1e+308\tinf\n0\t-1\n1e+308\tinf\n"),
+        (("plotdata", "--kind", "series", "--coeffs", "0,0,-1,1", "--convention", "plain",
+          "--xmin=-1e308", "--xmax", "1e308", "--samples", "2"),
+         "x\tvalue\n-1e+308\t-inf\n1e+308\tinf\n"),
+        (("plotdata", "--kind", "series", "--coeffs", "1,2", "--xmin=-1e308", "--xmax", "1e308",
+          "--samples", "3"), "x\tvalue\n-1e+308\t0\n0\t1\n1e+308\t0\n"),
+    ])
+    def test_extreme_finite_flag_prints_the_limit(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize("kmax", ["1e308", "-1e308", "5e307"])
+    def test_fourier_check_overflow_names_kmax(self, capsys, kmax):
+        code, out, err = run_cli(capsys, "expand", "fourier-check", "--n", "3", f"--kmax={kmax}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --kmax ") and "Traceback" not in err
+
     def test_moments_file_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "moments.csv"
         path.write_text("0.0\n1.0\ninf\n3.0\n", encoding="utf-8")
@@ -311,7 +344,9 @@ class TestNonFiniteFloats:
         assert "line 3" in err
 
 
-_NUMBERS = st.sampled_from(["0", "-1", "1", "2", "3", "7", "50", "1e308", "inf", "-inf", "nan"])
+_NUMBERS = st.sampled_from(
+    ["0", "-1", "1", "2", "3", "7", "50", "1e308", "-1e308", "1e-300", "inf", "-inf", "nan"]
+)
 _LISTS = st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join)
 _COMMANDS = {
     ("poly",): ("--n",),
@@ -339,12 +374,14 @@ class TestFuzz:
         for flag in _COMMANDS[command]:
             values = _LISTS if flag in ("--coeffs", "--parts") else _NUMBERS
             argv.append(f"{flag}={data.draw(values)}")  # "=" keeps "-1" a value, not a flag
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 2, 3), argv
+        assert code != 0 or "nan" not in out.getvalue().lower(), argv  # no silent nan
 
 
 class TestExpand:

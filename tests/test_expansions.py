@@ -205,6 +205,19 @@ class TestSeriesEvaluation:
         # He_0 + He_2 = x^2
         assert evaluate_series(series, 3.0) == pytest.approx(9.0, rel=1e-15)
 
+    def test_overflowing_float_terms_give_the_exact_value(self):
+        plain = HermiteSeries(coeffs=(0.0, 0.0, -1.0, 1.0), convention=PLAIN_RV)
+        assert evaluate_series(plain, 1e308) == math.inf  # float terms: -inf + inf
+        assert evaluate_series(plain, -1e308) == -math.inf
+        big = HermiteSeries(coeffs=(0.0, 1e308, 0.0, 1e308), convention=PLAIN_RV)
+        assert evaluate_series(big, 1.0) == -1e308  # 1e308 (He_1 + He_3)(1), He_3(1) = -2
+        weighted = HermiteSeries(coeffs=(1.0, 2.0, 1e308), convention=DENSITY_WEIGHTED)
+        assert evaluate_series(weighted, 1e308) == 0.0
+        assert evaluate_series(weighted, -1e200) == 0.0
+        # He_2(30) = 899: 1e308 * 899 overflows, and the 1 + 2 He_1(30) terms are negligible
+        expected = 899.0 * (1e308 * math.exp(-450.0))
+        assert evaluate_series(weighted, 30.0) == pytest.approx(expected, rel=1e-12)
+
     def test_tail_indicator(self):
         series = fourier_hermite_coeffs(shifted_gaussian(0.5), 20)
         # convergent case: the indicator must be tiny by order 20
@@ -279,6 +292,20 @@ class TestGramCharlier:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             StandardizedMoments(mu=0.0, sigma=0.0)
+
+    def test_far_tails_are_zero_not_nan(self):
+        far = StandardizedMoments(mu=1e308, sigma=1.0, nu=(0.0, 3.0))
+        assert gram_charlier_density(far, 4, 0.0) == 0.0
+        assert gram_charlier_density(far, 4, -1e308) == 0.0  # z overflows to -inf
+        wide = StandardizedMoments(mu=0.0, sigma=1e-300, nu=(1e308, 1e308))
+        assert gram_charlier_density(wide, 4, 1.0) == 0.0
+
+    def test_overflowing_coefficient_times_underflowing_weight(self):
+        # (nu_4 - 3)/24 He_4(40) overflows and e^-800 underflows; the product does neither
+        m = StandardizedMoments(mu=0.0, sigma=1.0, nu=(0.0, 1e308))
+        he4 = 40.0**4 - 6.0 * 40.0**2 + 3.0
+        log_value = math.log(1e308 / 24.0) + math.log(he4) - 800.0 - math.log(SQRT_TWO_PI)
+        assert gram_charlier_density(m, 4, 40.0) == pytest.approx(math.exp(log_value), rel=1e-12)
 
 
 class TestWienerChaos1D:
@@ -435,3 +462,7 @@ class TestFourierEigenfunctions:
         grid = np.linspace(-3.0, 3.0, 25)
         for n in range(9):
             assert fourier_eigen_check(n, grid, 60) <= 1e-6
+
+    def test_overflowing_frequencies_raise(self):
+        with pytest.raises(OverflowError):
+            fourier_eigen_check(3, [0.0, 1e308], 40)

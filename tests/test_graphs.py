@@ -51,6 +51,34 @@ def enumerate_j_matches(graph, j):
     return count
 
 
+def edge_deletion_table(graph):
+    """The pivot-edge deletion recurrence p(G, j) = p(G - e, j) +
+    p(G - {u, v}, j - 1), memoized on the residual edge set: an oracle
+    independent of the library's vertex elimination."""
+    edges = sorted(graph.edges)
+    if not edges:
+        return (1,)
+    incident = {}
+    for bit, (u, v) in enumerate(edges):
+        incident[u] = incident.get(u, 0) | (1 << bit)
+        incident[v] = incident.get(v, 0) | (1 << bit)
+
+    @functools.lru_cache(maxsize=None)
+    def table(mask):
+        if not mask:
+            return (1,)
+        bit = (mask & -mask).bit_length() - 1
+        u, v = edges[bit]
+        keep = table(mask & ~(1 << bit))
+        drop = table(mask & ~incident[u] & ~incident[v])
+        combined = list(keep) + [0] * (max(len(keep), len(drop) + 1) - len(keep))
+        for j, c in enumerate(drop):
+            combined[j + 1] += c
+        return tuple(combined)
+
+    return table((1 << len(edges)) - 1)
+
+
 def part_lowering_count(part_sizes):
     """The combinatorial route to perfect matches of K_(n_1, ..., n_k): a
     vertex of the smallest nonzero part pairs with one of the n_i vertices of
@@ -79,6 +107,14 @@ def partitions(draw, max_parts=5, max_total=40):
     for _ in range(draw(st.integers(0, max_parts))):
         sizes.append(draw(st.integers(0, max_total - sum(sizes))))
     return draw(st.permutations(sizes))
+
+
+@st.composite
+def simple_graphs(draw, max_vertices):
+    n = draw(st.integers(1, max_vertices))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph.from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
 
 
 def random_graph(rng, max_vertices=10):
@@ -123,6 +159,44 @@ class TestMatchCounting:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="guard"):
             match_count_table(complete_graph(25))
+
+
+class TestVertexElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(simple_graphs(12))
+    def test_matches_edge_deletion_oracle(self, graph):
+        assert match_count_table(graph) == edge_deletion_table(graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(simple_graphs(8))
+    def test_matches_enumeration(self, graph):
+        table = match_count_table(graph)
+        assert table == tuple(enumerate_j_matches(graph, j) for j in range(len(table)))
+        assert enumerate_j_matches(graph, len(table)) == 0
+
+    def test_complete_graphs_up_to_the_cap(self):
+        # K_m's counts are the largest of any m-vertex graph, so they fill the packed slots
+        f = math.factorial
+        for m in range(1, 25):
+            closed = tuple(f(m) // (2**j * f(m - 2 * j) * f(j)) for j in range(m // 2 + 1))
+            assert match_count_table(complete_graph(m)) == closed
+
+    def test_edgeless_isolated_and_single_edge(self):
+        assert match_count_table(SimpleGraph(vertex_count=1, edges=frozenset())) == (1,)
+        assert match_count_table(SimpleGraph(vertex_count=24, edges=frozenset())) == (1,)
+        assert match_count_table(SimpleGraph.from_edges(2, [(1, 2)])) == (1, 1)
+        assert match_count_table(SimpleGraph.from_edges(24, [(23, 24)])) == (1, 1)
+        # vertex 1 and 5 isolated, a triangle on 2..4 and the edge 6-7
+        triangle_and_edge = [(2, 3), (3, 4), (2, 4), (6, 7)]
+        assert match_count_table(SimpleGraph.from_edges(7, triangle_and_edge)) == (1, 4, 3)
+
+    def test_dense_graph_at_the_cap(self):
+        rng = random.Random(24)
+        edges = [(u, v) for u in range(1, 25) for v in range(u + 1, 25) if rng.random() < 0.5]
+        start = time.perf_counter()
+        table = match_count_table(SimpleGraph.from_edges(24, edges))
+        assert time.perf_counter() - start < 10.0
+        assert table[:2] == (1, len(edges)) and len(table) <= 13
 
 
 class TestMatchingPolynomial:
