@@ -222,7 +222,8 @@ def cmd_expand(args, out):
         mu = args.mu
 
         def density(x):
-            return math.exp(-0.5 * (x - mu) ** 2) / expansions.SQRT_TWO_PI
+            d = float(x) - mu  # plain floats: d * d overflows to inf, silently
+            return math.exp(-0.5 * (d * d)) / expansions.SQRT_TWO_PI
 
         series = expansions.fourier_hermite_coeffs(density, args.order, quad_order)
         print(f"tail indicator |a_N| sqrt(N!) = "
@@ -240,7 +241,7 @@ def cmd_expand(args, out):
         print(_fmt(value), file=out)
     elif args.expand_command == "wce":
         poly = ExactPolynomial(args.coeffs)
-        series = expansions.wce_coeffs_1d(poly, args.order, quad_order)
+        series = expansions.wce_coeffs_1d(lambda x: poly(float(x)), args.order, quad_order)
         print(f"tail indicator |a_N| sqrt(N!) = "
               f"{expansions.series_tail_indicator(series):.3e}", file=sys.stderr)
         print(series.to_json(), file=out)

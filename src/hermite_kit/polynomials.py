@@ -91,34 +91,30 @@ def _gaussian_moment_exact(k):
 def gram_schmidt_construct(n):
     """Orthogonalize 1, x, ..., x^n against the Gaussian weight, exactly.
 
-    Inner products use the exact moments of e^{-x^2/2} with the common
-    sqrt(2*pi) factor cancelled; rational arithmetic throughout.  Returns
-    the monic orthogonal sequence [q_0, ..., q_n].
+    Classical Gram-Schmidt over integer moment rows.  Each q_j carries the
+    row L_j[i] = <x^i, q_j>, i = 0..n, from the exact moments m of
+    e^{-x^2/2} with the common sqrt(2*pi) cancelled.  Then <x^k, q_j> =
+    L_j[k] and ||q_j||^2 = L_j[j], so q_k = x^k - sum_j r_j q_j with
+    r_j = L_j[k] / L_j[j] has the row L_k = m[k:k+n+1] - sum_j r_j L_j.
+    r_j comes from divmod and becomes a Fraction only if a remainder
+    appears (for this weight none does).  O(n^3) integer operations.
+    Returns the monic orthogonal sequence [q_0, ..., q_n].
     """
     _check_order(n)
-
-    def inner(p, q):
-        total = Fraction(0)
-        for i, a in enumerate(p.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(q.coeffs):
-                if b == 0:
-                    continue
-                total += Fraction(a) * Fraction(b) * _gaussian_moment_exact(i + j)
-        return total
-
-    basis = []
-    norms = []
+    moments = [_gaussian_moment_exact(i) for i in range(2 * n + 1)]
+    basis, rows = [], []
     for k in range(n + 1):
-        q = ExactPolynomial.monomial(k)
-        for prev, norm in zip(basis, norms):
-            coeff = inner(q, prev) / norm
-            if coeff != 0:
-                q = q - coeff * prev
+        q, row = [0] * k + [1], moments[k : k + n + 1]
+        for j, (p, lj) in enumerate(zip(basis, rows)):
+            if lj[k]:
+                r, rem = divmod(lj[k], lj[j])
+                if rem:
+                    r = Fraction(lj[k], lj[j])
+                q[: j + 1] = [a - r * b for a, b in zip(q, p)]
+                row = [a - r * b for a, b in zip(row, lj)]
         basis.append(q)
-        norms.append(inner(q, q))
-    return basis
+        rows.append(row)
+    return [ExactPolynomial(q) for q in basis]
 
 
 # Rows past _RESCALE_AT / (1 + |a| + b n_max) are rescaled before the next

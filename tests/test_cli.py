@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -426,6 +427,23 @@ class TestExpand:
         payload = json.loads(out)
         assert payload["convention"] == "density-weighted"
         assert payload["coeffs"][3] == pytest.approx(0.125 / (6 * SQRT_TWO_PI), rel=1e-10)
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (("fourier-hermite", "--mu", "1e308", "--order", "3"), 0,
+         '{"convention": "density-weighted", "coeffs": [0.0, 0.0, 0.0, 0.0]}\n',
+         "tail indicator |a_N| sqrt(N!) = 0.000e+00\n"),
+        (("wce", "--coeffs", "0,1e308", "--order", "2"), 2, "",
+         "error: integrand returned non-finite value -inf at node index 0"),
+    ], ids=["fourier-hermite", "wce"])
+    def test_overflowing_integrand_leaves_no_runtime_warning(self, capsys, argv, code, out, err):
+        # the integrands run in plain floats, where (x - mu)^2 and the Horner
+        # products overflow to inf without a numpy warning on stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli(capsys, "expand", *argv)
+        assert result[:2] == (code, out)
+        assert result[2].startswith(err) and "Warning" not in result[2]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_wce_series(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,1", "--order", "4")

@@ -1,10 +1,13 @@
 """Exact construction and evaluation of both Hermite families."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_kit import (
     ExactPolynomial,
@@ -17,7 +20,38 @@ from hermite_kit import (
     hermite_ode_residual,
     hermite_recurrence,
     hermite_table,
+    polynomials,
 )
+from hermite_kit.polynomials import _gaussian_moment_exact
+
+
+def fraction_gram_schmidt(n, moment=_gaussian_moment_exact):
+    """Modified Gram-Schmidt on 1, x, ..., x^n with every inner product
+    expanded over coefficient pairs in Fractions: the O(n^4) oracle that
+    gram_schmidt_construct's moment rows replace."""
+
+    def inner(p, q):
+        total = Fraction(0)
+        for i, a in enumerate(p.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(q.coeffs):
+                if b == 0:
+                    continue
+                total += Fraction(a) * Fraction(b) * moment(i + j)
+        return total
+
+    basis = []
+    norms = []
+    for k in range(n + 1):
+        q = ExactPolynomial.monomial(k)
+        for prev, norm in zip(basis, norms):
+            coeff = inner(q, prev) / norm
+            if coeff != 0:
+                q = q - coeff * prev
+        basis.append(q)
+        norms.append(inner(q, q))
+    return basis
 
 
 class TestConstructionAgreement:
@@ -37,6 +71,14 @@ class TestConstructionAgreement:
     def test_gram_schmidt_degenerate_order(self):
         assert [p.coeffs for p in gram_schmidt_construct(0)] == [(1,)]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 120))
+    def test_three_constructions_agree(self, n):
+        he = hermite_recurrence(n)
+        assert hermite_explicit(n) == he
+        assert gram_schmidt_construct(n)[-1] == he
+        assert hermite_recurrence(n, "h") == hermite_explicit(n, "h")
+
     def test_physicist_three_term_recurrence_consistent(self):
         # H_{n+1} = 2x H_n - 2n H_{n-1} is implied by the coefficient
         # transform; checked as an identity, not used as a definition.
@@ -45,6 +87,30 @@ class TestConstructionAgreement:
             lhs = hermite_explicit(n + 1, "h")
             rhs = two_x * hermite_explicit(n, "h") - (2 * n) * hermite_explicit(n - 1, "h")
             assert lhs == rhs
+
+
+class TestGramSchmidt:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 20))
+    def test_matches_fraction_oracle(self, n):
+        assert gram_schmidt_construct(n) == fraction_gram_schmidt(n)
+
+    def test_degree_100_is_the_recurrence(self):
+        start = time.perf_counter()
+        sequence = gram_schmidt_construct(100)
+        assert time.perf_counter() - start < 2.0
+        assert sequence == [hermite_recurrence(k) for k in range(101)]
+
+    def test_remainder_falls_back_to_fraction(self, monkeypatch):
+        # Lebesgue measure on [0, 1], m_k = 1/(k+1): the monic shifted
+        # Legendre polynomials, whose projections leave remainders
+        def moment(k):
+            return Fraction(1, k + 1)
+
+        monkeypatch.setattr(polynomials, "_gaussian_moment_exact", moment)
+        sequence = gram_schmidt_construct(6)
+        assert sequence == fraction_gram_schmidt(6, moment)
+        assert sequence[2].coeffs == (Fraction(1, 6), -1, 1)
 
 
 class TestKnownPolynomials:
