@@ -6,23 +6,9 @@ random variables, and the matching-polynomial combinatorics that evaluates
 weighted integrals of Hermite products.
 """
 
+import importlib
+
 from .exactpoly import ExactPolynomial
-from .expansions import (
-    DENSITY_WEIGHTED,
-    PLAIN_RV,
-    HermiteSeries,
-    StandardizedMoments,
-    WCETensorCoeffs,
-    evaluate_series,
-    fourier_eigen_check,
-    fourier_hermite_coeffs,
-    gaussian_mixture_deconvolve,
-    gram_charlier_density,
-    series_tail_indicator,
-    wce_coeffs_1d,
-    wce_coeffs_multi,
-    wce_reconstruct,
-)
 from .graphs import (
     GraphFileError,
     SimpleGraph,
@@ -65,16 +51,37 @@ from .polynomials import (
     hermite_recurrence,
     hermite_table,
 )
-from .quadrature import (
-    CubatureRule,
-    QuadratureRule,
-    gauss_hermite_rule,
-    integrate_cubature,
-    integrate_weighted,
-    integrate_whole_line,
-    tensor_cubature,
-)
-from .tensors import tensor_component, tensor_component_recursive
+from .tensors import tensor_component
+
+# numpy-backed names load their module on first use, so that the exact
+# paths never import numpy; __getattr__ caches each in the module globals
+_LAZY_MODULE = {
+    **dict.fromkeys((
+        "DENSITY_WEIGHTED",
+        "PLAIN_RV",
+        "HermiteSeries",
+        "StandardizedMoments",
+        "WCETensorCoeffs",
+        "evaluate_series",
+        "fourier_eigen_check",
+        "fourier_hermite_coeffs",
+        "gaussian_mixture_deconvolve",
+        "gram_charlier_density",
+        "series_tail_indicator",
+        "wce_coeffs_1d",
+        "wce_coeffs_multi",
+        "wce_reconstruct",
+    ), "expansions"),
+    **dict.fromkeys((
+        "CubatureRule",
+        "QuadratureRule",
+        "gauss_hermite_rule",
+        "integrate_cubature",
+        "integrate_weighted",
+        "integrate_whole_line",
+        "tensor_cubature",
+    ), "quadrature"),
+}
 
 __version__ = "0.1.0"
 
@@ -138,5 +145,16 @@ __all__ = [
     "integrate_whole_line",
     "tensor_cubature",
     "tensor_component",
-    "tensor_component_recursive",
 ]
+
+
+def __getattr__(name):
+    if name not in _LAZY_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_MODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,9 +13,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import expansions, graphs, polynomials, quadrature
+from . import graphs, polynomials
 from .exactpoly import ExactPolynomial
 
 QUAD_ORDER_ENV = "HERMITE_KIT_QUAD_ORDER"
@@ -95,7 +93,9 @@ def _env_quad_order():
 
 def _check_default_rule(flag, value, rule_order):
     # a default rule sized from a flag: name the flag, not the rule size
-    largest = max(v for v in range(quadrature.MAX_ORDER) if rule_order(v) <= quadrature.MAX_ORDER)
+    from .quadrature import MAX_ORDER
+
+    largest = max(v for v in range(MAX_ORDER) if rule_order(v) <= MAX_ORDER)
     if value > largest:
         raise ValueError(f"{flag} {value} exceeds {largest}, the default quadrature's limit")
 
@@ -109,6 +109,8 @@ def cmd_poly(args, out):
 
 
 def cmd_quad(args, out):
+    from . import quadrature
+
     rule = quadrature.gauss_hermite_rule(args.n)
     rows = list(zip(rule.nodes, rule.weights))
     if args.format == "json":
@@ -121,10 +123,18 @@ def cmd_quad(args, out):
 
 
 def _grid(lo, hi, samples):
-    # past double range for hi - lo, halve the ends: exact at that size, same points
-    if math.isfinite(hi - lo):
-        return np.linspace(lo, hi, samples)
-    return 2.0 * np.linspace(lo / 2.0, hi / 2.0, samples)
+    # np.linspace(lo, hi, samples) bit for bit, in plain floats; past double
+    # range for hi - lo, halve the ends: exact at that size, same points
+    if not math.isfinite(delta := hi - lo):
+        return [2.0 * x for x in _grid(lo / 2.0, hi / 2.0, samples)]
+    div = samples - 1
+    step = delta / div
+    if step == 0:  # delta / div underflowed: scale each index first, as numpy does
+        grid = [i / div * delta + lo for i in range(samples)]
+    else:
+        grid = [i * step + lo for i in range(samples)]
+    grid[-1] = hi
+    return grid
 
 
 def cmd_plotdata(args, out):
@@ -138,6 +148,8 @@ def cmd_plotdata(args, out):
     elif args.kind == "function":
         values = [polynomials.eval_hermite_function(args.n, x, args.family) for x in grid]
     else:
+        from . import expansions
+
         coeffs = tuple(float(c) for c in args.coeffs)
         convention = (expansions.DENSITY_WEIGHTED if args.convention == "density"
                       else expansions.PLAIN_RV)
@@ -209,10 +221,12 @@ def _read_moments_csv(path):
             raise InputFileError(f"{path}: line {number}: {exc}") from None
     if len(values) < 2:
         raise InputFileError(f"{path}: moment list needs at least mu and sigma")
-    return expansions.StandardizedMoments(mu=values[0], sigma=values[1], nu=tuple(values[2:]))
+    return values
 
 
 def cmd_expand(args, out):
+    from . import expansions
+
     quad_order = _env_quad_order()
     if quad_order is None and args.expand_command in ("fourier-hermite", "wce"):
         _check_default_rule("--order", args.order, expansions._quad_order)
@@ -231,10 +245,10 @@ def cmd_expand(args, out):
         print(series.to_json(), file=out)
     elif args.expand_command == "gram-charlier":
         if args.moments_csv is not None:
-            m = _read_moments_csv(args.moments_csv)
+            mu, sigma, *nu = _read_moments_csv(args.moments_csv)
         else:
-            m = expansions.StandardizedMoments(mu=args.mu, sigma=args.sigma,
-                                               nu=(args.nu3, args.nu4))
+            mu, sigma, nu = args.mu, args.sigma, (args.nu3, args.nu4)
+        m = expansions.StandardizedMoments(mu=mu, sigma=sigma, nu=tuple(nu))
         value = expansions.gram_charlier_density(m, args.order, args.x)
         if value < 0:
             print("warning: truncated expansion is negative at this point", file=sys.stderr)
@@ -369,7 +383,7 @@ def main(argv=None):
     except (graphs.GraphFileError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, quadrature.NodeConvergenceError) as exc:
+    except (ValueError, TypeError, polynomials.NodeConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

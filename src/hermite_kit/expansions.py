@@ -172,18 +172,15 @@ def gram_charlier_density(moments, order, x):
 def wce_coeffs_1d(f, order, quad_order=None):
     """Chaos coefficients b_n = E[He_n(Y) f(Y)] / n! for Y ~ N(0, 1).
 
-    f is called once per node of the Q-point rule; E[f(Y)^2] is formed
-    from those values first and must be finite.  Cost O(order * Q).
+    f is called once per node of the Q-point rule.  Cost O(order * Q).
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     rule = gauss_hermite_rule(_quad_order(order, quad_order))
     values = integrand_values(f, rule)
-    with np.errstate(over="ignore"):
-        second_moment = float(np.dot(rule.weights, values * values)) / SQRT_TWO_PI
-    if not math.isfinite(second_moment):
-        raise ValueError("E[f(Y)^2] is not finite on the quadrature grid")
-    moments = hermite_table(order, rule.nodes) @ (rule.weights * values)
+    # a moment that overflows (inf, or nan from inf - inf) is refused by HermiteSeries
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = hermite_table(order, rule.nodes) @ (rule.weights * values)
     return HermiteSeries(coeffs=_normalized(moments), convention=PLAIN_RV)
 
 

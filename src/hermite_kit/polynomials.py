@@ -8,9 +8,8 @@ expanding coefficients, which keeps them usable far beyond degree 20.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .exactpoly import ExactPolynomial
 
@@ -192,7 +191,8 @@ def hermite_table(n_max, x, family=PROBABILIST):
     """
     _check_order(n_max)
     _check_family(family)
-    if not isinstance(x, np.ndarray):
+    np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
+    if np is None or not isinstance(x, np.ndarray):
         rows = [1.0]
         _recurrence(n_max, float(x), family, rows)
         return rows
@@ -235,6 +235,11 @@ def eval_hermite_function(n, x, kind=CHEBYSHEV_HERMITE_FN):
     return _ldexp(cur, e)
 
 
+# raised by quadrature; defined here so that the CLI catches it without numpy
+class NodeConvergenceError(RuntimeError):
+    """Raised when Newton polishing leaves a node above the residual tolerance."""
+
+
 def _orthonormal_pair(n, x):
     # (psi_n(x), psi_{n-1}(x)), psi_n = he_n / sqrt(sqrt(2 pi) n!), both
     # O(1); n! enters exactly, shifted by an even power of two.  An array x
@@ -242,7 +247,8 @@ def _orthonormal_pair(n, x):
     f = math.factorial(n)
     shift = max(f.bit_length() - 64, 0) & ~1
     scale = 1.0 / math.sqrt(SQRT_TWO_PI * (f >> shift))
-    if isinstance(x, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(x, np.ndarray):
         prev, cur = hermite_table(n, x)[-2:] * (scale * np.exp(-x * x / 4.0))
         return np.ldexp(cur, -shift // 2), np.ldexp(math.sqrt(n) * prev, -shift // 2)
     prev, cur, e = _recurrence(n, x, PROBABILIST, log_weight=-x * x / 4.0)

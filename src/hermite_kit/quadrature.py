@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomials import _orthonormal_pair
+from .polynomials import NodeConvergenceError, _orthonormal_pair
 
 MAX_ORDER = 200
 CUBATURE_POINT_BUDGET = 10**7
@@ -30,10 +30,6 @@ _NODE_RESIDUAL_TOL = 1e-13
 
 class QuadratureRangeWarning(UserWarning):
     """Raised when whole-line reweighting leaves double range at outer nodes."""
-
-
-class NodeConvergenceError(RuntimeError):
-    """Raised when Newton polishing leaves a node above the residual tolerance."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +101,7 @@ def integrand_values(f, rule):
     for i, x in enumerate(points):
         y = float(f(x))
         if not math.isfinite(y):
-            where = f"point index {i}" if cubature else f"node index {i} (x={x!r})"
+            where = f"point index {i}" if cubature else f"node index {i} (x={float(x)!r})"
             raise ValueError(f"integrand returned non-finite value {y!r} at {where}")
         values[i] = y
     return values

@@ -2,16 +2,10 @@
 
 A component He^(n)_(a1..an)(x) factorizes into a product of 1-d polynomials,
 one per coordinate, with the degree given by how often that coordinate
-appears among the indices.  The recursive form built from
-
-    He^(n+1)_(a, rest) = x_a He^(n)_rest - sum_k delta(a, rest_k) He^(n-1)_(rest minus k)
-
-is kept as an independent evaluation path for cross-checking.
+appears among the indices.
 """
 
 from __future__ import annotations
-
-import math
 
 from .polynomials import eval_hermite
 
@@ -33,32 +27,4 @@ def tensor_component(indices, point):
     for degree, x in zip(counts, point):
         if degree:
             value *= eval_hermite(degree, x)
-    return value
-
-
-def tensor_component_recursive(indices, point):
-    """Same component evaluated through the rank-lowering recurrence."""
-    indices = tuple(indices)
-    if not indices:
-        return 1.0
-    a, rest = indices[0], indices[1:]
-    value = float(point[a]) * tensor_component_recursive(rest, point)
-    for k, b in enumerate(rest):
-        if b == a:
-            value -= tensor_component_recursive(rest[:k] + rest[k + 1 :], point)
-    return value
-
-
-def orthogonality_normalization(indices_a, indices_b, dimension):
-    """Exact value of the weighted inner product of two tensor components,
-    divided by nothing: (2*pi)^(d/2) * prod_i n_i! when the index tuples
-    are permutations of each other, else 0.
-    """
-    counts_a = index_multiplicities(indices_a, dimension)
-    counts_b = index_multiplicities(indices_b, dimension)
-    if counts_a != counts_b:
-        return 0.0
-    value = (2.0 * math.pi) ** (dimension / 2.0)
-    for c in counts_a:
-        value *= math.factorial(c)
     return value

@@ -41,7 +41,7 @@ from hermite_kit import (
 )
 from hermite_kit.expansions import StandardizedMoments
 from hermite_kit.moments import identity_matrix
-from hermite_kit.tensors import orthogonality_normalization
+from tensor_oracles import orthogonality_normalization
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 

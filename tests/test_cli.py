@@ -7,12 +7,13 @@ import math
 import sys
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hermite_kit import graphs, partite_closed_form, quadrature
-from hermite_kit.cli import main
+from hermite_kit.cli import _grid, main
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -155,6 +156,26 @@ class TestPlotdata:
             "--xmin", "0", "--xmax", "1", "--samples", "2",
         )
         assert code == 2 and "coefficient" in err
+
+
+class TestGrid:
+    @settings(max_examples=400, deadline=None)
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False),
+           hi=st.floats(allow_nan=False, allow_infinity=False),
+           samples=st.integers(2, 60))
+    @example(lo=0.0, hi=2e-323, samples=10)  # the step underflows to 0
+    @example(lo=-0.0, hi=0.0, samples=2)
+    @example(lo=-1e308, hi=1e308, samples=3)  # hi - lo overflows
+    @example(lo=3.0, hi=-3.0, samples=25)
+    def test_matches_numpy_linspace_bitwise(self, lo, hi, samples):
+        with np.errstate(all="ignore"):
+            if math.isfinite(hi - lo):
+                expected = np.linspace(lo, hi, samples)
+            else:  # halved ends, exact at that size
+                expected = 2.0 * np.linspace(lo / 2.0, hi / 2.0, samples)
+        grid = _grid(lo, hi, samples)
+        assert all(type(x) is float for x in grid)
+        assert np.array(grid).tobytes() == expected.tobytes()
 
 
 class TestGraph:
@@ -443,6 +464,25 @@ class TestExpand:
             result = run_cli(capsys, "expand", *argv)
         assert result[:2] == (code, out)
         assert result[2].startswith(err) and "Warning" not in result[2]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_bad_node_prints_as_a_plain_float(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "wce", "--coeffs", "0,1e308", "--order", "2")
+        assert (code, out) == (2, "")
+        assert "(x=-6.630878198393131)" in err and "np." not in err
+
+    def test_wce_keeps_a_finite_coefficient_of_an_overflowing_square(self, capsys):
+        # E[f(Y)^2] = 1e400 leaves double range; b_0 = 1e200 does not
+        code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", "1e200", "--order", "0")
+        assert code == 0
+        assert json.loads(out)["coeffs"] == [pytest.approx(1e200, rel=1e-15)]
+
+    @pytest.mark.parametrize("order", ["1", "4"])  # the moments reach inf, then inf - inf
+    def test_wce_overflowing_coefficient_is_exit_2_without_warning(self, capsys, order):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli(capsys, "expand", "wce", "--coeffs", "1e308", "--order", order)
+        assert result == (2, "", "error: series coefficients must be finite\n")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_wce_series(self, capsys):

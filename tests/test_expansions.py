@@ -24,13 +24,13 @@ from hermite_kit import (
     integrate_weighted,
     integrate_whole_line,
     series_tail_indicator,
-    tensor_component_recursive,
     tensor_cubature,
     wce_coeffs_1d,
     wce_coeffs_multi,
     wce_reconstruct,
     weierstrass_preimage_polynomial,
 )
+from tensor_oracles import tensor_component_recursive
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 

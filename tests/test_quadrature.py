@@ -1,7 +1,9 @@
 """Gauss-Hermite rules checked against exact Gaussian moments and
 independent weight recovery."""
 
+import importlib
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hermite_kit
 from hermite_kit import (
     gauss_hermite_rule,
     integrate_cubature,
@@ -96,6 +99,62 @@ class TestRuleBuilder:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_exact_cli_paths_run_without_numpy(self, tmp_path):
+        # None in sys.modules makes any import of numpy raise ImportError
+        graph, bad = tmp_path / "c4.txt", tmp_path / "bad.txt"
+        graph.write_text("4\n1 2\n2 3\n3 4\n1 4\n", encoding="utf-8")
+        bad.write_text("3\n1 2\n1 2\n", encoding="utf-8")
+        grid = ["--n", "3", "--xmin=-2", "--xmax", "2", "--samples", "5"]
+        commands = [
+            ["poly", "--n", "4"],
+            ["graph", "match-poly", "--file", str(graph)],
+            ["graph", "matches", "--file", str(graph)],
+            ["graph", "kpartite", "--parts", "2,3"],
+            ["graph", "product-integral", "--parts", "2,2,2"],
+            ["graph", "linearize", "--m", "3", "--n", "2"],
+            ["plotdata", "--kind", "poly", *grid],
+            ["plotdata", "--kind", "function", *grid],
+            ["poly", "--n", "3", "--family", "legendre"],
+            ["graph", "match-poly", "--file", str(bad)],
+        ]
+        code = "\n".join([
+            "import contextlib, io, json, sys",
+            "sys.modules['numpy'] = None",
+            "import hermite_kit",
+            "from hermite_kit.cli import main",
+            "results = []",
+            "for argv in json.loads(sys.argv[1]):",
+            "    out = io.StringIO()",
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):",
+            "        try:",
+            "            status = main(argv)",
+            "        except SystemExit as exc:",
+            "            status = exc.code",
+            "    results.append([status, out.getvalue()])",
+            "print(json.dumps(results))",
+        ])
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                                capture_output=True, text=True, check=True)
+        results = json.loads(result.stdout)
+        assert [status for status, _ in results] == [0] * 8 + [2, 3]
+        assert results[0][1] == "3,0,-6,0,1\n"
+        assert results[4][1] == "20.053026197048002\n"
+
+    def test_public_names_resolve_to_their_modules(self):
+        modules = [importlib.import_module(f"hermite_kit.{name}") for name in
+                   ("exactpoly", "expansions", "graphs", "moments", "polynomials",
+                    "quadrature", "tensors")]
+        for name in hermite_kit.__all__:
+            value = getattr(hermite_kit, name)
+            owners = [module for module in modules if name in vars(module)]
+            assert owners and all(vars(module)[name] is value for module in owners), name
+            assert vars(hermite_kit)[name] is value  # resolved once, then a dict hit
+        namespace = {}
+        exec("from hermite_kit import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(hermite_kit.__all__)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hermite_kit.no_such_name
 
     def test_node_residuals_at_every_order(self):
         # the scalar evaluator, not the array path the builder polishes with

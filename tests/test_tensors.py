@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from hermite_kit import tensor_component, tensor_component_recursive
-from hermite_kit.tensors import index_multiplicities, orthogonality_normalization
+from hermite_kit import tensor_component
+from hermite_kit.tensors import index_multiplicities
+from tensor_oracles import orthogonality_normalization, tensor_component_recursive
 
 RNG = np.random.default_rng(20240811)
 POINTS = [RNG.uniform(-2.5, 2.5, size=3) for _ in range(5)]
