@@ -108,6 +108,26 @@ def _normalized(moments):
     return tuple(float(m) / (SQRT_TWO_PI * math.factorial(n)) for n, m in enumerate(moments))
 
 
+def _contracted_series(table, terms, convention):
+    """Series with coefficients (table @ terms)_n / (sqrt(2 pi) n!).
+
+    A moment past double range (inf, or nan from inf - inf) makes
+    HermiteSeries refuse the coefficients; only then is the contraction
+    redone on the terms scaled by an exact power of two, so a finite
+    coefficient whose moment overflows is kept.  Scaling back saturates:
+    a coefficient past double range becomes a signed inf and is refused.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = table @ terms
+        try:
+            return HermiteSeries(coeffs=_normalized(moments), convention=convention)
+        except ValueError:
+            shift = math.frexp(float(np.max(np.abs(terms))))[1]
+            scaled = _normalized(table @ np.ldexp(terms, -shift))
+            coeffs = tuple(np.ldexp(scaled, shift).tolist())
+    return HermiteSeries(coeffs=coeffs, convention=convention)
+
+
 def fourier_hermite_coeffs(f, order, quad_order=None):
     """Density-weighted expansion coefficients
     a_n = (1 / (sqrt(2*pi) n!)) int He_n(x) f(x) dx, by whole-line quadrature.
@@ -121,8 +141,8 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     if quad_order is not None and quad_order < order + 2:
         raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
     rule = gauss_hermite_rule(_quad_order(order, quad_order))
-    moments = hermite_table(order, rule.nodes) @ whole_line_terms(f, rule)
-    return HermiteSeries(coeffs=_normalized(moments), convention=DENSITY_WEIGHTED)
+    terms = whole_line_terms(f, rule)
+    return _contracted_series(hermite_table(order, rule.nodes), terms, DENSITY_WEIGHTED)
 
 
 def evaluate_series(series, x):
@@ -177,11 +197,8 @@ def wce_coeffs_1d(f, order, quad_order=None):
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     rule = gauss_hermite_rule(_quad_order(order, quad_order))
-    values = integrand_values(f, rule)
-    # a moment that overflows (inf, or nan from inf - inf) is refused by HermiteSeries
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = hermite_table(order, rule.nodes) @ (rule.weights * values)
-    return HermiteSeries(coeffs=_normalized(moments), convention=PLAIN_RV)
+    terms = rule.weights * integrand_values(f, rule)
+    return _contracted_series(hermite_table(order, rule.nodes), terms, PLAIN_RV)
 
 
 MAX_WCE_DIMENSION = 3

@@ -2,14 +2,18 @@
 
 j-match counts come from vertex elimination: the lowest remaining vertex v is
 left unmatched or matched to a remaining neighbour u, so over vertex sets S
-p(S, j) = p(S - v, j) + sum_u p(S - v - u, j - 1).  The memo is keyed on the
-remaining vertex bitmask (17711 states for K_20), and each table is one int
-of fixed-width slots, so adding tables is one `+` and raising j is one shift;
-K_24 takes under a second.  Complete k-partite perfect-match counts have
-closed forms for two and three parts; any other count is the Hermite product
-integral, folded part by part through the He linearization coefficients and
-closed by the three-part form, which takes milliseconds for parts in the
-thousands.
+p(S, j) = p(S - v, j) + sum_u p(S - v - u, j - 1).  Twins, vertices with equal
+open or closed neighbourhoods, are interchangeable, so the sum takes one
+member per twin class times the class's count.  The memo is keyed on the
+remaining vertex bitmask: n + 1 states for K_n, at most prod (n_i + 1) for
+K_(n_1, ..., n_k), and as before for graphs without twins.  On K_m the
+elimination is the recurrence p_m = p_(m-1) + (m-1) x p_(m-2), the
+combinatorial proof that K_m's matching polynomial is He_m.  Each table is
+one int of fixed-width slots, so adding tables is one `+` and raising j is
+one shift.  Complete k-partite perfect-match counts have closed forms for two
+and three parts; any other count is the Hermite product integral, folded
+part by part through the He linearization coefficients and closed by the
+three-part form, which takes milliseconds for parts in the thousands.
 """
 
 from __future__ import annotations
@@ -111,7 +115,17 @@ def format_edge_list(graph):
 def match_count_table(graph):
     """All j-match counts (p(G,0), p(G,1), ..., p(G, nu(G))) exactly, by
     vertex elimination over packed tables: slot j of table(S) holds the
-    j-match count of the subgraph induced on the vertex set S."""
+    j-match count of the subgraph induced on the vertex set S.
+
+    Twins, vertices with equal open or equal closed neighbourhoods, are
+    interchangeable, so S - v - u and S - v - u' have equal tables for twins
+    u, u'.  Each twin class gets consecutive labels; among the partners of
+    the eliminated vertex a class's lowest member stands for the run of its
+    twins above it, and its sub-table is counted once per twin.  Removing
+    the lowest vertex and such leaders keeps every class's remaining
+    members its top labels, so K_n has n + 1 states and K_(n_1, ..., n_k)
+    at most prod (n_i + 1); a twin-free graph keeps its labels and states.
+    """
     n = graph.vertex_count
     if n > MAX_MATCH_VERTICES:
         raise ValueError(
@@ -122,6 +136,22 @@ def match_count_table(graph):
     for u, v in graph.edges:
         neighbours[u - 1] |= 1 << (v - 1)
         neighbours[v - 1] |= 1 << (u - 1)
+    false_twins, true_twins = {}, {}
+    for v, mask in enumerate(neighbours):
+        false_twins.setdefault(mask, []).append(v)
+        true_twins.setdefault(mask | 1 << v, []).append(v)
+    order, follows = [], 0  # follows: labels whose predecessor label is a twin
+    for v, mask in enumerate(neighbours):
+        # a vertex is in at most one class of size > 1; lay it out at its lowest member
+        twins = false_twins[mask] if len(false_twins[mask]) > 1 else true_twins[mask | 1 << v]
+        if twins[0] == v:
+            follows |= ((1 << len(twins)) - 2) << len(order)
+            order += twins
+    label = {v: i for i, v in enumerate(order)}
+    neighbours = [0] * n
+    for u, v in graph.edges:
+        neighbours[label[u - 1]] |= 1 << label[v - 1]
+        neighbours[label[v - 1]] |= 1 << label[u - 1]
     # any induced subgraph's counts stay below K_n's, so no slot carries
     width = max(pairings(n, j) for j in range(n // 2 + 1)).bit_length()
     memo = {0: 1}
@@ -131,6 +161,14 @@ def match_count_table(graph):
         rest = mask ^ low
         packed = memo.get(rest) or table(rest)
         partners = neighbours[low.bit_length() - 1] & rest
+        repeats = partners & (partners << 1) & follows
+        while repeats:  # the twin u below a run of repeats stands for u and the run
+            r = repeats & -repeats
+            top, u = ~repeats & (repeats + r), r >> 1
+            repeats ^= top - r
+            partners ^= top - u
+            twins = top.bit_length() - u.bit_length()
+            packed += twins * (memo.get(rest ^ u) or table(rest ^ u)) << width
         while partners:
             u = partners & -partners
             packed += (memo.get(rest ^ u) or table(rest ^ u)) << width
@@ -198,6 +236,9 @@ def verify_hermite_matching(m):
     """True iff the matching polynomial of K_m equals He_m coefficientwise.
 
     The counts come from match_count_table at every m (guarded at m = 20).
+    On K_m its twin-class elimination is He's own three-term recurrence, so
+    this compares two forms of one recurrence; the tests keep the factorial
+    closed form and an edge-deletion count as independent oracles.
     """
     if not 1 <= m <= 20:
         raise ValueError(f"m must be in 1..20, got {m!r}")

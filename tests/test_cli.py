@@ -477,12 +477,28 @@ class TestExpand:
         assert code == 0
         assert json.loads(out)["coeffs"] == [pytest.approx(1e200, rel=1e-15)]
 
-    @pytest.mark.parametrize("order", ["1", "4"])  # the moments reach inf, then inf - inf
-    def test_wce_overflowing_coefficient_is_exit_2_without_warning(self, capsys, order):
+    @pytest.mark.parametrize("order", ["0", "1", "4"])  # the moments reach inf, then inf - inf
+    def test_wce_keeps_a_finite_coefficient_of_an_overflowing_moment(self, capsys, order):
+        # sqrt(2 pi) n! b_n leaves double range before the division; b_0 = 1e308 does not
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_cli(capsys, "expand", "wce", "--coeffs", "1e308", "--order", order)
-        assert result == (2, "", "error: series coefficients must be finite\n")
+            code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", "1e308", "--order", order)
+        assert code == 0
+        coeffs = json.loads(out)["coeffs"]
+        assert len(coeffs) == int(order) + 1
+        assert coeffs[0] == pytest.approx(1e308, rel=1e-14)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("order", ["1", "4"])
+    def test_wce_overflowing_coefficient_is_exit_2_without_warning(self, capsys, order):
+        # f = 1e308 y^4 has b_0 = 3e308; y^4 already overflows it at the outermost node
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "expand", "wce", "--coeffs", "0,0,0,0,1e308", "--order", order
+            )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: integrand returned non-finite value inf at node index 0 ")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_wce_series(self, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,37 @@ class TestWienerChaos1D:
     def test_explicit_zero_quad_order_is_rejected(self):
         with pytest.raises(ValueError, match="positive integer, got 0"):
             wce_coeffs_1d(lambda y: y, 3, 0)
+
+
+class TestOverflowingMoments:
+    """sqrt(2 pi) n! times a coefficient can leave double range while the
+    coefficient does not; the contraction is then redone on terms scaled by a
+    power of two, which scales every coefficient exactly."""
+
+    def test_issue_example_keeps_its_coefficient(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = fourier_hermite_coeffs(lambda x: 1e308 * math.exp(-x * x / 2), 0)
+        assert series.coeffs[0] == pytest.approx(1e308, rel=1e-14)
+
+    def test_scaled_retry_is_bitwise_a_power_of_two(self):
+        g = lambda y: 1.75 + y / 16  # sqrt(2 pi) 1.75 2^1022 passes 2^1024
+        density = shifted_gaussian(0.5)  # moment_0 = 1, so 2^1024 overflows it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wce = wce_coeffs_1d(lambda y: math.ldexp(g(y), 1022), 3).coeffs
+            weighted = fourier_hermite_coeffs(lambda x: math.ldexp(density(x), 1024), 6).coeffs
+        assert wce == tuple(math.ldexp(c, 1022) for c in wce_coeffs_1d(g, 3).coeffs)
+        base = fourier_hermite_coeffs(density, 6).coeffs
+        assert weighted == tuple(math.ldexp(c, 1024) for c in base)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_coefficient_past_double_range_is_refused(self, sign):
+        # int 1e308 e^{-x^2/200} dx / sqrt(2 pi) = 1e309
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                fourier_hermite_coeffs(lambda x: sign * 1e308 * math.exp(-x * x / 200), 0)
 
 
 class TestWienerChaosMulti:

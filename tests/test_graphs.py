@@ -117,6 +117,27 @@ def simple_graphs(draw, max_vertices):
     return SimpleGraph.from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
 
 
+@st.composite
+def planted_twin_graphs(draw, max_base=6):
+    """A random base graph of at most max_base vertices, blown up: each vertex
+    becomes a class of 1-3 twins, a clique or an independent set, classes are
+    joined along the base edges, and the labels are shuffled so that no class
+    need be consecutive."""
+    base = draw(simple_graphs(max_base))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=base.vertex_count,
+                          max_size=base.vertex_count))
+    cliques = draw(st.lists(st.booleans(), min_size=base.vertex_count,
+                            max_size=base.vertex_count))
+    members = [[] for _ in sizes]
+    for label, c in enumerate(draw(st.permutations(
+            [c for c, size in enumerate(sizes) for _ in range(size)])), start=1):
+        members[c].append(label)
+    edges = [pair for c in range(len(sizes)) if cliques[c]
+             for pair in itertools.combinations(members[c], 2)]
+    edges += [(a, b) for u, v in base.edges for a in members[u - 1] for b in members[v - 1]]
+    return SimpleGraph.from_edges(sum(sizes), edges)
+
+
 def random_graph(rng, max_vertices=10):
     n = rng.randint(2, max_vertices)
     edges = set()
@@ -167,6 +188,11 @@ class TestVertexElimination:
     def test_matches_edge_deletion_oracle(self, graph):
         assert match_count_table(graph) == edge_deletion_table(graph)
 
+    @settings(max_examples=300, deadline=None)
+    @given(planted_twin_graphs())
+    def test_planted_twins_match_edge_deletion_oracle(self, graph):
+        assert match_count_table(graph) == edge_deletion_table(graph)
+
     @settings(max_examples=100, deadline=None)
     @given(simple_graphs(8))
     def test_matches_enumeration(self, graph):
@@ -189,6 +215,31 @@ class TestVertexElimination:
         # vertex 1 and 5 isolated, a triangle on 2..4 and the edge 6-7
         triangle_and_edge = [(2, 3), (3, 4), (2, 4), (6, 7)]
         assert match_count_table(SimpleGraph.from_edges(7, triangle_and_edge)) == (1, 4, 3)
+
+    def test_perfect_match_slot_is_the_product_integral(self):
+        # the paper's two routes: counting on the realized graph and the Hermite fold
+        def multisets(total, largest):  # part multisets of the given total, descending
+            if total == 0:
+                yield ()
+            for first in range(min(total, largest), 0, -1):
+                for rest in multisets(total - first, first):
+                    yield (first, *rest)
+
+        small = [parts for total in range(1, 17) for parts in multisets(total, total)]
+        assert len(small) == 914  # p(1) + ... + p(16)
+        for parts in small + [(12, 12), (8, 8, 8), (6, 6, 6, 6), (4,) * 6]:
+            table = match_count_table(complete_kpartite(parts))
+            perfect = table[-1] if 2 * (len(table) - 1) == sum(parts) else 0
+            assert perfect == count_complete_matches(parts), parts
+
+    def test_twin_classes_at_the_cap_are_fast(self):
+        # K_m and complete multipartite graphs take n + 1, or at most prod (n_i + 1), states
+        graphs = [complete_graph(m) for m in range(1, 25)]
+        graphs += [complete_kpartite(p) for p in [(12, 12), (8, 8, 8), (6, 6, 6, 6), (4,) * 6]]
+        start = time.perf_counter()
+        for graph in graphs:
+            match_count_table(graph)
+        assert time.perf_counter() - start < 0.5
 
     def test_dense_graph_at_the_cap(self):
         rng = random.Random(24)
