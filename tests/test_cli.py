@@ -466,6 +466,24 @@ class TestExpand:
         assert result[2].startswith(err) and "Warning" not in result[2]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("argv, code", [
+        (("wce", "--coeffs", "1", "--order", "180"), 0),
+        (("fourier-hermite", "--mu", "0", "--order", "180"), 0),
+        (("wce", "--coeffs", "1e308", "--order", "180"), 0),
+        (("fourier-hermite", "--mu", "1e308", "--order", "198"), 0),
+        (("wce", "--coeffs", "0,0,0,0,1e308", "--order", "198"), 2),
+    ])
+    def test_orders_past_170(self, capsys, monkeypatch, argv, code):
+        # n! leaves double range at n = 171; a 200-point rule serves up to order 198
+        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "200")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_cli(capsys, "expand", *argv)
+        assert result[0] == code and "Traceback" not in result[2]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            assert len(json.loads(result[1])["coeffs"]) == int(argv[-1]) + 1
+
     def test_bad_node_prints_as_a_plain_float(self, capsys):
         code, out, err = run_cli(capsys, "expand", "wce", "--coeffs", "0,1e308", "--order", "2")
         assert (code, out) == (2, "")

@@ -5,6 +5,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +32,7 @@ from hermite_kit import (
     wce_reconstruct,
     weierstrass_preimage_polynomial,
 )
+from hermite_kit.expansions import _normalized
 from tensor_oracles import tensor_component_recursive
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -383,6 +385,37 @@ class TestOverflowingMoments:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
                 fourier_hermite_coeffs(lambda x: sign * 1e308 * math.exp(-x * x / 200), 0)
+
+
+class TestPastTheFloatFactorial:
+    """n! leaves double range at n = 171, a little below the largest order
+    a 200-point rule serves."""
+
+    def test_moments_are_divided_by_the_exact_factorial(self):
+        want = [1e300 / (SQRT_TWO_PI * math.factorial(n)) for n in range(171)]
+        with mpmath.workdps(60):
+            scale = mpmath.mpf(SQRT_TWO_PI) / mpmath.mpf(1e300)
+            want += [float(1 / (scale * mpmath.factorial(n))) for n in range(171, 200)]
+        assert _normalized(np.full(200, 1e300)) == tuple(want)
+        coeffs = _normalized(np.array([1.0] * 171 + [math.inf, -math.inf, math.nan]))
+        assert coeffs[171:173] == (math.inf, -math.inf) and math.isnan(coeffs[173])
+
+    def test_expansions_past_order_170(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = wce_coeffs_1d(lambda y: eval_hermite(175, y), 180, quad_order=200)
+            assert series.coeffs[175] == pytest.approx(1.0, rel=1e-9)
+            # a_0 = 1e309 is refused past order 170 as below it
+            with pytest.raises(ValueError, match="must be finite"):
+                fourier_hermite_coeffs(lambda x: 1e308 * math.exp(-x * x / 200), 180, 200)
+
+    def test_tail_indicator_past_order_170(self):
+        series = HermiteSeries(coeffs=(0.0,) * 180 + (1e-150,), convention=PLAIN_RV)
+        with mpmath.workdps(60):
+            want = float(mpmath.mpf(1e-150) * mpmath.sqrt(mpmath.factorial(180)))
+        assert series_tail_indicator(series) == pytest.approx(want, rel=1e-15)
+        series = HermiteSeries(coeffs=(0.0,) * 199 + (-1e300,), convention=PLAIN_RV)
+        assert series_tail_indicator(series) == math.inf
 
 
 class TestWienerChaosMulti:

@@ -194,6 +194,16 @@ class TestVertexElimination:
         assert match_count_table(graph) == edge_deletion_table(graph)
 
     @settings(max_examples=100, deadline=None)
+    @given(st.one_of(simple_graphs(20), planted_twin_graphs()), st.data())
+    def test_relabelling_leaves_the_table_unchanged(self, graph, data):
+        # the frontier order depends on the labels; the counts must not
+        n = graph.vertex_count
+        relabel = dict(zip(range(1, n + 1), data.draw(st.permutations(range(1, n + 1)))))
+        shuffled = SimpleGraph.from_edges(n, [(relabel[u], relabel[v]) for u, v in graph.edges])
+        want = edge_deletion_table(graph) if n <= 12 else match_count_table(graph)
+        assert match_count_table(shuffled) == want
+
+    @settings(max_examples=100, deadline=None)
     @given(simple_graphs(8))
     def test_matches_enumeration(self, graph):
         table = match_count_table(graph)

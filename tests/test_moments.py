@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermite_kit import (
     ExactPolynomial,
@@ -21,9 +23,23 @@ from hermite_kit import (
     weierstrass_deconvolution_identity,
     weierstrass_preimage_polynomial,
 )
-from hermite_kit.moments import identity_matrix
+from hermite_kit.moments import ChangeOfBasisMatrix, identity_matrix
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+
+@st.composite
+def basis_matrices(draw, n, from_basis, to_basis):
+    """An n x n matrix of int or Fraction entries, dense or mostly zero, in
+    no particular shape."""
+    value = st.integers(-(10**20), 10**20)
+    if draw(st.booleans()):
+        value |= st.builds(Fraction, value, st.integers(1, 10**6))
+    if draw(st.booleans()):
+        value = st.one_of(st.just(0), st.just(0), st.just(0), value)
+    entries = draw(st.lists(value, min_size=n * n, max_size=n * n))
+    rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+    return ChangeOfBasisMatrix(from_basis=from_basis, to_basis=to_basis, entries=rows)
 
 
 def gauss_expectation(g, order):
@@ -188,6 +204,27 @@ class TestChangeOfBasis:
         via = compose(change_of_basis(n, "gauss-moment", "he"),
                       change_of_basis(n, "he", "gauss-moment"))
         assert via.entries == identity_matrix(n, "he").entries
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_compose_is_the_plain_triple_sum(self, data):
+        n = data.draw(st.integers(1, 12))
+        first = data.draw(basis_matrices(n, "he", "monomial"))
+        second = data.draw(basis_matrices(n, "monomial", "gauss-moment"))
+        s, f = second.entries, first.entries
+        want = tuple(
+            tuple(sum(s[i][k] * f[k][j] for k in range(n)) for j in range(n)) for i in range(n)
+        )
+        product = compose(second, first)
+        assert product.entries == want
+        assert (product.from_basis, product.to_basis) == ("he", "gauss-moment")
+
+    def test_compose_mismatches_are_refused(self):
+        he_to_x = change_of_basis(3, "he", "monomial")
+        with pytest.raises(ValueError, match="cannot compose"):
+            compose(he_to_x, he_to_x)
+        with pytest.raises(ValueError, match="sizes differ"):
+            compose(change_of_basis(4, "monomial", "he"), he_to_x)
 
     def test_json_serialization(self):
         import json
