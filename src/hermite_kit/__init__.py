@@ -8,150 +8,80 @@ weighted integrals of Hermite products.
 
 import importlib
 
-from .exactpoly import ExactPolynomial
-from .graphs import (
-    GraphFileError,
-    SimpleGraph,
-    complete_graph,
-    complete_kpartite,
-    count_complete_matches,
-    count_j_matches,
-    format_edge_list,
-    hermite_product_integral,
-    linearization_coeffs,
-    match_count_table,
-    matching_polynomial,
-    parse_edge_list,
-    partite_closed_form,
-    verify_hermite_matching,
-)
-from .moments import (
-    ChangeOfBasisMatrix,
-    change_of_basis,
-    compose,
-    expected_hermite_of_gaussian,
-    gauss_moment_polynomial,
-    gaussian_raw_moment,
-    gaussian_raw_moment_hermite_form,
-    hermite_in_moments,
-    moments_in_hermite,
-    weierstrass_deconvolution_identity,
-    weierstrass_preimage_polynomial,
-)
-from .polynomials import (
-    PHYSICIST,
-    PROBABILIST,
-    eval_hermite,
-    eval_hermite_function,
-    generating_function_check,
-    gram_schmidt_construct,
-    hermite_derivative,
-    hermite_explicit,
-    hermite_ode_residual,
-    hermite_recurrence,
-    hermite_table,
-)
-from .tensors import tensor_component
-
-# numpy-backed names load their module on first use, so that the exact
-# paths never import numpy; __getattr__ caches each in the module globals
-_LAZY_MODULE = {
-    **dict.fromkeys((
-        "DENSITY_WEIGHTED",
-        "PLAIN_RV",
-        "HermiteSeries",
-        "StandardizedMoments",
-        "WCETensorCoeffs",
-        "evaluate_series",
-        "fourier_eigen_check",
-        "fourier_hermite_coeffs",
-        "gaussian_mixture_deconvolve",
-        "gram_charlier_density",
-        "series_tail_indicator",
-        "wce_coeffs_1d",
-        "wce_coeffs_multi",
-        "wce_reconstruct",
-    ), "expansions"),
-    **dict.fromkeys((
-        "CubatureRule",
-        "QuadratureRule",
-        "gauss_hermite_rule",
-        "integrate_cubature",
-        "integrate_weighted",
-        "integrate_whole_line",
-        "tensor_cubature",
-    ), "quadrature"),
-}
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExactPolynomial",
-    "DENSITY_WEIGHTED",
-    "PLAIN_RV",
-    "HermiteSeries",
-    "StandardizedMoments",
-    "WCETensorCoeffs",
-    "evaluate_series",
-    "fourier_eigen_check",
-    "fourier_hermite_coeffs",
-    "gaussian_mixture_deconvolve",
-    "gram_charlier_density",
-    "series_tail_indicator",
-    "wce_coeffs_1d",
-    "wce_coeffs_multi",
-    "wce_reconstruct",
-    "GraphFileError",
-    "SimpleGraph",
-    "complete_graph",
-    "complete_kpartite",
-    "count_complete_matches",
-    "count_j_matches",
-    "format_edge_list",
-    "hermite_product_integral",
-    "linearization_coeffs",
-    "match_count_table",
-    "matching_polynomial",
-    "parse_edge_list",
-    "partite_closed_form",
-    "verify_hermite_matching",
-    "ChangeOfBasisMatrix",
-    "change_of_basis",
-    "compose",
-    "expected_hermite_of_gaussian",
-    "gauss_moment_polynomial",
-    "gaussian_raw_moment",
-    "gaussian_raw_moment_hermite_form",
-    "hermite_in_moments",
-    "moments_in_hermite",
-    "weierstrass_deconvolution_identity",
-    "weierstrass_preimage_polynomial",
-    "PHYSICIST",
-    "PROBABILIST",
-    "eval_hermite",
-    "eval_hermite_function",
-    "generating_function_check",
-    "gram_schmidt_construct",
-    "hermite_derivative",
-    "hermite_explicit",
-    "hermite_ode_residual",
-    "hermite_recurrence",
-    "hermite_table",
-    "CubatureRule",
-    "QuadratureRule",
-    "gauss_hermite_rule",
-    "integrate_cubature",
-    "integrate_weighted",
-    "integrate_whole_line",
-    "tensor_cubature",
-    "tensor_component",
-]
+# each public name and its module: a name loads its module on first use, so
+# that the exact paths never import numpy, and __getattr__ caches it in the
+# module globals
+_PUBLIC = {
+    "ExactPolynomial": "exactpoly",
+    "DENSITY_WEIGHTED": "expansions",
+    "PLAIN_RV": "expansions",
+    "HermiteSeries": "expansions",
+    "StandardizedMoments": "expansions",
+    "WCETensorCoeffs": "expansions",
+    "evaluate_series": "expansions",
+    "fourier_eigen_check": "expansions",
+    "fourier_hermite_coeffs": "expansions",
+    "gaussian_mixture_deconvolve": "expansions",
+    "gram_charlier_density": "expansions",
+    "series_tail_indicator": "expansions",
+    "wce_coeffs_1d": "expansions",
+    "wce_coeffs_multi": "expansions",
+    "wce_reconstruct": "expansions",
+    "GraphFileError": "graphs",
+    "SimpleGraph": "graphs",
+    "complete_graph": "graphs",
+    "complete_kpartite": "graphs",
+    "count_complete_matches": "graphs",
+    "count_j_matches": "graphs",
+    "format_edge_list": "graphs",
+    "hermite_product_integral": "graphs",
+    "linearization_coeffs": "graphs",
+    "match_count_table": "graphs",
+    "matching_polynomial": "graphs",
+    "parse_edge_list": "graphs",
+    "partite_closed_form": "graphs",
+    "verify_hermite_matching": "graphs",
+    "ChangeOfBasisMatrix": "moments",
+    "change_of_basis": "moments",
+    "compose": "moments",
+    "expected_hermite_of_gaussian": "moments",
+    "gauss_moment_polynomial": "moments",
+    "gaussian_raw_moment": "moments",
+    "gaussian_raw_moment_hermite_form": "moments",
+    "hermite_in_moments": "moments",
+    "moments_in_hermite": "moments",
+    "weierstrass_deconvolution_identity": "moments",
+    "weierstrass_preimage_polynomial": "moments",
+    "PHYSICIST": "polynomials",
+    "PROBABILIST": "polynomials",
+    "eval_hermite": "polynomials",
+    "eval_hermite_function": "polynomials",
+    "generating_function_check": "polynomials",
+    "gram_schmidt_construct": "polynomials",
+    "hermite_derivative": "polynomials",
+    "hermite_explicit": "polynomials",
+    "hermite_ode_residual": "polynomials",
+    "hermite_recurrence": "polynomials",
+    "hermite_table": "polynomials",
+    "CubatureRule": "quadrature",
+    "QuadratureRule": "quadrature",
+    "gauss_hermite_rule": "quadrature",
+    "integrate_cubature": "quadrature",
+    "integrate_weighted": "quadrature",
+    "integrate_whole_line": "quadrature",
+    "tensor_cubature": "quadrature",
+    "tensor_component": "tensors",
+}
+
+__all__ = [*_PUBLIC]
 
 
 def __getattr__(name):
-    if name not in _LAZY_MODULE:
+    if name not in _PUBLIC:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY_MODULE[name]}", __name__), name)
+    value = getattr(importlib.import_module(f".{_PUBLIC[name]}", __name__), name)
     globals()[name] = value
     return value
 

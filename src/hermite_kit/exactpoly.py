@@ -10,16 +10,15 @@ def _as_exact(value):
     """Coerce a coefficient to an exact int or Fraction."""
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
-    if isinstance(value, str):
-        f = Fraction(value)
-        return int(f) if f.denominator == 1 else f
-    if isinstance(value, float):
+    if isinstance(value, (str, float)):
         # floats convert via their exact binary value (0.5 -> 1/2)
-        f = Fraction(value)
-        return int(f) if f.denominator == 1 else f
-    raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
+        try:
+            value = Fraction(value)
+        except (ZeroDivisionError, OverflowError):  # "1/0", inf
+            raise ValueError(f"coefficient {value!r} is not a finite number") from None
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
+    return int(value) if value.denominator == 1 else value
 
 
 class ExactPolynomial:
@@ -130,8 +129,11 @@ class ExactPolynomial:
                 acc = acc * x + c
             return acc
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        try:
+            for c in reversed(self.coeffs):
+                acc = acc * x + float(c)
+        except OverflowError as exc:
+            raise ValueError(f"a coefficient is past float range: {exc}") from None
         return acc
 
     def __repr__(self):

@@ -75,16 +75,9 @@ class StandardizedMoments:
 
     def standardized(self, k):
         """nu_k with the fixed values nu_0 = 1, nu_1 = 0, nu_2 = 1."""
-        if k == 0:
-            return 1.0
-        if k == 1:
-            return 0.0
-        if k == 2:
-            return 1.0
-        idx = k - 3
-        if idx >= len(self.nu):
+        if not 0 <= k < len(self.nu) + 3:
             raise ValueError(f"standardized moment nu_{k} was not supplied")
-        return float(self.nu[idx])
+        return float(self.nu[k - 3]) if k > 2 else (1.0, 0.0, 1.0)[k]
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,6 @@ PHYSICIST = "h"
 
 _FAMILIES = (PROBABILIST, PHYSICIST)
 
-CHEBYSHEV_HERMITE_FN = "he"
-HERMITE_FN = "h"
-
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
@@ -214,7 +211,7 @@ def eval_hermite(n, x, family=PROBABILIST):
     return _ldexp(cur, e)
 
 
-def eval_hermite_function(n, x, kind=CHEBYSHEV_HERMITE_FN):
+def eval_hermite_function(n, x, kind=PROBABILIST):
     """Weighted Hermite function he_n(x) = e^{-x^2/4} He_n(x) or
     h_n(x) = e^{-x^2/2} H_n(x).
 
@@ -224,7 +221,7 @@ def eval_hermite_function(n, x, kind=CHEBYSHEV_HERMITE_FN):
     _check_order(n)
     _check_family(kind)
     x = float(x)
-    log_weight = -x * x / (4.0 if kind == CHEBYSHEV_HERMITE_FN else 2.0)
+    log_weight = -x * x / (4.0 if kind == PROBABILIST else 2.0)
     _, cur, e = _recurrence(n, x, kind, log_weight=log_weight)
     return _ldexp(cur, e)
 

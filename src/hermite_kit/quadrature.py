@@ -108,11 +108,16 @@ def integrand_values(f, rule):
 
 
 def integrate_weighted(f, rule):
-    """sum_i w_i f(x_i), i.e. int e^{-x^2/2} f(x) dx for polynomial-like f.
+    """sum_i w_i f(x_i) over a QuadratureRule, i.e. int e^{-x^2/2} f(x) dx,
+    or over a CubatureRule, int e^{-|x|^2/2} f(x) dx on R^d.
 
-    Exact (to rounding) whenever f is a polynomial of degree <= 2N-1.
+    Exact (to rounding) whenever f is a polynomial of degree <= 2N-1 in
+    each variable.
     """
     return float(np.dot(rule.weights, integrand_values(f, rule)))
+
+
+integrate_cubature = integrate_weighted
 
 
 def whole_line_terms(f, rule):
@@ -160,8 +165,3 @@ def tensor_cubature(d, N):
     for _ in range(d - 1):
         weights = np.multiply.outer(weights, base.weights)
     return CubatureRule(dimension=d, order=N, points=points, weights=weights.ravel())
-
-
-def integrate_cubature(f, rule):
-    """sum_p W_p f(x_p) approximating int e^{-|x|^2/2} f(x) dx over R^d."""
-    return float(np.dot(rule.weights, integrand_values(f, rule)))

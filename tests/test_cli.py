@@ -367,7 +367,8 @@ class TestNonFiniteFloats:
 
 
 _NUMBERS = st.sampled_from(
-    ["0", "-1", "1", "2", "3", "7", "50", "1e308", "-1e308", "1e-300", "inf", "-inf", "nan"]
+    ["0", "-1", "1", "2", "3", "7", "50", "1e308", "-1e308", "1e-300", "inf", "-inf", "nan",
+     "1/2", "1/0", "1e400"]
 )
 _LISTS = st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join)
 _COMMANDS = {

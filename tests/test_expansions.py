@@ -285,6 +285,12 @@ class TestGramCharlier:
         with pytest.raises(ValueError, match="nu_5"):
             gram_charlier_density(m, 5, 0.0)
 
+    def test_negative_order_is_not_supplied(self):
+        m = StandardizedMoments(mu=0.0, sigma=1.0, nu=(0.1, 3.2, 0.3, 15.0))
+        for k in (-1, -2, -7):
+            with pytest.raises(ValueError, match=f"nu_{k}"):
+                m.standardized(k)
+
     def test_negative_values_returned_as_is(self):
         # strong negative excess kurtosis drives the truncated density
         # negative in the flanks; it must not be clipped

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -25,6 +26,29 @@ from hermite_kit import quadrature
 from hermite_kit.polynomials import eval_orthonormal_hermite_function
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+# a child interpreter imports the same hermite_kit as this process, installed or not
+_CHILD_ENV = {**os.environ,
+              "PYTHONPATH": os.path.dirname(os.path.dirname(hermite_kit.__file__))}
+
+PUBLIC_NAMES = [
+    "ChangeOfBasisMatrix", "CubatureRule", "DENSITY_WEIGHTED", "ExactPolynomial",
+    "GraphFileError", "HermiteSeries", "PHYSICIST", "PLAIN_RV", "PROBABILIST",
+    "QuadratureRule", "SimpleGraph", "StandardizedMoments", "WCETensorCoeffs",
+    "change_of_basis", "complete_graph", "complete_kpartite", "compose",
+    "count_complete_matches", "count_j_matches", "eval_hermite", "eval_hermite_function",
+    "evaluate_series", "expected_hermite_of_gaussian", "format_edge_list",
+    "fourier_eigen_check", "fourier_hermite_coeffs", "gauss_hermite_rule",
+    "gauss_moment_polynomial", "gaussian_mixture_deconvolve", "gaussian_raw_moment",
+    "gaussian_raw_moment_hermite_form", "generating_function_check", "gram_charlier_density",
+    "gram_schmidt_construct", "hermite_derivative", "hermite_explicit", "hermite_in_moments",
+    "hermite_ode_residual", "hermite_product_integral", "hermite_recurrence", "hermite_table",
+    "integrate_cubature", "integrate_weighted", "integrate_whole_line",
+    "linearization_coeffs", "match_count_table", "matching_polynomial", "moments_in_hermite",
+    "parse_edge_list", "partite_closed_form", "series_tail_indicator", "tensor_component",
+    "tensor_cubature", "verify_hermite_matching", "wce_coeffs_1d", "wce_coeffs_multi",
+    "wce_reconstruct", "weierstrass_deconvolution_identity", "weierstrass_preimage_polynomial",
+]
 
 
 def exact_gaussian_moment(k):
@@ -95,10 +119,17 @@ class TestRuleBuilder:
             gauss_hermite_rule([3])
 
     def test_import_leaves_scipy_out(self):
-        code = "import sys, hermite_kit; print('scipy' in sys.modules)"
+        # a bare import loads no submodule; a public name loads only its own
+        code = "\n".join([
+            "import sys, hermite_kit",
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('hermite_kit.'))",
+            "print('scipy' in sys.modules, loaded())",
+            "hermite_kit.ExactPolynomial",
+            "print(loaded())",
+        ])
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                text=True, check=True)
-        assert result.stdout.strip() == "False"
+                                text=True, check=True, env=_CHILD_ENV)
+        assert result.stdout.splitlines() == ["False []", "['hermite_kit.exactpoly']"]
 
     def test_exact_cli_paths_run_without_numpy(self, tmp_path):
         # None in sys.modules makes any import of numpy raise ImportError
@@ -135,7 +166,7 @@ class TestRuleBuilder:
             "print(json.dumps(results))",
         ])
         result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
-                                capture_output=True, text=True, check=True)
+                                capture_output=True, text=True, check=True, env=_CHILD_ENV)
         results = json.loads(result.stdout)
         assert [status for status, _ in results] == [0] * 8 + [2, 3]
         assert results[0][1] == "3,0,-6,0,1\n"
@@ -145,6 +176,7 @@ class TestRuleBuilder:
         modules = [importlib.import_module(f"hermite_kit.{name}") for name in
                    ("exactpoly", "expansions", "graphs", "moments", "polynomials",
                     "quadrature", "tensors")]
+        assert sorted(hermite_kit.__all__) == PUBLIC_NAMES
         for name in hermite_kit.__all__:
             value = getattr(hermite_kit, name)
             owners = [module for module in modules if name in vars(module)]
