@@ -93,6 +93,11 @@ def _quad_order(order, quad_order=None):
     return 2 * order + 12 if quad_order is None else quad_order
 
 
+def _check_quad_order(order, quad_order):
+    if quad_order is not None and quad_order < order + 2:
+        raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
+
+
 def _eigen_quad_order(n, quad_order=None):
     return max(2 * n + 10, 40) if quad_order is None else quad_order
 
@@ -135,8 +140,7 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    if quad_order is not None and quad_order < order + 2:
-        raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
+    _check_quad_order(order, quad_order)
     rule = gauss_hermite_rule(_quad_order(order, quad_order))
     terms = whole_line_terms(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, DENSITY_WEIGHTED)
@@ -190,11 +194,12 @@ def gram_charlier_density(moments, order, x):
 def wce_coeffs_1d(f, order, quad_order=None):
     """Chaos coefficients b_n = E[He_n(Y) f(Y)] / n! for Y ~ N(0, 1).
 
-    f is called once per node of the Q-point rule.  Cost O(order * Q).
+    f is called once per node of the Q-point rule, Q >= order + 2.  Cost O(order * Q).
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     rule = gauss_hermite_rule(_quad_order(order, quad_order))
+    _check_quad_order(order, quad_order)
     terms = rule.weights * integrand_values(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, PLAIN_RV)
 
@@ -216,8 +221,8 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     if not 0 <= order <= MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = tensor_cubature(dimension, _quad_order(order, quad_order))
-    # the first rule.order points run through the 1-d nodes on the last axis
-    table = hermite_table(order, rule.points[: rule.order, -1])
+    _check_quad_order(order, quad_order)
+    table = hermite_table(order, rule.nodes)
     moments = (rule.weights * integrand_values(f, rule)).reshape((rule.order,) * dimension)
     for _ in range(dimension):
         # contracts the leading node axis and appends a degree axis

@@ -13,6 +13,7 @@ and shared, so its arrays are read-only.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,6 +27,7 @@ CUBATURE_POINT_BUDGET = 10**7
 
 _NEWTON_MAX_ITER = 100
 _NODE_RESIDUAL_TOL = 1e-13
+_BLOCK_ROWS = 2**14   # most cubature points built at once
 
 
 class QuadratureRangeWarning(UserWarning):
@@ -43,12 +45,26 @@ class QuadratureRule:
 
 @dataclass(frozen=True, eq=False)
 class CubatureRule:
-    """Full tensor product of a 1-d rule over d coordinates."""
+    """Full tensor product of a 1-d rule over d coordinates: the shared 1-d
+    nodes and the order**dimension weights in C order."""
 
     dimension: int
     order: int
-    points: np.ndarray = field(repr=False)   # shape (order**dimension, dimension)
+    nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def points(self):
+        """Every point as a row, shape (order**dimension, dimension), built on first read."""
+        return np.concatenate(list(self._blocks()))
+
+    def _blocks(self):
+        # the points in C order, as fresh arrays of at most _BLOCK_ROWS rows
+        d, nodes = self.dimension, self.nodes
+        lead = next(k for k in range(d + 1) if len(nodes) ** (d - k) <= _BLOCK_ROWS)
+        for head in itertools.product(nodes, repeat=lead):
+            axes = [(x,) for x in head] + [nodes] * (d - lead)
+            yield np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, d)
 
 
 def gauss_hermite_rule(N):
@@ -93,17 +109,20 @@ def integrand_values(f, rule):
     """f at every node of a QuadratureRule, or every point of a CubatureRule,
     as an array: one call per node, in order.
 
-    A non-finite value raises ValueError naming its index.
+    A cubature point is a row of a freshly built block, so f may keep or
+    modify it.  A non-finite value raises ValueError naming its index.
     """
     cubature = isinstance(rule, CubatureRule)
-    points = rule.points if cubature else rule.nodes
-    values = np.empty(len(points))
-    for i, x in enumerate(points):
-        y = float(f(x))
-        if not math.isfinite(y):
-            where = f"point index {i}" if cubature else f"node index {i} (x={float(x)!r})"
-            raise ValueError(f"integrand returned non-finite value {y!r} at {where}")
-        values[i] = y
+    values = np.empty(len(rule.weights))
+    start = 0
+    for block in rule._blocks() if cubature else [rule.nodes]:
+        for i, x in enumerate(block, start):
+            y = float(f(x))
+            if not math.isfinite(y):
+                where = f"point index {i}" if cubature else f"node index {i} (x={float(x)!r})"
+                raise ValueError(f"integrand returned non-finite value {y!r} at {where}")
+            values[i] = y
+        start += len(block)
     return values
 
 
@@ -158,10 +177,5 @@ def tensor_cubature(d, N):
             f"above the budget of {CUBATURE_POINT_BUDGET}"
         )
     base = gauss_hermite_rule(N)
-    # C order varies the last axis fastest, as itertools.product does
-    grids = np.meshgrid(*[base.nodes] * d, indexing="ij", copy=False)
-    points = np.stack(grids, axis=-1).reshape(-1, d)
-    weights = base.weights
-    for _ in range(d - 1):
-        weights = np.multiply.outer(weights, base.weights)
-    return CubatureRule(dimension=d, order=N, points=points, weights=weights.ravel())
+    weights = functools.reduce(np.multiply.outer, [base.weights] * d)
+    return CubatureRule(dimension=d, order=N, nodes=base.nodes, weights=weights.ravel())

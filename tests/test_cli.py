@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -366,10 +367,9 @@ class TestNonFiniteFloats:
         assert "line 3" in err
 
 
-_NUMBERS = st.sampled_from(
-    ["0", "-1", "1", "2", "3", "7", "50", "1e308", "-1e308", "1e-300", "inf", "-inf", "nan",
-     "1/2", "1/0", "1e400"]
-)
+_VALUES = ["0", "-1", "1", "2", "3", "7", "50", "1e308", "-1e308", "1e-300", "inf", "-inf",
+           "nan", "1/2", "1/0", "1e400"]
+_NUMBERS = st.sampled_from(_VALUES)
 _LISTS = st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join)
 _COMMANDS = {
     ("poly",): ("--n",),
@@ -388,23 +388,35 @@ _COMMANDS = {
 }
 
 
+def assert_exit_code_is_0_2_or_3(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv
+    assert code != 0 or "nan" not in out.getvalue().lower(), argv  # no silent nan
+
+
 class TestFuzz:
     @pytest.mark.parametrize("command", sorted(_COMMANDS), ids=" ".join)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_exit_code_is_0_2_or_3(self, command, data):
         argv = list(command)
         for flag in _COMMANDS[command]:
             values = _LISTS if flag in ("--coeffs", "--parts") else _NUMBERS
             argv.append(f"{flag}={data.draw(values)}")  # "=" keeps "-1" a value, not a flag
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 2, 3), argv
-        assert code != 0 or "nan" not in out.getvalue().lower(), argv  # no silent nan
+        assert_exit_code_is_0_2_or_3(argv)
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS), ids=" ".join)
+    def test_every_value_in_every_slot(self, command):
+        # the other flags at 1; for a list flag the value is a one-item list
+        flags = _COMMANDS[command]
+        for slot, value in itertools.product(flags, _VALUES):
+            argv = [*command, *(f"{flag}={value if flag == slot else 1}" for flag in flags)]
+            assert_exit_code_is_0_2_or_3(argv)
 
 
 class TestExpand:
@@ -539,13 +551,20 @@ class TestExpand:
 
     def test_quad_order_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "4")
-        # order-4 quadrature cannot integrate He_8^2 exactly, so the
-        # eighth coefficient of a degree-8 input must come out wrong
-        code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,0,0,0,0,0,0,1",
-                               "--order", "8")
-        assert code == 0
-        payload = json.loads(out)
-        assert abs(payload["coeffs"][8] - 1.0) > 1e-3
+        # an order-4 rule would alias the top coefficients of an order-8 series
+        result = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,0,0,0,0,0,0,1", "--order", "8")
+        assert result == (2, "", "error: quad_order must be at least 10, got 4\n")
+        # the override is honoured: a 10-point rule is exact to degree 19, so He_8 x^12
+        # is not integrated exactly and b_8 of x^12 reads 1395; the default rule gives 1485
+        x12 = ",".join(["0"] * 12 + ["1"])
+        for order, want in (("10", 1395.0), (None, 1485.0)):
+            if order is None:
+                monkeypatch.delenv("HERMITE_KIT_QUAD_ORDER")
+            else:
+                monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", order)
+            code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", x12, "--order", "8")
+            assert code == 0
+            assert json.loads(out)["coeffs"][8] == pytest.approx(want, rel=1e-12)
         monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "not-a-number")
         code, _, _ = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,1", "--order", "2")
         assert code == 2

@@ -361,6 +361,14 @@ class TestWienerChaos1D:
         with pytest.raises(ValueError, match="positive integer, got 0"):
             wce_coeffs_1d(lambda y: y, 3, 0)
 
+    def test_quad_order_below_order_plus_two_is_rejected(self):
+        # a 3-point rule aliases: b_3 of He_3 at order 6 would read -2.6e-16, not 1
+        f = CountingIntegrand(lambda y: y**3 - 3 * y)
+        with pytest.raises(ValueError, match="^quad_order must be at least 8, got 3$"):
+            wce_coeffs_1d(f, 6, 3)
+        assert f.calls == 0
+        assert wce_coeffs_1d(f, 6, 8).coeffs[3] == pytest.approx(1.0, rel=1e-12)
+
 
 class TestOverflowingMoments:
     """sqrt(2 pi) n! times a coefficient can leave double range while the
@@ -468,6 +476,14 @@ class TestWienerChaosMulti:
     def test_explicit_zero_quad_order_is_rejected(self):
         with pytest.raises(ValueError, match="positive integer, got 0"):
             wce_coeffs_multi(lambda p: 1.0, 2, 2, 0)
+
+    def test_quad_order_below_order_plus_two_is_rejected(self):
+        # a 2-point rule aliases: b^(3) of y^3 would read -0.333, not 1
+        f = CountingIntegrand(lambda p: p[0] ** 3)
+        with pytest.raises(ValueError, match="^quad_order must be at least 6, got 2$"):
+            wce_coeffs_multi(f, 1, 4, quad_order=2)
+        assert f.calls == 0
+        assert wce_coeffs_multi(f, 1, 4, quad_order=6).tensors[3][0, 0, 0] == pytest.approx(1.0)
 
 
 class TestDeconvolution:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,3 +381,64 @@ class TestCubature:
     def test_point_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             tensor_cubature(4, 100)
+
+    def test_rule_shares_the_one_dimensional_nodes(self):
+        assert tensor_cubature(3, 6).nodes is gauss_hermite_rule(6).nodes
+
+
+class TestStreamedPoints:
+    """integrand_values builds the points block by block from the 1-d nodes;
+    (4, 12) has 20 736 points, more than one block."""
+
+    @pytest.mark.parametrize("d, N", [(1, 5), (3, 4), (4, 12)])
+    def test_rows_in_product_order(self, d, N):
+        rule = tensor_cubature(d, N)
+        rows = []
+
+        def f(p):
+            assert isinstance(p, np.ndarray) and p.shape == (d,) and p.dtype == np.float64
+            rows.append(p.copy())
+            return p[0] * p[-1] ** 2 + math.sin(p[-1]) + 1.0
+
+        value = integrate_cubature(f, rule)
+        assert [r.tolist() for r in rows] == [list(p) for p in
+                                              itertools.product(rule.nodes, repeat=d)]
+        assert value == float(np.dot(rule.weights, [f(p) for p in rule.points]))
+
+    def test_first_non_finite_value_stops_evaluation(self):
+        rule = tensor_cubature(4, 12)
+        calls = 0
+
+        def f(p):
+            nonlocal calls
+            calls += 1
+            return math.inf if calls == 20001 else 1.0
+
+        with pytest.raises(ValueError, match=r"non-finite value inf at point index 20000$"):
+            integrate_cubature(f, rule)
+        assert calls == 20001
+
+    def test_an_integrand_that_writes_into_its_row_changes_nothing(self):
+        rule = tensor_cubature(4, 12)
+        f = lambda p: float(p @ p)
+        first = integrate_cubature(f, rule)
+
+        def overwrite(p):
+            value = f(p)
+            p[:] = 1e6
+            return value
+
+        assert integrate_cubature(overwrite, rule) == first
+        assert integrate_cubature(f, rule) == first
+        assert rule.points.tolist() == [list(p) for p in itertools.product(rule.nodes, repeat=4)]
+
+    def test_peak_memory_is_a_small_multiple_of_the_weights(self):
+        # weights, values and one block: the points array is never built
+        gauss_hermite_rule(16)
+        tracemalloc.start()
+        try:
+            integrate_cubature(lambda p: p[0] * p[1] + p[3] ** 4, tensor_cubature(4, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16**4 * 8
