@@ -20,7 +20,7 @@ import numpy as np
 from .exactpoly import ExactPolynomial
 from .polynomials import (
     SQRT_TWO_PI,
-    _exact_he_sum,
+    _he_sum,
     _ldexp,
     eval_hermite_function,
     hermite_explicit,
@@ -89,17 +89,18 @@ class WCETensorCoeffs:
 
 
 def _quad_order(order, quad_order=None):
-    # the default keeps polynomial integrands exact with margin
-    return 2 * order + 12 if quad_order is None else quad_order
-
-
-def _check_quad_order(order, quad_order):
-    if quad_order is not None and quad_order < order + 2:
+    # the default keeps polynomial integrands exact with margin; an explicit rule below
+    # order + 2 aliases the top degree, and a non-positive one gets the rule builder's message
+    if quad_order is None:
+        return 2 * order + 12
+    if isinstance(quad_order, int) and 0 < quad_order < order + 2:
         raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
+    return quad_order
 
 
 def _eigen_quad_order(n, quad_order=None):
-    return max(2 * n + 10, 40) if quad_order is None else quad_order
+    # an explicit rule needs 2n + 10 points: the check _quad_order makes at order 2n + 8
+    return max(2 * n + 10, 40) if quad_order is None else _quad_order(2 * n + 8, quad_order)
 
 
 def _normalized(moments):
@@ -140,7 +141,6 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    _check_quad_order(order, quad_order)
     rule = gauss_hermite_rule(_quad_order(order, quad_order))
     terms = whole_line_terms(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, DENSITY_WEIGHTED)
@@ -151,9 +151,7 @@ def evaluate_series(series, x):
     float sum that leaves double range is redone in exact rationals."""
     x = float(x)
     log_weight = -x * x / 2.0 if series.convention == DENSITY_WEIGHTED else 0.0
-    total = sum(c * h for c, h in zip(series.coeffs, hermite_table(series.truncation, x)))
-    total *= math.exp(log_weight)
-    return total if math.isfinite(total) else _exact_he_sum(series.coeffs, x, log_weight)
+    return _he_sum(series.coeffs, x, log_weight)
 
 
 def series_tail_indicator(series):
@@ -171,24 +169,21 @@ def gram_charlier_density(moments, order, x):
     Each coefficient E[He_n(Z)]/n! is assembled from the supplied
     standardized moments; up to order 4 this is the classical form
     w(z)/(sqrt(2*pi) sigma) * (1 + nu_3/6 He_3(z) + (nu_4 - 3)/24 He_4(z)).
-    A float value that leaves double range is redone as evaluate_series does.
+    The sum is evaluate_series' own, so a value that leaves double range is
+    redone exactly, and a coefficient that overflows raises ValueError.
     Truncated values can go negative and are returned as-is.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    if not 0 <= order <= 170:  # past 170, n! leaves double range
+        raise ValueError(f"order must be 0..170, got {order}")
     z = (float(x) - moments.mu) / moments.sigma
-    base = math.exp(-z * z / 2.0) / (SQRT_TWO_PI * moments.sigma)
-    coeffs, correction = [], 0.0
-    for n, he in enumerate(hermite_table(order, z)):
+    coeffs = []
+    for n in range(order + 1):
         expected = 0.0
         for k, c in enumerate(hermite_explicit(n).coeffs):
             if c:
                 expected += float(c) * moments.standardized(k)
         coeffs.append(expected / math.factorial(n))
-        correction += coeffs[-1] * he
-    if math.isfinite(value := base * correction):
-        return value
-    return _exact_he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * moments.sigma)
+    return _he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * moments.sigma)
 
 
 def wce_coeffs_1d(f, order, quad_order=None):
@@ -199,7 +194,6 @@ def wce_coeffs_1d(f, order, quad_order=None):
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
     rule = gauss_hermite_rule(_quad_order(order, quad_order))
-    _check_quad_order(order, quad_order)
     terms = rule.weights * integrand_values(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, PLAIN_RV)
 
@@ -221,7 +215,6 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     if not 0 <= order <= MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = tensor_cubature(dimension, _quad_order(order, quad_order))
-    _check_quad_order(order, quad_order)
     table = hermite_table(order, rule.nodes)
     moments = (rule.weights * integrand_values(f, rule)).reshape((rule.order,) * dimension)
     for _ in range(dimension):
@@ -248,25 +241,22 @@ def wce_reconstruct(coeffs, point):
     return total
 
 
-def gaussian_mixture_deconvolve(g, sigma, max_order=None):
+def gaussian_mixture_deconvolve(g, sigma):
     """Mixing polynomial f with (phi_sigma * f)(y) = g(y), exactly.
 
-    f = sum_j (-sigma^2/2)^j g^(2j) / j!; the series stops on its own once
-    2j exceeds deg g, so leaving max_order unset gives the exact result.
-    Only polynomial g is accepted (the derivative series has no meaning for
-    rougher inputs), and sigma enters at its exact binary value.
+    f = sum_j (-sigma^2/2)^j g^(2j) / j!, a series that stops on its own once
+    2j exceeds deg g.  Only polynomial g is accepted (the derivative series
+    has no meaning for rougher inputs), and sigma enters at its exact binary
+    value.
     """
     if not isinstance(g, ExactPolynomial):
         raise TypeError("deconvolution requires an ExactPolynomial input")
     s = Fraction(sigma)
     if s <= 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    last = g.degree // 2
-    if max_order is not None and max_order < last:
-        last = max_order
     factor = -(s * s) / 2
     result = ExactPolynomial.zero()
-    for j in range(last + 1):
+    for j in range(g.degree // 2 + 1):
         result = result + (factor**j * Fraction(1, math.factorial(j))) * g.derivative(2 * j)
     return result
 
@@ -281,8 +271,6 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if quad_order is not None and quad_order < 2 * n + 10:
-        raise ValueError(f"quad_order must be at least {2 * n + 10}, got {quad_order}")
     rule = gauss_hermite_rule(_eigen_quad_order(n, quad_order))
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]

@@ -52,6 +52,14 @@ class ChangeOfBasisMatrix:
         return json.dumps(rows)
 
 
+def _rounded(exact):
+    # an exact value rounded once to float, a signed inf past double range
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def gaussian_raw_moment(n, mu, sigma):
     """E[Y^n] for Y ~ N(mu, sigma^2) = sigma^n E[(mu/sigma + Z)^n], the moment
     polynomial sum_j pairings(n, j) x^(n-2j) at x = mu/sigma, evaluated exactly
@@ -63,11 +71,7 @@ def gaussian_raw_moment(n, mu, sigma):
     if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(mu)):
         raise ValueError(f"need finite mu and positive finite sigma, got {mu!r}, {sigma!r}")
     mu, sigma = Fraction(mu), Fraction(sigma)
-    exact = sigma**n * gauss_moment_polynomial(n)(mu / sigma)
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+    return _rounded(sigma**n * gauss_moment_polynomial(n)(mu / sigma))
 
 
 def gaussian_raw_moment_hermite_form(n, mu, sigma):
@@ -75,22 +79,16 @@ def gaussian_raw_moment_hermite_form(n, mu, sigma):
 
     He_n has the parity of n, so i^k (-i)^n = (-1)^((n-k)/2) for every
     surviving power k; the imaginary parts cancel analytically and no
-    complex arithmetic is needed.
+    complex arithmetic is needed.  Evaluated exactly at the binary values of
+    mu and sigma and rounded once, as gaussian_raw_moment is.
     """
     if n < 0:
         raise ValueError("moment order must be nonnegative")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    mu = float(mu)
-    sigma = float(sigma)
-    ratio = mu / sigma
-    poly = hermite_explicit(n)
-    total = 0.0
-    for k in range(n % 2, n + 1, 2):
-        c = poly.coefficient(k)
-        if c:
-            total += (-1) ** ((n - k) // 2) * float(c) * ratio**k
-    return sigma**n * total
+    if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(mu)):
+        raise ValueError(f"need finite mu and positive finite sigma, got {mu!r}, {sigma!r}")
+    mu, sigma = Fraction(mu), Fraction(sigma)
+    real = [(-1) ** ((n - k) // 2) * c for k, c in enumerate(hermite_explicit(n).coeffs)]
+    return _rounded(sigma**n * ExactPolynomial(real)(mu / sigma))
 
 
 def hermite_in_moments(n):
@@ -190,14 +188,20 @@ def expected_hermite_of_gaussian(n, x):
 
 def weierstrass_deconvolution_identity(n, sigma, x):
     """sigma^n He_n(x / sigma): the function whose Gaussian blur at scale
-    sigma returns y^n.
+    sigma returns y^n.  A float value that leaves double range on the way is
+    redone from the exact preimage polynomial and rounded once.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    sigma = float(sigma)
-    return sigma**n * eval_hermite(n, float(x) / sigma)
+    if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
+        raise ValueError(f"need finite x and positive finite sigma, got {x!r}, {sigma!r}")
+    try:
+        value = float(sigma) ** n * eval_hermite(n, float(x) / float(sigma))
+    except OverflowError:  # sigma**n
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    return _rounded(weierstrass_preimage_polynomial(n, sigma)(Fraction(x)))
 
 
 def weierstrass_preimage_polynomial(n, sigma):

@@ -151,19 +151,23 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     return prev, cur, e
 
 
-def _exact_he_sum(coeffs, x, log_weight=0.0):
-    """sum_k coeffs[k] He_k(x) * e**log_weight, the sum exact at the binary
-    values of coeffs and x: finite wherever the true value is, a signed inf
-    past double range, 0 where the weight wins.  The sum is rounded once; a
-    weight, applied as 2**e e**r with r in [0, ln 2), adds about |e| ulps."""
+def _he_sum(coeffs, x, log_weight=0.0):
+    """sum_k coeffs[k] He_k(x) * e**log_weight in floats where that is finite,
+    else exact at the binary values of coeffs and x, rounded once: a signed
+    inf past double range, 0 where the weight wins.  A weight, applied as
+    2**e e**r with r in [0, ln 2), adds about |e| ulps; a non-finite
+    coefficient raises ValueError."""
+    total = sum(c * h for c, h in zip(coeffs, hermite_table(len(coeffs) - 1, x)))
+    if math.isfinite(total := total * math.exp(log_weight)):
+        return total
+    if not all(math.isfinite(c) for c in coeffs):
+        raise ValueError("series coefficients must be finite")
     if log_weight == -math.inf:  # the weight wins at any degree, infinite x included
         return 0.0
     x, prev, cur, total = Fraction(x), 0, 1, 0
     for k, c in enumerate(coeffs):
         total += Fraction(c) * cur
         prev, cur = cur, x * cur - k * prev
-    if not total:
-        return 0.0
     # total / 2**s and e**(t - e ln 2) are O(1); their product is scaled by 2**(s + e)
     s = total.numerator.bit_length() - total.denominator.bit_length()
     t = max(-1e15, log_weight)  # as in _recurrence: past -1e15 the weight wins anyway
@@ -269,18 +273,20 @@ def generating_function_check(x, t, order):
     """Partial sum sum_{n<=order} He_n(x) t^n / n! next to e^{x t - t^2/2}.
 
     Returned as (partial_sum, target) for diagnostic comparison; |t| <= 1
-    keeps the truncation error negligible by order ~ 40.
+    keeps the truncation error negligible by order ~ 40.  The partial sum is
+    evaluate_series' guarded sum over the terms t^n / n!: a signed inf past
+    double range, never nan.  The target saturates to inf.
     """
     _check_order(order)
-    x = float(x)
-    t = float(t)
-    target = math.exp(x * t - t * t / 2.0)
-    partial, term = 0.0, 1.0  # term = t^k / k!
-    for k, value in enumerate(hermite_table(order, x)):
-        if k:
-            term *= t / k
-        partial += value * term
-    return partial, target
+    x, t = float(x), float(t)
+    terms = [1.0]  # t^k / k!
+    for k in range(1, order + 1):
+        terms.append(terms[-1] * (t / k))
+    try:
+        target = math.exp(x * t - t * t / 2.0)
+    except OverflowError:
+        target = math.inf
+    return _he_sum(terms, x), target
 
 
 def hermite_ode_residual(n, x):

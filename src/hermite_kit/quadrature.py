@@ -170,12 +170,12 @@ def tensor_cubature(d, N):
     """Tensor-product rule on R^d; exact for per-variable degree <= 2N-1."""
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    base = gauss_hermite_rule(N)  # checks N first, with the 1-d rule's messages
     size = N**d
     if size > CUBATURE_POINT_BUDGET:
         raise ValueError(
             f"cubature of order {N} in dimension {d} needs {size} points, "
             f"above the budget of {CUBATURE_POINT_BUDGET}"
         )
-    base = gauss_hermite_rule(N)
     weights = functools.reduce(np.multiply.outer, [base.weights] * d)
     return CubatureRule(dimension=d, order=N, nodes=base.nodes, weights=weights.ravel())

@@ -419,6 +419,34 @@ class TestFuzz:
             assert_exit_code_is_0_2_or_3(argv)
 
 
+_MOMENT_FILES = {
+    "gaussian": "0\n1\n0\n3\n",
+    "overflowing-odd": "0\n1\n1e308\n3\n-1e308\n",  # E[He_5(Z)] overflows to -inf
+    "overflowing-even": "0\n1\n0\n1e308\n0\n1e308\n0\n1\n",  # E[He_8(Z)] is inf - inf
+    "extreme-location": "1e308\n1e-300\n1e308\n-1e308\n",
+    "long": "0\n1\n" + "0\n" * 170,
+    "short": "0\n",
+    "not-a-number": "0\n1\nx\n",
+}
+
+
+class TestMomentsFiles:
+    @pytest.mark.parametrize("name", sorted(_MOMENT_FILES))
+    def test_exit_code_is_0_2_or_3(self, tmp_path, name):
+        path = tmp_path / "moments.csv"
+        path.write_text(_MOMENT_FILES[name], encoding="utf-8")
+        for order, x in itertools.product(["0", "4", "5", "8", "170", "171"], _VALUES):
+            assert_exit_code_is_0_2_or_3(["expand", "gram-charlier", f"--moments-csv={path}",
+                                          f"--order={order}", f"--x={x}"])
+
+    def test_overflowing_coefficient_is_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "moments.csv"
+        path.write_text(_MOMENT_FILES["overflowing-odd"], encoding="utf-8")
+        result = run_cli(capsys, "expand", "gram-charlier", "--moments-csv", str(path),
+                         "--order", "5", "--x", "0.5")
+        assert result == (2, "", "error: series coefficients must be finite\n")
+
+
 class TestExpand:
     def test_deconvolve(self, capsys):
         code, out, _ = run_cli(

@@ -96,6 +96,13 @@ class TestFourierHermite:
         for c in series.coeffs[1:]:
             assert abs(c) <= 1e-12
 
+    def test_quad_order_below_order_plus_two_is_rejected(self):
+        with pytest.raises(ValueError, match="^quad_order must be at least 5, got 4$"):
+            fourier_hermite_coeffs(shifted_gaussian(0.0), 3, 4)
+        with pytest.raises(ValueError, match="^quadrature order must be a positive integer, got -4"):
+            fourier_hermite_coeffs(shifted_gaussian(0.0), 3, -4)
+        assert fourier_hermite_coeffs(shifted_gaussian(0.0), 3, 5).truncation == 3
+
     def test_shifted_gaussian_closed_form(self):
         # coefficients of the mean-mu unit Gaussian are mu^n / (sqrt(2*pi) n!)
         for mu in (0.5, 1.0):
@@ -309,6 +316,22 @@ class TestGramCharlier:
         wide = StandardizedMoments(mu=0.0, sigma=1e-300, nu=(1e308, 1e308))
         assert gram_charlier_density(wide, 4, 1.0) == 0.0
 
+    @pytest.mark.parametrize("order, nu", [
+        (5, (1e308, 3.0, -1e308)),  # E[He_5(Z)] = nu_5 - 10 nu_3 overflows to -inf
+        (8, (0.0, 1e308, 0.0, 1e308, 0.0, 1.0)),  # E[He_8(Z)]: +inf - inf, a nan
+    ])
+    def test_non_finite_coefficient_raises(self, order, nu):
+        m = StandardizedMoments(mu=0.0, sigma=1.0, nu=nu)
+        for x in (0.5, 40.0, -1e308):
+            with pytest.raises(ValueError, match="^series coefficients must be finite$"):
+                gram_charlier_density(m, order, x)
+
+    def test_orders_past_170_are_refused(self):
+        m = StandardizedMoments(mu=0.0, sigma=1.0, nu=(0.0, 3.0) + (0.0,) * 170)
+        assert math.isfinite(gram_charlier_density(m, 170, 0.5))
+        with pytest.raises(ValueError, match="^order must be 0..170, got 171$"):
+            gram_charlier_density(m, 171, 0.5)
+
     def test_overflowing_coefficient_times_underflowing_weight(self):
         # (nu_4 - 3)/24 He_4(40) overflows and e^-800 underflows; the product does neither
         m = StandardizedMoments(mu=0.0, sigma=1.0, nu=(0.0, 1e308))
@@ -358,8 +381,13 @@ class TestWienerChaos1D:
             assert evaluate_series(series, y) == pytest.approx(f(y), abs=1e-8)
 
     def test_explicit_zero_quad_order_is_rejected(self):
-        with pytest.raises(ValueError, match="positive integer, got 0"):
-            wce_coeffs_1d(lambda y: y, 3, 0)
+        # all four quadrature expansions refuse it with the rule builder's message
+        for expansion in (lambda: wce_coeffs_1d(lambda y: y, 3, 0),
+                          lambda: fourier_hermite_coeffs(shifted_gaussian(0.0), 3, 0),
+                          lambda: wce_coeffs_multi(lambda p: 1.0, 2, 2, 0),
+                          lambda: fourier_eigen_check(3, [0.0], 0)):
+            with pytest.raises(ValueError, match="^quadrature order must be a positive integer, got 0"):
+                expansion()
 
     def test_quad_order_below_order_plus_two_is_rejected(self):
         # a 3-point rule aliases: b_3 of He_3 at order 6 would read -2.6e-16, not 1
@@ -550,6 +578,14 @@ class TestFourierEigenfunctions:
         for n in range(9):
             assert fourier_eigen_check(n, grid, 60) <= 1e-6
 
+    def test_quad_order_below_2n_plus_10_is_rejected(self):
+        with pytest.raises(ValueError, match="^quad_order must be at least 16, got 15$"):
+            fourier_eigen_check(3, [0.0], 15)
+        with pytest.raises(ValueError, match="^quadrature order must be a positive integer, got -4"):
+            fourier_eigen_check(3, [0.0], -4)
+        assert fourier_eigen_check(3, [0.0], 16) <= 1e-12
+
     def test_overflowing_frequencies_raise(self):
         with pytest.raises(OverflowError):
             fourier_eigen_check(3, [0.0, 1e308], 40)
+

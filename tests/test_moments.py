@@ -67,6 +67,15 @@ class TestRawMoments:
                 b = gaussian_raw_moment_hermite_form(n, mu, sigma)
                 assert b == pytest.approx(a, rel=1e-12)
 
+    def test_hermite_form_past_double_range_is_a_signed_inf(self):
+        assert gaussian_raw_moment_hermite_form(200, 1e10, 1.0) == math.inf
+        assert gaussian_raw_moment_hermite_form(201, -1e10, 1.0) == -math.inf
+        # finite moments whose float form leaves double range on the way: (mu/sigma)**n
+        # overflows, or sigma**n underflows to 0 (the float product read 0.0, not 1e-100)
+        for n, mu, sigma in [(40, 3.0, 1e-10), (7, -2.5, 1e-200), (20, 1e-5, 1e-20)]:
+            exact = gaussian_raw_moment(n, mu, sigma)
+            assert gaussian_raw_moment_hermite_form(n, mu, sigma) == exact
+
     def test_matches_quadrature_expectation(self):
         for n in range(9):
             mu, sigma = 0.8, 1.7
@@ -255,6 +264,15 @@ class TestGaussianSmoothingIdentities:
         assert weierstrass_deconvolution_identity(0, 1.0, 0.3) == 1.0
         assert weierstrass_deconvolution_identity(2, 1.0, 0.0) == -1.0
         assert weierstrass_deconvolution_identity(2, 2.0, 2.0) == 0.0
+
+    def test_deconvolution_identity_past_double_range(self):
+        # sigma**40 = 1e400 overflows; the value is past double range too
+        assert weierstrass_deconvolution_identity(40, 1e10, 1.0) == math.inf
+        assert weierstrass_deconvolution_identity(41, 1e10, -1.0) == -math.inf
+        assert weierstrass_deconvolution_identity(41, 1e10, 0.0) == 0.0  # odd He_41(0) = 0
+        # sigma**200 underflows to 0 and He_200(1e10) overflows: 0 * inf, not nan
+        exact = weierstrass_preimage_polynomial(200, 1e-10)(Fraction(1.0))
+        assert weierstrass_deconvolution_identity(200, 1e-10, 1.0) == float(exact)
 
     def test_deconvolution_identity_blurs_back_to_power(self):
         # (phi_sigma * f)(y) = y^n for f(x) = sigma^n He_n(x / sigma)

@@ -295,6 +295,26 @@ class TestGeneratingFunction:
         assert target == pytest.approx(math.exp(-0.645), rel=1e-15)
         assert partial == pytest.approx(target, rel=1e-12)
 
+    def test_overflowing_partial_sum_is_a_signed_inf(self):
+        # He_k(-1e200) leaves double range from k = 2 with alternating signs: the
+        # float terms sum to inf - inf, the exact sum is far past double range
+        x, t, order = -1e200, 0.5, 10
+        term, exact = Fraction(1), Fraction(0)
+        for k in range(order + 1):
+            if k:
+                term *= Fraction(t) / k
+            exact += hermite_recurrence(k)(Fraction(x)) * term
+        assert abs(exact) > 2**1024
+        partial, target = generating_function_check(x, t, order)
+        assert partial == (math.inf if exact > 0 else -math.inf)
+        assert target == 0.0
+
+    def test_overflowing_target_is_inf(self):
+        partial, target = generating_function_check(1e3, 1.0, 5)
+        assert target == math.inf
+        assert partial == pytest.approx(sum(eval_hermite(k, 1e3) / math.factorial(k)
+                                            for k in range(6)), rel=1e-15)
+
     def test_partial_sum_converges_on_grid(self):
         for x in (-3.0, -1.0, 0.0, 1.5, 3.0):
             for t in (-1.0, -0.5, 0.1, 0.5, 1.0):

@@ -382,6 +382,14 @@ class TestCubature:
         with pytest.raises(ValueError, match="budget"):
             tensor_cubature(4, 100)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_order_checked_before_the_budget(self, d):
+        # (-100)**4 is 1e8 points; the order is refused first, as the 1-d rule refuses it
+        with pytest.raises(ValueError, match="^quadrature order must be a positive integer, got -100"):
+            tensor_cubature(d, -100)
+        with pytest.raises(ValueError, match="^quadrature order 201 exceeds the supported maximum"):
+            tensor_cubature(d, 201)
+
     def test_rule_shares_the_one_dimensional_nodes(self):
         assert tensor_cubature(3, 6).nodes is gauss_hermite_rule(6).nodes
 
