@@ -93,9 +93,8 @@ def _env_quad_order():
 
 def _check_default_rule(flag, value, rule_order):
     # a default rule sized from a flag: name the flag, not the rule size
-    from .quadrature import MAX_ORDER
-
-    largest = max(v for v in range(MAX_ORDER) if rule_order(v) <= MAX_ORDER)
+    top = polynomials.MAX_ORDER
+    largest = max(v for v in range(top) if rule_order(v) <= top)
     if value > largest:
         raise ValueError(f"{flag} {value} exceeds {largest}, the default quadrature's limit")
 

@@ -4,7 +4,7 @@ Covers the weighted Fourier-Hermite density expansion, the Gram-Charlier
 series, scalar and tensor Wiener-chaos coefficients, exact deconvolution of
 polynomial Gaussian mixtures through the inverse blur operator series, and
 the numeric check that the weighted Hermite functions are Fourier
-eigenfunctions.
+eigenfunctions.  Only the functions that build a rule import numpy.
 """
 
 from __future__ import annotations
@@ -12,10 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-
-import numpy as np
 
 from .exactpoly import ExactPolynomial
 from .polynomials import (
@@ -26,27 +24,25 @@ from .polynomials import (
     hermite_explicit,
     hermite_table,
 )
-from .quadrature import gauss_hermite_rule, integrand_values, tensor_cubature, whole_line_terms
 from .tensors import index_multiplicities, tensor_component
 
 DENSITY_WEIGHTED = "density-weighted"   # f(x) = e^{-x^2/2} sum a_n He_n(x)
 PLAIN_RV = "plain-rv"                   # f(Y) = sum b_n He_n(Y)
 
 
-@dataclass(frozen=True)
-class HermiteSeries:
+class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
     """Truncated coefficient sequence against a declared convention."""
 
-    coeffs: tuple
-    convention: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.convention not in (DENSITY_WEIGHTED, PLAIN_RV):
-            raise ValueError(f"unknown series convention {self.convention!r}")
-        if not self.coeffs:
+    def __new__(cls, coeffs, convention):
+        if convention not in (DENSITY_WEIGHTED, PLAIN_RV):
+            raise ValueError(f"unknown series convention {convention!r}")
+        if not coeffs:
             raise ValueError("series needs at least one coefficient")
-        if not all(math.isfinite(c) for c in self.coeffs):
+        if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("series coefficients must be finite")
+        return super().__new__(cls, coeffs, convention)
 
     @property
     def truncation(self):
@@ -61,17 +57,15 @@ class HermiteSeries:
         return cls(coeffs=tuple(float(c) for c in data["coeffs"]), convention=data["convention"])
 
 
-@dataclass(frozen=True)
-class StandardizedMoments:
+class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
     """Location, scale, and standardized central moments nu_3, nu_4, ..."""
 
-    mu: float
-    sigma: float
-    nu: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+    def __new__(cls, mu, sigma, nu=()):
+        if sigma <= 0:
+            raise ValueError(f"sigma must be positive, got {sigma!r}")
+        return super().__new__(cls, mu, sigma, nu)
 
     def standardized(self, k):
         """nu_k with the fixed values nu_0 = 1, nu_1 = 0, nu_2 = 1."""
@@ -80,12 +74,10 @@ class StandardizedMoments:
         return float(self.nu[k - 3]) if k > 2 else (1.0, 0.0, 1.0)[k]
 
 
-@dataclass(frozen=True)
-class WCETensorCoeffs:
-    """Symmetric coefficient tensors b^(0) .. b^(N) of a d-dim chaos expansion."""
+class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
+    """Symmetric chaos tensors b^(0) .. b^(N) of a d-dim expansion, b^(r) of shape (d,) * r."""
 
-    dimension: int
-    tensors: tuple  # tuple of numpy arrays, tensors[r] has shape (d,) * r
+    __slots__ = ()
 
 
 def _quad_order(order, quad_order=None):
@@ -120,6 +112,8 @@ def _contracted_series(table, terms, convention):
     coefficient whose moment overflows is kept.  Scaling back saturates:
     a coefficient past double range becomes a signed inf and is refused.
     """
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         moments = table @ terms
         try:
@@ -139,10 +133,12 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     contracted with those values, in O(order * Q).  quad_order must be at
     least order + 2 (defaults to 2*order + 12).
     """
+    from . import quadrature
+
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    rule = gauss_hermite_rule(_quad_order(order, quad_order))
-    terms = whole_line_terms(f, rule)
+    rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
+    terms = quadrature.whole_line_terms(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, DENSITY_WEIGHTED)
 
 
@@ -191,10 +187,12 @@ def wce_coeffs_1d(f, order, quad_order=None):
 
     f is called once per node of the Q-point rule, Q >= order + 2.  Cost O(order * Q).
     """
+    from . import quadrature
+
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    rule = gauss_hermite_rule(_quad_order(order, quad_order))
-    terms = rule.weights * integrand_values(f, rule)
+    rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
+    terms = rule.weights * quadrature.integrand_values(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, PLAIN_RV)
 
 
@@ -210,13 +208,17 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     E[prod_i He_{m_i}(Y_i) f(Y)] in O(Q^d * d * order); an entry of b^(n)
     is the moment at its index multiplicities.
     """
+    import numpy as np
+    from . import quadrature
+
     if not 1 <= dimension <= MAX_WCE_DIMENSION:
         raise ValueError(f"dimension must be 1..{MAX_WCE_DIMENSION}, got {dimension!r}")
     if not 0 <= order <= MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
-    rule = tensor_cubature(dimension, _quad_order(order, quad_order))
+    rule = quadrature.tensor_cubature(dimension, _quad_order(order, quad_order))
     table = hermite_table(order, rule.nodes)
-    moments = (rule.weights * integrand_values(f, rule)).reshape((rule.order,) * dimension)
+    moments = rule.weights * quadrature.integrand_values(f, rule)
+    moments = moments.reshape((rule.order,) * dimension)
     for _ in range(dimension):
         # contracts the leading node axis and appends a degree axis
         moments = np.tensordot(moments, table, axes=([0], [1]))
@@ -269,9 +271,12 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     cos/sin parts and computed against the Gaussian weight, where
     h_n(x) e^{x^2/2} = H_n(x).  quad_order must be at least 2n + 10.
     """
+    import numpy as np
+    from . import quadrature
+
     if n < 0:
         raise ValueError("order must be nonnegative")
-    rule = gauss_hermite_rule(_eigen_quad_order(n, quad_order))
+    rule = quadrature.gauss_hermite_rule(_eigen_quad_order(n, quad_order))
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
     k = np.asarray(k_grid, dtype=float)

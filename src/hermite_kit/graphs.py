@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactpoly import ExactPolynomial
 from .polynomials import SQRT_TWO_PI, hermite_recurrence, pairings
@@ -37,21 +37,20 @@ class GraphFileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected graph without loops or multi-edges; vertices are 1..|v|."""
+class SimpleGraph(namedtuple("SimpleGraph", "vertex_count edges")):
+    """Simple undirected graph on vertices 1..|v|; edges a frozenset of (u, v) with u < v."""
 
-    vertex_count: int
-    edges: frozenset  # frozenset of (u, v) pairs with u < v
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vertex_count < 1:
+    def __new__(cls, vertex_count, edges):
+        if vertex_count < 1:
             raise ValueError("graph needs at least one vertex")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v}) not allowed")
-            if not (1 <= u < v <= self.vertex_count):
-                raise ValueError(f"edge ({u}, {v}) not canonical for {self.vertex_count} vertices")
+            if not (1 <= u < v <= vertex_count):
+                raise ValueError(f"edge ({u}, {v}) not canonical for {vertex_count} vertices")
+        return super().__new__(cls, vertex_count, edges)
 
     @classmethod
     def from_edges(cls, vertex_count, edges):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -24,13 +24,10 @@ H_BASIS = "h"
 GAUSS_MOMENT = "gauss-moment"
 
 
-@dataclass(frozen=True)
-class ChangeOfBasisMatrix:
-    """(n+1)x(n+1) exact matrix; column k expands source-basis element k."""
+class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis entries")):
+    """(n+1)x(n+1) exact matrix, rows of int/Fraction; column k expands source-basis element k."""
 
-    from_basis: str
-    to_basis: str
-    entries: tuple  # row-major tuples of int/Fraction
+    __slots__ = ()
 
     @property
     def size(self):

@@ -19,6 +19,7 @@ PHYSICIST = "h"
 _FAMILIES = (PROBABILIST, PHYSICIST)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+MAX_ORDER = 200  # largest Gauss-Hermite rule, here so that the CLI checks it without numpy
 
 
 def _check_family(family):
@@ -152,18 +153,26 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
 
 
 def _he_sum(coeffs, x, log_weight=0.0):
-    """sum_k coeffs[k] He_k(x) * e**log_weight in floats where that is finite,
-    else exact at the binary values of coeffs and x, rounded once: a signed
-    inf past double range, 0 where the weight wins.  A weight, applied as
-    2**e e**r with r in [0, ln 2), adds about |e| ulps; a non-finite
-    coefficient raises ValueError."""
+    """sum_k coeffs[k] He_k(x) * e**log_weight in floats where that is finite
+    and the weight is a normal float, else exact at the binary values of
+    coeffs and x, rounded once: a signed inf past double range, 0 where the
+    weight wins.  A weight, applied as 2**e e**r with r in [0, ln 2), adds
+    about |e| ulps; a non-finite coefficient raises ValueError.  At infinite
+    x with a finite log_weight the sum is its limit: the signed inf of the
+    highest nonzero term, or coeffs[0] times the weight for a constant."""
     total = sum(c * h for c, h in zip(coeffs, hermite_table(len(coeffs) - 1, x)))
-    if math.isfinite(total := total * math.exp(log_weight)):
+    weight = math.exp(log_weight)
+    # a subnormal or 0 weight from a finite exponent has lost bits: the exact path splits it
+    if (weight >= 2.0**-1022 or log_weight == -math.inf) and math.isfinite(total := total * weight):
         return total
     if not all(math.isfinite(c) for c in coeffs):
         raise ValueError("series coefficients must be finite")
     if log_weight == -math.inf:  # the weight wins at any degree, infinite x included
         return 0.0
+    if math.isinf(x):  # the float sum is inf or nan here: take the limit
+        if k := max((k for k, c in enumerate(coeffs) if c), default=0):
+            return math.copysign(math.inf, coeffs[k] * (x if k % 2 else 1.0))
+        return coeffs[0] * weight
     x, prev, cur, total = Fraction(x), 0, 1, 0
     for k, c in enumerate(coeffs):
         total += Fraction(c) * cur
@@ -207,12 +216,15 @@ def hermite_table(n_max, x, family=PROBABILIST):
 def eval_hermite(n, x, family=PROBABILIST):
     """Float value of He_n(x) or H_n(x) via the forward recurrence.
 
-    Past double range the result is an infinity with the sign of the true value.
+    Past double range, infinite x included, the result is an infinity with
+    the sign of the true value.
     """
     _check_order(n)
     _check_family(family)
-    _, cur, e = _recurrence(n, float(x), family)
-    return _ldexp(cur, e)
+    _, cur, e = _recurrence(n, x := float(x), family)
+    if math.isnan(value := _ldexp(cur, e)) and math.isinf(x):  # inf - inf past degree 2
+        return math.copysign(math.inf, x if n % 2 else 1.0)
+    return value
 
 
 def eval_hermite_function(n, x, kind=PROBABILIST):
@@ -275,15 +287,20 @@ def generating_function_check(x, t, order):
     Returned as (partial_sum, target) for diagnostic comparison; |t| <= 1
     keeps the truncation error negligible by order ~ 40.  The partial sum is
     evaluate_series' guarded sum over the terms t^n / n!: a signed inf past
-    double range, never nan.  The target saturates to inf.
+    double range, never nan; a term past double range raises ValueError.
+    The target saturates to inf.
     """
     _check_order(order)
     x, t = float(x), float(t)
     terms = [1.0]  # t^k / k!
     for k in range(1, order + 1):
         terms.append(terms[-1] * (t / k))
+        if not math.isfinite(terms[-1]):
+            raise ValueError(f"the term t^{k}/{k}! is not finite at t={t!r}")
+    if math.isnan(exponent := x * t - t * t / 2.0):  # x t and t^2/2 both overflow
+        exponent = t * (x - t / 2.0)
     try:
-        target = math.exp(x * t - t * t / 2.0)
+        target = math.exp(exponent)
     except OverflowError:
         target = math.inf
     return _he_sum(terms, x), target

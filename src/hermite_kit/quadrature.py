@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polynomials import NodeConvergenceError, _orthonormal_pair
+from .polynomials import MAX_ORDER, NodeConvergenceError, _orthonormal_pair
 
-MAX_ORDER = 200
 CUBATURE_POINT_BUDGET = 10**7
 
 _NEWTON_MAX_ITER = 100

@@ -228,6 +228,35 @@ class TestSeriesEvaluation:
         expected = 899.0 * (1e308 * math.exp(-450.0))
         assert evaluate_series(weighted, 30.0) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("coeffs, at_inf, at_minus_inf", [
+        ((1.0, 0.0, 1.0), math.inf, math.inf),  # x^2
+        ((1.0, 2.0), math.inf, -math.inf),
+        ((1.0, 0.0, 1.0, -2.0, 0.0), -math.inf, math.inf),  # the highest nonzero term wins
+        ((3.0, 0.0, 0.0), 3.0, 3.0),  # a constant stays c_0
+        ((3.0,), 3.0, 3.0),
+        ((0.0, 0.0), 0.0, 0.0),
+    ])
+    def test_infinite_x_is_the_limit(self, coeffs, at_inf, at_minus_inf):
+        plain = HermiteSeries(coeffs=coeffs, convention=PLAIN_RV)
+        assert evaluate_series(plain, math.inf) == at_inf
+        assert evaluate_series(plain, -math.inf) == at_minus_inf
+        weighted = HermiteSeries(coeffs=coeffs, convention=DENSITY_WEIGHTED)
+        assert evaluate_series(weighted, math.inf) == evaluate_series(weighted, -math.inf) == 0.0
+
+    def test_subnormal_weight_against_mpmath(self):
+        # past |x| = 37.6 e^{-x^2/2} is subnormal or 0 in floats: the sum is exact,
+        # the weight split as 2**e e**r, so the result keeps its normal-float bits
+        coeffs = (1e280, -2e279, 0.0, 3e278, 1e280, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e280)
+        series = HermiteSeries(coeffs=coeffs, convention=DENSITY_WEIGHTED)
+        with mpmath.workdps(60):
+            for x in (37.7, 38.0, 38.4, 38.6, -39.0, 40.0, 45.0):
+                prev, cur, want = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+                for k, c in enumerate(coeffs):
+                    want += mpmath.mpf(c) * cur
+                    prev, cur = cur, x * cur - k * prev
+                want *= mpmath.exp(-mpmath.mpf(x) ** 2 / 2)
+                assert evaluate_series(series, x) == pytest.approx(float(want), rel=1e-12, abs=0), x
+
     def test_tail_indicator(self):
         series = fourier_hermite_coeffs(shifted_gaussian(0.5), 20)
         # convergent case: the indicator must be tiny by order 20
@@ -331,6 +360,18 @@ class TestGramCharlier:
         assert math.isfinite(gram_charlier_density(m, 170, 0.5))
         with pytest.raises(ValueError, match="^order must be 0..170, got 171$"):
             gram_charlier_density(m, 171, 0.5)
+
+    def test_subnormal_weight_against_mpmath(self):
+        # e^{-z^2/2} is subnormal for 37.6 < |z| < 38.6; huge moments keep the density normal
+        m = StandardizedMoments(mu=0.5, sigma=1.0, nu=(1e280, 1e281))
+        for x in (38.2, 38.5, -37.5, 38.9):
+            z = x - 0.5
+            coeffs = (1.0, 0.0, 0.0, 1e280 / 6.0, (1e281 - 3.0) / 24.0)
+            with mpmath.workdps(60):
+                he = (1, z, z * z - 1, z**3 - 3 * z, z**4 - 6 * z * z + 3)
+                want = sum(mpmath.mpf(c) * mpmath.mpf(h) for c, h in zip(coeffs, he))
+                want *= mpmath.exp(-mpmath.mpf(z) ** 2 / 2) / mpmath.sqrt(2 * mpmath.pi)
+            assert gram_charlier_density(m, 4, x) == pytest.approx(float(want), rel=1e-12, abs=0), x
 
     def test_overflowing_coefficient_times_underflowing_weight(self):
         # (nu_4 - 3)/24 He_4(40) overflows and e^-800 underflows; the product does neither

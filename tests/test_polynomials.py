@@ -1,6 +1,7 @@
 """Exact construction and evaluation of both Hermite families."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -205,6 +206,13 @@ class TestEvaluation:
         assert math.isinf(eval_hermite(300, 30.0))
 
     @pytest.mark.parametrize("family", ["he", "h"])
+    def test_infinite_x_is_the_signed_limit(self, family):
+        # from degree 3 the float recurrence meets inf - inf; the limit is (+-1)^n inf
+        for n in range(13):
+            assert eval_hermite(n, math.inf, family) == (math.inf if n else 1.0), n
+            assert eval_hermite(n, -math.inf, family) == (-1.0) ** n * (math.inf if n else 1.0), n
+
+    @pytest.mark.parametrize("family", ["he", "h"])
     def test_overflow_sign_is_that_of_degree_n(self, family):
         # e.g. He_400(0) = +399!!, where a sign taken from the first degree
         # to overflow would be wrong
@@ -308,6 +316,37 @@ class TestGeneratingFunction:
         partial, target = generating_function_check(x, t, order)
         assert partial == (math.inf if exact > 0 else -math.inf)
         assert target == 0.0
+
+    @pytest.mark.parametrize("x, t, order, k", [
+        (0.5, 1e300, 3, 2), (1e200, 1e200, 5, 2), (0.0, -1.5e154, 9, 3), (1.0, math.inf, 2, 1),
+    ])
+    def test_overflowing_term_names_t_and_k(self, x, t, order, k):
+        message = f"the term t^{k}/{k}! is not finite at t={t!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generating_function_check(x, t, order)
+
+    @pytest.mark.parametrize("x, t, order, target", [
+        (1.5e154, 1.5e154, 2, math.inf),  # t^2 overflows, t^2/2! does not
+        (1e200, 1e200, 1, math.inf),
+        (1e200, 1e201, 1, 0.0),  # t (x - t/2) = -inf
+        (-1e200, -1e200, 1, math.inf),
+    ])
+    def test_target_when_both_exponent_terms_overflow(self, x, t, order, target):
+        # x t and t^2/2 both overflow to inf; their difference would be nan
+        assert math.isinf(x * t) and math.isinf(t * t / 2.0)
+        partial, value = generating_function_check(x, t, order)
+        assert value == target and not math.isnan(partial)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False),
+           t=st.floats(-1e150, 1e150, allow_nan=False))
+    def test_target_bits_unchanged_where_finite(self, x, t):
+        try:
+            expected = math.exp(x * t - t * t / 2.0)
+        except OverflowError:
+            expected = math.inf
+        if not math.isnan(expected):
+            assert generating_function_check(x, t, 1)[1] == expected
 
     def test_overflowing_target_is_inf(self):
         partial, target = generating_function_check(1e3, 1.0, 5)

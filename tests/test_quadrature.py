@@ -133,10 +133,13 @@ class TestRuleBuilder:
         assert result.stdout.splitlines() == ["False []", "['hermite_kit.exactpoly']"]
 
     def test_exact_cli_paths_run_without_numpy(self, tmp_path):
-        # None in sys.modules makes any import of numpy raise ImportError
+        # None in sys.modules makes any import of numpy raise ImportError; the
+        # records are named tuples, so neither dataclasses nor inspect loads
         graph, bad = tmp_path / "c4.txt", tmp_path / "bad.txt"
         graph.write_text("4\n1 2\n2 3\n3 4\n1 4\n", encoding="utf-8")
         bad.write_text("3\n1 2\n1 2\n", encoding="utf-8")
+        moments = tmp_path / "moments.csv"
+        moments.write_text("0\n1\n0.5\n3.5\n", encoding="utf-8")
         grid = ["--n", "3", "--xmin=-2", "--xmax", "2", "--samples", "5"]
         commands = [
             ["poly", "--n", "4"],
@@ -147,7 +150,13 @@ class TestRuleBuilder:
             ["graph", "linearize", "--m", "3", "--n", "2"],
             ["plotdata", "--kind", "poly", *grid],
             ["plotdata", "--kind", "function", *grid],
+            ["plotdata", "--kind", "series", "--coeffs", "1,0,1", *grid],
+            ["expand", "deconvolve", "--coeffs", "0,0,1", "--sigma", "1"],
+            ["expand", "gram-charlier", "--nu3", "0.5", "--nu4", "3.5", "--x", "0.5"],
+            ["expand", "gram-charlier", "--moments-csv", str(moments), "--x", "0.5"],
             ["poly", "--n", "3", "--family", "legendre"],
+            ["expand", "deconvolve", "--coeffs", "1,2", "--sigma", "-1"],
+            ["expand", "fourier-hermite", "--mu", "0", "--order", "150"],
             ["graph", "match-poly", "--file", str(bad)],
         ]
         code = "\n".join([
@@ -164,14 +173,24 @@ class TestRuleBuilder:
             "        except SystemExit as exc:",
             "            status = exc.code",
             "    results.append([status, out.getvalue()])",
-            "print(json.dumps(results))",
+            "print(json.dumps([results, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))",
         ])
         result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                                 capture_output=True, text=True, check=True, env=_CHILD_ENV)
-        results = json.loads(result.stdout)
-        assert [status for status, _ in results] == [0] * 8 + [2, 3]
+        results, loaded = json.loads(result.stdout)
+        assert [status for status, _ in results] == [0] * 12 + [2, 2, 2, 3]
         assert results[0][1] == "3,0,-6,0,1\n"
         assert results[4][1] == "20.053026197048002\n"
+        assert results[9][1] == "-1,0,1\n"
+        assert results[10][1] == results[11][1] != ""
+        assert loaded == []
+
+    def test_rule_limit_and_error_are_shared_with_polynomials(self):
+        # the CLI checks both without importing quadrature, hence numpy
+        from hermite_kit import polynomials
+
+        assert quadrature.MAX_ORDER == polynomials.MAX_ORDER == 200
+        assert quadrature.NodeConvergenceError is polynomials.NodeConvergenceError
 
     def test_public_names_resolve_to_their_modules(self):
         modules = [importlib.import_module(f"hermite_kit.{name}") for name in

@@ -1,0 +1,109 @@
+"""The immutable records: construction, defaults, validation, equality, repr."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hermite_kit import (
+    DENSITY_WEIGHTED,
+    PLAIN_RV,
+    ChangeOfBasisMatrix,
+    HermiteSeries,
+    SimpleGraph,
+    StandardizedMoments,
+    WCETensorCoeffs,
+    change_of_basis,
+    wce_coeffs_multi,
+)
+
+# record class, its fields, the fields of an unequal record, and the repr
+RECORDS = [
+    (HermiteSeries, dict(coeffs=(0.5, -1.0), convention=PLAIN_RV),
+     dict(coeffs=(0.5, -1.0), convention=DENSITY_WEIGHTED),
+     "HermiteSeries(coeffs=(0.5, -1.0), convention='plain-rv')"),
+    (StandardizedMoments, dict(mu=0.25, sigma=2.0, nu=(0.1, 3.5)),
+     dict(mu=0.25, sigma=2.0, nu=(0.1,)),
+     "StandardizedMoments(mu=0.25, sigma=2.0, nu=(0.1, 3.5))"),
+    (WCETensorCoeffs, dict(dimension=2, tensors=(1.0, (0.5, 0.25))),
+     dict(dimension=1, tensors=(1.0, (0.5, 0.25))),
+     "WCETensorCoeffs(dimension=2, tensors=(1.0, (0.5, 0.25)))"),
+    (ChangeOfBasisMatrix, dict(from_basis="he", to_basis="monomial", entries=((1, 0), (0, 1))),
+     dict(from_basis="monomial", to_basis="he", entries=((1, 0), (0, 1))),
+     "ChangeOfBasisMatrix(from_basis='he', to_basis='monomial', entries=((1, 0), (0, 1)))"),
+    (SimpleGraph, dict(vertex_count=3, edges=frozenset({(2, 3)})),
+     dict(vertex_count=3, edges=frozenset({(1, 3)})),
+     "SimpleGraph(vertex_count=3, edges=frozenset({(2, 3)}))"),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, other, text", RECORDS, ids=IDS)
+class TestRecord:
+    def test_keyword_and_positional_construction(self, cls, fields, other, text):
+        by_keyword = cls(**fields)
+        assert by_keyword == cls(*fields.values())
+        assert {name: getattr(by_keyword, name) for name in fields} == fields
+
+    def test_assignment_raises_attribute_error(self, cls, fields, other, text):
+        record = cls(**fields)
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert {name: getattr(record, name) for name in fields} == fields
+
+    def test_equal_instances_hash_equal(self, cls, fields, other, text):
+        first, second = cls(**fields), cls(**fields)
+        assert first == second and hash(first) == hash(second)
+        assert first != cls(**other)
+
+    def test_repr(self, cls, fields, other, text):
+        assert repr(cls(**fields)) == text
+
+
+def test_moments_nu_defaults_to_empty():
+    assert StandardizedMoments(0.0, 1.0).nu == ()
+    assert StandardizedMoments(mu=0.0, sigma=1.0) == StandardizedMoments(0.0, 1.0, ())
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(coeffs=(1.0,), convention="other"), "unknown series convention 'other'"),
+    (dict(coeffs=(), convention=PLAIN_RV), "series needs at least one coefficient"),
+    (dict(coeffs=(1.0, math.inf), convention=DENSITY_WEIGHTED),
+     "series coefficients must be finite"),
+    (dict(coeffs=(math.nan,), convention=PLAIN_RV), "series coefficients must be finite"),
+])
+def test_series_validation_messages(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HermiteSeries(**kwargs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HermiteSeries(kwargs["coeffs"], kwargs["convention"])
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.5])
+def test_moments_validation_message(sigma):
+    with pytest.raises(ValueError, match=f"^sigma must be positive, got {sigma!r}$"):
+        StandardizedMoments(mu=0.0, sigma=sigma)
+
+
+@pytest.mark.parametrize("vertex_count, edges, message", [
+    (0, (), "graph needs at least one vertex"),
+    (3, ((2, 2),), r"loop edge \(2, 2\) not allowed"),
+    (3, ((2, 1),), r"edge \(2, 1\) not canonical for 3 vertices"),
+    (3, ((1, 4),), r"edge \(1, 4\) not canonical for 3 vertices"),
+])
+def test_graph_validation_messages(vertex_count, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimpleGraph(vertex_count=vertex_count, edges=frozenset(edges))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimpleGraph(vertex_count, frozenset(edges))
+
+
+def test_built_records_compare_by_value():
+    assert change_of_basis(4, "he", "monomial") == change_of_basis(4, "he", "monomial")
+    assert SimpleGraph.from_edges(3, [(2, 1)]) == SimpleGraph(3, frozenset({(1, 2)}))
+    coeffs = wce_coeffs_multi(lambda y: float(y[0] * y[1]), 2, 2)
+    assert WCETensorCoeffs(dimension=2, tensors=coeffs.tensors) == coeffs
+    assert isinstance(coeffs.tensors[2], np.ndarray) and coeffs.tensors[2].shape == (2, 2)
