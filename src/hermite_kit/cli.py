@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import graphs, polynomials
-from .exactpoly import ExactPolynomial
+from .exactpoly import ExactPolynomial, _check_order
 
 QUAD_ORDER_ENV = "HERMITE_KIT_QUAD_ORDER"
 
@@ -86,9 +86,7 @@ def _env_quad_order():
         value = int(raw)
     except ValueError:
         raise ValueError(f"{QUAD_ORDER_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{QUAD_ORDER_ENV} must be positive, got {value}")
-    return value
+    return _check_order(value, QUAD_ORDER_ENV, 1)
 
 
 def _check_default_rule(flag, value, rule_order):
@@ -183,8 +181,7 @@ def cmd_graph(args, out):
         print(graphs.format_edge_list(graphs.complete_kpartite(args.parts)), file=out)
     elif args.graph_command == "product-integral":
         p = graphs.count_complete_matches(args.parts)
-        # as hermite_product_integral: float(p) overflows from 2^1024, the product from 2^1023
-        value = polynomials.SQRT_TWO_PI * float(p) if p.bit_length() <= 1023 else math.inf
+        value = polynomials.SQRT_TWO_PI * polynomials._rounded(p)  # as hermite_product_integral
         with _exact_digits():
             count = str(p)
         if args.format == "json":
@@ -259,8 +256,6 @@ def cmd_expand(args, out):
               f"{expansions.series_tail_indicator(series):.3e}", file=sys.stderr)
         print(series.to_json(), file=out)
     elif args.expand_command == "deconvolve":
-        if args.sigma <= 0:
-            raise ValueError(f"--sigma must be positive, got {args.sigma}")
         result = expansions.gaussian_mixture_deconvolve(
             ExactPolynomial(args.coeffs), args.sigma
         )
@@ -342,7 +337,6 @@ def build_parser():
                         help="density-weighted expansion of a shifted Gaussian density")
     e.add_argument("--mu", type=_finite_float, required=True)
     e.add_argument("--order", type=int, default=30)
-    add_format(e, default="json")
 
     e = esub.add_parser("gram-charlier", help="Gram-Charlier density value")
     e.add_argument("--mu", type=_finite_float, default=0.0)
@@ -353,12 +347,10 @@ def build_parser():
     e.add_argument("--x", type=_finite_float, required=True)
     e.add_argument("--moments-csv", default=None,
                    help="file with one value per line: mu, sigma, nu3, nu4, ...")
-    add_format(e)
 
     e = esub.add_parser("wce", help="chaos coefficients of a polynomial of a unit Gaussian")
     e.add_argument("--coeffs", type=_parse_number_list, required=True)
     e.add_argument("--order", type=int, required=True)
-    add_format(e, default="json")
 
     e = esub.add_parser("deconvolve", help="exact Gaussian-mixture deconvolution of a polynomial")
     e.add_argument("--coeffs", type=_parse_number_list, required=True)
@@ -368,7 +360,6 @@ def build_parser():
     e = esub.add_parser("fourier-check", help="Fourier eigenfunction residual of h_n")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--kmax", type=_finite_float, default=3.0)
-    add_format(e)
     p.set_defaults(func=cmd_expand)
 
     return parser

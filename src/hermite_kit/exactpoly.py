@@ -3,7 +3,30 @@
 from __future__ import annotations
 
 import json
+import math
+import operator
 from fractions import Fraction
+
+
+def _check_order(n, what="polynomial order", least=0):
+    """n as a Python int: any integer type operator.index takes passes
+    (numpy's too); a float, even a whole one, or a value below least (0 or 1)
+    raises ValueError."""
+    try:
+        if (value := operator.index(n)) >= least:
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{what} must be a {('nonnegative', 'positive')[least]} integer, got {n!r}")
+
+
+def _check_sigma(sigma):
+    """sigma itself if it is a finite positive scale; nan is not positive."""
+    if abs(sigma) == math.inf:
+        raise ValueError(f"sigma must be finite, got {sigma!r}")
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    return sigma
 
 
 def _as_exact(value):
@@ -40,7 +63,7 @@ class ExactPolynomial:
 
     @classmethod
     def monomial(cls, power, coefficient=1):
-        return cls([0] * power + [coefficient])
+        return cls([0] * _check_order(power, "power") + [coefficient])
 
     @classmethod
     def zero(cls):
@@ -107,10 +130,8 @@ class ExactPolynomial:
         return self.__mul__(other)
 
     def derivative(self, order=1):
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
         cs = self.coeffs
-        for _ in range(order):
+        for _ in range(_check_order(order, "derivative order")):
             if len(cs) == 1:
                 return ExactPolynomial.zero()
             cs = tuple(i * c for i, c in enumerate(cs) if i >= 1)

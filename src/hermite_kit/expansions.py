@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactpoly import ExactPolynomial
+from .exactpoly import ExactPolynomial, _check_order, _check_sigma
 from .polynomials import (
     SQRT_TWO_PI,
     _he_sum,
@@ -44,6 +44,8 @@ class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
             raise ValueError("series coefficients must be finite")
         return super().__new__(cls, coeffs, convention)
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace builds through it
+
     @property
     def truncation(self):
         return len(self.coeffs) - 1
@@ -63,9 +65,9 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
     __slots__ = ()
 
     def __new__(cls, mu, sigma, nu=()):
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma!r}")
-        return super().__new__(cls, mu, sigma, nu)
+        return super().__new__(cls, mu, _check_sigma(sigma), nu)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def standardized(self, k):
         """nu_k with the fixed values nu_0 = 1, nu_1 = 0, nu_2 = 1."""
@@ -82,10 +84,10 @@ class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
 
 def _quad_order(order, quad_order=None):
     # the default keeps polynomial integrands exact with margin; an explicit rule below
-    # order + 2 aliases the top degree, and a non-positive one gets the rule builder's message
+    # order + 2 aliases the top degree
     if quad_order is None:
         return 2 * order + 12
-    if isinstance(quad_order, int) and 0 < quad_order < order + 2:
+    if (quad_order := _check_order(quad_order, "quadrature order", 1)) < order + 2:
         raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
     return quad_order
 
@@ -135,8 +137,7 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     """
     from . import quadrature
 
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    order = _check_order(order, "truncation order")
     rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
     terms = quadrature.whole_line_terms(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, DENSITY_WEIGHTED)
@@ -169,7 +170,7 @@ def gram_charlier_density(moments, order, x):
     redone exactly, and a coefficient that overflows raises ValueError.
     Truncated values can go negative and are returned as-is.
     """
-    if not 0 <= order <= 170:  # past 170, n! leaves double range
+    if (order := _check_order(order, "order")) > 170:  # past 170, n! leaves double range
         raise ValueError(f"order must be 0..170, got {order}")
     z = (float(x) - moments.mu) / moments.sigma
     coeffs = []
@@ -189,8 +190,7 @@ def wce_coeffs_1d(f, order, quad_order=None):
     """
     from . import quadrature
 
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
+    order = _check_order(order, "truncation order")
     rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
     terms = rule.weights * quadrature.integrand_values(f, rule)
     return _contracted_series(hermite_table(order, rule.nodes), terms, PLAIN_RV)
@@ -211,9 +211,9 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     import numpy as np
     from . import quadrature
 
-    if not 1 <= dimension <= MAX_WCE_DIMENSION:
+    if not 1 <= (dimension := _check_order(dimension, "dimension")) <= MAX_WCE_DIMENSION:
         raise ValueError(f"dimension must be 1..{MAX_WCE_DIMENSION}, got {dimension!r}")
-    if not 0 <= order <= MAX_WCE_ORDER:
+    if (order := _check_order(order, "order")) > MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = quadrature.tensor_cubature(dimension, _quad_order(order, quad_order))
     table = hermite_table(order, rule.nodes)
@@ -253,9 +253,7 @@ def gaussian_mixture_deconvolve(g, sigma):
     """
     if not isinstance(g, ExactPolynomial):
         raise TypeError("deconvolution requires an ExactPolynomial input")
-    s = Fraction(sigma)
-    if s <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    s = Fraction(_check_sigma(sigma))
     factor = -(s * s) / 2
     result = ExactPolynomial.zero()
     for j in range(g.degree // 2 + 1):
@@ -274,8 +272,7 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     import numpy as np
     from . import quadrature
 
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _check_order(n)
     rule = quadrature.gauss_hermite_rule(_eigen_quad_order(n, quad_order))
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]

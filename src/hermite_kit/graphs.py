@@ -23,8 +23,8 @@ import itertools
 import math
 from collections import namedtuple
 
-from .exactpoly import ExactPolynomial
-from .polynomials import SQRT_TWO_PI, hermite_recurrence, pairings
+from .exactpoly import ExactPolynomial, _check_order
+from .polynomials import SQRT_TWO_PI, _rounded, hermite_recurrence, pairings
 
 MAX_MATCH_VERTICES = 24
 
@@ -43,7 +43,7 @@ class SimpleGraph(namedtuple("SimpleGraph", "vertex_count edges")):
     __slots__ = ()
 
     def __new__(cls, vertex_count, edges):
-        if vertex_count < 1:
+        if (vertex_count := _check_order(vertex_count, "vertex count")) < 1:
             raise ValueError("graph needs at least one vertex")
         for u, v in edges:
             if u == v:
@@ -51,6 +51,8 @@ class SimpleGraph(namedtuple("SimpleGraph", "vertex_count edges")):
             if not (1 <= u < v <= vertex_count):
                 raise ValueError(f"edge ({u}, {v}) not canonical for {vertex_count} vertices")
         return super().__new__(cls, vertex_count, edges)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
@@ -194,8 +196,7 @@ def match_count_table(graph):
 
 def count_j_matches(graph, j):
     """Number of sets of j pairwise vertex-disjoint edges."""
-    if j < 0:
-        raise ValueError("match size must be nonnegative")
+    j = _check_order(j, "match size")
     counts = match_count_table(graph)
     return counts[j] if j < len(counts) else 0
 
@@ -210,8 +211,7 @@ def matching_polynomial(graph):
 
 
 def complete_graph(m):
-    if m < 1:
-        raise ValueError("complete graph needs at least one vertex")
+    m = _check_order(m, "vertex count", 1)
     edges = frozenset((u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1))
     return SimpleGraph(vertex_count=m, edges=edges)
 
@@ -221,18 +221,13 @@ def complete_kpartite(part_sizes):
 
     Vertices are numbered consecutively part by part.
     """
-    sizes = [int(s) for s in part_sizes]
-    if not sizes or any(s < 0 for s in sizes):
-        raise ValueError("part sizes must be nonnegative, with at least one part")
-    total = sum(sizes)
-    if total < 1:
-        raise ValueError("graph needs at least one vertex")
+    sizes = [_check_order(s, "part size") for s in part_sizes]
     start = list(itertools.accumulate(sizes, initial=1))  # part i is start[i] .. start[i+1] - 1
     edges = frozenset(
         (u, v) for i, j in itertools.combinations(range(len(sizes)), 2)
         for u in range(start[i], start[i + 1]) for v in range(start[j], start[j + 1])
     )
-    return SimpleGraph(vertex_count=total, edges=edges)
+    return SimpleGraph(vertex_count=sum(sizes), edges=edges)
 
 
 def verify_hermite_matching(m):
@@ -243,7 +238,7 @@ def verify_hermite_matching(m):
     this compares two forms of one recurrence; the tests keep the factorial
     closed form and an edge-deletion count as independent oracles.
     """
-    if not 1 <= m <= 20:
+    if not 1 <= (m := _check_order(m, "m")) <= 20:
         raise ValueError(f"m must be in 1..20, got {m!r}")
     return matching_polynomial(complete_graph(m)) == hermite_recurrence(m)
 
@@ -257,9 +252,7 @@ def count_complete_matches(part_sizes):
     P = sum_l c_l P(l, m, n).  Exact, iterative, and O(N^2) big-integer
     products for parts of total N.  Zero for odd total vertex count.
     """
-    sizes = tuple(int(s) for s in part_sizes)
-    if any(s < 0 for s in sizes):
-        raise ValueError("part sizes must be nonnegative")
+    sizes = [_check_order(s, "part size") for s in part_sizes]
     *head, m, n = (0, 0, *sizes)  # He_0 = 1 pads short products
     product = {0: 1}
     for part in head:
@@ -278,11 +271,9 @@ def partite_closed_form(part_sizes):
     total is even and each part is at most the sum of the other two, else 0.
     Two parts are three with l = 0, which leaves m! when m = n, else 0.
     """
-    sizes = tuple(int(s) for s in part_sizes)
+    sizes = [_check_order(s, "part size") for s in part_sizes]
     if len(sizes) not in (2, 3):
         raise ValueError(f"closed forms exist for 2 or 3 parts, got {len(sizes)}")
-    if any(s < 0 for s in sizes):
-        raise ValueError("part sizes must be nonnegative")
     l, m, n = (0, *sizes)[-3:]
     s, odd = divmod(l + m + n, 2)
     if odd or s < max(l, m, n):
@@ -293,19 +284,14 @@ def partite_closed_form(part_sizes):
 
 def hermite_product_integral(orders):
     """int e^{-x^2/2} prod_i He_(n_i)(x) dx = sqrt(2*pi) P(n_1, ..., n_k)."""
-    count = count_complete_matches(orders)
-    try:
-        return SQRT_TWO_PI * float(count)
-    except OverflowError:
-        return math.inf
+    return SQRT_TWO_PI * _rounded(count_complete_matches(orders))
 
 
 def linearization_coeffs(m, n):
     """He_m He_n = sum_j C(m,j) C(n,j) j! He_(m+n-2j); keys are the target
     orders l = m + n - 2j, descending.
     """
-    if m < 0 or n < 0:
-        raise ValueError("orders must be nonnegative")
+    m, n = _check_order(m, "order"), _check_order(n, "order")
     table, a = {}, 1
     for j in range(min(m, n) + 1):
         table[m + n - 2 * j] = a

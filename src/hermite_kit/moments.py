@@ -14,8 +14,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
-from .exactpoly import ExactPolynomial
-from .polynomials import eval_hermite, hermite_explicit, pairings
+from .exactpoly import ExactPolynomial, _check_order, _check_sigma
+from .polynomials import _rounded, eval_hermite, hermite_explicit, pairings
 
 MONOMIAL = "monomial"
 TWO_X_MONOMIAL = "2x-monomial"
@@ -49,12 +49,12 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
         return json.dumps(rows)
 
 
-def _rounded(exact):
-    # an exact value rounded once to float, a signed inf past double range
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+def _moment_args(n, mu, sigma):
+    # (n, sigma, mu / sigma), checked, at the exact binary values of mu and sigma
+    n, sigma = _check_order(n, "moment order"), _check_sigma(sigma)
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+    return n, Fraction(sigma), Fraction(mu) / Fraction(sigma)
 
 
 def gaussian_raw_moment(n, mu, sigma):
@@ -63,12 +63,8 @@ def gaussian_raw_moment(n, mu, sigma):
     at the binary values of mu and sigma and rounded once; a signed inf past
     double range.
     """
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(mu)):
-        raise ValueError(f"need finite mu and positive finite sigma, got {mu!r}, {sigma!r}")
-    mu, sigma = Fraction(mu), Fraction(sigma)
-    return _rounded(sigma**n * gauss_moment_polynomial(n)(mu / sigma))
+    n, sigma, x = _moment_args(n, mu, sigma)
+    return _rounded(sigma**n * gauss_moment_polynomial(n)(x))
 
 
 def gaussian_raw_moment_hermite_form(n, mu, sigma):
@@ -79,21 +75,16 @@ def gaussian_raw_moment_hermite_form(n, mu, sigma):
     complex arithmetic is needed.  Evaluated exactly at the binary values of
     mu and sigma and rounded once, as gaussian_raw_moment is.
     """
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(mu)):
-        raise ValueError(f"need finite mu and positive finite sigma, got {mu!r}, {sigma!r}")
-    mu, sigma = Fraction(mu), Fraction(sigma)
+    n, sigma, x = _moment_args(n, mu, sigma)
     real = [(-1) ** ((n - k) // 2) * c for k, c in enumerate(hermite_explicit(n).coeffs)]
-    return _rounded(sigma**n * ExactPolynomial(real)(mu / sigma))
+    return _rounded(sigma**n * ExactPolynomial(real)(x))
 
 
 def hermite_in_moments(n):
     """Integer coefficients c_j with He_n = sum_j c_j E[Y^(n-2j)](x),
     c_j = (-1)^j n! / ((n-2j)! j!).
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _check_order(n)
     return [(-1) ** j * pairings(n, j) << j for j in range(n // 2 + 1)]
 
 
@@ -101,8 +92,7 @@ def moments_in_hermite(n):
     """Integer coefficients d_j with E[Y^n](x) = sum_j d_j He_(n-2j)(x),
     d_j = n! / ((n-2j)! j!).
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _check_order(n)
     return [pairings(n, j) << j for j in range(n // 2 + 1)]
 
 
@@ -111,8 +101,7 @@ def gauss_moment_polynomial(n):
 
     Its coefficients are the absolute values of the He_n coefficients.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    n = _check_order(n)
     return ExactPolynomial(_pairing_column(n, n, shift=0))
 
 
@@ -142,8 +131,7 @@ def change_of_basis(n, from_basis, to_basis):
     he<->monomial, h<->2x-monomial, he<->gauss-moment.  Chain other
     conversions explicitly with compose().
     """
-    if n < 0:
-        raise ValueError("matrix order must be nonnegative")
+    n = _check_order(n, "matrix order")
     builder = _COLUMN_BUILDERS.get((from_basis, to_basis))
     if builder is None:
         raise ValueError(f"unsupported basis pair {from_basis!r} -> {to_basis!r}")
@@ -172,15 +160,14 @@ def compose(second, first):
 
 
 def identity_matrix(n, basis):
+    n = _check_order(n, "matrix order")
     entries = tuple(tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1))
     return ChangeOfBasisMatrix(from_basis=basis, to_basis=basis, entries=entries)
 
 
 def expected_hermite_of_gaussian(n, x):
     """E[He_n(Y)] for Y ~ N(x, 1), which collapses to x^n."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    return float(x) ** n
+    return float(x) ** _check_order(n)
 
 
 def weierstrass_deconvolution_identity(n, sigma, x):
@@ -188,10 +175,9 @@ def weierstrass_deconvolution_identity(n, sigma, x):
     sigma returns y^n.  A float value that leaves double range on the way is
     redone from the exact preimage polynomial and rounded once.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if not (sigma > 0 and math.isfinite(sigma) and math.isfinite(x)):
-        raise ValueError(f"need finite x and positive finite sigma, got {x!r}, {sigma!r}")
+    n, sigma = _check_order(n), _check_sigma(sigma)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     try:
         value = float(sigma) ** n * eval_hermite(n, float(x) / float(sigma))
     except OverflowError:  # sigma**n
@@ -205,9 +191,5 @@ def weierstrass_preimage_polynomial(n, sigma):
     """sigma^n He_n(x / sigma) as an exact polynomial; sigma is taken at
     its exact binary value, so dyadic sigmas stay exact.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    s = Fraction(sigma)
-    if s <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    n, s = _check_order(n), Fraction(_check_sigma(sigma))
     return s**n * hermite_explicit(n).scale_argument(1 / s)

@@ -11,7 +11,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .exactpoly import ExactPolynomial
+from .exactpoly import ExactPolynomial, _check_order
 
 PROBABILIST = "he"
 PHYSICIST = "h"
@@ -27,11 +27,6 @@ def _check_family(family):
         raise ValueError(f"unknown polynomial family {family!r}; expected 'he' or 'h'")
 
 
-def _check_order(n):
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"polynomial order must be a nonnegative integer, got {n!r}")
-
-
 def hermite_recurrence(n, family=PROBABILIST):
     """Exact degree-n polynomial built from the three-term recurrence.
 
@@ -42,7 +37,7 @@ def hermite_recurrence(n, family=PROBABILIST):
     from the same run by H_n(x) = 2**(n/2) He_n(sqrt(2) x), which shifts the
     coefficient of x^(n-2i) left by n - i.
     """
-    _check_order(n)
+    n = _check_order(n)
     _check_family(family)
     prev, cur = [], [1]  # rows of He_(k-1), He_k, highest power first
     for k in range(n):
@@ -65,7 +60,7 @@ def hermite_explicit(n, family=PROBABILIST):
     Coefficient of x^(n-2j) is (-1)^j n! / (2^j (n-2j)! j!) for He_n and
     (-1)^j n! 2^(n-2j) / ((n-2j)! j!) for H_n.
     """
-    _check_order(n)
+    n = _check_order(n)
     _check_family(family)
     coeffs = [0] * (n + 1)
     for j in range(n // 2 + 1):
@@ -91,7 +86,7 @@ def gram_schmidt_construct(n):
     appears (for this weight none does).  O(n^3) integer operations.
     Returns the monic orthogonal sequence [q_0, ..., q_n].
     """
-    _check_order(n)
+    n = _check_order(n)
     moments = [_gaussian_moment_exact(i) for i in range(2 * n + 1)]
     basis, rows = [], []
     for k in range(n + 1):
@@ -122,6 +117,14 @@ def _ldexp(m, e):
         return math.copysign(math.inf, m)
 
 
+def _rounded(exact):
+    # an exact value rounded once to float, a signed inf past double range
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     """Run the recurrence at one float x up to degree n_max, scaled by
     e**log_weight: (prev, cur, e), the last two rows as mantissas over a
@@ -131,8 +134,15 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     cur * 2**e, and dividing both carried rows by a power of two is exact,
     so rows inside double range keep the plain recurrence's bits, a huge
     row times a tiny weight neither overflows nor underflows on the way,
-    and rows past double range saturate with their own sign.
+    and rows past double range saturate with their own sign.  At infinite x
+    the rows are their limits: (+-1)^k inf past degree 0, or 0 under a weight.
     """
+    if math.isinf(x):
+        limits = [0.0] * (n_max + 2) if log_weight else [
+            0.0, 1.0, *(x if k % 2 else math.inf for k in range(1, n_max + 1))]
+        if rows is not None:
+            rows += limits[2:]
+        return limits[-2], limits[-1], 0
     a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
     big = _RESCALE_AT / (1.0 + abs(a) + b * n_max)
     prev, cur, e = 0.0, 1.0, 0
@@ -193,7 +203,7 @@ def hermite_table(n_max, x, family=PROBABILIST):
     all nodes.  Both give the same bits, and values past double range are
     infinities with the sign of their own degree.
     """
-    _check_order(n_max)
+    n_max = _check_order(n_max)
     _check_family(family)
     np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
     if np is None or not isinstance(x, np.ndarray):
@@ -219,12 +229,10 @@ def eval_hermite(n, x, family=PROBABILIST):
     Past double range, infinite x included, the result is an infinity with
     the sign of the true value.
     """
-    _check_order(n)
+    n = _check_order(n)
     _check_family(family)
-    _, cur, e = _recurrence(n, x := float(x), family)
-    if math.isnan(value := _ldexp(cur, e)) and math.isinf(x):  # inf - inf past degree 2
-        return math.copysign(math.inf, x if n % 2 else 1.0)
-    return value
+    _, cur, e = _recurrence(n, float(x), family)
+    return _ldexp(cur, e)
 
 
 def eval_hermite_function(n, x, kind=PROBABILIST):
@@ -234,7 +242,7 @@ def eval_hermite_function(n, x, kind=PROBABILIST):
     The weight multiplies the rescaled row: the result is finite wherever
     the true value is, and a signed infinity where that overflows.
     """
-    _check_order(n)
+    n = _check_order(n)
     _check_family(kind)
     x = float(x)
     log_weight = -x * x / (4.0 if kind == PROBABILIST else 2.0)
@@ -269,13 +277,13 @@ def eval_orthonormal_hermite_function(n, x):
     Values stay O(1) for any n, which makes this the right object for
     root residual checks at high order.
     """
-    _check_order(n)
+    n = _check_order(n)
     return _orthonormal_pair(n, float(x))[0]
 
 
 def hermite_derivative(n):
     """Exact derivative of He_n, i.e. n * He_{n-1}; zero polynomial for n=0."""
-    _check_order(n)
+    n = _check_order(n)
     if n == 0:
         return ExactPolynomial.zero()
     return n * hermite_recurrence(n - 1)
@@ -290,7 +298,7 @@ def generating_function_check(x, t, order):
     double range, never nan; a term past double range raises ValueError.
     The target saturates to inf.
     """
-    _check_order(order)
+    order = _check_order(order)
     x, t = float(x), float(t)
     terms = [1.0]  # t^k / k!
     for k in range(1, order + 1):
@@ -312,7 +320,7 @@ def hermite_ode_residual(n, x):
     The residual polynomial is formed in exact arithmetic (it is
     identically zero), so the float result is exactly 0.0.
     """
-    _check_order(n)
+    n = _check_order(n)
     p = hermite_recurrence(n)
     dp = p.derivative()
     residual = p.derivative(2) - ExactPolynomial([0, *dp.coeffs]) + n * p

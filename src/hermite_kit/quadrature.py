@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exactpoly import _check_order
 from .polynomials import MAX_ORDER, NodeConvergenceError, _orthonormal_pair
 
 CUBATURE_POINT_BUDGET = 10**7
@@ -74,11 +75,9 @@ def gauss_hermite_rule(N):
     RuntimeError naming the first such node, if Newton polishing fails to
     reach the residual tolerance.
     """
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"quadrature order must be a positive integer, got {N!r}")
-    if N > MAX_ORDER:
+    if (N := _check_order(N, "quadrature order", 1)) > MAX_ORDER:
         raise ValueError(f"quadrature order {N} exceeds the supported maximum {MAX_ORDER}")
-    return _build_rule(int(N))
+    return _build_rule(N)
 
 
 @functools.cache
@@ -167,9 +166,9 @@ def integrate_whole_line(f, rule):
 
 def tensor_cubature(d, N):
     """Tensor-product rule on R^d; exact for per-variable degree <= 2N-1."""
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
+    d = _check_order(d, "dimension", 1)
     base = gauss_hermite_rule(N)  # checks N first, with the 1-d rule's messages
+    N = base.order  # a Python int: a numpy N**d could wrap
     size = N**d
     if size > CUBATURE_POINT_BUDGET:
         raise ValueError(

@@ -614,6 +614,24 @@ class TestHarness:
             code, _, _ = run_cli(capsys, "poly", "--n", "3", "--format", fmt)
             assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("expand", "fourier-hermite", "--mu", "0", "--order", "2"),
+        ("expand", "gram-charlier", "--x", "0"),
+        ("expand", "wce", "--coeffs", "1", "--order", "2"),
+        ("expand", "fourier-check", "--n", "2"),
+    ], ids=lambda argv: argv[1])
+    def test_format_is_refused_where_the_output_has_one_form(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as excinfo:  # argparse: unrecognized arguments
+            main([*argv, "--format", "csv"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    def test_deconvolve_keeps_its_format(self, capsys):
+        argv = ("expand", "deconvolve", "--coeffs", "0,0,1", "--sigma", "1")
+        assert run_cli(capsys, *argv, "--format", "json") == (0, '["-1", "0", "1"]\n', "")
+        assert run_cli(capsys, *argv, "--format", "tsv") == (0, "-1\t0\t1\n", "")
+
     def test_missing_subcommand_is_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])

@@ -213,6 +213,25 @@ class TestEvaluation:
             assert eval_hermite(n, -math.inf, family) == (-1.0) ** n * (math.inf if n else 1.0), n
 
     @pytest.mark.parametrize("family", ["he", "h"])
+    def test_table_at_infinite_x_is_the_signed_limit(self, family):
+        # the plain recurrence meets inf - inf from degree 3; each row is its signed limit
+        assert hermite_table(4, math.inf, family) == [1.0] + [math.inf] * 4
+        assert hermite_table(4, -math.inf, family) == [1.0, -math.inf, math.inf,
+                                                       -math.inf, math.inf]
+        table = hermite_table(4, np.array([0.5, math.inf, -math.inf]), family)
+        assert table[:, 1].tolist() == hermite_table(4, math.inf, family)
+        assert table[:, 2].tolist() == hermite_table(4, -math.inf, family)
+        assert table[:, 0].tolist() == hermite_table(4, 0.5, family)
+
+    @pytest.mark.parametrize("family", ["he", "h"])
+    def test_weighted_functions_vanish_at_infinite_x(self, family):
+        for n in range(8):
+            for x in (math.inf, -math.inf):
+                assert eval_hermite_function(n, x, family) == 0.0, (n, x)
+                if family == "he":
+                    assert polynomials.eval_orthonormal_hermite_function(n, x) == 0.0, (n, x)
+
+    @pytest.mark.parametrize("family", ["he", "h"])
     def test_overflow_sign_is_that_of_degree_n(self, family):
         # e.g. He_400(0) = +399!!, where a sign taken from the first degree
         # to overflow would be wrong

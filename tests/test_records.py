@@ -107,3 +107,29 @@ def test_built_records_compare_by_value():
     coeffs = wce_coeffs_multi(lambda y: float(y[0] * y[1]), 2, 2)
     assert WCETensorCoeffs(dimension=2, tensors=coeffs.tensors) == coeffs
     assert isinstance(coeffs.tensors[2], np.ndarray) and coeffs.tensors[2].shape == (2, 2)
+
+
+@pytest.mark.parametrize("cls, fields, bad", [
+    (HermiteSeries, ((1.0,), PLAIN_RV), [((), PLAIN_RV), ((1.0,), "bogus"), ((math.inf,), PLAIN_RV)]),
+    (StandardizedMoments, (0.0, 1.0, ()), [(0.0, 0.0, ()), (0.0, math.nan, ())]),
+    (SimpleGraph, (2, frozenset({(1, 2)})), [(0, frozenset()), (2, frozenset({(2, 1)}))]),
+], ids=["HermiteSeries", "StandardizedMoments", "SimpleGraph"])
+def test_make_and_replace_validate(cls, fields, bad):
+    record = cls._make(fields)
+    assert record == cls(*fields) and type(record) is cls
+    assert record._replace() == record
+    for values in bad:
+        with pytest.raises(ValueError):
+            cls._make(values)
+        with pytest.raises(ValueError):
+            record._replace(**dict(zip(cls._fields, values)))
+
+
+def test_replace_of_one_field_is_checked():
+    with pytest.raises(ValueError, match="^series needs at least one coefficient$"):
+        HermiteSeries((1.0,), PLAIN_RV)._replace(coeffs=())
+    with pytest.raises(ValueError, match="^unknown series convention 'bogus'$"):
+        HermiteSeries._make([(1.0,), "bogus"])
+    with pytest.raises(ValueError, match="^sigma must be positive, got -2.0$"):
+        StandardizedMoments(0.0, 1.0)._replace(sigma=-2.0)
+    assert StandardizedMoments(0.0, 1.0)._replace(nu=(0.5,)).nu == (0.5,)
