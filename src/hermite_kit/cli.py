@@ -223,7 +223,9 @@ def _read_moments_csv(path):
 def cmd_expand(args, out):
     from . import expansions
 
-    quad_order = _env_quad_order()
+    # only these three size a rule, so only they read the override
+    rules = args.expand_command in ("fourier-hermite", "wce", "fourier-check")
+    quad_order = _env_quad_order() if rules else None
     if quad_order is None and args.expand_command in ("fourier-hermite", "wce"):
         _check_default_rule("--order", args.order, expansions._quad_order)
     elif quad_order is None and args.expand_command == "fourier-check":

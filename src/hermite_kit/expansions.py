@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import namedtuple
+import threading
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
 from .exactpoly import ExactPolynomial, _check_order, _check_sigma
@@ -65,6 +66,9 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
     __slots__ = ()
 
     def __new__(cls, mu, sigma, nu=()):
+        for what, value in (("mu", mu), *((f"nu_{k}", v) for k, v in enumerate(nu, 3))):
+            if not abs(value) < math.inf:  # nan and +-inf; a big int is never converted
+                raise ValueError(f"{what} must be finite, got {value!r}")
         return super().__new__(cls, mu, _check_sigma(sigma), nu)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -95,6 +99,39 @@ def _quad_order(order, quad_order=None):
 def _eigen_quad_order(n, quad_order=None):
     # an explicit rule needs 2n + 10 points: the check _quad_order makes at order 2n + 8
     return max(2 * n + 10, 40) if quad_order is None else _quad_order(2 * n + 8, quad_order)
+
+
+_TABLE_BYTES = 2**18   # most bytes of He tables kept between calls
+_tables = OrderedDict()   # (Q, order) -> read-only table, least recently used first
+_tables_bytes = 0
+_tables_lock = threading.Lock()
+
+
+def _rule_table(Q, order):
+    """Rows He_0 .. He_order at the nodes of the cached Q-point rule.
+
+    Kept between calls, so the table is read-only; the least recently used
+    tables are dropped once those kept pass _TABLE_BYTES in total, and a
+    larger table is returned but not kept.
+    """
+    global _tables_bytes
+    key = (Q, order)
+    with _tables_lock:
+        if (table := _tables.get(key)) is not None:
+            _tables.move_to_end(key)
+            return table
+    from . import quadrature
+
+    table = hermite_table(order, quadrature.gauss_hermite_rule(Q).nodes)
+    table.flags.writeable = False
+    if table.nbytes <= _TABLE_BYTES:
+        with _tables_lock:
+            if key not in _tables:  # another thread may have kept the same table meanwhile
+                _tables[key] = table
+                _tables_bytes += table.nbytes
+                while _tables_bytes > _TABLE_BYTES:
+                    _tables_bytes -= _tables.popitem(last=False)[1].nbytes
+    return table
 
 
 def _normalized(moments):
@@ -140,7 +177,7 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     order = _check_order(order, "truncation order")
     rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
     terms = quadrature.whole_line_terms(f, rule)
-    return _contracted_series(hermite_table(order, rule.nodes), terms, DENSITY_WEIGHTED)
+    return _contracted_series(_rule_table(rule.order, order), terms, DENSITY_WEIGHTED)
 
 
 def evaluate_series(series, x):
@@ -193,7 +230,7 @@ def wce_coeffs_1d(f, order, quad_order=None):
     order = _check_order(order, "truncation order")
     rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
     terms = rule.weights * quadrature.integrand_values(f, rule)
-    return _contracted_series(hermite_table(order, rule.nodes), terms, PLAIN_RV)
+    return _contracted_series(_rule_table(rule.order, order), terms, PLAIN_RV)
 
 
 MAX_WCE_DIMENSION = 3
@@ -216,7 +253,7 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     if (order := _check_order(order, "order")) > MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = quadrature.tensor_cubature(dimension, _quad_order(order, quad_order))
-    table = hermite_table(order, rule.nodes)
+    table = _rule_table(rule.order, order)  # the base rule's: its nodes are the cubature's
     moments = rule.weights * quadrature.integrand_values(f, rule)
     moments = moments.reshape((rule.order,) * dimension)
     for _ in range(dimension):

@@ -42,6 +42,15 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
+    @functools.cached_property
+    def whole_line_weights(self):
+        """w_i e^{x_i^2/2} per node, read-only, built on first read; inf where
+        e^{x^2/2} leaves double range."""
+        with np.errstate(over="ignore"):
+            whole = self.weights * np.exp(0.5 * self.nodes**2)
+        whole.flags.writeable = False
+        return whole
+
 
 @dataclass(frozen=True, eq=False)
 class CubatureRule:
@@ -143,9 +152,8 @@ def whole_line_terms(f, rule):
     A node where f is exactly 0 contributes 0 even where e^{x^2/2}
     overflows; that overflow raises QuadratureRangeWarning first.
     """
-    with np.errstate(over="ignore"):
-        boost = np.exp(0.5 * rule.nodes**2)
-    if not np.all(np.isfinite(boost)):
+    whole = rule.whole_line_weights
+    if not np.isfinite(whole).all():
         warnings.warn(
             f"e^(x^2/2) overflows at the outer nodes of the order-{rule.order} rule; "
             "whole-line reweighting is out of range there",
@@ -153,7 +161,7 @@ def whole_line_terms(f, rule):
             stacklevel=3,
         )
     values = integrand_values(f, rule)
-    return values * np.where(values == 0.0, 0.0, rule.weights * boost)
+    return values * np.where(values == 0.0, 0.0, whole)
 
 
 def integrate_whole_line(f, rule):

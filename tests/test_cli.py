@@ -597,6 +597,17 @@ class TestExpand:
         code, _, _ = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,1", "--order", "2")
         assert code == 2
 
+    def test_quad_order_env_is_read_only_where_a_rule_is_built(self, capsys, monkeypatch):
+        exact = [("deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
+                 ("gram-charlier", "--nu3", "0.5", "--nu4", "3.5", "--x", "0.5")]
+        plain = [run_cli(capsys, "expand", *argv) for argv in exact]
+        assert all(code == 0 for code, _, _ in plain)
+        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "0")
+        assert [run_cli(capsys, "expand", *argv) for argv in exact] == plain
+        result = run_cli(capsys, "expand", "fourier-hermite", "--mu", "0", "--order", "4")
+        assert result == (2, "", "error: HERMITE_KIT_QUAD_ORDER must be a positive integer, "
+                                 "got 0\n")
+
 
 class TestHarness:
     def test_deterministic_output(self, capsys):

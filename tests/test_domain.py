@@ -2,8 +2,9 @@
 
 An order or size is any integer type (numpy's too) and nonnegative, or
 positive where the function needs one; a float is refused even when it is
-whole.  A sigma is finite and positive.  Both refusals are ValueError with one
-wording, and a numpy integer gives exactly what the same Python int gives.
+whole.  A sigma is finite and positive, and a mu or nu_k is finite.  Each
+refusal is a ValueError with one wording, and a numpy integer gives exactly
+what the same Python int gives.
 """
 
 import math
@@ -187,3 +188,20 @@ def test_exact_sigma_types_pass():
     assert gaussian_mixture_deconvolve(ExactPolynomial((0, 0, 1)), 10**400).coeffs[0] == -10**800
     assert weierstrass_preimage_polynomial(2, Fraction(1, 2)) == \
         weierstrass_preimage_polynomial(2, 0.5)
+    # so are a big-int mu and Fraction moments
+    assert StandardizedMoments(10**400, 1.0, (Fraction(1, 3), 3)).mu == 10**400
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field, build", [
+    ("mu", lambda v: dict(mu=v)),
+    ("nu_3", lambda v: dict(nu=(v, 3.0))),
+    ("nu_4", lambda v: dict(nu=(0.0, v))),
+])
+def test_standardized_moments_must_be_finite(field, build, bad):
+    # a nan mu used to reach gram_charlier_density as "cannot convert NaN to integer ratio"
+    message = f"^{field} must be finite, got {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        StandardizedMoments(**{"mu": 0.0, "sigma": 1.0, **build(bad)})
+    with pytest.raises(ValueError, match=message):
+        GAUSSIAN._replace(**build(bad))

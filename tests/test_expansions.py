@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import sys
 import warnings
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +35,7 @@ from hermite_kit import (
     wce_reconstruct,
     weierstrass_preimage_polynomial,
 )
+from hermite_kit import expansions
 from hermite_kit.expansions import _normalized
 from tensor_oracles import tensor_component_recursive
 
@@ -493,10 +497,11 @@ class TestPastTheFloatFactorial:
                 fourier_hermite_coeffs(lambda x: 1e308 * math.exp(-x * x / 200), 180, 200)
 
     def test_tail_indicator_past_order_170(self):
-        series = HermiteSeries(coeffs=(0.0,) * 180 + (1e-150,), convention=PLAIN_RV)
-        with mpmath.workdps(60):
-            want = float(mpmath.mpf(1e-150) * mpmath.sqrt(mpmath.factorial(180)))
-        assert series_tail_indicator(series) == pytest.approx(want, rel=1e-15)
+        for n in (171, 180):  # the bits of n! past 64: odd at 171, even at 180
+            series = HermiteSeries(coeffs=(0.0,) * n + (1e-150,), convention=PLAIN_RV)
+            with mpmath.workdps(60):
+                want = float(mpmath.mpf(1e-150) * mpmath.sqrt(mpmath.factorial(n)))
+            assert series_tail_indicator(series) == pytest.approx(want, rel=1e-15)
         series = HermiteSeries(coeffs=(0.0,) * 199 + (-1e300,), convention=PLAIN_RV)
         assert series_tail_indicator(series) == math.inf
 
@@ -553,6 +558,115 @@ class TestWienerChaosMulti:
             wce_coeffs_multi(f, 1, 4, quad_order=2)
         assert f.calls == 0
         assert wce_coeffs_multi(f, 1, 4, quad_order=6).tensors[3][0, 0, 0] == pytest.approx(1.0)
+
+
+def _bits(result):
+    # the exact bytes of a series' coefficients or of every chaos tensor
+    arrays = result.tensors if hasattr(result, "tensors") else [result.coeffs]
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _empty_tables(monkeypatch):
+    monkeypatch.setattr(expansions, "_tables", OrderedDict())
+    monkeypatch.setattr(expansions, "_tables_bytes", 0)
+
+
+def _kept_bytes():
+    return sum(table.nbytes for table in expansions._tables.values())
+
+
+_CHAOS_INTEGRAND = lambda y: math.sin(y) + 0.25 * y**3
+
+
+class TestRuleTableCache:
+    """The He table of each (rule size, order) pair is kept between calls."""
+
+    def test_cached_results_are_the_cold_ones_bit_for_bit(self, monkeypatch):
+        _empty_tables(monkeypatch)
+        density = shifted_gaussian(0.3)
+        calls = [(fourier_hermite_coeffs, density, order) for order in range(95)]
+        calls += [(wce_coeffs_1d, _CHAOS_INTEGRAND, order) for order in range(95)]
+        # the second pass rebuilds the tables the first pass's later orders evicted
+        warm = [[_bits(expand(f, order)) for expand, f, order in calls] for _ in range(2)]
+        for (expand, f, order), first, second in zip(calls, *warm):
+            _empty_tables(monkeypatch)
+            assert first == second == _bits(expand(f, order)), (expand.__name__, order)
+
+    def test_chaos_tensors_share_the_one_dimensional_tables(self, monkeypatch):
+        f = lambda p: p[0] ** 2 * p[-1] + math.cos(p[0])
+        for dimension, order in itertools.product((1, 2, 3), range(5)):
+            _empty_tables(monkeypatch)
+            cold = _bits(wce_coeffs_multi(f, dimension, order))
+            assert list(expansions._tables) == [(2 * order + 12, order)]
+            wce_coeffs_1d(_CHAOS_INTEGRAND, order)  # a hit on the same entry
+            assert len(expansions._tables) == 1
+            assert _bits(wce_coeffs_multi(f, dimension, order)) == cold
+
+    def test_tables_and_whole_line_weights_are_read_only(self):
+        rule = gauss_hermite_rule(26)
+        table = expansions._rule_table(26, 7)
+        assert np.array_equal(table, expansions.hermite_table(7, rule.nodes))
+        with np.errstate(over="ignore"):
+            want = rule.weights * np.exp(0.5 * rule.nodes**2)
+        assert rule.whole_line_weights.tobytes() == want.tobytes()
+        assert rule.whole_line_weights is rule.whole_line_weights
+        for array in (table, rule.whole_line_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_kept_tables_stay_within_the_byte_bound(self, monkeypatch):
+        _empty_tables(monkeypatch)
+        hot = expansions._rule_table(16, 2)
+        for order in range(95):
+            fourier_hermite_coeffs(shifted_gaussian(0.0), order)
+            assert expansions._tables_bytes == _kept_bytes() <= expansions._TABLE_BYTES
+            # used on every step, so never the least recently used: never rebuilt
+            assert expansions._rule_table(16, 2) is hot
+        assert (2 * 94 + 12, 94) in expansions._tables
+        assert (12, 0) not in expansions._tables
+
+    def test_a_table_past_the_bound_is_returned_but_not_kept(self, monkeypatch):
+        _empty_tables(monkeypatch)
+        kept = expansions._rule_table(30, 9)
+        large = expansions._rule_table(200, 180)
+        assert large.shape == (181, 200) and large.nbytes > expansions._TABLE_BYTES
+        assert not large.flags.writeable
+        assert list(expansions._tables) == [(30, 9)]
+        assert expansions._tables_bytes == kept.nbytes
+        assert expansions._rule_table(30, 9) is kept
+
+    @staticmethod
+    def _in_four_threads(run):
+        # the same work in every thread, so that they miss on the same key together
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the bookkeeping too
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                return list(pool.map(lambda _: run(), range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_threads_match_the_serial_results(self, monkeypatch):
+        # orders 0..60 evict one another, so the threads insert and evict concurrently
+        density = shifted_gaussian(-0.4)
+        calls = [(expand, f, order) for order in range(61)
+                 for expand, f in ((fourier_hermite_coeffs, density),
+                                   (wce_coeffs_1d, _CHAOS_INTEGRAND))]
+        serial = {(expand, order): _bits(expand(f, order)) for expand, f, order in calls}
+        _empty_tables(monkeypatch)
+        results = self._in_four_threads(
+            lambda: [((expand, order), _bits(expand(f, order))) for expand, f, order in calls])
+        for key, bits in itertools.chain.from_iterable(results):
+            assert bits == serial[key], key
+        assert expansions._tables_bytes == _kept_bytes() <= expansions._TABLE_BYTES
+
+    def test_threads_keep_the_byte_total(self, monkeypatch):
+        # over a thousand small tables: most of each call is the bookkeeping, so an
+        # unlocked check-then-insert would count a table twice and then pop an empty cache
+        keys = [(Q, order) for Q in range(2, 201) for order in range(0, Q - 1, 17)]
+        _empty_tables(monkeypatch)
+        self._in_four_threads(lambda: [expansions._rule_table(*key) for key in keys])
+        assert expansions._tables_bytes == _kept_bytes() <= expansions._TABLE_BYTES
 
 
 class TestDeconvolution:

@@ -199,6 +199,9 @@ class TestChangeOfBasis:
         # He_2 + 2 He_0 is x^2 + 1
         m = change_of_basis(2, "he", "monomial")
         assert m.apply((2, 0, 1)) == (1, 0, 1)
+        for coeffs in ((2, 0), (2, 0, 1, 5)):
+            with pytest.raises(ValueError, match=f"^expected 3 coefficients, got {len(coeffs)}$"):
+                m.apply(coeffs)
 
     def test_unsupported_pair_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
