@@ -42,27 +42,19 @@ _PUBLIC = {
     "matching_polynomial": "graphs",
     "parse_edge_list": "graphs",
     "partite_closed_form": "graphs",
-    "verify_hermite_matching": "graphs",
     "ChangeOfBasisMatrix": "moments",
     "change_of_basis": "moments",
     "compose": "moments",
-    "expected_hermite_of_gaussian": "moments",
     "gauss_moment_polynomial": "moments",
     "gaussian_raw_moment": "moments",
-    "gaussian_raw_moment_hermite_form": "moments",
-    "hermite_in_moments": "moments",
-    "moments_in_hermite": "moments",
     "weierstrass_deconvolution_identity": "moments",
     "weierstrass_preimage_polynomial": "moments",
     "PHYSICIST": "polynomials",
     "PROBABILIST": "polynomials",
     "eval_hermite": "polynomials",
     "eval_hermite_function": "polynomials",
-    "generating_function_check": "polynomials",
     "gram_schmidt_construct": "polynomials",
-    "hermite_derivative": "polynomials",
     "hermite_explicit": "polynomials",
-    "hermite_ode_residual": "polynomials",
     "hermite_recurrence": "polynomials",
     "hermite_table": "polynomials",
     "CubatureRule": "quadrature",

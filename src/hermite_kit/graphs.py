@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 
 from .exactpoly import ExactPolynomial, _check_order
-from .polynomials import SQRT_TWO_PI, _rounded, hermite_recurrence, pairings
+from .polynomials import SQRT_TWO_PI, _rounded, pairings
 
 MAX_MATCH_VERTICES = 24
 
@@ -228,19 +228,6 @@ def complete_kpartite(part_sizes):
         for u in range(start[i], start[i + 1]) for v in range(start[j], start[j + 1])
     )
     return SimpleGraph(vertex_count=sum(sizes), edges=edges)
-
-
-def verify_hermite_matching(m):
-    """True iff the matching polynomial of K_m equals He_m coefficientwise.
-
-    The counts come from match_count_table at every m (guarded at m = 20).
-    On K_m its twin-class elimination is He's own three-term recurrence, so
-    this compares two forms of one recurrence; the tests keep the factorial
-    closed form and an edge-deletion count as independent oracles.
-    """
-    if not 1 <= (m := _check_order(m, "m")) <= 20:
-        raise ValueError(f"m must be in 1..20, got {m!r}")
-    return matching_polynomial(complete_graph(m)) == hermite_recurrence(m)
 
 
 def count_complete_matches(part_sizes):

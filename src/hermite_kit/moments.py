@@ -49,51 +49,16 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
         return json.dumps(rows)
 
 
-def _moment_args(n, mu, sigma):
-    # (n, sigma, mu / sigma), checked, at the exact binary values of mu and sigma
-    n, sigma = _check_order(n, "moment order"), _check_sigma(sigma)
-    if not math.isfinite(mu):
-        raise ValueError(f"mu must be finite, got {mu!r}")
-    return n, Fraction(sigma), Fraction(mu) / Fraction(sigma)
-
-
 def gaussian_raw_moment(n, mu, sigma):
     """E[Y^n] for Y ~ N(mu, sigma^2) = sigma^n E[(mu/sigma + Z)^n], the moment
     polynomial sum_j pairings(n, j) x^(n-2j) at x = mu/sigma, evaluated exactly
     at the binary values of mu and sigma and rounded once; a signed inf past
     double range.
     """
-    n, sigma, x = _moment_args(n, mu, sigma)
-    return _rounded(sigma**n * gauss_moment_polynomial(n)(x))
-
-
-def gaussian_raw_moment_hermite_form(n, mu, sigma):
-    """The same moment as (-i sigma)^n He_n(i mu / sigma), kept real.
-
-    He_n has the parity of n, so i^k (-i)^n = (-1)^((n-k)/2) for every
-    surviving power k; the imaginary parts cancel analytically and no
-    complex arithmetic is needed.  Evaluated exactly at the binary values of
-    mu and sigma and rounded once, as gaussian_raw_moment is.
-    """
-    n, sigma, x = _moment_args(n, mu, sigma)
-    real = [(-1) ** ((n - k) // 2) * c for k, c in enumerate(hermite_explicit(n).coeffs)]
-    return _rounded(sigma**n * ExactPolynomial(real)(x))
-
-
-def hermite_in_moments(n):
-    """Integer coefficients c_j with He_n = sum_j c_j E[Y^(n-2j)](x),
-    c_j = (-1)^j n! / ((n-2j)! j!).
-    """
-    n = _check_order(n)
-    return [(-1) ** j * pairings(n, j) << j for j in range(n // 2 + 1)]
-
-
-def moments_in_hermite(n):
-    """Integer coefficients d_j with E[Y^n](x) = sum_j d_j He_(n-2j)(x),
-    d_j = n! / ((n-2j)! j!).
-    """
-    n = _check_order(n)
-    return [pairings(n, j) << j for j in range(n // 2 + 1)]
+    n, sigma = _check_order(n, "moment order"), Fraction(_check_sigma(sigma))
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu!r}")
+    return _rounded(sigma**n * gauss_moment_polynomial(n)(Fraction(mu) / sigma))
 
 
 def gauss_moment_polynomial(n):
@@ -163,11 +128,6 @@ def identity_matrix(n, basis):
     n = _check_order(n, "matrix order")
     entries = tuple(tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1))
     return ChangeOfBasisMatrix(from_basis=basis, to_basis=basis, entries=entries)
-
-
-def expected_hermite_of_gaussian(n, x):
-    """E[He_n(Y)] for Y ~ N(x, 1), which collapses to x^n."""
-    return float(x) ** _check_order(n)
 
 
 def weierstrass_deconvolution_identity(n, sigma, x):

@@ -167,9 +167,9 @@ def _he_sum(coeffs, x, log_weight=0.0):
     and the weight is a normal float, else exact at the binary values of
     coeffs and x, rounded once: a signed inf past double range, 0 where the
     weight wins.  A weight, applied as 2**e e**r with r in [0, ln 2), adds
-    about |e| ulps; a non-finite coefficient raises ValueError.  At infinite
-    x with a finite log_weight the sum is its limit: the signed inf of the
-    highest nonzero term, or coeffs[0] times the weight for a constant."""
+    about |e| ulps; a non-finite coefficient or a nan x raises ValueError.  At
+    infinite x with a finite log_weight the sum is its limit: the signed inf
+    of the highest nonzero term, or coeffs[0] times the weight for a constant."""
     total = sum(c * h for c, h in zip(coeffs, hermite_table(len(coeffs) - 1, x)))
     weight = math.exp(log_weight)
     # a subnormal or 0 weight from a finite exponent has lost bits: the exact path splits it
@@ -183,6 +183,8 @@ def _he_sum(coeffs, x, log_weight=0.0):
         if k := max((k for k, c in enumerate(coeffs) if c), default=0):
             return math.copysign(math.inf, coeffs[k] * (x if k % 2 else 1.0))
         return coeffs[0] * weight
+    if math.isnan(x):  # a nan x always lands here: the float sum is nan
+        raise ValueError("x must not be nan")
     x, prev, cur, total = Fraction(x), 0, 1, 0
     for k, c in enumerate(coeffs):
         total += Fraction(c) * cur
@@ -280,48 +282,3 @@ def eval_orthonormal_hermite_function(n, x):
     n = _check_order(n)
     return _orthonormal_pair(n, float(x))[0]
 
-
-def hermite_derivative(n):
-    """Exact derivative of He_n, i.e. n * He_{n-1}; zero polynomial for n=0."""
-    n = _check_order(n)
-    if n == 0:
-        return ExactPolynomial.zero()
-    return n * hermite_recurrence(n - 1)
-
-
-def generating_function_check(x, t, order):
-    """Partial sum sum_{n<=order} He_n(x) t^n / n! next to e^{x t - t^2/2}.
-
-    Returned as (partial_sum, target) for diagnostic comparison; |t| <= 1
-    keeps the truncation error negligible by order ~ 40.  The partial sum is
-    evaluate_series' guarded sum over the terms t^n / n!: a signed inf past
-    double range, never nan; a term past double range raises ValueError.
-    The target saturates to inf.
-    """
-    order = _check_order(order)
-    x, t = float(x), float(t)
-    terms = [1.0]  # t^k / k!
-    for k in range(1, order + 1):
-        terms.append(terms[-1] * (t / k))
-        if not math.isfinite(terms[-1]):
-            raise ValueError(f"the term t^{k}/{k}! is not finite at t={t!r}")
-    if math.isnan(exponent := x * t - t * t / 2.0):  # x t and t^2/2 both overflow
-        exponent = t * (x - t / 2.0)
-    try:
-        target = math.exp(exponent)
-    except OverflowError:
-        target = math.inf
-    return _he_sum(terms, x), target
-
-
-def hermite_ode_residual(n, x):
-    """He_n'' - x He_n' + n He_n evaluated at x.
-
-    The residual polynomial is formed in exact arithmetic (it is
-    identically zero), so the float result is exactly 0.0.
-    """
-    n = _check_order(n)
-    p = hermite_recurrence(n)
-    dp = p.derivative()
-    residual = p.derivative(2) - ExactPolynomial([0, *dp.coeffs]) + n * p
-    return residual(float(x))

@@ -209,6 +209,14 @@ class TestGraph:
         code, _, _ = run_cli(capsys, "graph", "match-poly", "--file", "/nonexistent/g.txt")
         assert code == 3
 
+    def test_single_vertex_file(self, capsys, tmp_path):
+        # one vertex is a graph (match polynomial x); zero vertices is a malformed file
+        for text, want in (("1", (0, "0,1\n")), ("0", (3, ""))):
+            path = tmp_path / "g.txt"
+            path.write_text(text, encoding="utf-8")
+            code, out, _ = run_cli(capsys, "graph", "match-poly", "--file", str(path))
+            assert (code, out) == want
+
     def test_kpartite_emits_edge_list(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "kpartite", "--parts", "2,2")
         assert code == 0

@@ -2,9 +2,10 @@
 
 An order or size is any integer type (numpy's too) and nonnegative, or
 positive where the function needs one; a float is refused even when it is
-whole.  A sigma is finite and positive, and a mu or nu_k is finite.  Each
-refusal is a ValueError with one wording, and a numpy integer gives exactly
-what the same Python int gives.
+whole.  A sigma is finite and positive, a mu or nu_k is finite, and a
+series or density point x is not nan.  Each refusal is a ValueError with
+one wording, and a numpy integer gives exactly what the same Python int
+gives.
 """
 
 import math
@@ -15,8 +16,11 @@ import numpy as np
 import pytest
 
 from hermite_kit import (
+    DENSITY_WEIGHTED,
+    PLAIN_RV,
     ExactPolynomial,
     SimpleGraph,
+    HermiteSeries,
     StandardizedMoments,
     change_of_basis,
     complete_graph,
@@ -25,29 +29,22 @@ from hermite_kit import (
     count_j_matches,
     eval_hermite,
     eval_hermite_function,
-    expected_hermite_of_gaussian,
+    evaluate_series,
     fourier_eigen_check,
     fourier_hermite_coeffs,
     gauss_hermite_rule,
     gauss_moment_polynomial,
     gaussian_mixture_deconvolve,
     gaussian_raw_moment,
-    gaussian_raw_moment_hermite_form,
-    generating_function_check,
     gram_charlier_density,
     gram_schmidt_construct,
-    hermite_derivative,
     hermite_explicit,
-    hermite_in_moments,
-    hermite_ode_residual,
     hermite_product_integral,
     hermite_recurrence,
     hermite_table,
     linearization_coeffs,
-    moments_in_hermite,
     partite_closed_form,
     tensor_cubature,
-    verify_hermite_matching,
     wce_coeffs_1d,
     wce_coeffs_multi,
     weierstrass_deconvolution_identity,
@@ -68,19 +65,12 @@ ORDERS = {
     "eval_hermite": lambda n: eval_hermite(n, 0.5),
     "eval_hermite_function": lambda n: eval_hermite_function(n, 0.5),
     "eval_orthonormal_hermite_function": lambda n: eval_orthonormal_hermite_function(n, 0.5),
-    "hermite_derivative": hermite_derivative,
-    "generating_function_check": lambda n: generating_function_check(0.5, 0.25, n),
-    "hermite_ode_residual": lambda n: hermite_ode_residual(n, 0.5),
     "ExactPolynomial.monomial": ExactPolynomial.monomial,
     "ExactPolynomial.derivative": ExactPolynomial((1, 2, 3, 4, 5)).derivative,
     "gaussian_raw_moment": lambda n: gaussian_raw_moment(n, 0.5, 2.0),
-    "gaussian_raw_moment_hermite_form": lambda n: gaussian_raw_moment_hermite_form(n, 0.5, 2.0),
-    "hermite_in_moments": hermite_in_moments,
-    "moments_in_hermite": moments_in_hermite,
     "gauss_moment_polynomial": gauss_moment_polynomial,
     "change_of_basis": lambda n: change_of_basis(n, "he", "monomial"),
     "identity_matrix": lambda n: identity_matrix(n, "he"),
-    "expected_hermite_of_gaussian": lambda n: expected_hermite_of_gaussian(n, 4.0),
     "weierstrass_deconvolution_identity": lambda n: weierstrass_deconvolution_identity(n, 2.0, 0.5),
     "weierstrass_preimage_polynomial": lambda n: weierstrass_preimage_polynomial(n, 0.5),
     "fourier_hermite_coeffs": lambda n: fourier_hermite_coeffs(math.cos, n),
@@ -99,7 +89,6 @@ ORDERS = {
     "count_j_matches": lambda n: count_j_matches(complete_graph(4), n),
     "complete_graph": complete_graph,
     "complete_kpartite": lambda n: complete_kpartite([2, n]),
-    "verify_hermite_matching": verify_hermite_matching,
     "count_complete_matches": lambda n: count_complete_matches([1, n, 2]),
     "partite_closed_form": lambda n: partite_closed_form([n, 3]),
     "hermite_product_integral": lambda n: hermite_product_integral([3, n]),
@@ -109,12 +98,19 @@ ORDERS = {
 
 SIGMAS = {
     "gaussian_raw_moment": lambda s: gaussian_raw_moment(3, 0.5, s),
-    "gaussian_raw_moment_hermite_form": lambda s: gaussian_raw_moment_hermite_form(3, 0.5, s),
     "weierstrass_deconvolution_identity": lambda s: weierstrass_deconvolution_identity(3, s, 0.5),
     "weierstrass_preimage_polynomial": lambda s: weierstrass_preimage_polynomial(3, s),
     "StandardizedMoments": lambda s: StandardizedMoments(0.0, s),
     "gaussian_mixture_deconvolve": lambda s: gaussian_mixture_deconvolve(
         ExactPolynomial((0, 0, 1)), s),
+}
+
+# each call takes the point x under test
+XS = {
+    "evaluate_series(plain-rv)": lambda x: evaluate_series(HermiteSeries((1.0, 0.0, 1.0), PLAIN_RV), x),
+    "evaluate_series(density-weighted)": lambda x: evaluate_series(
+        HermiteSeries((1.0, 0.0, 1.0), DENSITY_WEIGHTED), x),
+    "gram_charlier_density": lambda x: gram_charlier_density(GAUSSIAN, 4, x),
 }
 
 
@@ -155,6 +151,14 @@ def test_bad_sigma_is_refused(name, bad, message):
         SIGMAS[name](bad)
 
 
+@pytest.mark.parametrize("name", sorted(XS))
+def test_nan_x_is_refused(name):
+    # refused by name, not by Fraction(nan)'s "cannot convert NaN to integer ratio"
+    assert math.isfinite(XS[name](0.5))
+    with pytest.raises(ValueError, match="^x must not be nan$"):
+        XS[name](math.nan)
+
+
 def test_one_wording_for_every_order():
     with pytest.raises(ValueError, match=r"^polynomial order must be a nonnegative integer, got 2\.0$"):
         hermite_explicit(2.0)
@@ -172,8 +176,7 @@ def test_one_wording_for_every_order():
 def test_non_integer_sizes_get_no_answer():
     # truncating or ranging over 2.5 would give {3.5: 1, 1.5: 2.0}, K_(1,2), 2 and 2.0
     for call in (lambda: linearization_coeffs(2.5, 1), lambda: complete_kpartite([1.5, 2]),
-                 lambda: count_complete_matches([2.7, 2.2]),
-                 lambda: expected_hermite_of_gaussian(0.5, 4.0)):
+                 lambda: count_complete_matches([2.7, 2.2])):
         with pytest.raises(ValueError, match="must be a nonnegative integer"):
             call()
     # Fraction(inf) would raise OverflowError, which the CLI does not map to exit 2

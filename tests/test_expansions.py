@@ -251,9 +251,12 @@ class TestSeriesEvaluation:
         # past |x| = 37.6 e^{-x^2/2} is subnormal or 0 in floats: the sum is exact,
         # the weight split as 2**e e**r, so the result keeps its normal-float bits
         coeffs = (1e280, -2e279, 0.0, 3e278, 1e280, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e280)
-        series = HermiteSeries(coeffs=coeffs, convention=DENSITY_WEIGHTED)
+        # 1e300 He_10(40) is about 1e316, past double range before the weight applies
+        cases = [(coeffs, x) for x in (37.7, 38.0, 38.4, 38.6, -39.0, 40.0, 45.0)]
+        cases.append(((0.0,) * 10 + (1e300,), 40.0))
         with mpmath.workdps(60):
-            for x in (37.7, 38.0, 38.4, 38.6, -39.0, 40.0, 45.0):
+            for coeffs, x in cases:
+                series = HermiteSeries(coeffs=coeffs, convention=DENSITY_WEIGHTED)
                 prev, cur, want = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
                 for k, c in enumerate(coeffs):
                     want += mpmath.mpf(c) * cur

@@ -20,6 +20,7 @@ from hermite_kit import (
     eval_hermite,
     format_edge_list,
     gauss_hermite_rule,
+    hermite_explicit,
     hermite_product_integral,
     hermite_recurrence,
     integrate_weighted,
@@ -28,7 +29,6 @@ from hermite_kit import (
     matching_polynomial,
     parse_edge_list,
     partite_closed_form,
-    verify_hermite_matching,
 )
 from hermite_kit.moments import change_of_basis
 
@@ -270,14 +270,13 @@ class TestMatchingPolynomial:
         assert matching_polynomial(complete_graph(4)).coeffs == (3, 0, -6, 0, 1)
 
     def test_complete_graph_matches_hermite(self):
-        for m in (2, 4, 7, 10):
+        for m in range(1, 21):
             assert matching_polynomial(complete_graph(m)) == hermite_recurrence(m)
 
     def test_verify_hermite_matching_range(self):
-        for m in (1, 2, 4, 7, 14, 15, 20):
-            assert verify_hermite_matching(m)
-        with pytest.raises(ValueError):
-            verify_hermite_matching(21)
+        # The pairing-count closed form is an oracle independent of the recurrence.
+        for m in range(1, 21):
+            assert matching_polynomial(complete_graph(m)) == hermite_explicit(m)
 
 
 class TestGraphConstruction:
@@ -328,6 +327,11 @@ class TestEdgeListFormat:
     def test_empty_file(self):
         with pytest.raises(GraphFileError):
             parse_edge_list("\n\n")
+
+    def test_single_vertex_file(self):
+        assert parse_edge_list("1\n") == SimpleGraph(1, frozenset())
+        with pytest.raises(GraphFileError, match="^line 1: vertex count must be positive, got 0$"):
+            parse_edge_list("0\n")
 
 
 class TestCompleteMatchCounts:

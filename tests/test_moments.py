@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +12,11 @@ from hermite_kit import (
     ExactPolynomial,
     change_of_basis,
     compose,
-    expected_hermite_of_gaussian,
     gauss_hermite_rule,
     gauss_moment_polynomial,
     gaussian_raw_moment,
-    gaussian_raw_moment_hermite_form,
     hermite_explicit,
-    hermite_in_moments,
     integrate_weighted,
-    moments_in_hermite,
     weierstrass_deconvolution_identity,
     weierstrass_preimage_polynomial,
 )
@@ -47,6 +44,21 @@ def gauss_expectation(g, order):
     return integrate_weighted(g, gauss_hermite_rule(order)) / SQRT_TWO_PI
 
 
+def hermite_form(n, mu, sigma):
+    """E[Y^n] for Y ~ N(mu, sigma^2) as (-i sigma)^n He_n(i mu / sigma), in 50-digit
+    complex arithmetic with He_n(z) = 2^(-n/2) H_n(z / sqrt 2); the real part."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(0, mpmath.mpf(mu) / sigma) / mpmath.sqrt(2)
+        value = (-1j * mpmath.mpf(sigma) / mpmath.sqrt(2)) ** n * mpmath.hermite(n, z)
+        assert abs(value.imag) <= 1e-40 * abs(value)
+        return value.real
+
+
+def combine(coeffs, basis):
+    # sum_k coeffs[k] basis(k), exactly
+    return sum((c * basis(k) for k, c in enumerate(coeffs)), ExactPolynomial.zero())
+
+
 class TestRawMoments:
     def test_first_moments(self):
         assert gaussian_raw_moment(0, 3.0, 2.0) == 1.0
@@ -63,18 +75,23 @@ class TestRawMoments:
     def test_hermite_form_agrees(self):
         for n in range(11):
             for mu, sigma in [(0.0, 1.0), (0.7, 2.0), (-1.3, 0.5), (2.5, 3.0)]:
-                a = gaussian_raw_moment(n, mu, sigma)
-                b = gaussian_raw_moment_hermite_form(n, mu, sigma)
-                assert b == pytest.approx(a, rel=1e-12)
+                exact = float(self._binomial_moment(n, mu, sigma))
+                oracle = gauss_expectation(lambda z: (mu + sigma * z) ** n, n + 2)
+                assert float(hermite_form(n, mu, sigma)) == pytest.approx(exact, rel=1e-15, abs=0)
+                assert oracle == pytest.approx(exact, rel=1e-12, abs=1e-14)
+                assert gaussian_raw_moment(n, mu, sigma) == exact
 
     def test_hermite_form_past_double_range_is_a_signed_inf(self):
-        assert gaussian_raw_moment_hermite_form(200, 1e10, 1.0) == math.inf
-        assert gaussian_raw_moment_hermite_form(201, -1e10, 1.0) == -math.inf
+        for n, mu in [(200, 1e10), (201, -1e10)]:
+            value = hermite_form(n, mu, 1.0)
+            assert abs(value) > 2**1024
+            assert gaussian_raw_moment(n, mu, 1.0) == math.copysign(math.inf, value)
         # finite moments whose float form leaves double range on the way: (mu/sigma)**n
         # overflows, or sigma**n underflows to 0 (the float product read 0.0, not 1e-100)
         for n, mu, sigma in [(40, 3.0, 1e-10), (7, -2.5, 1e-200), (20, 1e-5, 1e-20)]:
-            exact = gaussian_raw_moment(n, mu, sigma)
-            assert gaussian_raw_moment_hermite_form(n, mu, sigma) == exact
+            exact = float(self._binomial_moment(n, mu, sigma))
+            assert float(hermite_form(n, mu, sigma)) == pytest.approx(exact, rel=1e-15, abs=0)
+            assert gaussian_raw_moment(n, mu, sigma) == exact
 
     def test_matches_quadrature_expectation(self):
         for n in range(9):
@@ -85,11 +102,9 @@ class TestRawMoments:
     def test_exact_rational_identity_with_hermite_expansion(self):
         # E[Y^n](x) rebuilt from the He expansion equals the moment
         # polynomial coefficient-for-coefficient
+        m = change_of_basis(15, "gauss-moment", "he")
         for n in range(16):
-            rebuilt = ExactPolynomial.zero()
-            for j, d in enumerate(moments_in_hermite(n)):
-                rebuilt = rebuilt + d * hermite_explicit(n - 2 * j)
-            assert rebuilt == gauss_moment_polynomial(n)
+            assert combine(m.column(n), hermite_explicit) == gauss_moment_polynomial(n)
 
     @staticmethod
     def _binomial_moment(n, mu, sigma):
@@ -130,22 +145,24 @@ class TestRawMoments:
 
 
 class TestConnectionCoefficients:
+    # column n of he -> gauss-moment holds He_n = sum_j (-1)^j n! / ((n-2j)! j!) E[Y^(n-2j)],
+    # column n of its inverse E[Y^n] = sum_j n! / ((n-2j)! j!) He_(n-2j)
     def test_hermite_in_moments_values(self):
-        assert hermite_in_moments(0) == [1]
-        assert hermite_in_moments(2) == [1, -2]
-        assert hermite_in_moments(3) == [1, -6]
+        m = change_of_basis(3, "he", "gauss-moment")
+        assert m.column(0) == (1, 0, 0, 0)
+        assert m.column(2) == (-2, 0, 1, 0)
+        assert m.column(3) == (0, -6, 0, 1)
 
     def test_moments_in_hermite_values(self):
-        assert moments_in_hermite(0) == [1]
-        assert moments_in_hermite(2) == [1, 2]
-        assert moments_in_hermite(4) == [1, 12, 12]
+        m = change_of_basis(4, "gauss-moment", "he")
+        assert m.column(0) == (1, 0, 0, 0, 0)
+        assert m.column(2) == (2, 0, 1, 0, 0)
+        assert m.column(4) == (12, 0, 12, 0, 1)
 
     def test_hermite_rebuilt_from_moment_polynomials(self):
+        m = change_of_basis(15, "he", "gauss-moment")
         for n in range(16):
-            rebuilt = ExactPolynomial.zero()
-            for j, c in enumerate(hermite_in_moments(n)):
-                rebuilt = rebuilt + c * gauss_moment_polynomial(n - 2 * j)
-            assert rebuilt == hermite_explicit(n)
+            assert combine(m.column(n), gauss_moment_polynomial) == hermite_explicit(n)
 
 
 class TestChangeOfBasis:
@@ -248,9 +265,13 @@ class TestChangeOfBasis:
 
 class TestGaussianSmoothingIdentities:
     def test_expected_hermite_examples(self):
-        assert expected_hermite_of_gaussian(0, 3.7) == 1.0
-        assert expected_hermite_of_gaussian(2, 2.0) == 4.0
-        assert expected_hermite_of_gaussian(5, -1.5) == pytest.approx(-7.59375, rel=1e-15)
+        # E[He_n(x + Z)] = sum_k [x^k]He_n E[(x + Z)^k], and E[(x + Z)^k] is the
+        # moment polynomial: exactly x^n
+        for n in range(31):
+            expected = combine(hermite_explicit(n).coeffs, gauss_moment_polynomial)
+            assert expected == ExactPolynomial.monomial(n), n
+        assert combine(hermite_explicit(5).coeffs, gauss_moment_polynomial)(Fraction(-3, 2)) \
+            == Fraction(-243, 32)
 
     def test_expected_hermite_against_quadrature(self):
         # int phi(y - x) He_n(y) dy = x^n, integrated in the shifted variable
@@ -260,7 +281,7 @@ class TestGaussianSmoothingIdentities:
             rule_order = n + 4
             for x in (0.0, 1.0, 2.5):
                 oracle = gauss_expectation(lambda z: eval_hermite(n, x + z), rule_order)
-                expected = expected_hermite_of_gaussian(n, x)
+                expected = x**n
                 assert abs(oracle - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_deconvolution_identity_values(self):

@@ -1,7 +1,6 @@
 """Exact construction and evaluation of both Hermite families."""
 
 import math
-import re
 import time
 from fractions import Fraction
 
@@ -11,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermite_kit import (
+    PLAIN_RV,
     ExactPolynomial,
+    HermiteSeries,
     eval_hermite,
     eval_hermite_function,
-    generating_function_check,
+    evaluate_series,
     gram_schmidt_construct,
-    hermite_derivative,
     hermite_explicit,
-    hermite_ode_residual,
     hermite_recurrence,
     hermite_table,
     polynomials,
@@ -296,94 +295,69 @@ class TestTable:
 
 
 class TestDerivative:
+    # the Appell property He_n' = n He_(n-1), against the formal derivative
     def test_examples(self):
-        assert hermite_derivative(1).coeffs == (1,)
-        assert hermite_derivative(3).coeffs == (-3, 0, 3)
-        assert hermite_derivative(4).coeffs == (0, -12, 0, 4)
+        assert hermite_recurrence(2).derivative().coeffs == (0, 2)
+        assert hermite_recurrence(3).derivative().coeffs == (-3, 0, 3)
+        assert hermite_recurrence(4).derivative().coeffs == (0, -12, 0, 4)
 
     def test_zero_order_is_zero_polynomial(self):
-        assert hermite_derivative(0).is_zero()
+        assert hermite_recurrence(0).derivative().is_zero()
 
     def test_matches_formal_derivative(self):
-        for n in range(1, 31):
-            assert hermite_derivative(n) == hermite_recurrence(n).derivative()
+        for n in range(1, 41):
+            assert hermite_recurrence(n).derivative() == n * hermite_recurrence(n - 1)
+            assert hermite_explicit(n).derivative() == n * hermite_explicit(n - 1)
+
+
+def generating_series(t, order):
+    # e^{xt - t^2/2} = sum_k He_k(x) t^k / k!, truncated after degree order
+    return HermiteSeries(tuple(t**k / math.factorial(k) for k in range(order + 1)), PLAIN_RV)
+
+
+def exact_partial_sum(series, x):
+    # sum_k c_k He_k(x) in Fractions, at the binary values of the coefficients and x
+    return sum(Fraction(c) * hermite_recurrence(k)(Fraction(x)) for k, c in enumerate(series.coeffs))
 
 
 class TestGeneratingFunction:
     def test_trivial_point(self):
-        partial, target = generating_function_check(0.0, 0.0, 5)
-        assert partial == 1.0 and target == 1.0
+        assert evaluate_series(generating_series(0.0, 5), 0.0) == 1.0
 
     def test_examples(self):
-        partial, target = generating_function_check(1.0, 0.5, 30)
-        assert target == pytest.approx(math.exp(0.375), rel=1e-15)
-        assert partial == pytest.approx(target, rel=1e-12)
-        partial, target = generating_function_check(2.0, -0.3, 30)
-        assert target == pytest.approx(math.exp(-0.645), rel=1e-15)
-        assert partial == pytest.approx(target, rel=1e-12)
+        assert evaluate_series(generating_series(0.5, 30), 1.0) == pytest.approx(
+            math.exp(0.375), rel=1e-12)
+        assert evaluate_series(generating_series(-0.3, 30), 2.0) == pytest.approx(
+            math.exp(-0.645), rel=1e-12)
 
     def test_overflowing_partial_sum_is_a_signed_inf(self):
         # He_k(-1e200) leaves double range from k = 2 with alternating signs: the
         # float terms sum to inf - inf, the exact sum is far past double range
-        x, t, order = -1e200, 0.5, 10
-        term, exact = Fraction(1), Fraction(0)
-        for k in range(order + 1):
-            if k:
-                term *= Fraction(t) / k
-            exact += hermite_recurrence(k)(Fraction(x)) * term
+        series, x = generating_series(0.5, 10), -1e200
+        exact = exact_partial_sum(series, x)
         assert abs(exact) > 2**1024
-        partial, target = generating_function_check(x, t, order)
-        assert partial == (math.inf if exact > 0 else -math.inf)
-        assert target == 0.0
-
-    @pytest.mark.parametrize("x, t, order, k", [
-        (0.5, 1e300, 3, 2), (1e200, 1e200, 5, 2), (0.0, -1.5e154, 9, 3), (1.0, math.inf, 2, 1),
-    ])
-    def test_overflowing_term_names_t_and_k(self, x, t, order, k):
-        message = f"the term t^{k}/{k}! is not finite at t={t!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            generating_function_check(x, t, order)
-
-    @pytest.mark.parametrize("x, t, order, target", [
-        (1.5e154, 1.5e154, 2, math.inf),  # t^2 overflows, t^2/2! does not
-        (1e200, 1e200, 1, math.inf),
-        (1e200, 1e201, 1, 0.0),  # t (x - t/2) = -inf
-        (-1e200, -1e200, 1, math.inf),
-    ])
-    def test_target_when_both_exponent_terms_overflow(self, x, t, order, target):
-        # x t and t^2/2 both overflow to inf; their difference would be nan
-        assert math.isinf(x * t) and math.isinf(t * t / 2.0)
-        partial, value = generating_function_check(x, t, order)
-        assert value == target and not math.isnan(partial)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(x=st.floats(allow_nan=False, allow_infinity=False),
-           t=st.floats(-1e150, 1e150, allow_nan=False))
-    def test_target_bits_unchanged_where_finite(self, x, t):
-        try:
-            expected = math.exp(x * t - t * t / 2.0)
-        except OverflowError:
-            expected = math.inf
-        if not math.isnan(expected):
-            assert generating_function_check(x, t, 1)[1] == expected
+        assert evaluate_series(series, x) == (math.inf if exact > 0 else -math.inf)
 
     def test_overflowing_target_is_inf(self):
-        partial, target = generating_function_check(1e3, 1.0, 5)
-        assert target == math.inf
-        assert partial == pytest.approx(sum(eval_hermite(k, 1e3) / math.factorial(k)
-                                            for k in range(6)), rel=1e-15)
+        # e^{xt - t^2/2} overflows at x = 1e3, t = 1; the truncated sum stays finite
+        series, x = generating_series(1.0, 5), 1e3
+        assert evaluate_series(series, x) == pytest.approx(
+            float(exact_partial_sum(series, x)), rel=1e-15)
 
     def test_partial_sum_converges_on_grid(self):
         for x in (-3.0, -1.0, 0.0, 1.5, 3.0):
             for t in (-1.0, -0.5, 0.1, 0.5, 1.0):
-                partial, target = generating_function_check(x, t, 40)
-                assert abs(partial - target) <= 1e-10 * abs(target)
+                target = math.exp(x * t - t * t / 2.0)
+                assert abs(evaluate_series(generating_series(t, 40), x) - target) <= 1e-10 * target
 
 
 class TestDifferentialEquations:
     def test_ode_residual_exactly_zero(self):
-        for n, x in [(0, 1.7), (4, 2.0), (9, -3.5), (12, 0.3)]:
-            assert hermite_ode_residual(n, x) == 0.0
+        # He_n'' - x He_n' + n He_n = 0 as exact polynomials, for both constructions
+        x = ExactPolynomial.monomial(1)
+        for n in range(41):
+            for p in (hermite_recurrence(n), hermite_explicit(n)):
+                assert (p.derivative(2) - x * p.derivative() + n * p).is_zero(), n
 
     @staticmethod
     def _weighted_recurrence_mp(n, x):

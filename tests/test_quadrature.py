@@ -38,17 +38,22 @@ PUBLIC_NAMES = [
     "QuadratureRule", "SimpleGraph", "StandardizedMoments", "WCETensorCoeffs",
     "change_of_basis", "complete_graph", "complete_kpartite", "compose",
     "count_complete_matches", "count_j_matches", "eval_hermite", "eval_hermite_function",
-    "evaluate_series", "expected_hermite_of_gaussian", "format_edge_list",
-    "fourier_eigen_check", "fourier_hermite_coeffs", "gauss_hermite_rule",
-    "gauss_moment_polynomial", "gaussian_mixture_deconvolve", "gaussian_raw_moment",
-    "gaussian_raw_moment_hermite_form", "generating_function_check", "gram_charlier_density",
-    "gram_schmidt_construct", "hermite_derivative", "hermite_explicit", "hermite_in_moments",
-    "hermite_ode_residual", "hermite_product_integral", "hermite_recurrence", "hermite_table",
+    "evaluate_series", "format_edge_list", "fourier_eigen_check", "fourier_hermite_coeffs",
+    "gauss_hermite_rule", "gauss_moment_polynomial", "gaussian_mixture_deconvolve",
+    "gaussian_raw_moment", "gram_charlier_density", "gram_schmidt_construct",
+    "hermite_explicit", "hermite_product_integral", "hermite_recurrence", "hermite_table",
     "integrate_cubature", "integrate_weighted", "integrate_whole_line",
-    "linearization_coeffs", "match_count_table", "matching_polynomial", "moments_in_hermite",
+    "linearization_coeffs", "match_count_table", "matching_polynomial",
     "parse_edge_list", "partite_closed_form", "series_tail_indicator", "tensor_component",
-    "tensor_cubature", "verify_hermite_matching", "wce_coeffs_1d", "wce_coeffs_multi",
+    "tensor_cubature", "wce_coeffs_1d", "wce_coeffs_multi",
     "wce_reconstruct", "weierstrass_deconvolution_identity", "weierstrass_preimage_polynomial",
+]
+
+# paper identities that the tests check and the package must not export
+REMOVED_NAMES = [
+    "expected_hermite_of_gaussian", "gaussian_raw_moment_hermite_form",
+    "generating_function_check", "hermite_derivative", "hermite_in_moments",
+    "hermite_ode_residual", "moments_in_hermite", "verify_hermite_matching",
 ]
 
 
@@ -207,6 +212,10 @@ class TestRuleBuilder:
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(hermite_kit.__all__)
         with pytest.raises(AttributeError, match="no_such_name"):
             hermite_kit.no_such_name
+        assert len(PUBLIC_NAMES) == 51
+        for name in REMOVED_NAMES:
+            with pytest.raises(AttributeError, match=name):
+                getattr(hermite_kit, name)
 
     def test_node_residuals_at_every_order(self):
         # the scalar evaluator, not the array path the builder polishes with
@@ -402,6 +411,10 @@ class TestCubature:
     def test_point_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             tensor_cubature(4, 100)
+        # 10**7 points is the budget itself: accepted; 11**7 is refused
+        assert tensor_cubature(7, 10).weights.size == quadrature.CUBATURE_POINT_BUDGET == 10**7
+        with pytest.raises(ValueError, match="needs 19487171 points, above the budget of 10000000$"):
+            tensor_cubature(7, 11)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_order_checked_before_the_budget(self, d):
