@@ -47,7 +47,6 @@ _PUBLIC = {
     "compose": "moments",
     "gauss_moment_polynomial": "moments",
     "gaussian_raw_moment": "moments",
-    "weierstrass_deconvolution_identity": "moments",
     "weierstrass_preimage_polynomial": "moments",
     "PHYSICIST": "polynomials",
     "PROBABILIST": "polynomials",

@@ -149,9 +149,11 @@ class ExactPolynomial:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        acc = 0.0
-        try:
-            for c in reversed(self.coeffs):
+        if math.isnan(x):
+            raise ValueError("x must not be nan")
+        try:  # from the leading coefficient: 0.0 * inf is never taken
+            acc = float(self.coeffs[-1])
+            for c in reversed(self.coeffs[:-1]):
                 acc = acc * x + float(c)
         except OverflowError as exc:
             raise ValueError(f"a coefficient is past float range: {exc}") from None

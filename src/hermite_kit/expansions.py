@@ -21,6 +21,7 @@ from .polynomials import (
     SQRT_TWO_PI,
     _he_sum,
     _ldexp,
+    _rounded,
     eval_hermite_function,
     hermite_explicit,
     hermite_table,
@@ -77,7 +78,7 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
         """nu_k with the fixed values nu_0 = 1, nu_1 = 0, nu_2 = 1."""
         if not 0 <= k < len(self.nu) + 3:
             raise ValueError(f"standardized moment nu_{k} was not supplied")
-        return float(self.nu[k - 3]) if k > 2 else (1.0, 0.0, 1.0)[k]
+        return _rounded(self.nu[k - 3]) if k > 2 else (1.0, 0.0, 1.0)[k]
 
 
 class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
@@ -209,7 +210,7 @@ def gram_charlier_density(moments, order, x):
     """
     if (order := _check_order(order, "order")) > 170:  # past 170, n! leaves double range
         raise ValueError(f"order must be 0..170, got {order}")
-    z = (float(x) - moments.mu) / moments.sigma
+    z = (float(x) - _rounded(moments.mu)) / (sigma := _rounded(moments.sigma))
     coeffs = []
     for n in range(order + 1):
         expected = 0.0
@@ -217,7 +218,7 @@ def gram_charlier_density(moments, order, x):
             if c:
                 expected += float(c) * moments.standardized(k)
         coeffs.append(expected / math.factorial(n))
-    return _he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * moments.sigma)
+    return _he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * sigma)
 
 
 def wce_coeffs_1d(f, order, quad_order=None):
@@ -274,9 +275,12 @@ def wce_reconstruct(coeffs, point):
     total = 0.0
     for rank, tensor in enumerate(coeffs.tensors):
         for indices in itertools.product(range(coeffs.dimension), repeat=rank):
-            b = float(tensor[indices])
-            if b:
+            if b := float(tensor[indices]):
+                if not math.isfinite(b):
+                    raise ValueError(f"chaos coefficient b{indices!r} must be finite, got {b!r}")
                 total += b * tensor_component(indices, point)
+    if math.isnan(total):  # finite coefficients: inf - inf between terms
+        raise ValueError(f"point {tuple(point)!r} has terms of both signs past double range")
     return total
 
 

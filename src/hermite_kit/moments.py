@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 
 from .exactpoly import ExactPolynomial, _check_order, _check_sigma
-from .polynomials import _rounded, eval_hermite, hermite_explicit, pairings
+from .polynomials import _rounded, hermite_explicit, pairings
 
 MONOMIAL = "monomial"
 TWO_X_MONOMIAL = "2x-monomial"
@@ -56,7 +56,7 @@ def gaussian_raw_moment(n, mu, sigma):
     double range.
     """
     n, sigma = _check_order(n, "moment order"), Fraction(_check_sigma(sigma))
-    if not math.isfinite(mu):
+    if not abs(mu) < math.inf:  # nan and +-inf; a big int is never converted
         raise ValueError(f"mu must be finite, got {mu!r}")
     return _rounded(sigma**n * gauss_moment_polynomial(n)(Fraction(mu) / sigma))
 
@@ -128,23 +128,6 @@ def identity_matrix(n, basis):
     n = _check_order(n, "matrix order")
     entries = tuple(tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1))
     return ChangeOfBasisMatrix(from_basis=basis, to_basis=basis, entries=entries)
-
-
-def weierstrass_deconvolution_identity(n, sigma, x):
-    """sigma^n He_n(x / sigma): the function whose Gaussian blur at scale
-    sigma returns y^n.  A float value that leaves double range on the way is
-    redone from the exact preimage polynomial and rounded once.
-    """
-    n, sigma = _check_order(n), _check_sigma(sigma)
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    try:
-        value = float(sigma) ** n * eval_hermite(n, float(x) / float(sigma))
-    except OverflowError:  # sigma**n
-        value = math.nan
-    if math.isfinite(value):
-        return value
-    return _rounded(weierstrass_preimage_polynomial(n, sigma)(Fraction(x)))
 
 
 def weierstrass_preimage_polynomial(n, sigma):

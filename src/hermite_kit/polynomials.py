@@ -134,16 +134,19 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     cur * 2**e, and dividing both carried rows by a power of two is exact,
     so rows inside double range keep the plain recurrence's bits, a huge
     row times a tiny weight neither overflows nor underflows on the way,
-    and rows past double range saturate with their own sign.  At infinite x
-    the rows are their limits: (+-1)^k inf past degree 0, or 0 under a weight.
+    and rows past double range saturate with their own sign.  Where x or 2x
+    (for H) is infinite the rows are their limits, (+-1)^k inf past degree 0
+    or 0 under a weight, and a nan x raises ValueError.
     """
-    if math.isinf(x):
+    a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
+    if not math.isfinite(a):  # x is +-inf or nan, or 2x is past double range
+        if math.isnan(x):
+            raise ValueError("x must not be nan")
         limits = [0.0] * (n_max + 2) if log_weight else [
-            0.0, 1.0, *(x if k % 2 else math.inf for k in range(1, n_max + 1))]
+            0.0, 1.0, *(a if k % 2 else math.inf for k in range(1, n_max + 1))]
         if rows is not None:
             rows += limits[2:]
         return limits[-2], limits[-1], 0
-    a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
     big = _RESCALE_AT / (1.0 + abs(a) + b * n_max)
     prev, cur, e = 0.0, 1.0, 0
     if log_weight:
@@ -183,8 +186,6 @@ def _he_sum(coeffs, x, log_weight=0.0):
         if k := max((k for k, c in enumerate(coeffs) if c), default=0):
             return math.copysign(math.inf, coeffs[k] * (x if k % 2 else 1.0))
         return coeffs[0] * weight
-    if math.isnan(x):  # a nan x always lands here: the float sum is nan
-        raise ValueError("x must not be nan")
     x, prev, cur, total = Fraction(x), 0, 1, 0
     for k, c in enumerate(coeffs):
         total += Fraction(c) * cur
@@ -203,7 +204,8 @@ def hermite_table(n_max, x, family=PROBABILIST):
     float x gives a list from plain float arithmetic; a 1-d numpy array of
     nodes gives an array of shape (n_max + 1, len(x)), one step per row over
     all nodes.  Both give the same bits, and values past double range are
-    infinities with the sign of their own degree.
+    infinities with the sign of their own degree.  A nan x raises ValueError;
+    the array form is elementwise, so a nan node gives a nan column.
     """
     n_max = _check_order(n_max)
     _check_family(family)
@@ -213,14 +215,14 @@ def hermite_table(n_max, x, family=PROBABILIST):
         _recurrence(n_max, float(x), family, rows)
         return rows
     x = x.astype(float)
-    a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
-    rows = [np.ones_like(x), a]
     with np.errstate(over="ignore", invalid="ignore"):
+        a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
+        rows = [np.ones_like(x), a]
         for k in range(1, n_max):
             rows.append(a * rows[k] - (b * k) * rows[k - 1])
     table = np.array(rows[: n_max + 1])
-    # columns that left double range: redo them with the rescaling kernel
-    for i in np.flatnonzero(~np.isfinite(table).all(axis=0)):
+    # columns that left double range: redo them with the rescaling kernel; a nan column stays
+    for i in np.flatnonzero(~np.isfinite(table).all(axis=0) & ~np.isnan(x)):
         table[:, i] = hermite_table(n_max, float(x[i]), family)
     return table
 

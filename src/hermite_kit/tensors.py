@@ -25,6 +25,6 @@ def tensor_component(indices, point):
     counts = index_multiplicities(indices, len(point))
     value = 1.0
     for degree, x in zip(counts, point):
-        if degree:
+        if degree or x != x:  # He_0 = 1 is skipped; a nan goes on to the kernel's refusal
             value *= eval_hermite(degree, x)
-    return value
+    return value if value == value else 0.0  # 0 * inf: a factor that is exactly 0 wins

@@ -1,11 +1,13 @@
-"""One domain contract for every public order, size and scale argument.
+"""One domain contract for every public order, size, scale and float argument.
 
 An order or size is any integer type (numpy's too) and nonnegative, or
 positive where the function needs one; a float is refused even when it is
 whole.  A sigma is finite and positive, a mu or nu_k is finite, and a
-series or density point x is not nan.  Each refusal is a ValueError with
-one wording, and a numpy integer gives exactly what the same Python int
-gives.
+point x is not nan.  Each refusal is a ValueError with one wording, and a
+numpy integer gives exactly what the same Python int gives.  At a float
+extreme (+-inf, +-1e308, the smallest subnormal, -0.0) every float argument
+gives a value or its limit, never nan, or a ValueError that names it, with
+the argument's one wording.
 """
 
 import math
@@ -22,6 +24,7 @@ from hermite_kit import (
     SimpleGraph,
     HermiteSeries,
     StandardizedMoments,
+    WCETensorCoeffs,
     change_of_basis,
     complete_graph,
     complete_kpartite,
@@ -44,14 +47,15 @@ from hermite_kit import (
     hermite_table,
     linearization_coeffs,
     partite_closed_form,
+    tensor_component,
     tensor_cubature,
     wce_coeffs_1d,
     wce_coeffs_multi,
-    weierstrass_deconvolution_identity,
+    wce_reconstruct,
     weierstrass_preimage_polynomial,
 )
 from hermite_kit.moments import identity_matrix
-from hermite_kit.polynomials import eval_orthonormal_hermite_function
+from hermite_kit.polynomials import _rounded, eval_orthonormal_hermite_function
 
 GAUSSIAN = StandardizedMoments(mu=0.0, sigma=1.0, nu=(0.0, 3.0))
 
@@ -71,7 +75,6 @@ ORDERS = {
     "gauss_moment_polynomial": gauss_moment_polynomial,
     "change_of_basis": lambda n: change_of_basis(n, "he", "monomial"),
     "identity_matrix": lambda n: identity_matrix(n, "he"),
-    "weierstrass_deconvolution_identity": lambda n: weierstrass_deconvolution_identity(n, 2.0, 0.5),
     "weierstrass_preimage_polynomial": lambda n: weierstrass_preimage_polynomial(n, 0.5),
     "fourier_hermite_coeffs": lambda n: fourier_hermite_coeffs(math.cos, n),
     "fourier_hermite_coeffs(quad_order)": lambda n: fourier_hermite_coeffs(math.cos, 1, n),
@@ -98,19 +101,84 @@ ORDERS = {
 
 SIGMAS = {
     "gaussian_raw_moment": lambda s: gaussian_raw_moment(3, 0.5, s),
-    "weierstrass_deconvolution_identity": lambda s: weierstrass_deconvolution_identity(3, s, 0.5),
     "weierstrass_preimage_polynomial": lambda s: weierstrass_preimage_polynomial(3, s),
     "StandardizedMoments": lambda s: StandardizedMoments(0.0, s),
     "gaussian_mixture_deconvolve": lambda s: gaussian_mixture_deconvolve(
         ExactPolynomial((0, 0, 1)), s),
 }
 
-# each call takes the point x under test
+# 1 + y/2 + He_2(x) - He_2(y) on R^2
+RECONSTRUCTION = WCETensorCoeffs(2, (np.array(1.0), np.array([0.0, 0.5]),
+                                     np.array([[1.0, 0.0], [0.0, -1.0]])))
+
+
+def _finite(what):
+    return lambda v: None if abs(v) < math.inf else f"{what} must be finite, got {v!r}"
+
+
+# the full message with which a float argument refuses a value, None where it
+# takes the value; a point coordinate is x, in the recurrence kernel's words
+REFUSAL = {
+    "x": lambda v: "x must not be nan" if math.isnan(v) else None,
+    "mu": _finite("mu"),
+    "nu_3": _finite("nu_3"),
+    "nu_4": _finite("nu_4"),
+    "sigma": lambda v: (f"sigma must be finite, got {v!r}" if math.isinf(v)
+                        else None if v > 0 else f"sigma must be positive, got {v!r}"),
+    "series coefficients": lambda v: (
+        None if math.isfinite(v) else "series coefficients must be finite"),
+    # a coordinate of RECONSTRUCTION's point: at y = +inf its top terms are inf - inf
+    "point": lambda v: ("point (0.5, inf) has terms of both signs past double range"
+                        if v == math.inf else REFUSAL["x"](v)),
+}
+
+# each row takes the float argument under test, for which 0.5 is valid, and
+# names its REFUSAL.  fourier_eigen_check's k is exempt until it is checked
+# against the rule's resolved band (the fourier-check item in ROADMAP.md): a k
+# whose product with a node overflows raises OverflowError.
 XS = {
-    "evaluate_series(plain-rv)": lambda x: evaluate_series(HermiteSeries((1.0, 0.0, 1.0), PLAIN_RV), x),
-    "evaluate_series(density-weighted)": lambda x: evaluate_series(
-        HermiteSeries((1.0, 0.0, 1.0), DENSITY_WEIGHTED), x),
-    "gram_charlier_density": lambda x: gram_charlier_density(GAUSSIAN, 4, x),
+    "eval_hermite": ("x", lambda x: eval_hermite(3, x)),
+    "eval_hermite(h)": ("x", lambda x: eval_hermite(4, x, "h")),
+    "eval_hermite_function": ("x", lambda x: eval_hermite_function(3, x)),
+    "eval_hermite_function(h)": ("x", lambda x: eval_hermite_function(4, x, "h")),
+    "eval_orthonormal_hermite_function": ("x", lambda x: eval_orthonormal_hermite_function(3, x)),
+    "hermite_table": ("x", lambda x: hermite_table(5, x)),
+    "ExactPolynomial.__call__": ("x", lambda x: ExactPolynomial((1, -3, 0, 1))(x)),
+    "evaluate_series(plain-rv)": ("x", lambda x: evaluate_series(
+        HermiteSeries((1.0, 0.0, 1.0), PLAIN_RV), x)),
+    "evaluate_series(density-weighted)": ("x", lambda x: evaluate_series(
+        HermiteSeries((1.0, 0.0, 1.0), DENSITY_WEIGHTED), x)),
+    "HermiteSeries(coeffs)": ("series coefficients", lambda c: evaluate_series(
+        HermiteSeries((1.0, c), PLAIN_RV), 0.5)),
+    "gram_charlier_density": ("x", lambda x: gram_charlier_density(GAUSSIAN, 4, x)),
+    "gram_charlier_density(mu)": ("mu", lambda mu: gram_charlier_density(
+        GAUSSIAN._replace(mu=mu), 4, 0.5)),
+    "gram_charlier_density(sigma)": ("sigma", lambda s: gram_charlier_density(
+        GAUSSIAN._replace(sigma=s), 4, 0.5)),
+    "gram_charlier_density(nu_3)": ("nu_3", lambda v: gram_charlier_density(
+        GAUSSIAN._replace(nu=(v, 3.0)), 4, 0.5)),
+    "gram_charlier_density(nu_4)": ("nu_4", lambda v: gram_charlier_density(
+        GAUSSIAN._replace(nu=(0.0, v)), 4, 0.5)),
+    "gaussian_raw_moment(mu)": ("mu", lambda mu: gaussian_raw_moment(3, mu, 2.0)),
+    "gaussian_raw_moment(sigma)": ("sigma", lambda s: gaussian_raw_moment(3, 0.5, s)),
+    # the exact results, evaluated exactly and rounded once
+    "weierstrass_preimage_polynomial(sigma)": ("sigma", lambda s: _rounded(
+        weierstrass_preimage_polynomial(3, s)(Fraction(0.5)))),
+    "gaussian_mixture_deconvolve(sigma)": ("sigma", lambda s: _rounded(
+        gaussian_mixture_deconvolve(ExactPolynomial((0, 0, 1)), s)(Fraction(0.5)))),
+    "tensor_component": ("x", lambda x: tensor_component((0, 0, 1), (x, 0.5))),
+    # He_2(x) He_1(0) is 0 at every x, also where He_2(x) leaves double range
+    "tensor_component(zero factor)": ("x", lambda x: tensor_component((0, 0, 1), (x, 0.0))),
+    "wce_reconstruct": ("point", lambda x: wce_reconstruct(RECONSTRUCTION, (0.5, x))),
+}
+
+# public callables with no order, size, scale or float argument of their own:
+# they take graphs, callables, rules or text, or are records and errors
+NO_NUMERIC_ARGUMENT = {
+    "ChangeOfBasisMatrix", "CubatureRule", "GraphFileError", "QuadratureRule",
+    "WCETensorCoeffs", "compose", "format_edge_list", "integrate_cubature",
+    "integrate_weighted", "integrate_whole_line", "match_count_table",
+    "matching_polynomial", "parse_edge_list", "series_tail_indicator",
 }
 
 
@@ -153,10 +221,79 @@ def test_bad_sigma_is_refused(name, bad, message):
 
 @pytest.mark.parametrize("name", sorted(XS))
 def test_nan_x_is_refused(name):
-    # refused by name, not by Fraction(nan)'s "cannot convert NaN to integer ratio"
-    assert math.isfinite(XS[name](0.5))
-    with pytest.raises(ValueError, match="^x must not be nan$"):
-        XS[name](math.nan)
+    # x is whichever float argument the row takes; refused by name, never
+    # returned and never as Fraction(nan)'s "cannot convert NaN to integer ratio"
+    what, call = XS[name]
+    assert np.isfinite(call(0.5)).all()
+    with pytest.raises(ValueError, match=f"^{re.escape(REFUSAL[what](math.nan))}$"):
+        call(math.nan)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0])
+@pytest.mark.parametrize("name", sorted(XS))
+def test_float_extremes_give_a_value_or_a_named_refusal(name, value):
+    what, call = XS[name]
+    if (message := REFUSAL[what](value)) is None:
+        assert not np.isnan(call(value)).any()
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+def test_zero_factor_and_terms_of_both_signs_at_infinity():
+    # the float products meet 0 * inf and inf - inf; only the first has a limit
+    assert tensor_component((0, 0, 1), (math.inf, 0.0)) == 0.0
+    assert wce_reconstruct(RECONSTRUCTION, (0.5, -math.inf)) == -math.inf
+    both_signs = r"^point \(0\.5, inf\) has terms of both signs past double range$"
+    with pytest.raises(ValueError, match=both_signs):
+        wce_reconstruct(RECONSTRUCTION, (0.5, math.inf))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_coefficient_that_is_not_finite_is_refused_by_name(bad):
+    # an overflowed moment in wce_coeffs_multi can leave one; it is the
+    # coefficient's fault, not the point's, even at a point where every He is finite
+    tensors = (np.array(1.0), np.array([0.0, bad]), np.zeros((2, 2)))
+    message = rf"^chaos coefficient b\(1,\) must be finite, got {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        wce_reconstruct(WCETensorCoeffs(2, tensors), (0.0, 0.0))
+
+
+def test_float_array_is_elementwise():
+    # a nan node gives a nan column, not a refusal; the other columns keep their values
+    table = hermite_table(3, np.array([0.5, math.nan, -math.inf]))
+    assert table[:, 0].tolist() == hermite_table(3, 0.5)
+    assert np.isnan(table[1:, 1]).all()
+    assert table[:, 2].tolist() == hermite_table(3, -math.inf)
+    # 2x overflows at 1e308 without a RuntimeWarning; the column is the scalar one
+    assert hermite_table(3, np.array([1e308]), "h")[:, 0].tolist() == hermite_table(3, 1e308, "h")
+
+
+def test_big_ints_past_double_range_round_once():
+    # an exact mu, sigma or nu_k past double range is rounded once, to +-inf,
+    # never converted into an OverflowError
+    for mu in (10**400, Fraction(10**400)):
+        assert gaussian_raw_moment(3, mu, 1.0) == math.inf
+    for field in ({"mu": 10**400}, {"sigma": 10**400}, {"mu": Fraction(-(10**400))}):
+        assert gram_charlier_density(GAUSSIAN._replace(**field), 4, 0.5) == 0.0
+    with pytest.raises(ValueError, match="^series coefficients must be finite$"):
+        gram_charlier_density(GAUSSIAN._replace(nu=(10**400, 3.0)), 4, 0.5)
+    # a float moment keeps its bits: an int or a Fraction rounds to the same float
+    moments = StandardizedMoments(Fraction(1, 3), 3, (Fraction(1, 7), 3))
+    rounded = StandardizedMoments(1 / 3, 3.0, (1 / 7, 3.0))
+    assert gram_charlier_density(moments, 4, 0.25) == gram_charlier_density(rounded, 4, 0.25)
+
+
+def test_every_public_callable_is_in_a_domain_table():
+    # a new public argument cannot skip the contract: list the function in ORDERS,
+    # SIGMAS or XS, or, if it takes no number, in NO_NUMERIC_ARGUMENT
+    import hermite_kit
+
+    tabled = {re.split(r"[(.]", row)[0] for row in [*ORDERS, *SIGMAS, *XS]}
+    public = {name for name in hermite_kit.__all__ if callable(getattr(hermite_kit, name))}
+    assert sorted(public - tabled - NO_NUMERIC_ARGUMENT) == []
+    assert sorted(NO_NUMERIC_ARGUMENT - public) == []
+    assert sorted(NO_NUMERIC_ARGUMENT & tabled) == []
 
 
 def test_one_wording_for_every_order():

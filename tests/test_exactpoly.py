@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic underneath everything else."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,26 @@ class TestEvaluation:
     def test_huge_coefficients_evaluate_in_float(self):
         p = ExactPolynomial((10**300, 0, 1))
         assert p(2.0) == pytest.approx(1e300, rel=1e-12)
+
+    def test_float_evaluation_at_infinity_is_the_limit(self):
+        # Horner from the leading coefficient never takes 0.0 * inf
+        assert ExactPolynomial((1, 0, 1))(-math.inf) == math.inf
+        assert ExactPolynomial((0, 1, -1))(math.inf) == -math.inf
+        assert ExactPolynomial((1, -3, 0, 1))(-math.inf) == -math.inf
+        assert ExactPolynomial((5,))(math.inf) == 5.0
+        assert ExactPolynomial((0,))(math.inf) == 0.0
+        with pytest.raises(ValueError, match="^x must not be nan$"):
+            ExactPolynomial((1, 0, 1))(math.nan)
+
+    def test_float_evaluation_at_finite_x_keeps_its_bits(self):
+        # starting Horner at 0.0 took 0.0 * x + lead first, which is lead itself
+        def from_zero(p, x):
+            acc = 0.0
+            for c in reversed(p.coeffs):
+                acc = acc * x + float(c)
+            return acc
+
+        for coeffs in ((0,), (5,), (0, 1), (1, -3, 0, 1), (Fraction(1, 3), 0, -7, 2)):
+            p = ExactPolynomial(coeffs)
+            for x in (-0.0, 0.0, 5e-324, -1.5, 1e100, -1e308):
+                assert repr(p(x)) == repr(from_zero(p, x)), (coeffs, x)

@@ -17,10 +17,10 @@ from hermite_kit import (
     gaussian_raw_moment,
     hermite_explicit,
     integrate_weighted,
-    weierstrass_deconvolution_identity,
     weierstrass_preimage_polynomial,
 )
 from hermite_kit.moments import ChangeOfBasisMatrix, identity_matrix
+from hermite_kit.polynomials import _rounded
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -42,6 +42,11 @@ def basis_matrices(draw, n, from_basis, to_basis):
 def gauss_expectation(g, order):
     """E[g(Z)] for Z ~ N(0,1) by quadrature, exact for deg g <= 2*order-1."""
     return integrate_weighted(g, gauss_hermite_rule(order)) / SQRT_TWO_PI
+
+
+def preimage_value(n, sigma, x):
+    """sigma^n He_n(x / sigma) at a float x, exact and rounded once."""
+    return _rounded(weierstrass_preimage_polynomial(n, sigma)(Fraction(float(x))))
 
 
 def hermite_form(n, mu, sigma):
@@ -285,18 +290,16 @@ class TestGaussianSmoothingIdentities:
                 assert abs(oracle - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_deconvolution_identity_values(self):
-        assert weierstrass_deconvolution_identity(0, 1.0, 0.3) == 1.0
-        assert weierstrass_deconvolution_identity(2, 1.0, 0.0) == -1.0
-        assert weierstrass_deconvolution_identity(2, 2.0, 2.0) == 0.0
+        # sigma^n He_n(x / sigma), evaluated exactly and rounded once
+        assert preimage_value(0, 1.0, 0.3) == 1.0
+        assert preimage_value(2, 1.0, 0.0) == -1.0
+        assert preimage_value(2, 2.0, 2.0) == 0.0
 
     def test_deconvolution_identity_past_double_range(self):
-        # sigma**40 = 1e400 overflows; the value is past double range too
-        assert weierstrass_deconvolution_identity(40, 1e10, 1.0) == math.inf
-        assert weierstrass_deconvolution_identity(41, 1e10, -1.0) == -math.inf
-        assert weierstrass_deconvolution_identity(41, 1e10, 0.0) == 0.0  # odd He_41(0) = 0
-        # sigma**200 underflows to 0 and He_200(1e10) overflows: 0 * inf, not nan
-        exact = weierstrass_preimage_polynomial(200, 1e-10)(Fraction(1.0))
-        assert weierstrass_deconvolution_identity(200, 1e-10, 1.0) == float(exact)
+        # sigma**40 = 1e400: the value is past double range too
+        assert preimage_value(40, 1e10, 1.0) == math.inf
+        assert preimage_value(41, 1e10, -1.0) == -math.inf
+        assert preimage_value(41, 1e10, 0.0) == 0.0  # odd He_41(0) = 0
 
     def test_deconvolution_identity_blurs_back_to_power(self):
         # (phi_sigma * f)(y) = y^n for f(x) = sigma^n He_n(x / sigma)
@@ -304,9 +307,7 @@ class TestGaussianSmoothingIdentities:
             for sigma in (0.5, 1.0, 2.0):
                 for y in (-1.0, 0.5, 2.0):
                     blurred = gauss_expectation(
-                        lambda z: weierstrass_deconvolution_identity(n, sigma, y + sigma * z),
-                        n + 4,
-                    )
+                        lambda z: preimage_value(n, sigma, y + sigma * z), n + 4)
                     assert blurred == pytest.approx(y**n, rel=1e-10, abs=1e-10)
 
     def test_preimage_polynomial_is_exact(self):
@@ -317,6 +318,6 @@ class TestGaussianSmoothingIdentities:
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
-            weierstrass_deconvolution_identity(2, 0.0, 1.0)
+            weierstrass_preimage_polynomial(2, 0.0)
         with pytest.raises(ValueError):
             weierstrass_preimage_polynomial(2, -1)

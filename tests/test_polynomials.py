@@ -233,11 +233,11 @@ class TestEvaluation:
     @pytest.mark.parametrize("family", ["he", "h"])
     def test_overflow_sign_is_that_of_degree_n(self, family):
         # e.g. He_400(0) = +399!!, where a sign taken from the first degree
-        # to overflow would be wrong
+        # to overflow would be wrong; at 1e308, 2x overflows for H
         assert eval_hermite(400, 0.0, family) == math.inf
         for n in (170, 200, 250, 300, 400):
             poly = hermite_recurrence(n, family)
-            for x in (0.0, 0.5, 1.0, 3.0, 30.0, -7.25):
+            for x in (0.0, 0.5, 1.0, 3.0, 30.0, -7.25, 1e308, -1e308):
                 exact = poly(Fraction(x))
                 value = eval_hermite(n, x, family)
                 if math.isinf(value):
