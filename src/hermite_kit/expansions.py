@@ -9,6 +9,7 @@ eigenfunctions.  Only the functions that build a rule import numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -23,8 +24,8 @@ from .polynomials import (
     _ldexp,
     _rounded,
     eval_hermite_function,
-    hermite_explicit,
     hermite_table,
+    pairings,
 )
 from .tensors import index_multiplicities, tensor_component
 
@@ -42,7 +43,11 @@ class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
             raise ValueError(f"unknown series convention {convention!r}")
         if not coeffs:
             raise ValueError("series needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
+        try:
+            finite = all(math.isfinite(c) for c in coeffs)
+        except OverflowError:  # a big int or Fraction past double range
+            finite = False
+        if not finite:
             raise ValueError("series coefficients must be finite")
         return super().__new__(cls, coeffs, convention)
 
@@ -135,10 +140,17 @@ def _rule_table(Q, order):
     return table
 
 
+@functools.cache
+def _norms():
+    # sqrt(2 pi) n! for n = 0..170, built once per process on first use
+    return tuple(SQRT_TWO_PI * math.factorial(n) for n in range(171))
+
+
 def _normalized(moments):
     # a 1-d array of moments sqrt(2 pi) n! a_n -> coefficients a_n; past n = 170 n!
     # leaves double range, so a finite moment is divided exactly and inf or nan passes on
-    return tuple(m / (SQRT_TWO_PI * math.factorial(n)) if n <= 170 else m if not math.isfinite(m)
+    norms = _norms()
+    return tuple(m / norms[n] if n <= 170 else m if not math.isfinite(m)
                  else float(Fraction(m) / (Fraction(SQRT_TWO_PI) * math.factorial(n)))
                  for n, m in enumerate(moments.tolist()))
 
@@ -184,7 +196,7 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
 def evaluate_series(series, x):
     """Value of the truncated expansion at x, honoring its convention; a
     float sum that leaves double range is redone in exact rationals."""
-    x = float(x)
+    x = _rounded(x)
     log_weight = -x * x / 2.0 if series.convention == DENSITY_WEIGHTED else 0.0
     return _he_sum(series.coeffs, x, log_weight)
 
@@ -210,13 +222,14 @@ def gram_charlier_density(moments, order, x):
     """
     if (order := _check_order(order, "order")) > 170:  # past 170, n! leaves double range
         raise ValueError(f"order must be 0..170, got {order}")
-    z = (float(x) - _rounded(moments.mu)) / (sigma := _rounded(moments.sigma))
+    z = (_rounded(x) - _rounded(moments.mu)) / (sigma := _rounded(moments.sigma))
+    nu = [moments.standardized(k) for k in range(order + 1)]
     coeffs = []
     for n in range(order + 1):
+        # E[He_n(Z)]: the coefficient of z^k is (-1)^j pairings(n, j), k = n - 2j, ascending
         expected = 0.0
-        for k, c in enumerate(hermite_explicit(n).coeffs):
-            if c:
-                expected += float(c) * moments.standardized(k)
+        for j in range(n // 2, -1, -1):
+            expected += float((-1) ** j * pairings(n, j)) * nu[n - 2 * j]
         coeffs.append(expected / math.factorial(n))
     return _he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * sigma)
 
@@ -238,6 +251,17 @@ MAX_WCE_DIMENSION = 3
 MAX_WCE_ORDER = 4
 
 
+@functools.cache
+def _multiplicities(dimension, rank):
+    # per axis of the moment grid, the multiplicity of that axis at every
+    # index of a rank-`rank` tensor: one fancy index, built once per shape
+    import numpy as np
+
+    counts = [index_multiplicities(indices, dimension)
+              for indices in itertools.product(range(dimension), repeat=rank)]
+    return tuple(np.reshape(axis, (dimension,) * rank) for axis in zip(*counts))
+
+
 def wce_coeffs_multi(f, dimension, order, quad_order=None):
     """Rank-n tensors b^(n) = E[He^(n)(Y) f(Y)] / n! for Y ~ N(0, I_d).
 
@@ -255,18 +279,26 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = quadrature.tensor_cubature(dimension, _quad_order(order, quad_order))
     table = _rule_table(rule.order, order)  # the base rule's: its nodes are the cubature's
-    moments = rule.weights * quadrature.integrand_values(f, rule)
-    moments = moments.reshape((rule.order,) * dimension)
-    for _ in range(dimension):
-        # contracts the leading node axis and appends a degree axis
-        moments = np.tensordot(moments, table, axes=([0], [1]))
+    values = quadrature.integrand_values(f, rule)
+
+    def contracted(values):
+        moments = (rule.weights * values).reshape((rule.order,) * dimension)
+        for _ in range(dimension):
+            # contracts the leading node axis and appends a degree axis
+            moments = np.tensordot(moments, table, axes=([0], [1]))
+        return moments
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments, shift = contracted(values), 0
+        if not np.isfinite(moments).all():  # redone scaled, as in _contracted_series
+            shift = math.frexp(float(np.max(np.abs(values))))[1]
+            moments = contracted(np.ldexp(values, -shift))
     normalization = (2.0 * math.pi) ** (dimension / 2.0)
-    tensors = []
-    for rank in range(order + 1):
-        tensor = np.empty((dimension,) * rank)
-        for indices in itertools.product(range(dimension), repeat=rank):
-            tensor[indices] = moments[index_multiplicities(indices, dimension)]
-        tensors.append(tensor / (normalization * math.factorial(rank)))
+    tensors = [moments[_multiplicities(dimension, rank)] / (normalization * math.factorial(rank))
+               for rank in range(order + 1)]
+    if shift:  # scaling back saturates: an entry past double range becomes +-inf
+        with np.errstate(over="ignore"):
+            tensors = [np.ldexp(tensor, shift) for tensor in tensors]
     return WCETensorCoeffs(dimension=dimension, tensors=tuple(tensors))
 
 

@@ -211,8 +211,12 @@ def hermite_table(n_max, x, family=PROBABILIST):
     _check_family(family)
     np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
     if np is None or not isinstance(x, np.ndarray):
+        try:
+            x = float(x)
+        except OverflowError:  # a big int or Fraction past double range
+            x = _rounded(x)
         rows = [1.0]
-        _recurrence(n_max, float(x), family, rows)
+        _recurrence(n_max, x, family, rows)
         return rows
     x = x.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -235,7 +239,11 @@ def eval_hermite(n, x, family=PROBABILIST):
     """
     n = _check_order(n)
     _check_family(family)
-    _, cur, e = _recurrence(n, float(x), family)
+    try:
+        x = float(x)
+    except OverflowError:  # a big int or Fraction past double range
+        x = _rounded(x)
+    _, cur, e = _recurrence(n, x, family)
     return _ldexp(cur, e)
 
 
@@ -248,7 +256,10 @@ def eval_hermite_function(n, x, kind=PROBABILIST):
     """
     n = _check_order(n)
     _check_family(kind)
-    x = float(x)
+    try:
+        x = float(x)
+    except OverflowError:  # a big int or Fraction past double range
+        x = _rounded(x)
     log_weight = -x * x / (4.0 if kind == PROBABILIST else 2.0)
     _, cur, e = _recurrence(n, x, kind, log_weight=log_weight)
     return _ldexp(cur, e)
@@ -282,5 +293,5 @@ def eval_orthonormal_hermite_function(n, x):
     root residual checks at high order.
     """
     n = _check_order(n)
-    return _orthonormal_pair(n, float(x))[0]
+    return _orthonormal_pair(n, _rounded(x))[0]
 

@@ -51,6 +51,11 @@ class QuadratureRule:
         whole.flags.writeable = False
         return whole
 
+    @functools.cached_property
+    def _whole_line_finite(self):
+        # whether every whole_line_weights entry is finite, found once per rule
+        return bool(np.isfinite(self.whole_line_weights).all())
+
 
 @dataclass(frozen=True, eq=False)
 class CubatureRule:
@@ -153,13 +158,14 @@ def whole_line_terms(f, rule):
     overflows; that overflow raises QuadratureRangeWarning first.
     """
     whole = rule.whole_line_weights
-    if not np.isfinite(whole).all():
-        warnings.warn(
-            f"e^(x^2/2) overflows at the outer nodes of the order-{rule.order} rule; "
-            "whole-line reweighting is out of range there",
-            QuadratureRangeWarning,
-            stacklevel=3,
-        )
+    if rule._whole_line_finite:
+        return integrand_values(f, rule) * whole
+    warnings.warn(
+        f"e^(x^2/2) overflows at the outer nodes of the order-{rule.order} rule; "
+        "whole-line reweighting is out of range there",
+        QuadratureRangeWarning,
+        stacklevel=3,
+    )
     values = integrand_values(f, rule)
     return values * np.where(values == 0.0, 0.0, whole)
 

@@ -116,20 +116,26 @@ def _finite(what):
     return lambda v: None if abs(v) < math.inf else f"{what} must be finite, got {v!r}"
 
 
+def _moment(what):
+    # a finite moment that rounds past double range overflows its series coefficient
+    return lambda v: _finite(what)(v) or REFUSAL["series coefficients"](v)
+
+
 # the full message with which a float argument refuses a value, None where it
-# takes the value; a point coordinate is x, in the recurrence kernel's words
+# takes the value; a point coordinate is x, in the recurrence kernel's words.
+# Exact values are compared exactly: a big int past double range is finite.
 REFUSAL = {
-    "x": lambda v: "x must not be nan" if math.isnan(v) else None,
+    "x": lambda v: "x must not be nan" if v != v else None,
     "mu": _finite("mu"),
-    "nu_3": _finite("nu_3"),
-    "nu_4": _finite("nu_4"),
-    "sigma": lambda v: (f"sigma must be finite, got {v!r}" if math.isinf(v)
+    "nu_3": _moment("nu_3"),
+    "nu_4": _moment("nu_4"),
+    "sigma": lambda v: (f"sigma must be finite, got {v!r}" if abs(v) == math.inf
                         else None if v > 0 else f"sigma must be positive, got {v!r}"),
     "series coefficients": lambda v: (
-        None if math.isfinite(v) else "series coefficients must be finite"),
+        None if math.isfinite(_rounded(v)) else "series coefficients must be finite"),
     # a coordinate of RECONSTRUCTION's point: at y = +inf its top terms are inf - inf
-    "point": lambda v: ("point (0.5, inf) has terms of both signs past double range"
-                        if v == math.inf else REFUSAL["x"](v)),
+    "point": lambda v: (f"point {(0.5, v)!r} has terms of both signs past double range"
+                        if _rounded(v) == math.inf else REFUSAL["x"](v)),
 }
 
 # each row takes the float argument under test, for which 0.5 is valid, and
@@ -229,15 +235,34 @@ def test_nan_x_is_refused(name):
         call(math.nan)
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0])
+@pytest.mark.parametrize("value", [
+    math.inf, -math.inf, 1e308, -1e308, 5e-324, -0.0,
+    # exact values past double range are rounded once, to +-inf
+    pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"),
+    pytest.param(Fraction(10**400), id="Fraction(10**400)"),
+])
 @pytest.mark.parametrize("name", sorted(XS))
 def test_float_extremes_give_a_value_or_a_named_refusal(name, value):
     what, call = XS[name]
     if (message := REFUSAL[what](value)) is None:
-        assert not np.isnan(call(value)).any()
+        result = call(value)
+        if isinstance(result, (int, Fraction)):  # ExactPolynomial's exact value
+            result = _rounded(result)
+        assert not np.isnan(result).any()
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (what, _) in XS.items()
+                                        if what == "x" and name != "ExactPolynomial.__call__"))
+def test_a_point_past_double_range_gives_its_limit_at_infinity(name):
+    # x is rounded once, so an exact x past double range is its signed infinity
+    # (ExactPolynomial is left out: it evaluates an int or a Fraction exactly)
+    call = XS[name][1]
+    for exact, limit in ((10**400, math.inf), (-(10**400), -math.inf),
+                         (Fraction(10**400), math.inf)):
+        assert same(call(exact), call(limit))
 
 
 def test_zero_factor_and_terms_of_both_signs_at_infinity():

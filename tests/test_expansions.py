@@ -18,6 +18,7 @@ from hermite_kit import (
     ExactPolynomial,
     HermiteSeries,
     StandardizedMoments,
+    WCETensorCoeffs,
     eval_hermite,
     evaluate_series,
     fourier_eigen_check,
@@ -36,7 +37,9 @@ from hermite_kit import (
     weierstrass_preimage_polynomial,
 )
 from hermite_kit import expansions
-from hermite_kit.expansions import _normalized
+from hermite_kit.expansions import _multiplicities, _normalized
+from hermite_kit.polynomials import _he_sum, hermite_explicit
+from hermite_kit.tensors import index_multiplicities
 from tensor_oracles import tensor_component_recursive
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -387,6 +390,31 @@ class TestGramCharlier:
         log_value = math.log(1e308 / 24.0) + math.log(he4) - 800.0 - math.log(SQRT_TWO_PI)
         assert gram_charlier_density(m, 4, 40.0) == pytest.approx(math.exp(log_value), rel=1e-12)
 
+    def test_bitwise_the_sum_over_explicit_polynomials(self):
+        # E[He_n(Z)] / n! summed over the coefficients of hermite_explicit(n) in
+        # ascending power, then the same guarded series sum, at every order 0..170
+        rng = np.random.default_rng(19)
+        nu = tuple(rng.uniform(-1.0, 1.0, 168) * 2.0 ** rng.integers(0, 300, 168))
+        m = StandardizedMoments(mu=0.25, sigma=1.5, nu=nu)
+        coeffs = []
+        for n in range(171):
+            expected = 0.0
+            for k, c in enumerate(hermite_explicit(n).coeffs):
+                if c:
+                    expected += float(c) * m.standardized(k)
+            coeffs.append(expected / math.factorial(n))
+        for x in (0.5, -2.0, 7.0):
+            z = (x - 0.25) / 1.5
+            for order in range(171):
+                want = _he_sum(coeffs[: order + 1], z, -z * z / 2.0) / (SQRT_TWO_PI * 1.5)
+                assert gram_charlier_density(m, order, x).hex() == want.hex(), (order, x)
+
+    @pytest.mark.parametrize("nu, order, k", [((), 3, 3), ((0.0, 3.0), 6, 5), ((0.1,), 9, 4)])
+    def test_a_missing_moment_is_named(self, nu, order, k):
+        m = StandardizedMoments(mu=0.0, sigma=1.0, nu=nu)
+        with pytest.raises(ValueError, match=f"^standardized moment nu_{k} was not supplied$"):
+            gram_charlier_density(m, order, 0.5)
+
 
 class TestWienerChaos1D:
     def test_constant(self):
@@ -476,6 +504,36 @@ class TestOverflowingMoments:
             with pytest.raises(ValueError, match="must be finite"):
                 fourier_hermite_coeffs(lambda x: sign * 1e308 * math.exp(-x * x / 200), 0)
 
+    def test_chaos_tensors_keep_a_constant_past_double_range(self):
+        # sum_i w_i 1e308 = 2 pi 1e308 overflows; b^(0) = 1e308 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tensors = wce_coeffs_multi(lambda p: 1e308, 2, 2).tensors
+        assert float(tensors[0]) == pytest.approx(1e308, rel=1e-14)
+        assert all(np.isfinite(t).all() for t in tensors)
+        assert np.abs(tensors[1]).max() < 1e308 * 1e-14
+
+    def test_chaos_tensor_retry_is_bitwise_a_power_of_two(self):
+        g = lambda p: 1.75 + p[0] / 16 - p[1] / 32  # (2 pi) 1.75 2^1022 passes 2^1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = wce_coeffs_multi(lambda p: math.ldexp(g(p), 1022), 2, 3).tensors
+        base = wce_coeffs_multi(g, 2, 3).tensors
+        assert all(np.array_equal(s, np.ldexp(b, 1022)) for s, b in zip(scaled, base))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_chaos_coefficient_past_double_range_is_inf(self, sign):
+        # the 3-point weights sum to sqrt(2 pi) (1 + 4e-16) in floats, so b^(0) of the
+        # largest double rounds past double range; wce_reconstruct refuses it by index
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tensors = wce_coeffs_multi(lambda p: sign * sys.float_info.max, 2, 1, 3).tensors
+            assert float(tensors[0]) == sign * math.inf
+            assert np.isfinite(tensors[1]).all()
+            message = rf"^chaos coefficient b\(\) must be finite, got {sign * math.inf!r}$"
+            with pytest.raises(ValueError, match=message):
+                wce_reconstruct(WCETensorCoeffs(2, tensors), (0.0, 0.0))
+
 
 class TestPastTheFloatFactorial:
     """n! leaves double range at n = 171, a little below the largest order
@@ -489,6 +547,18 @@ class TestPastTheFloatFactorial:
         assert _normalized(np.full(200, 1e300)) == tuple(want)
         coeffs = _normalized(np.array([1.0] * 171 + [math.inf, -math.inf, math.nan]))
         assert coeffs[171:173] == (math.inf, -math.inf) and math.isnan(coeffs[173])
+
+    def test_normalized_is_bitwise_the_per_order_division(self):
+        # the kept table of sqrt(2 pi) n! against the product formed at each n
+        rng = np.random.default_rng(19)
+        for size in (1, 5, 170, 171, 172, 200):
+            moments = rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-300, 308, size)
+            moments[rng.integers(0, size, 3)] = rng.choice([math.inf, -math.inf, math.nan], 3)
+            want = [m / (SQRT_TWO_PI * math.factorial(n)) if n <= 170 else m
+                    if not math.isfinite(m) else float(Fraction(m) / (
+                        Fraction(SQRT_TWO_PI) * math.factorial(n)))
+                    for n, m in enumerate(moments.tolist())]
+            assert list(map(float.hex, _normalized(moments))) == list(map(float.hex, want))
 
     def test_expansions_past_order_170(self):
         with warnings.catch_warnings():
@@ -510,6 +580,14 @@ class TestPastTheFloatFactorial:
 
 
 class TestWienerChaosMulti:
+    def test_kept_multiplicity_index_is_the_per_entry_one(self):
+        # b^(n) reads the moment grid at one fancy index per rank, built once per shape
+        for dimension, rank in itertools.product(range(1, 4), range(5)):
+            index = _multiplicities(dimension, rank)
+            for indices in itertools.product(range(dimension), repeat=rank):
+                got = tuple(int(axis[indices]) for axis in index)
+                assert got == index_multiplicities(indices, dimension)
+
     def test_constant(self):
         coeffs = wce_coeffs_multi(lambda p: 1.0, 2, 2)
         assert float(coeffs.tensors[0]) == pytest.approx(1.0, rel=1e-12)

@@ -388,10 +388,28 @@ class TestWholeLine:
         fake = QuadratureRule(
             order=2, nodes=np.array([-40.0, 40.0]), weights=np.array([1.0, 1.0])
         )
-        # the reweighted weights are kept on the rule; the warning still fires every call
+        # the reweighted weights are kept on the rule; the warning still fires every
+        # call, and a node where f is exactly 0 gives 0, not 0 * inf
         for _ in range(2):
             with pytest.warns(QuadratureRangeWarning):
-                integrate_whole_line(lambda x: 0.0, fake)
+                assert integrate_whole_line(lambda x: 0.0, fake) == 0.0
+            with pytest.warns(QuadratureRangeWarning):
+                assert integrate_whole_line(lambda x: 0.0 if x < 0 else 1.0, fake) == math.inf
+
+    def test_whole_line_terms_are_bitwise_the_guarded_product(self):
+        # every built rule has finite whole-line weights, so the guard's np.where is
+        # skipped; the plain product keeps its bits, the sign of an exact zero included
+        from hermite_kit.quadrature import whole_line_terms
+
+        def f(x):
+            return -0.0 if x < -1.0 else 0.0 if x > 2.0 else math.exp(-x * x / 3) * (x - 0.5)
+
+        for n in range(1, 201):
+            rule = gauss_hermite_rule(n)
+            assert rule._whole_line_finite, n
+            values = np.array([f(x) for x in rule.nodes])
+            want = values * np.where(values == 0.0, 0.0, rule.whole_line_weights)
+            assert whole_line_terms(f, rule).tobytes() == want.tobytes(), n
 
 
 class TestCubature:
