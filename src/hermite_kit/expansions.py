@@ -13,8 +13,7 @@ import functools
 import itertools
 import json
 import math
-import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactpoly import ExactPolynomial, _check_order, _check_sigma
@@ -107,37 +106,28 @@ def _eigen_quad_order(n, quad_order=None):
     return max(2 * n + 10, 40) if quad_order is None else _quad_order(2 * n + 8, quad_order)
 
 
-_TABLE_BYTES = 2**18   # most bytes of He tables kept between calls
-_tables = OrderedDict()   # (Q, order) -> read-only table, least recently used first
-_tables_bytes = 0
-_tables_lock = threading.Lock()
+_KEPT_TABLE_BYTES = 2**12   # a larger He table is built for its call, not kept
 
 
-def _rule_table(Q, order):
-    """Rows He_0 .. He_order at the nodes of the cached Q-point rule.
-
-    Kept between calls, so the table is read-only; the least recently used
-    tables are dropped once those kept pass _TABLE_BYTES in total, and a
-    larger table is returned but not kept.
-    """
-    global _tables_bytes
-    key = (Q, order)
-    with _tables_lock:
-        if (table := _tables.get(key)) is not None:
-            _tables.move_to_end(key)
-            return table
+def _table(Q, order):
+    # the read-only table; _rule_table decides whether it is kept
     from . import quadrature
 
     table = hermite_table(order, quadrature.gauss_hermite_rule(Q).nodes)
     table.flags.writeable = False
-    if table.nbytes <= _TABLE_BYTES:
-        with _tables_lock:
-            if key not in _tables:  # another thread may have kept the same table meanwhile
-                _tables[key] = table
-                _tables_bytes += table.nbytes
-                while _tables_bytes > _TABLE_BYTES:
-                    _tables_bytes -= _tables.popitem(last=False)[1].nbytes
     return table
+
+
+_kept_table = functools.cache(_table)
+
+
+def _rule_table(Q, order):
+    """Rows He_0 .. He_order at the nodes of the cached Q-point rule, read-only.
+
+    A table of at most _KEPT_TABLE_BYTES is kept and shared for the life of
+    the process: with Q <= 200 and order <= Q - 2, at most 1261 tables of
+    2 517 688 bytes (2.4 MiB) in all.  A larger table is built for its call."""
+    return (_kept_table if 8 * (order + 1) * Q <= _KEPT_TABLE_BYTES else _table)(Q, order)
 
 
 @functools.cache
@@ -155,24 +145,24 @@ def _normalized(moments):
                  for n, m in enumerate(moments.tolist()))
 
 
-def _contracted_series(table, terms, convention):
-    """Series with coefficients (table @ terms)_n / (sqrt(2 pi) n!).
+def _contracted_series(table, weights, values, convention):
+    """Series with coefficients (table @ (weights * values))_n / (sqrt(2 pi) n!).
 
-    A moment past double range (inf, or nan from inf - inf) makes
+    A term or moment past double range (inf, or nan from inf - inf) makes
     HermiteSeries refuse the coefficients; only then is the contraction
-    redone on the terms scaled by an exact power of two, so a finite
-    coefficient whose moment overflows is kept.  Scaling back saturates:
+    redone on the values scaled by an exact power of two, so a finite
+    coefficient whose terms or moment overflow is kept.  Scaling back saturates:
     a coefficient past double range becomes a signed inf and is refused.
     """
     import numpy as np
 
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = table @ terms
+        moments = table @ (weights * values)
         try:
             return HermiteSeries(coeffs=_normalized(moments), convention=convention)
         except ValueError:
-            shift = math.frexp(float(np.max(np.abs(terms))))[1]
-            scaled = _normalized(table @ np.ldexp(terms, -shift))
+            shift = math.frexp(float(np.max(np.abs(values))))[1]
+            scaled = _normalized(table @ (weights * np.ldexp(values, -shift)))
             coeffs = tuple(np.ldexp(scaled, shift).tolist())
     return HermiteSeries(coeffs=coeffs, convention=convention)
 
@@ -189,8 +179,9 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
 
     order = _check_order(order, "truncation order")
     rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
-    terms = quadrature.whole_line_terms(f, rule)
-    return _contracted_series(_rule_table(rule.order, order), terms, DENSITY_WEIGHTED)
+    values = quadrature.integrand_values(f, rule)
+    return _contracted_series(_rule_table(rule.order, order), rule.whole_line_weights, values,
+                              DENSITY_WEIGHTED)
 
 
 def evaluate_series(series, x):
@@ -243,8 +234,8 @@ def wce_coeffs_1d(f, order, quad_order=None):
 
     order = _check_order(order, "truncation order")
     rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
-    terms = rule.weights * quadrature.integrand_values(f, rule)
-    return _contracted_series(_rule_table(rule.order, order), terms, PLAIN_RV)
+    values = quadrature.integrand_values(f, rule)
+    return _contracted_series(_rule_table(rule.order, order), rule.weights, values, PLAIN_RV)
 
 
 MAX_WCE_DIMENSION = 3

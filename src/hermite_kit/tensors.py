@@ -7,7 +7,9 @@ appears among the indices.
 
 from __future__ import annotations
 
-from .polynomials import eval_hermite
+import math
+
+from .polynomials import PROBABILIST, _ldexp, _recurrence, _rounded
 
 
 def index_multiplicities(indices, dimension):
@@ -21,10 +23,16 @@ def index_multiplicities(indices, dimension):
 
 
 def tensor_component(indices, point):
-    """Value of the rank-len(indices) tensor component at a d-vector."""
+    """Value of the rank-len(indices) tensor component at a d-vector, rounded
+    once: the product keeps its power of two apart, so factors past double
+    range whose product is inside it give a finite value."""
     counts = index_multiplicities(indices, len(point))
-    value = 1.0
+    value, exponent = 1.0, 0
     for degree, x in zip(counts, point):
         if degree or x != x:  # He_0 = 1 is skipped; a nan goes on to the kernel's refusal
-            value *= eval_hermite(degree, x)
+            _, cur, e = _recurrence(degree, _rounded(x), PROBABILIST)
+            cur, s = math.frexp(cur)  # a subnormal factor too: rounded only with the product
+            value, t = math.frexp(value * cur)
+            exponent += e + s + t
+    value = _ldexp(value, exponent)
     return value if value == value else 0.0  # 0 * inf: a factor that is exactly 0 wins

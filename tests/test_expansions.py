@@ -4,7 +4,6 @@ import itertools
 import math
 import sys
 import warnings
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -485,6 +484,15 @@ class TestOverflowingMoments:
             series = fourier_hermite_coeffs(lambda x: 1e308 * math.exp(-x * x / 2), 0)
         assert series.coeffs[0] == pytest.approx(1e308, rel=1e-14)
 
+    def test_terms_past_double_range_keep_their_coefficient(self):
+        # weight times value overflows at the middle node of the 3-point rule; b_0 = a_0 do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wce = wce_coeffs_1d(lambda y: 1.5e308, 0, 3).coeffs
+            weighted = fourier_hermite_coeffs(lambda x: 1.5e308 * math.exp(-x * x / 2), 0, 3).coeffs
+        assert wce[0] == pytest.approx(1.5e308, rel=1e-14)
+        assert weighted[0] == pytest.approx(1.5e308, rel=1e-14)
+
     def test_scaled_retry_is_bitwise_a_power_of_two(self):
         g = lambda y: 1.75 + y / 16  # sqrt(2 pi) 1.75 2^1022 passes 2^1024
         density = shifted_gaussian(0.5)  # moment_0 = 1, so 2^1024 overflows it
@@ -647,74 +655,82 @@ def _bits(result):
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
-def _empty_tables(monkeypatch):
-    monkeypatch.setattr(expansions, "_tables", OrderedDict())
-    monkeypatch.setattr(expansions, "_tables_bytes", 0)
-
-
-def _kept_bytes():
-    return sum(table.nbytes for table in expansions._tables.values())
+def _small_keys():
+    # every (Q, order) a built rule serves whose table the cache keeps, in order of Q
+    return [(Q, order) for Q in range(2, 201) for order in range(Q - 1)
+            if 8 * (order + 1) * Q <= expansions._KEPT_TABLE_BYTES]
 
 
 _CHAOS_INTEGRAND = lambda y: math.sin(y) + 0.25 * y**3
 
 
 class TestRuleTableCache:
-    """The He table of each (rule size, order) pair is kept between calls."""
+    """The He table of each (rule size, order) pair is kept between calls
+    when it is at most 4 KiB, and built for its call when larger."""
 
-    def test_cached_results_are_the_cold_ones_bit_for_bit(self, monkeypatch):
-        _empty_tables(monkeypatch)
+    def test_cached_results_are_the_cold_ones_bit_for_bit(self):
+        expansions._kept_table.cache_clear()
         density = shifted_gaussian(0.3)
         calls = [(fourier_hermite_coeffs, density, order) for order in range(95)]
         calls += [(wce_coeffs_1d, _CHAOS_INTEGRAND, order) for order in range(95)]
-        # the second pass rebuilds the tables the first pass's later orders evicted
+        # the first pass fills the cache, the second reads the kept tables
         warm = [[_bits(expand(f, order)) for expand, f, order in calls] for _ in range(2)]
         for (expand, f, order), first, second in zip(calls, *warm):
-            _empty_tables(monkeypatch)
+            expansions._kept_table.cache_clear()
             assert first == second == _bits(expand(f, order)), (expand.__name__, order)
 
-    def test_chaos_tensors_share_the_one_dimensional_tables(self, monkeypatch):
+    def test_chaos_tensors_share_the_one_dimensional_tables(self):
         f = lambda p: p[0] ** 2 * p[-1] + math.cos(p[0])
+        info = expansions._kept_table.cache_info
         for dimension, order in itertools.product((1, 2, 3), range(5)):
-            _empty_tables(monkeypatch)
+            expansions._kept_table.cache_clear()
             cold = _bits(wce_coeffs_multi(f, dimension, order))
-            assert list(expansions._tables) == [(2 * order + 12, order)]
+            assert (info().hits, info().misses, info().currsize) == (0, 1, 1)
             wce_coeffs_1d(_CHAOS_INTEGRAND, order)  # a hit on the same entry
-            assert len(expansions._tables) == 1
+            assert (info().hits, info().currsize) == (1, 1)
             assert _bits(wce_coeffs_multi(f, dimension, order)) == cold
 
     def test_tables_and_whole_line_weights_are_read_only(self):
         rule = gauss_hermite_rule(26)
-        table = expansions._rule_table(26, 7)
-        assert np.array_equal(table, expansions.hermite_table(7, rule.nodes))
         with np.errstate(over="ignore"):
             want = rule.weights * np.exp(0.5 * rule.nodes**2)
         assert rule.whole_line_weights.tobytes() == want.tobytes()
         assert rule.whole_line_weights is rule.whole_line_weights
-        for array in (table, rule.whole_line_weights):
+        tables = [expansions._rule_table(Q, order) for Q, order in ((26, 7), (200, 180))]
+        assert np.array_equal(tables[0], expansions.hermite_table(7, rule.nodes))  # kept
+        assert tables[1].shape == (181, 200)  # built for its call
+        for array in (*tables, rule.whole_line_weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
-    def test_kept_tables_stay_within_the_byte_bound(self, monkeypatch):
-        _empty_tables(monkeypatch)
-        hot = expansions._rule_table(16, 2)
-        for order in range(95):
-            fourier_hermite_coeffs(shifted_gaussian(0.0), order)
-            assert expansions._tables_bytes == _kept_bytes() <= expansions._TABLE_BYTES
-            # used on every step, so never the least recently used: never rebuilt
-            assert expansions._rule_table(16, 2) is hot
-        assert (2 * 94 + 12, 94) in expansions._tables
-        assert (12, 0) not in expansions._tables
+    def test_a_table_past_the_bound_is_returned_but_not_kept(self):
+        expansions._kept_table.cache_clear()
+        # 8 (order + 1) Q bytes: 2400 and exactly 4096 are kept, 4608 and up are not
+        kept = [expansions._rule_table(Q, order) for Q, order in ((30, 9), (64, 7))]
+        large = [expansions._rule_table(Q, order) for Q, order in ((64, 8), (200, 180))]
+        assert [table.nbytes for table in kept + large] == [2400, 4096, 4608, 8 * 181 * 200]
+        assert not any(table.flags.writeable for table in kept + large)
+        assert expansions._kept_table.cache_info().currsize == 2
+        assert expansions._rule_table(30, 9) is kept[0] and expansions._rule_table(64, 7) is kept[1]
+        again = expansions._rule_table(64, 8)
+        assert again is not large[0] and again.tobytes() == large[0].tobytes()
+        assert expansions._kept_table.cache_info().currsize == 2
 
-    def test_a_table_past_the_bound_is_returned_but_not_kept(self, monkeypatch):
-        _empty_tables(monkeypatch)
-        kept = expansions._rule_table(30, 9)
-        large = expansions._rule_table(200, 180)
-        assert large.shape == (181, 200) and large.nbytes > expansions._TABLE_BYTES
-        assert not large.flags.writeable
-        assert list(expansions._tables) == [(30, 9)]
-        assert expansions._tables_bytes == kept.nbytes
-        assert expansions._rule_table(30, 9) is kept
+    def test_kept_tables_stay_within_the_byte_bound(self):
+        # the key space is finite, so the cache is bounded without evicting
+        expansions._kept_table.cache_clear()
+        total = 0
+        for Q in range(2, 201):
+            for order in range(Q - 1):
+                size = expansions._kept_table.cache_info().currsize
+                table = expansions._rule_table(Q, order)
+                if expansions._kept_table.cache_info().currsize == size:  # not kept
+                    assert table.nbytes > 4096
+                    break  # the tables only grow with the order
+                total += table.nbytes
+        assert expansions._kept_table.cache_info().currsize == len(_small_keys()) == 1261
+        assert total == 2_517_688 <= 2.41 * 2**20
+        expansions._kept_table.cache_clear()
 
     @staticmethod
     def _in_four_threads(run):
@@ -727,27 +743,32 @@ class TestRuleTableCache:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_threads_match_the_serial_results(self, monkeypatch):
-        # orders 0..60 evict one another, so the threads insert and evict concurrently
+    def test_threads_match_the_serial_results(self):
+        # orders 0..60 mix kept tables and tables built per call
         density = shifted_gaussian(-0.4)
         calls = [(expand, f, order) for order in range(61)
                  for expand, f in ((fourier_hermite_coeffs, density),
                                    (wce_coeffs_1d, _CHAOS_INTEGRAND))]
         serial = {(expand, order): _bits(expand(f, order)) for expand, f, order in calls}
-        _empty_tables(monkeypatch)
+        expansions._kept_table.cache_clear()
         results = self._in_four_threads(
             lambda: [((expand, order), _bits(expand(f, order))) for expand, f, order in calls])
         for key, bits in itertools.chain.from_iterable(results):
             assert bits == serial[key], key
-        assert expansions._tables_bytes == _kept_bytes() <= expansions._TABLE_BYTES
 
-    def test_threads_keep_the_byte_total(self, monkeypatch):
-        # over a thousand small tables: most of each call is the bookkeeping, so an
-        # unlocked check-then-insert would count a table twice and then pop an empty cache
-        keys = [(Q, order) for Q in range(2, 201) for order in range(0, Q - 1, 17)]
-        _empty_tables(monkeypatch)
-        self._in_four_threads(lambda: [expansions._rule_table(*key) for key in keys])
-        assert expansions._tables_bytes == _kept_bytes() <= expansions._TABLE_BYTES
+    def test_threads_keep_one_entry_per_small_key(self):
+        # every small table, missed by four threads together: each key ends with one
+        # kept entry, and every thread got the serial table's bits
+        keys = _small_keys()
+        serial = [expansions._table(*key).tobytes() for key in keys]
+        expansions._kept_table.cache_clear()
+        results = self._in_four_threads(lambda: [expansions._rule_table(*key) for key in keys])
+        assert expansions._kept_table.cache_info().currsize == len(keys)
+        for tables in results:
+            assert [table.tobytes() for table in tables] == serial
+        kept = [expansions._rule_table(*key) for key in keys]  # hits now
+        assert [table.tobytes() for table in kept] == serial
+        expansions._kept_table.cache_clear()
 
 
 class TestDeconvolution:

@@ -1,6 +1,7 @@
 """Multidimensional Hermite tensor components."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,24 @@ class TestComponents:
             assert tensor_component(perm, x) == pytest.approx(
                 tensor_component((0, 1, 1, 2), x), rel=1e-12
             )
+
+    def test_factors_past_double_range_with_a_finite_product(self):
+        # He_2(1e200) = 1e400 - 1 overflows on its own; times He_1(1e-300) it is 1e100
+        assert tensor_component((0, 0, 1), (1e200, 1e-300)) == pytest.approx(1e100, rel=1e-15)
+        assert tensor_component((0, 0, 1), (1e200, -1e-300)) == pytest.approx(-1e100, rel=1e-15)
+        assert tensor_component((0, 0, 0, 1), (1e200, 1e-300)) == pytest.approx(1e300, rel=1e-15)
+        # past double range the product saturates or underflows with its sign
+        assert tensor_component((0, 0, 0, 0, 1), (-1e200, -1e-300)) == -math.inf
+        assert math.copysign(1.0, tensor_component((0, 1, 1, 1), (1e-300, 1e-100))) == -1.0
+
+    def test_a_subnormal_product_is_rounded_once(self):
+        # -2.5 * 7 units of 2^-1074 is -17.5 units, -18 under one rounding; a factor
+        # rounded to the subnormal grid before its power of two gives -16
+        assert tensor_component((0, 1), (-2.5, 3.5e-323)) == -2.5 * 3.5e-323 == -9e-323
+
+    def test_a_nan_coordinate_is_refused_also_at_degree_0(self):
+        with pytest.raises(ValueError, match="^x must not be nan$"):
+            tensor_component((0,), (0.5, math.nan))
 
     def test_multiplicities(self):
         assert index_multiplicities((0, 1, 1, 2), 3) == (1, 2, 1)
