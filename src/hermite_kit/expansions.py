@@ -145,25 +145,25 @@ def _normalized(moments):
                  for n, m in enumerate(moments.tolist()))
 
 
-def _contracted_series(table, weights, values, convention):
-    """Series with coefficients (table @ (weights * values))_n / (sqrt(2 pi) n!).
+def _contracted_series(f, order, quad_order, convention):
+    """Series with coefficients (table @ (weights * f(nodes)))_n / (sqrt(2 pi) n!)
+    on the Q-point rule: whole-line weights for DENSITY_WEIGHTED, else plain.
 
-    A term or moment past double range (inf, or nan from inf - inf) makes
-    HermiteSeries refuse the coefficients; only then is the contraction
-    redone on the values scaled by an exact power of two, so a finite
-    coefficient whose terms or moment overflow is kept.  Scaling back saturates:
-    a coefficient past double range becomes a signed inf and is refused.
+    The contraction goes through quadrature._guarded, so a finite coefficient
+    whose terms or moment overflow is kept.  Scaling back saturates: a
+    coefficient past double range becomes a signed inf and is refused.
     """
-    import numpy as np
+    from . import quadrature
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = table @ (weights * values)
-        try:
-            return HermiteSeries(coeffs=_normalized(moments), convention=convention)
-        except ValueError:
-            shift = math.frexp(float(np.max(np.abs(values))))[1]
-            scaled = _normalized(table @ (weights * np.ldexp(values, -shift)))
-            coeffs = tuple(np.ldexp(scaled, shift).tolist())
+    order = _check_order(order, "truncation order")
+    rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
+    values = quadrature.integrand_values(f, rule)
+    table = _rule_table(rule.order, order)
+    weights = rule.whole_line_weights if convention == DENSITY_WEIGHTED else rule.weights
+    moments, shift = quadrature._guarded(lambda v: table @ (weights * v), values)
+    coeffs = _normalized(moments)
+    if shift:
+        coeffs = tuple(_ldexp(c, shift) for c in coeffs)
     return HermiteSeries(coeffs=coeffs, convention=convention)
 
 
@@ -175,13 +175,7 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     contracted with those values, in O(order * Q).  quad_order must be at
     least order + 2 (defaults to 2*order + 12).
     """
-    from . import quadrature
-
-    order = _check_order(order, "truncation order")
-    rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
-    values = quadrature.integrand_values(f, rule)
-    return _contracted_series(_rule_table(rule.order, order), rule.whole_line_weights, values,
-                              DENSITY_WEIGHTED)
+    return _contracted_series(f, order, quad_order, DENSITY_WEIGHTED)
 
 
 def evaluate_series(series, x):
@@ -230,12 +224,7 @@ def wce_coeffs_1d(f, order, quad_order=None):
 
     f is called once per node of the Q-point rule, Q >= order + 2.  Cost O(order * Q).
     """
-    from . import quadrature
-
-    order = _check_order(order, "truncation order")
-    rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
-    values = quadrature.integrand_values(f, rule)
-    return _contracted_series(_rule_table(rule.order, order), rule.weights, values, PLAIN_RV)
+    return _contracted_series(f, order, quad_order, PLAIN_RV)
 
 
 MAX_WCE_DIMENSION = 3
@@ -270,7 +259,6 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = quadrature.tensor_cubature(dimension, _quad_order(order, quad_order))
     table = _rule_table(rule.order, order)  # the base rule's: its nodes are the cubature's
-    values = quadrature.integrand_values(f, rule)
 
     def contracted(values):
         moments = (rule.weights * values).reshape((rule.order,) * dimension)
@@ -279,11 +267,7 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
             moments = np.tensordot(moments, table, axes=([0], [1]))
         return moments
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments, shift = contracted(values), 0
-        if not np.isfinite(moments).all():  # redone scaled, as in _contracted_series
-            shift = math.frexp(float(np.max(np.abs(values))))[1]
-            moments = contracted(np.ldexp(values, -shift))
+    moments, shift = quadrature._guarded(contracted, quadrature.integrand_values(f, rule))
     normalization = (2.0 * math.pi) ** (dimension / 2.0)
     tensors = [moments[_multiplicities(dimension, rank)] / (normalization * math.factorial(rank))
                for rank in range(order + 1)]

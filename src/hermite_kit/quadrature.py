@@ -15,23 +15,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exactpoly import _check_order
-from .polynomials import MAX_ORDER, NodeConvergenceError, _orthonormal_pair
+from .polynomials import MAX_ORDER, NodeConvergenceError, _ldexp, _orthonormal_pair
 
 CUBATURE_POINT_BUDGET = 10**7
 
 _NEWTON_MAX_ITER = 100
 _NODE_RESIDUAL_TOL = 1e-13
 _BLOCK_ROWS = 2**14   # most cubature points built at once
-
-
-class QuadratureRangeWarning(UserWarning):
-    """Raised when whole-line reweighting leaves double range at outer nodes."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +39,15 @@ class QuadratureRule:
 
     @functools.cached_property
     def whole_line_weights(self):
-        """w_i e^{x_i^2/2} per node, read-only, built on first read; inf where
-        e^{x^2/2} leaves double range."""
+        """w_i e^{x_i^2/2} per node, read-only, built on first read.  Finite for
+        every built rule; ValueError for a rule whose product leaves double range."""
         with np.errstate(over="ignore"):
             whole = self.weights * np.exp(0.5 * self.nodes**2)
+        if not np.isfinite(whole).all():
+            raise ValueError(f"whole-line weights of the order-{self.order} rule overflow: "
+                             "e^(x^2/2) leaves double range at its outer nodes")
         whole.flags.writeable = False
         return whole
-
-    @functools.cached_property
-    def _whole_line_finite(self):
-        # whether every whole_line_weights entry is finite, found once per rule
-        return bool(np.isfinite(self.whole_line_weights).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,44 +131,43 @@ def integrand_values(f, rule):
     return values
 
 
+@np.errstate(over="ignore", invalid="ignore")   # as a decorator it costs half a with block
+def _guarded(contract, values):
+    """(contract(values), 0) if finite, else (contract(values * 2**-shift), shift)
+    with shift the binary exponent of the largest |value|, so a linear contract
+    keeps a finite result whose terms overflow; the caller scales back by
+    2**shift, saturating.  The entrywise check runs only if the sum is not finite."""
+    result = contract(values)
+    if math.isfinite(result if isinstance(result, float) else result.sum()) or \
+            np.isfinite(result).all():
+        return result, 0
+    shift = math.frexp(float(np.max(np.abs(values))))[1]
+    return contract(np.ldexp(values, -shift)), shift
+
+
 def integrate_weighted(f, rule):
     """sum_i w_i f(x_i) over a QuadratureRule, i.e. int e^{-x^2/2} f(x) dx,
     or over a CubatureRule, int e^{-|x|^2/2} f(x) dx on R^d.
 
     Exact (to rounding) whenever f is a polynomial of degree <= 2N-1 in
-    each variable.
+    each variable.  Only a sum past double range is inf, with its sign.
     """
-    return float(np.dot(rule.weights, integrand_values(f, rule)))
+    total, shift = _guarded(lambda v: float(np.dot(rule.weights, v)), integrand_values(f, rule))
+    return _ldexp(total, shift) if shift else total
 
 
 integrate_cubature = integrate_weighted
 
 
-def whole_line_terms(f, rule):
-    """w_i e^{x_i^2/2} f(x_i) per node, so that their sum is int f(x) dx.
-
-    A node where f is exactly 0 contributes 0 even where e^{x^2/2}
-    overflows; that overflow raises QuadratureRangeWarning first.
-    """
-    whole = rule.whole_line_weights
-    if rule._whole_line_finite:
-        return integrand_values(f, rule) * whole
-    warnings.warn(
-        f"e^(x^2/2) overflows at the outer nodes of the order-{rule.order} rule; "
-        "whole-line reweighting is out of range there",
-        QuadratureRangeWarning,
-        stacklevel=3,
-    )
-    values = integrand_values(f, rule)
-    return values * np.where(values == 0.0, 0.0, whole)
-
-
 def integrate_whole_line(f, rule):
     """int f(x) dx over the real line via f(x) = [f(x) e^{x^2/2}] e^{-x^2/2}.
 
-    Accurate when f(x) e^{x^2/2} is moderate at the outermost nodes.
+    Accurate when f(x) e^{x^2/2} is moderate at the outermost nodes.  Only a
+    sum past double range is inf, with its sign.
     """
-    return float(np.sum(whole_line_terms(f, rule)))
+    whole = rule.whole_line_weights
+    total, shift = _guarded(lambda v: float(np.sum(v * whole)), integrand_values(f, rule))
+    return _ldexp(total, shift) if shift else total
 
 
 def tensor_cubature(d, N):

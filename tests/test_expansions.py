@@ -493,6 +493,18 @@ class TestOverflowingMoments:
         assert wce[0] == pytest.approx(1.5e308, rel=1e-14)
         assert weighted[0] == pytest.approx(1.5e308, rel=1e-14)
 
+    def test_finite_moments_whose_sum_overflows_keep_their_bits(self):
+        # m_0 = m_1 = sqrt(2 pi) 4e307 are finite though their sum is not; no retry runs
+        f = lambda y: 4e307 * (1.0 + y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = wce_coeffs_1d(f, 1, 3)
+        rule = gauss_hermite_rule(3)
+        moments = expansions._rule_table(3, 1) @ (rule.weights * np.array([f(y) for y in rule.nodes]))
+        with np.errstate(over="ignore"):
+            assert np.isfinite(moments).all() and moments.sum() == math.inf
+        assert series.coeffs == _normalized(moments)
+
     def test_scaled_retry_is_bitwise_a_power_of_two(self):
         g = lambda y: 1.75 + y / 16  # sqrt(2 pi) 1.75 2^1022 passes 2^1024
         density = shifted_gaussian(0.5)  # moment_0 = 1, so 2^1024 overflows it

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -380,36 +381,97 @@ class TestWholeLine:
         with pytest.raises(ValueError, match="node index 2"):
             integrate_weighted(bad, rule)
 
-    def test_range_warning_beyond_double_reach(self):
+    def test_overflowing_whole_line_weights_raise(self):
         # e^(x^2/2) only leaves double range past |x| ~ 37.6, beyond any
-        # supported order; a synthetic rule exercises the warning path
-        from hermite_kit.quadrature import QuadratureRangeWarning, QuadratureRule
+        # supported order; only a hand-built rule reaches the refusal
+        from hermite_kit.quadrature import QuadratureRule
 
         fake = QuadratureRule(
             order=2, nodes=np.array([-40.0, 40.0]), weights=np.array([1.0, 1.0])
         )
-        # the reweighted weights are kept on the rule; the warning still fires every
-        # call, and a node where f is exactly 0 gives 0, not 0 * inf
-        for _ in range(2):
-            with pytest.warns(QuadratureRangeWarning):
-                assert integrate_whole_line(lambda x: 0.0, fake) == 0.0
-            with pytest.warns(QuadratureRangeWarning):
-                assert integrate_whole_line(lambda x: 0.0 if x < 0 else 1.0, fake) == math.inf
+        called = []
+        for _ in range(2):  # refused on every read, before f is called
+            with pytest.raises(ValueError, match=r"^whole-line weights of the order-2 rule "
+                               r"overflow: e\^\(x\^2/2\) leaves double range at its outer nodes$"):
+                integrate_whole_line(called.append, fake)
+        assert called == []
 
-    def test_whole_line_terms_are_bitwise_the_guarded_product(self):
-        # every built rule has finite whole-line weights, so the guard's np.where is
-        # skipped; the plain product keeps its bits, the sign of an exact zero included
-        from hermite_kit.quadrature import whole_line_terms
-
+    def test_whole_line_integral_is_bitwise_the_plain_sum(self):
+        # every built rule has finite whole-line weights, and a finite sum is the
+        # plain product summed, the sign of an exact zero included
         def f(x):
             return -0.0 if x < -1.0 else 0.0 if x > 2.0 else math.exp(-x * x / 3) * (x - 0.5)
 
         for n in range(1, 201):
             rule = gauss_hermite_rule(n)
-            assert rule._whole_line_finite, n
+            assert np.isfinite(rule.whole_line_weights).all(), n
             values = np.array([f(x) for x in rule.nodes])
-            want = values * np.where(values == 0.0, 0.0, rule.whole_line_weights)
-            assert whole_line_terms(f, rule).tobytes() == want.tobytes(), n
+            want = float(np.sum(values * rule.whole_line_weights))
+            got = integrate_whole_line(f, rule)
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), n
+
+
+def _exact_sum(weights, values):
+    # sum_i w_i v_i in rationals at the binary values, rounded once
+    return sum(Fraction(float(w)) * Fraction(float(v)) for w, v in zip(weights, values))
+
+
+def _ulps(got, exact):
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+class TestOverflowingTerms:
+    """A term w_i f(x_i) past double range while the sum is not: the contraction
+    is redone on values scaled by a power of two, without a RuntimeWarning."""
+
+    @staticmethod
+    def f(y):
+        return 1.5e308 if abs(y) < 0.1 else -1.5e308
+
+    def test_integrate_weighted(self):
+        rule = gauss_hermite_rule(3)
+        got = integrate_weighted(self.f, rule)
+        # 1.5e308 (w_1 - 2 w_0) with w_1 = 1.67, w_0 = 0.42
+        assert _ulps(got, _exact_sum(rule.weights, map(self.f, rule.nodes))) <= 2
+        assert got == pytest.approx(1.2533141373155001e308, rel=1e-15)
+
+    def test_integrate_cubature(self):
+        rule = tensor_cubature(2, 3)
+        # the centre term 2.78 * 0.9e308 overflows even with one outer term (-0.63e308) added
+        g = lambda p: 0.6 * self.f(p[0]) if p[1] == 0.0 else 0.0
+        want = _exact_sum(rule.weights, map(g, rule.points))
+        assert _ulps(integrate_cubature(g, rule), want) <= 2
+        line = tensor_cubature(1, 3)
+        assert integrate_cubature(lambda p: self.f(p[0]), line) == \
+            integrate_weighted(self.f, gauss_hermite_rule(3))
+
+    def test_integrate_whole_line(self):
+        rule = gauss_hermite_rule(5)
+        g = lambda y: self.f(y) * math.exp(-y * y / 2) if abs(y) < 2.5 else 0.0
+        want = _exact_sum(rule.whole_line_weights, map(g, rule.nodes))
+        assert abs(want) < Fraction(1e308)
+        assert _ulps(integrate_whole_line(g, rule), want) <= 4  # the terms cancel
+
+    def test_sum_past_double_range_is_a_signed_inf(self):
+        # whole-line 3-point: 1.5e308 (1.67 - 2 * 1.87) is past -2^1024
+        rule = gauss_hermite_rule(3)
+        assert _exact_sum(rule.whole_line_weights, map(self.f, rule.nodes)) < -Fraction(2) ** 1024
+        assert integrate_whole_line(self.f, rule) == -math.inf
+        assert integrate_weighted(lambda y: 1.7e308, rule) == math.inf
+        assert integrate_cubature(lambda p: -1.7e308, tensor_cubature(2, 2)) == -math.inf
+
+    def test_finite_result_whose_sum_overflows_is_not_retried(self):
+        calls = []
+
+        def contract(values):
+            calls.append(values)
+            return np.array([1e308, 1e308]) * values[0]
+
+        result, shift = quadrature._guarded(contract, np.array([1.0]))
+        assert (result.tolist(), shift, len(calls)) == ([1e308, 1e308], 0, 1)
+        calls.clear()
+        result, shift = quadrature._guarded(contract, np.array([4.0]))
+        assert (result.tolist(), shift, len(calls)) == ([0.5e308, 0.5e308], 3, 2)
 
 
 class TestCubature:
