@@ -139,6 +139,8 @@ def cmd_plotdata(args, out):
         raise ValueError("--samples must be at least 2")
     if args.xmax < args.xmin:
         raise ValueError(f"empty range [{args.xmin}, {args.xmax}]")
+    if args.samples > 10**6:
+        raise ValueError(f"--samples is capped at 1000000, got {args.samples}")
     grid = _grid(args.xmin, args.xmax, args.samples)
     if args.kind == "poly":
         values = [polynomials.eval_hermite(args.n, x, args.family) for x in grid]

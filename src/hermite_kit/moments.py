@@ -124,12 +124,6 @@ def compose(second, first):
     )
 
 
-def identity_matrix(n, basis):
-    n = _check_order(n, "matrix order")
-    entries = tuple(tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1))
-    return ChangeOfBasisMatrix(from_basis=basis, to_basis=basis, entries=entries)
-
-
 def weierstrass_preimage_polynomial(n, sigma):
     """sigma^n He_n(x / sigma) as an exact polynomial; sigma is taken at
     its exact binary value, so dyadic sigmas stay exact.

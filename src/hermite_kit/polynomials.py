@@ -258,29 +258,3 @@ def eval_hermite_function(n, x, kind=PROBABILIST):
 class NodeConvergenceError(RuntimeError):
     """Raised when Newton polishing leaves a node above the residual tolerance."""
 
-
-def _orthonormal_pair(n, x):
-    # (psi_n(x), psi_{n-1}(x)), psi_n = he_n / sqrt(sqrt(2 pi) n!), both
-    # O(1); n! enters exactly, shifted by an even power of two.  An array x
-    # (n >= 1) weights the table's last two rows, finite at the rule nodes.
-    f = math.factorial(n)
-    shift = max(f.bit_length() - 64, 0) & ~1
-    scale = 1.0 / math.sqrt(SQRT_TWO_PI * (f >> shift))
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(x, np.ndarray):
-        prev, cur = hermite_table(n, x)[-2:] * (scale * np.exp(-x * x / 4.0))
-        return np.ldexp(cur, -shift // 2), np.ldexp(math.sqrt(n) * prev, -shift // 2)
-    prev, cur, e = _recurrence(n, x, PROBABILIST, log_weight=-x * x / 4.0)
-    e -= shift // 2
-    return math.ldexp(scale * cur, e), math.ldexp(scale * math.sqrt(n) * prev, e)
-
-
-def eval_orthonormal_hermite_function(n, x):
-    """he_n(x) / sqrt(sqrt(2*pi) n!), the unit-norm weighted function.
-
-    Values stay O(1) for any n, which makes this the right object for
-    root residual checks at high order.
-    """
-    n = _check_order(n)
-    return _orthonormal_pair(n, _rounded(x))[0]
-

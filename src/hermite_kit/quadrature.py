@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exactpoly import _check_order
-from .polynomials import MAX_ORDER, NodeConvergenceError, _ldexp, _orthonormal_pair
+from .polynomials import MAX_ORDER, SQRT_TWO_PI, NodeConvergenceError, _ldexp, hermite_table
 
 CUBATURE_POINT_BUDGET = 10**7
 
@@ -85,6 +85,16 @@ def gauss_hermite_rule(N):
     if (N := _check_order(N, "quadrature order", 1)) > MAX_ORDER:
         raise ValueError(f"quadrature order {N} exceeds the supported maximum {MAX_ORDER}")
     return _build_rule(N)
+
+
+def _orthonormal_pair(n, x):
+    # (psi_n(x), psi_{n-1}(x)) at the nodes x, psi_n = he_n / sqrt(sqrt(2 pi) n!),
+    # both O(1) and finite there; n! enters exactly, shifted by an even power of two
+    f = math.factorial(n)
+    shift = max(f.bit_length() - 64, 0) & ~1
+    scale = 1.0 / math.sqrt(SQRT_TWO_PI * (f >> shift))
+    prev, cur = hermite_table(n, x)[-2:] * (scale * np.exp(-x * x / 4.0))
+    return np.ldexp(cur, -shift // 2), np.ldexp(math.sqrt(n) * prev, -shift // 2)
 
 
 @functools.cache
@@ -181,5 +191,7 @@ def tensor_cubature(d, N):
             f"cubature of order {N} in dimension {d} needs {size} points, "
             f"above the budget of {CUBATURE_POINT_BUDGET}"
         )
+    if d > 32:  # np.meshgrid, which builds the points, takes at most 32 axes; only N = 1 is here
+        raise ValueError(f"dimension must be 1..32, got {d}")
     weights = functools.reduce(np.multiply.outer, [base.weights] * d)
     return CubatureRule(dimension=d, order=N, nodes=base.nodes, weights=weights.ravel())

@@ -151,6 +151,35 @@ class TestPlotdata:
         )
         assert code == 2
 
+    def test_samples_cap(self, capsys):
+        # refused before the grid is built, whose list of 10**11 samples would exhaust memory
+        code, out, err = run_cli(
+            capsys, "plotdata", "--kind", "poly", "--n", "5",
+            "--xmin", "0", "--xmax", "1", "--samples", "1000001",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --samples is capped at 1000000, got 1000001\n"
+
+    @pytest.mark.parametrize("samples", ["100000000000", "1" + "0" * 30])
+    def test_samples_far_past_the_cap_are_refused_at_once(self, capsys, samples):
+        # 10**11 samples ran until killed before the cap
+        code, out, err = run_cli(
+            capsys, "plotdata", "--kind", "poly", "--n", "5",
+            "--xmin", "0", "--xmax", "1", "--samples", samples,
+        )
+        assert (code, out, err) == (2, "", f"error: --samples is capped at 1000000, got {samples}\n")
+
+    @pytest.mark.parametrize("bounds, samples, message", [
+        (("2", "1"), "100000000000", "empty range [2.0, 1.0]"),
+        (("0", "1"), "1", "--samples must be at least 2"),
+    ])
+    def test_earlier_refusals_keep_their_wording(self, capsys, bounds, samples, message):
+        code, out, err = run_cli(
+            capsys, "plotdata", "--kind", "poly", "--n", "5",
+            "--xmin", bounds[0], "--xmax", bounds[1], "--samples", samples,
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_series_without_coeffs_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "plotdata", "--kind", "series",

@@ -10,7 +10,9 @@ gives a value or its limit, never nan, or a ValueError that names it, with
 the argument's one wording.
 """
 
+import ast
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -54,8 +56,7 @@ from hermite_kit import (
     wce_reconstruct,
     weierstrass_preimage_polynomial,
 )
-from hermite_kit.moments import identity_matrix
-from hermite_kit.polynomials import _rounded, eval_orthonormal_hermite_function
+from hermite_kit.polynomials import _rounded
 
 GAUSSIAN = StandardizedMoments(mu=0.0, sigma=1.0, nu=(0.0, 3.0))
 
@@ -68,13 +69,11 @@ ORDERS = {
     "hermite_table(array)": lambda n: hermite_table(n, np.array([0.5, 40.0])),
     "eval_hermite": lambda n: eval_hermite(n, 0.5),
     "eval_hermite_function": lambda n: eval_hermite_function(n, 0.5),
-    "eval_orthonormal_hermite_function": lambda n: eval_orthonormal_hermite_function(n, 0.5),
     "ExactPolynomial.monomial": ExactPolynomial.monomial,
     "ExactPolynomial.derivative": ExactPolynomial((1, 2, 3, 4, 5)).derivative,
     "gaussian_raw_moment": lambda n: gaussian_raw_moment(n, 0.5, 2.0),
     "gauss_moment_polynomial": gauss_moment_polynomial,
     "change_of_basis": lambda n: change_of_basis(n, "he", "monomial"),
-    "identity_matrix": lambda n: identity_matrix(n, "he"),
     "weierstrass_preimage_polynomial": lambda n: weierstrass_preimage_polynomial(n, 0.5),
     "fourier_hermite_coeffs": lambda n: fourier_hermite_coeffs(math.cos, n),
     "fourier_hermite_coeffs(quad_order)": lambda n: fourier_hermite_coeffs(math.cos, 1, n),
@@ -147,7 +146,6 @@ XS = {
     "eval_hermite(h)": ("x", lambda x: eval_hermite(4, x, "h")),
     "eval_hermite_function": ("x", lambda x: eval_hermite_function(3, x)),
     "eval_hermite_function(h)": ("x", lambda x: eval_hermite_function(4, x, "h")),
-    "eval_orthonormal_hermite_function": ("x", lambda x: eval_orthonormal_hermite_function(3, x)),
     "hermite_table": ("x", lambda x: hermite_table(5, x)),
     "ExactPolynomial.__call__": ("x", lambda x: ExactPolynomial((1, -3, 0, 1))(x)),
     "evaluate_series(plain-rv)": ("x", lambda x: evaluate_series(
@@ -319,6 +317,24 @@ def test_every_public_callable_is_in_a_domain_table():
     assert sorted(public - tabled - NO_NUMERIC_ARGUMENT) == []
     assert sorted(NO_NUMERIC_ARGUMENT - public) == []
     assert sorted(NO_NUMERIC_ARGUMENT & tabled) == []
+
+
+def test_every_module_level_name_is_public_or_used_in_src():
+    # a function or class that only the tests call belongs in tests/: each
+    # non-underscore one is public or referenced in src/ outside its own definition
+    import hermite_kit
+
+    defined, used = set(), set()
+    for path in pathlib.Path(hermite_kit.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(top.name)
+                names.discard(top.name)
+            used |= names
+    public = set(hermite_kit._PUBLIC)
+    assert sorted(n for n in defined - public - used if not n.startswith("_")) == []
 
 
 def test_one_wording_for_every_order():

@@ -227,8 +227,6 @@ class TestEvaluation:
         for n in range(8):
             for x in (math.inf, -math.inf):
                 assert eval_hermite_function(n, x, family) == 0.0, (n, x)
-                if family == "he":
-                    assert polynomials.eval_orthonormal_hermite_function(n, x) == 0.0, (n, x)
 
     @pytest.mark.parametrize("family", ["he", "h"])
     def test_overflow_sign_is_that_of_degree_n(self, family):

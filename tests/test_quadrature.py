@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import hermite_kit
 from hermite_kit import (
+    eval_hermite_function,
     gauss_hermite_rule,
     integrate_cubature,
     integrate_weighted,
@@ -25,9 +26,16 @@ from hermite_kit import (
     tensor_cubature,
 )
 from hermite_kit import quadrature
-from hermite_kit.polynomials import eval_orthonormal_hermite_function
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+
+def orthonormal_residual(N, x):
+    # psi_N(x) = he_N(x) / sqrt(sqrt(2 pi) N!) from the scalar kernel, not from
+    # the array pair with which the builder polishes the nodes
+    return eval_hermite_function(N, x) * math.exp(
+        -0.5 * (math.lgamma(N + 1) + math.log(SQRT_TWO_PI)))
+
 
 # a child interpreter imports the same hermite_kit as this process, installed or not
 _CHILD_ENV = {**os.environ,
@@ -98,12 +106,10 @@ class TestRuleInvariants:
             gauss_hermite_rule(201)
 
     def test_node_residuals_in_weighted_form(self):
-        from hermite_kit.polynomials import eval_orthonormal_hermite_function
-
         for N in (5, 20, 120, 200):
             rule = gauss_hermite_rule(N)
             for x in rule.nodes:
-                assert abs(eval_orthonormal_hermite_function(N, x)) <= 1e-13
+                assert abs(orthonormal_residual(N, x)) <= 1e-13
 
     def test_interlacing_to_50(self):
         prev = gauss_hermite_rule(1).nodes
@@ -224,7 +230,18 @@ class TestRuleBuilder:
         # the scalar evaluator, not the array path the builder polishes with
         for N in range(1, quadrature.MAX_ORDER + 1):
             for x in gauss_hermite_rule(N).nodes:
-                assert abs(eval_orthonormal_hermite_function(N, x)) <= 1e-13
+                assert abs(orthonormal_residual(N, x)) <= 1e-13
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 20, 21, 22, 60, 120, 170, 171, 172, 200])
+    def test_newton_pair_matches_the_scalar_kernel(self, N):
+        # (psi_N, psi_{N-1}) from the array path, at the nodes and on a grid across
+        # them; N! first needs the even shift at N = 21 and leaves double range at 171
+        nodes = gauss_hermite_rule(N).nodes
+        xs = np.concatenate([nodes, np.linspace(nodes[0], nodes[-1], 41)])
+        value, lower = quadrature._orthonormal_pair(N, xs)
+        for x, v, w in zip(xs, value, lower):
+            assert abs(v - orthonormal_residual(N, x)) <= 2e-14, x
+            assert abs(w - orthonormal_residual(N - 1, x)) <= 2e-14, x
 
     @pytest.mark.parametrize("N, bound", [(20, 1e-13), (60, 6e-13)])
     def test_weights_against_mpmath(self, N, bound):
@@ -530,6 +547,24 @@ class TestCubature:
             tensor_cubature(d, -100)
         with pytest.raises(ValueError, match="^quadrature order 201 exceeds the supported maximum"):
             tensor_cubature(d, 201)
+
+    def test_dimension_past_numpy_axes_is_refused(self):
+        # only N = 1 passes the point budget at d > 32; np.meshgrid takes at most 32 axes
+        total = integrate_cubature(lambda p: 1.0, tensor_cubature(32, 1))
+        assert total == pytest.approx((2 * math.pi) ** 16, rel=1e-14)
+        for d in (33, 65):
+            with pytest.raises(ValueError, match=f"^dimension must be 1\\.\\.32, got {d}$"):
+                tensor_cubature(d, 1)
+        with pytest.raises(ValueError, match="^cubature of order 2 in dimension 33 needs"):
+            tensor_cubature(33, 2)
+
+    @pytest.mark.parametrize("d", [33, 64, 65, 1000])
+    def test_dimension_bound_comes_after_the_budget(self, d):
+        # 64 was the last dimension the outer product built, 65 the first it could not
+        with pytest.raises(ValueError, match=f"^dimension must be 1\\.\\.32, got {d}$"):
+            tensor_cubature(d, 1)
+        with pytest.raises(ValueError, match=f"^cubature of order 2 in dimension {d} needs {2**d} points"):
+            tensor_cubature(d, 2)
 
     def test_rule_shares_the_one_dimensional_nodes(self):
         assert tensor_cubature(3, 6).nodes is gauss_hermite_rule(6).nodes
