@@ -56,6 +56,14 @@ def _emit_coeffs(poly, fmt, out):
         print(",".join(strings), file=out)
 
 
+def _emit_series(series, out):
+    from . import expansions
+
+    print(f"tail indicator |a_N| sqrt(N!) = "
+          f"{expansions.series_tail_indicator(series):.3e}", file=sys.stderr)
+    print(json.dumps({"convention": series.convention, "coeffs": list(series.coeffs)}), file=out)
+
+
 def _parse_int_list(text):
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -180,6 +188,9 @@ def cmd_graph(args, out):
             rows = [(str(j), str(c)) for j, c in enumerate(counts)]
             _emit_table(("j", "count"), rows, args.format, out)
     elif args.graph_command == "kpartite":
+        sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
+        if (edges := (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2) > 10**6:
+            raise ValueError(f"--parts makes {edges} edges, capped at 1000000")
         print(graphs.format_edge_list(graphs.complete_kpartite(args.parts)), file=out)
     elif args.graph_command == "product-integral":
         p = graphs.count_complete_matches(args.parts)
@@ -239,10 +250,7 @@ def cmd_expand(args, out):
             d = float(x) - mu  # plain floats: d * d overflows to inf, silently
             return math.exp(-0.5 * (d * d)) / expansions.SQRT_TWO_PI
 
-        series = expansions.fourier_hermite_coeffs(density, args.order, quad_order)
-        print(f"tail indicator |a_N| sqrt(N!) = "
-              f"{expansions.series_tail_indicator(series):.3e}", file=sys.stderr)
-        print(series.to_json(), file=out)
+        _emit_series(expansions.fourier_hermite_coeffs(density, args.order, quad_order), out)
     elif args.expand_command == "gram-charlier":
         if args.moments_csv is not None:
             mu, sigma, *nu = _read_moments_csv(args.moments_csv)
@@ -255,10 +263,7 @@ def cmd_expand(args, out):
         print(_fmt(value), file=out)
     elif args.expand_command == "wce":
         poly = ExactPolynomial(args.coeffs)
-        series = expansions.wce_coeffs_1d(lambda x: poly(float(x)), args.order, quad_order)
-        print(f"tail indicator |a_N| sqrt(N!) = "
-              f"{expansions.series_tail_indicator(series):.3e}", file=sys.stderr)
-        print(series.to_json(), file=out)
+        _emit_series(expansions.wce_coeffs_1d(lambda x: poly(float(x)), args.order, quad_order), out)
     elif args.expand_command == "deconvolve":
         result = expansions.gaussian_mixture_deconvolve(
             ExactPolynomial(args.coeffs), args.sigma

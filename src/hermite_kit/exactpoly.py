@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from fractions import Fraction
@@ -165,13 +164,3 @@ class ExactPolynomial:
     def coeff_strings(self):
         """Coefficients as decimal strings, constant term first."""
         return [str(c) for c in self.coeffs]
-
-    def to_json(self):
-        return json.dumps(self.coeff_strings())
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("polynomial JSON must be an array of coefficient strings")
-        return cls(data)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -55,14 +54,6 @@ class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
     @property
     def truncation(self):
         return len(self.coeffs) - 1
-
-    def to_json(self):
-        return json.dumps({"convention": self.convention, "coeffs": list(self.coeffs)})
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(coeffs=tuple(float(c) for c in data["coeffs"]), convention=data["convention"])
 
 
 class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
@@ -279,6 +270,8 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
 
 def wce_reconstruct(coeffs, point):
     """Full contraction sum_n b^(n) . He^(n)(point)."""
+    if len(point) != coeffs.dimension:
+        raise ValueError(f"point has {len(point)} coordinates, expected {coeffs.dimension}")
     total = 0.0
     for rank, tensor in enumerate(coeffs.tensors):
         for indices in itertools.product(range(coeffs.dimension), repeat=rank):

@@ -8,7 +8,6 @@ E[Y^n](x) for Y ~ N(x, 1).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -43,10 +42,6 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
         return tuple(
             sum(row[j] * coeffs[j] for j in range(self.size)) for row in self.entries
         )
-
-    def to_json(self):
-        rows = [[str(e) for e in row] for row in self.entries]
-        return json.dumps(rows)
 
 
 def gaussian_raw_moment(n, mu, sigma):

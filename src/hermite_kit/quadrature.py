@@ -60,11 +60,6 @@ class CubatureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    @functools.cached_property
-    def points(self):
-        """Every point as a row, shape (order**dimension, dimension), built on first read."""
-        return np.concatenate(list(self._blocks()))
-
     def _blocks(self):
         # the points in C order, as fresh arrays of at most _BLOCK_ROWS rows
         d, nodes = self.dimension, self.nodes

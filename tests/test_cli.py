@@ -251,6 +251,27 @@ class TestGraph:
         assert code == 0
         assert out == "4\n1 3\n1 4\n2 3\n2 4\n"
 
+    @pytest.mark.parametrize("parts, message", [
+        ("1000,1001", "--parts makes 1001000 edges, capped at 1000000"),
+        ("1,1000,1000", "--parts makes 1002000 edges, capped at 1000000"),
+        ("10000,10000", "--parts makes 100000000 edges, capped at 1000000"),
+        # the part sizes are checked first
+        ("-1,2000,2000", "part size must be a nonnegative integer, got -1"),
+        (",", "graph needs at least one vertex"),
+    ])
+    def test_kpartite_refusals(self, capsys, parts, message):
+        # refused before any edge is built: 2000,2000 took 20 s and 837 MB
+        assert run_cli(capsys, "graph", "kpartite", f"--parts={parts}") == \
+            (2, "", f"error: {message}\n")
+
+    def test_kpartite_at_the_edge_cap_is_built(self, capsys, monkeypatch):
+        # 10**6 edges is the cap itself; a stand-in graph keeps the test small
+        calls, kpartite = [], graphs.complete_kpartite
+        monkeypatch.setattr(graphs, "complete_kpartite",
+                            lambda parts: calls.append(parts) or kpartite([1, 1]))
+        assert run_cli(capsys, "graph", "kpartite", "--parts", "1000,1000") == (0, "2\n1 2\n", "")
+        assert calls == [[1000, 1000]]
+
     def test_product_integral_value(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "product-integral", "--parts", "1,1,2")
         assert code == 0

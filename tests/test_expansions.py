@@ -271,10 +271,6 @@ class TestSeriesEvaluation:
         # convergent case: the indicator must be tiny by order 20
         assert series_tail_indicator(series) <= 1e-10
 
-    def test_json_round_trip(self):
-        series = HermiteSeries(coeffs=(0.5, -1.0, 0.25), convention=PLAIN_RV)
-        assert HermiteSeries.from_json(series.to_json()) == series
-
     def test_rejects_unknown_convention(self):
         with pytest.raises(ValueError):
             HermiteSeries(coeffs=(1.0,), convention="other")
@@ -641,6 +637,14 @@ class TestWienerChaosMulti:
                     assert wce_reconstruct(coeffs, point) == pytest.approx(
                         f(point), rel=1e-8, abs=1e-8
                     )
+
+    @pytest.mark.parametrize("point, length", [((0.5, 0.25, 99.0), 3), ((0.5,), 1)])
+    def test_reconstruction_refuses_a_point_of_the_wrong_length(self, point, length):
+        # a third coordinate was dropped silently; a missing one failed deep in a term
+        coeffs = wce_coeffs_multi(lambda p: p[0] + 2 * p[1], 2, 2)
+        with pytest.raises(ValueError, match=f"^point has {length} coordinates, expected 2$"):
+            wce_reconstruct(coeffs, point)
+        assert wce_reconstruct(coeffs, (0.5, 0.25)) == pytest.approx(1.0, rel=1e-12)
 
     def test_budget_guards(self):
         with pytest.raises(ValueError):

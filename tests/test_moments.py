@@ -264,13 +264,6 @@ class TestChangeOfBasis:
         with pytest.raises(ValueError, match="sizes differ"):
             compose(change_of_basis(4, "monomial", "he"), he_to_x)
 
-    def test_json_serialization(self):
-        import json
-
-        m = change_of_basis(2, "he", "monomial")
-        rows = json.loads(m.to_json())
-        assert rows == [["1", "0", "-1"], ["0", "1", "0"], ["0", "0", "1"]]
-
 
 class TestGaussianSmoothingIdentities:
     def test_expected_hermite_examples(self):
