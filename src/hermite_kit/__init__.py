@@ -56,6 +56,7 @@ _PUBLIC = {
     "hermite_explicit": "polynomials",
     "hermite_recurrence": "polynomials",
     "hermite_table": "polynomials",
+    "tensor_component": "polynomials",
     "CubatureRule": "quadrature",
     "QuadratureRule": "quadrature",
     "gauss_hermite_rule": "quadrature",
@@ -63,7 +64,6 @@ _PUBLIC = {
     "integrate_weighted": "quadrature",
     "integrate_whole_line": "quadrature",
     "tensor_cubature": "quadrature",
-    "tensor_component": "tensors",
 }
 
 __all__ = [*_PUBLIC]

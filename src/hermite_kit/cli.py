@@ -193,6 +193,10 @@ def cmd_graph(args, out):
             raise ValueError(f"--parts makes {edges} edges, capped at 1000000")
         print(graphs.format_edge_list(graphs.complete_kpartite(args.parts)), file=out)
     elif args.graph_command == "product-integral":
+        sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
+        cap, shape = (50_000, "three or fewer") if len(sizes) <= 3 else (2000, "four or more")
+        if (total := sum(sizes)) > cap:  # four or more parts take the slower linearization fold
+            raise ValueError(f"--parts sums to {total}, capped at {cap} for {shape} parts")
         p = graphs.count_complete_matches(args.parts)
         value = polynomials.SQRT_TWO_PI * polynomials._rounded(p)  # as hermite_product_integral
         with _exact_digits():
@@ -205,6 +209,9 @@ def cmd_graph(args, out):
             parts_label = " ".join(str(p) for p in args.parts)
             _emit_table(("parts", "P", "J"), [(parts_label, count, value)], args.format, out)
     else:  # linearize
+        orders = [_check_order(k, "order") for k in (args.m, args.n)]  # their refusals come first
+        if (total := sum(orders)) > 6000:
+            raise ValueError(f"--m + --n is {total}, capped at 6000")
         table = graphs.linearization_coeffs(args.m, args.n)
         with _exact_digits():
             if args.format in ("csv", "tsv"):

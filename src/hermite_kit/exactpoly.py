@@ -113,8 +113,6 @@ class ExactPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, ExactPolynomial):
-            if self.is_zero() or other.is_zero():
-                return ExactPolynomial.zero()
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:

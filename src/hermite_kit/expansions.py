@@ -23,9 +23,10 @@ from .polynomials import (
     _rounded,
     eval_hermite_function,
     hermite_table,
+    index_multiplicities,
     pairings,
+    tensor_component,
 )
-from .tensors import index_multiplicities, tensor_component
 
 DENSITY_WEIGHTED = "density-weighted"   # f(x) = e^{-x^2/2} sum a_n He_n(x)
 PLAIN_RV = "plain-rv"                   # f(Y) = sum b_n He_n(Y)

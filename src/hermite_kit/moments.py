@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import partial
 
 from .exactpoly import ExactPolynomial, _check_order, _check_sigma
-from .polynomials import _rounded, hermite_explicit, pairings
+from .polynomials import _pairing_column, _rounded, hermite_explicit
 
 MONOMIAL = "monomial"
 TWO_X_MONOMIAL = "2x-monomial"
@@ -63,14 +63,6 @@ def gauss_moment_polynomial(n):
     """
     n = _check_order(n)
     return ExactPolynomial(_pairing_column(n, n, shift=0))
-
-
-def _pairing_column(n, k, sign=1, shift=1):
-    # element k expands with sign^j k! 2^((shift-1) j) / ((k-2j)! j!) at row k - 2j
-    col = [0] * (n + 1)
-    for j in range(k // 2 + 1):
-        col[k - 2 * j] = sign**j * pairings(k, j) << (shift * j)
-    return col
 
 
 _COLUMN_BUILDERS = {

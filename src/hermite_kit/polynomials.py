@@ -54,18 +54,23 @@ def pairings(n, j):
     return math.comb(n, 2 * j) * math.perm(2 * j, j) >> j
 
 
-def hermite_explicit(n, family=PROBABILIST):
-    """Exact degree-n polynomial from the closed coefficient sum.
+def _pairing_column(n, k, sign=1, shift=1):
+    # element k expands with sign^j k! 2^((shift-1) j) / ((k-2j)! j!) at row k - 2j
+    col = [0] * (n + 1)
+    for j in range(k // 2 + 1):
+        col[k - 2 * j] = sign**j * pairings(k, j) << (shift * j)
+    return col
 
-    Coefficient of x^(n-2j) is (-1)^j n! / (2^j (n-2j)! j!) for He_n and
-    (-1)^j n! 2^(n-2j) / ((n-2j)! j!) for H_n.
-    """
+
+def hermite_explicit(n, family=PROBABILIST):
+    """Exact degree-n polynomial from the closed coefficient sum, the he -> monomial
+    column of the connection matrix: the coefficient of x^(n-2j) is
+    (-1)^j n! / (2^j (n-2j)! j!) for He_n, and that times 2^(n-j) for H_n."""
     n = _check_order(n)
     _check_family(family)
-    coeffs = [0] * (n + 1)
-    for j in range(n // 2 + 1):
-        c = (-1) ** j * pairings(n, j)
-        coeffs[n - 2 * j] = c if family == PROBABILIST else c << (n - j)
+    coeffs = _pairing_column(n, n, -1, 0)
+    if family == PHYSICIST:
+        coeffs = [c << (n + k) // 2 for k, c in enumerate(coeffs)]
     return ExactPolynomial(coeffs)
 
 
@@ -163,6 +168,32 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
         if rows is not None:
             rows.append(_ldexp(cur, e) if e else cur)
     return prev, cur, e
+
+
+def index_multiplicities(indices, dimension):
+    """How many times each coordinate 0..d-1 occurs among the indices."""
+    counts = [0] * dimension
+    for a in indices:
+        if not 0 <= a < dimension:
+            raise ValueError(f"index {a} outside dimension {dimension}")
+        counts[a] += 1
+    return tuple(counts)
+
+
+def tensor_component(indices, point):
+    """He^(n)_(a1..an) at a d-vector: the product of He_(c_i)(x_i), c_i how often i
+    occurs among the indices, rounded once.  The product keeps its power of two
+    apart, so factors past double range whose product is inside it give a finite value."""
+    counts = index_multiplicities(indices, len(point))
+    value, exponent = 1.0, 0
+    for degree, x in zip(counts, point):
+        if degree or x != x:  # He_0 = 1 is skipped; a nan goes on to the kernel's refusal
+            _, cur, e = _recurrence(degree, _rounded(x), PROBABILIST)
+            cur, s = math.frexp(cur)  # a subnormal factor too: rounded only with the product
+            value, t = math.frexp(value * cur)
+            exponent += e + s + t
+    value = _ldexp(value, exponent)
+    return value if value == value else 0.0  # 0 * inf: a factor that is exactly 0 wins
 
 
 def _he_sum(coeffs, x, log_weight=0.0):

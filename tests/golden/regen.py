@@ -53,6 +53,9 @@ REFUSALS = [
     ("graph", "kpartite", "--parts=1000,1001"),   # edge counts past the cap of 10**6
     ("graph", "kpartite", "--parts=2000,2000"),
     ("graph", "kpartite", "--parts=10000,10000"),
+    ("graph", "product-integral", "--parts=0,0,50001"),   # vertex sums past the caps
+    ("graph", "product-integral", "--parts=501,500,500,500"),
+    ("graph", "linearize", "--m=3001", "--n=3000"),       # --m + --n past the cap of 6000
 ]
 
 

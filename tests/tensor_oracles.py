@@ -10,7 +10,7 @@ orthogonality constant is written out from its closed form.
 
 import math
 
-from hermite_kit.tensors import index_multiplicities
+from hermite_kit.polynomials import index_multiplicities
 
 
 def tensor_component_recursive(indices, point):

@@ -272,6 +272,42 @@ class TestGraph:
         assert run_cli(capsys, "graph", "kpartite", "--parts", "1000,1000") == (0, "2\n1 2\n", "")
         assert calls == [[1000, 1000]]
 
+    @pytest.mark.parametrize("parts, message", [
+        ("0,0,50001", "--parts sums to 50001, capped at 50000 for three or fewer parts"),
+        ("501,500,500,500", "--parts sums to 2001, capped at 2000 for four or more parts"),
+        # the part sizes are checked first
+        ("-1,60000", "part size must be a nonnegative integer, got -1"),
+    ])
+    def test_product_integral_refusals(self, capsys, monkeypatch, parts, message):
+        # refused before any count: 4 x 2500 took 16 s, 4 x 25000 passed 1.2 GB
+        monkeypatch.setattr(graphs, "count_complete_matches", None)
+        assert run_cli(capsys, "graph", "product-integral", f"--parts={parts}") == \
+            (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("parts", ["0,0,50000", "500,500,500,500"])
+    def test_product_integral_at_the_caps_is_counted(self, capsys, parts):
+        code, out, err = run_cli(
+            capsys, "graph", "product-integral", f"--parts={parts}", "--format", "csv")
+        assert (code, err) == (0, "")
+        count = graphs.count_complete_matches([int(s) for s in parts.split(",")])
+        assert out.splitlines()[1].split(",")[1] == str(count)
+
+    @pytest.mark.parametrize("m, n, message", [
+        ("3001", "3000", "--m + --n is 6001, capped at 6000"),
+        ("0", "6001", "--m + --n is 6001, capped at 6000"),
+        # the orders are checked first
+        ("-1", "7000", "order must be a nonnegative integer, got -1"),
+    ])
+    def test_linearize_refusals(self, capsys, monkeypatch, m, n, message):
+        # refused before any coefficient: 5000 and 5000 took 12 s and printed 49 MB
+        monkeypatch.setattr(graphs, "linearization_coeffs", None)
+        assert run_cli(capsys, "graph", "linearize", "--m", m, "--n", n) == \
+            (2, "", f"error: {message}\n")
+
+    def test_linearize_at_the_cap(self, capsys):
+        assert run_cli(capsys, "graph", "linearize", "--m", "0", "--n", "6000") == \
+            (0, '{"6000":1}\n', "")
+
     def test_product_integral_value(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "product-integral", "--parts", "1,1,2")
         assert code == 0

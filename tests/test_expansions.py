@@ -38,7 +38,7 @@ from hermite_kit import (
 from hermite_kit import expansions
 from hermite_kit.expansions import _multiplicities, _normalized
 from hermite_kit.polynomials import _he_sum, hermite_explicit
-from hermite_kit.tensors import index_multiplicities
+from hermite_kit.polynomials import index_multiplicities
 from tensor_oracles import tensor_component_recursive
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)

@@ -16,6 +16,7 @@ from hermite_kit import (
     gauss_moment_polynomial,
     gaussian_raw_moment,
     hermite_explicit,
+    hermite_recurrence,
     integrate_weighted,
     weierstrass_preimage_polynomial,
 )
@@ -218,7 +219,7 @@ class TestChangeOfBasis:
         n = 9
         m = change_of_basis(n, "he", "monomial")
         for k in range(n + 1):
-            expected = list(hermite_explicit(k).coeffs) + [0] * (n - k)
+            expected = list(hermite_recurrence(k).coeffs) + [0] * (n - k)
             assert list(m.column(k)) == expected
 
     def test_apply_maps_coefficient_vectors(self):

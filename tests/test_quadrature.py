@@ -209,7 +209,7 @@ class TestRuleBuilder:
     def test_public_names_resolve_to_their_modules(self):
         modules = [importlib.import_module(f"hermite_kit.{name}") for name in
                    ("exactpoly", "expansions", "graphs", "moments", "polynomials",
-                    "quadrature", "tensors")]
+                    "quadrature")]
         assert sorted(hermite_kit.__all__) == PUBLIC_NAMES
         for name in hermite_kit.__all__:
             value = getattr(hermite_kit, name)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hermite_kit import tensor_component
-from hermite_kit.tensors import index_multiplicities
+from hermite_kit.polynomials import index_multiplicities
 from tensor_oracles import orthogonality_normalization, tensor_component_recursive
 
 RNG = np.random.default_rng(20240811)
