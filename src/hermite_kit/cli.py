@@ -47,7 +47,7 @@ def _exact_digits():
 
 def _emit_coeffs(poly, fmt, out):
     with _exact_digits():
-        strings = poly.coeff_strings()
+        strings = [str(c) for c in poly.coeffs]
     if fmt == "json":
         print(json.dumps(strings), file=out)
     elif fmt == "tsv":
@@ -149,6 +149,9 @@ def cmd_plotdata(args, out):
         raise ValueError(f"empty range [{args.xmin}, {args.xmax}]")
     if args.samples > 10**6:
         raise ValueError(f"--samples is capped at 1000000, got {args.samples}")
+    terms = len(args.coeffs) if args.kind == "series" else args.n + 1
+    if (work := terms * args.samples) > 10**7:  # each sample sums every term
+        raise ValueError(f"{terms} terms times --samples {args.samples} is {work}, capped at {10**7}")
     grid = _grid(args.xmin, args.xmax, args.samples)
     if args.kind == "poly":
         values = [polynomials.eval_hermite(args.n, x, args.family) for x in grid]

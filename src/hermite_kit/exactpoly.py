@@ -61,28 +61,12 @@ class ExactPolynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def monomial(cls, power, coefficient=1):
-        return cls([0] * _check_order(power, "power") + [coefficient])
-
-    @classmethod
     def zero(cls):
         return cls((0,))
 
     @property
     def degree(self):
         return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return self.coeffs == (0,)
-
-    def leading_coefficient(self):
-        return self.coeffs[-1]
-
-    def coefficient(self, power):
-        """Coefficient of x**power (0 beyond the stored degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
 
     def __eq__(self, other):
         if not isinstance(other, ExactPolynomial):
@@ -115,8 +99,6 @@ class ExactPolynomial:
         if isinstance(other, ExactPolynomial):
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return ExactPolynomial(out)
@@ -158,7 +140,3 @@ class ExactPolynomial:
 
     def __repr__(self):
         return f"ExactPolynomial({list(self.coeffs)!r})"
-
-    def coeff_strings(self):
-        """Coefficients as decimal strings, constant term first."""
-        return [str(c) for c in self.coeffs]

@@ -251,19 +251,19 @@ def count_complete_matches(part_sizes):
 def partite_closed_form(part_sizes):
     """Closed-form perfect-match count for two or three parts.
 
-    Three parts with half-sum s: l! m! n! / ((s-l)! (s-m)! (s-n)!) when the
-    total is even and each part is at most the sum of the other two, else 0.
-    Two parts are three with l = 0, which leaves m! when m = n, else 0.
+    Three parts are n! times the He_n coefficient of He_l He_m: with
+    j = (l + m - n) / 2, P = C(l, j) C(m, j) j! n!, and 0 unless j is an
+    integer in 0..min(l, m).  Two parts are three with l = 0, which leaves
+    m! when m = n, else 0.
     """
     sizes = [_check_order(s, "part size") for s in part_sizes]
     if len(sizes) not in (2, 3):
         raise ValueError(f"closed forms exist for 2 or 3 parts, got {len(sizes)}")
     l, m, n = (0, *sizes)[-3:]
-    s, odd = divmod(l + m + n, 2)
-    if odd or s < max(l, m, n):
+    j, odd = divmod(l + m - n, 2)
+    if odd or not 0 <= j <= min(l, m):
         return 0
-    f = math.factorial
-    return f(l) * f(m) * f(n) // (f(s - l) * f(s - m) * f(s - n))
+    return math.perm(l, j) * math.comb(m, j) * math.factorial(n)
 
 
 def hermite_product_integral(orders):

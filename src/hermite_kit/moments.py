@@ -32,9 +32,6 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
     def size(self):
         return len(self.entries)
 
-    def column(self, k):
-        return tuple(row[k] for row in self.entries)
-
     def apply(self, coeffs):
         """Map a coefficient vector from from_basis to to_basis."""
         if len(coeffs) != self.size:

@@ -87,8 +87,8 @@ def gram_schmidt_construct(n):
     e^{-x^2/2} with the common sqrt(2*pi) cancelled.  Then <x^k, q_j> =
     L_j[k] and ||q_j||^2 = L_j[j], so q_k = x^k - sum_j r_j q_j with
     r_j = L_j[k] / L_j[j] has the row L_k = m[k:k+n+1] - sum_j r_j L_j.
-    r_j comes from divmod and becomes a Fraction only if a remainder
-    appears (for this weight none does).  O(n^3) integer operations.
+    The division is exact: q_j = He_j, so r_j = <x^k, He_j> / j! =
+    C(k, j) (k - j - 1)!!.  O(n^3) integer operations.
     Returns the monic orthogonal sequence [q_0, ..., q_n].
     """
     n = _check_order(n)
@@ -98,9 +98,7 @@ def gram_schmidt_construct(n):
         q, row = [0] * k + [1], moments[k : k + n + 1]
         for j, (p, lj) in enumerate(zip(basis, rows)):
             if lj[k]:
-                r, rem = divmod(lj[k], lj[j])
-                if rem:
-                    r = Fraction(lj[k], lj[j])
+                r = lj[k] // lj[j]
                 q[: j + 1] = [a - r * b for a, b in zip(q, p)]
                 row = [a - r * b for a, b in zip(row, lj)]
         basis.append(q)
@@ -132,8 +130,8 @@ def _rounded(exact):
 
 def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     """Run the recurrence at one float x up to degree n_max, scaled by
-    e**log_weight: (prev, cur, e), the last two rows as mantissas over a
-    common factor 2**e.  rows, if given, receives rows 1..n_max as floats.
+    e**log_weight: (cur, e), the last row as a mantissa over a factor
+    2**e.  rows, if given, receives rows 1..n_max as floats.
 
     Plain float arithmetic, no numpy per step.  The weight starts as
     cur * 2**e, and dividing both carried rows by a power of two is exact,
@@ -147,11 +145,11 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     if not math.isfinite(a):  # x is +-inf or nan, or 2x is past double range
         if math.isnan(x):
             raise ValueError("x must not be nan")
-        limits = [0.0] * (n_max + 2) if log_weight else [
-            0.0, 1.0, *(a if k % 2 else math.inf for k in range(1, n_max + 1))]
+        limits = [0.0] * (n_max + 1) if log_weight else [
+            1.0, *(a if k % 2 else math.inf for k in range(1, n_max + 1))]
         if rows is not None:
-            rows += limits[2:]
-        return limits[-2], limits[-1], 0
+            rows += limits[1:]
+        return limits[-1], 0
     big = _RESCALE_AT / (1.0 + abs(a) + b * n_max)
     prev, cur, e = 0.0, 1.0, 0
     if log_weight:
@@ -167,7 +165,7 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
             e += s
         if rows is not None:
             rows.append(_ldexp(cur, e) if e else cur)
-    return prev, cur, e
+    return cur, e
 
 
 def index_multiplicities(indices, dimension):
@@ -188,7 +186,7 @@ def tensor_component(indices, point):
     value, exponent = 1.0, 0
     for degree, x in zip(counts, point):
         if degree or x != x:  # He_0 = 1 is skipped; a nan goes on to the kernel's refusal
-            _, cur, e = _recurrence(degree, _rounded(x), PROBABILIST)
+            cur, e = _recurrence(degree, _rounded(x), PROBABILIST)
             cur, s = math.frexp(cur)  # a subnormal factor too: rounded only with the product
             value, t = math.frexp(value * cur)
             exponent += e + s + t
@@ -266,7 +264,7 @@ def eval_hermite(n, x, family=PROBABILIST):
     """
     n = _check_order(n)
     _check_family(family)
-    _, cur, e = _recurrence(n, _rounded(x), family)
+    cur, e = _recurrence(n, _rounded(x), family)
     return _ldexp(cur, e)
 
 
@@ -281,7 +279,7 @@ def eval_hermite_function(n, x, kind=PROBABILIST):
     _check_family(kind)
     x = _rounded(x)
     log_weight = -x * x / (4.0 if kind == PROBABILIST else 2.0)
-    _, cur, e = _recurrence(n, x, kind, log_weight=log_weight)
+    cur, e = _recurrence(n, x, kind, log_weight=log_weight)
     return _ldexp(cur, e)
 
 

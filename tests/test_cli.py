@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermite_kit import graphs, partite_closed_form, quadrature
+from hermite_kit import cli, graphs, partite_closed_form, polynomials, quadrature
 from hermite_kit.cli import _grid, main
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -179,6 +179,28 @@ class TestPlotdata:
             "--xmin", bounds[0], "--xmax", bounds[1], "--samples", samples,
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--kind", "poly", "--n", "10000000", "--samples", "2"),
+         "10000001 terms times --samples 2 is 20000002, capped at 10000000"),
+        (("--kind", "function", "--n", "200", "--samples", "300000"),
+         "201 terms times --samples 300000 is 60300000, capped at 10000000"),
+        (("--kind", "series", "--coeffs", ",".join("1" * 11), "--samples", "1000000"),
+         "11 terms times --samples 1000000 is 11000000, capped at 10000000"),
+    ])
+    def test_terms_times_samples_cap(self, capsys, monkeypatch, argv, message):
+        # refused before the grid: --n 10**7 at 2 samples took 3.4 s, --n 200 at
+        # 300000 samples 11 s, and each sample sums every term
+        monkeypatch.setattr(cli, "_grid", None)
+        assert run_cli(capsys, "plotdata", *argv, "--xmin", "0", "--xmax", "1") == \
+            (2, "", f"error: {message}\n")
+
+    def test_at_the_terms_cap_is_sampled(self, capsys, monkeypatch):
+        # 10**7 terms to sum is the cap itself; a stand-in evaluator keeps the test small
+        monkeypatch.setattr(polynomials, "eval_hermite", lambda n, x, family: float(n))
+        code, out, err = run_cli(capsys, "plotdata", "--kind", "poly", "--n", "4999999",
+                                 "--xmin", "0", "--xmax", "1", "--samples", "2")
+        assert (code, out, err) == (0, "x\tvalue\n0\t4999999\n1\t4999999\n", "")
 
     def test_series_without_coeffs_rejected(self, capsys):
         code, _, err = run_cli(
@@ -731,6 +753,12 @@ class TestHarness:
             main([*argv, "--format", "csv"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, out", [
+        ("csv", "0,1/2\n"), ("tsv", "0\t1/2\n"), ("json", '["0", "1/2"]\n')])
+    def test_rational_coefficients_print_as_fractions(self, capsys, fmt, out):
+        argv = ("expand", "deconvolve", "--coeffs", "0,1/2", "--sigma", "1", "--format", fmt)
+        assert run_cli(capsys, *argv) == (0, out, "")
 
     def test_deconvolve_keeps_its_format(self, capsys):
         argv = ("expand", "deconvolve", "--coeffs", "0,0,1", "--sigma", "1")

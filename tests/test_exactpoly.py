@@ -17,12 +17,11 @@ class TestNormalization:
         zero = ExactPolynomial((0, 0, 0))
         assert zero.coeffs == (0,)
         assert zero.degree == 0
-        assert zero.is_zero()
         assert ExactPolynomial.zero() == zero
-        assert ExactPolynomial(()).is_zero()
+        assert ExactPolynomial(()).coeffs == (0,)
 
     def test_leading_coefficient_nonzero_unless_zero(self):
-        assert ExactPolynomial((0, 0, 5)).leading_coefficient() == 5
+        assert ExactPolynomial((0, 0, 5)).coeffs[-1] == 5
 
     def test_fraction_coercion(self):
         poly = ExactPolynomial(["1/3", 0.5, 2])
@@ -40,13 +39,18 @@ class TestArithmetic:
         a = ExactPolynomial((1, 0, 1))
         b = ExactPolynomial((2, 3, -1))
         assert (a + b).coeffs == (3, 3)
-        assert (a - a).is_zero()
+        assert (a - a).coeffs == (0,)
 
     def test_multiplication(self):
         a = ExactPolynomial((1, 1))        # 1 + x
         b = ExactPolynomial((-1, 1))       # -1 + x
         assert (a * b).coeffs == (-1, 0, 1)
-        assert (a * ExactPolynomial.zero()).is_zero()
+        assert (a * ExactPolynomial.zero()).coeffs == (0,)
+        # interior zeros on both sides: (1 + 2x^3)(3x - x^3)
+        c = ExactPolynomial((1, 0, 0, 2))
+        d = ExactPolynomial((0, 3, 0, -1))
+        assert (c * d).coeffs == (0, 3, 0, -1, 6, 0, -2)
+        assert (d * c).coeffs == (0, 3, 0, -1, 6, 0, -2)
 
     def test_scalar_multiplication(self):
         a = ExactPolynomial((1, 2))
@@ -57,19 +61,12 @@ class TestArithmetic:
         p = ExactPolynomial((5, 3, 0, 2))   # 5 + 3x + 2x^3
         assert p.derivative().coeffs == (3, 0, 6)
         assert p.derivative(3).coeffs == (12,)
-        assert p.derivative(4).is_zero()
-        assert ExactPolynomial((7,)).derivative().is_zero()
+        assert p.derivative(4).coeffs == (0,)
+        assert ExactPolynomial((7,)).derivative().coeffs == (0,)
 
     def test_scale_argument(self):
         p = ExactPolynomial((1, 0, 4))      # 1 + 4x^2
         assert p.scale_argument(Fraction(1, 2)).coeffs == (1, 0, 1)
-
-    def test_monomial_constructor(self):
-        assert ExactPolynomial.monomial(3).coeffs == (0, 0, 0, 1)
-        assert ExactPolynomial.monomial(0, 5).coeffs == (5,)
-
-    def test_coefficient_beyond_degree_is_zero(self):
-        assert ExactPolynomial((1, 2)).coefficient(7) == 0
 
 
 class TestEvaluation:

@@ -803,13 +803,13 @@ class TestDeconvolution:
         # deconvolving y^n must give exactly sigma^n He_n(x / sigma)
         for n in range(11):
             for sigma in (Fraction(1, 2), 1, 2):
-                g = ExactPolynomial.monomial(n)
+                g = ExactPolynomial((0,) * n + (1,))
                 assert gaussian_mixture_deconvolve(g, sigma) == weierstrass_preimage_polynomial(n, sigma)
 
     def test_blur_round_trip_by_quadrature(self):
         # (phi_sigma * f)(y) = g(y), integrating in the standardized variable
         for k in range(9):
-            g = ExactPolynomial.monomial(k)
+            g = ExactPolynomial((0,) * k + (1,))
             for sigma in (0.5, 1.0, 2.0):
                 f = gaussian_mixture_deconvolve(g, sigma)
                 rule = gauss_hermite_rule(k // 2 + 3)
@@ -822,9 +822,9 @@ class TestDeconvolution:
     def test_linearity(self):
         g = ExactPolynomial((2, 0, 3, 1))
         parts = [
-            2 * gaussian_mixture_deconvolve(ExactPolynomial.monomial(0), 1),
-            3 * gaussian_mixture_deconvolve(ExactPolynomial.monomial(2), 1),
-            gaussian_mixture_deconvolve(ExactPolynomial.monomial(3), 1),
+            2 * gaussian_mixture_deconvolve(ExactPolynomial((1,)), 1),
+            3 * gaussian_mixture_deconvolve(ExactPolynomial((0, 0, 1)), 1),
+            gaussian_mixture_deconvolve(ExactPolynomial((0, 0, 0, 1)), 1),
         ]
         total = parts[0] + parts[1] + parts[2]
         assert gaussian_mixture_deconvolve(g, 1) == total

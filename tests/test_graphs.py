@@ -51,6 +51,17 @@ def enumerate_j_matches(graph, j):
     return count
 
 
+def six_factorial_count(l, m, n):
+    """l! m! n! / ((s-l)! (s-m)! (s-n)!) with half-sum s, 0 for an odd total or
+    a part larger than the other two together: the three-part perfect-match
+    count from factorials alone, independent of the linearization coefficient."""
+    s, odd = divmod(l + m + n, 2)
+    if odd or s < max(l, m, n):
+        return 0
+    f = math.factorial
+    return f(l) * f(m) * f(n) // (f(s - l) * f(s - m) * f(s - n))
+
+
 def edge_deletion_table(graph):
     """The pivot-edge deletion recurrence p(G, j) = p(G - e, j) +
     p(G - {u, v}, j - 1), memoized on the residual edge set: an oracle
@@ -357,6 +368,24 @@ class TestCompleteMatchCounts:
         assert count_complete_matches([0, 0]) == 1
         assert count_complete_matches([0, 2, 2]) == 2
 
+    def test_closed_form_matches_the_six_factorial_oracle(self):
+        for l, m, n in itertools.product(range(40), repeat=3):
+            assert partite_closed_form([l, m, n]) == six_factorial_count(l, m, n)
+        for m, n in itertools.product(range(40), repeat=2):
+            assert partite_closed_form([m, n]) == six_factorial_count(0, m, n)
+        rng = random.Random(7)
+        for _ in range(20):
+            l, m = rng.randint(1000, 3000), rng.randint(1000, 3000)
+            n = rng.randrange(abs(l - m), min(l + m, 3000) + 1, 2)  # even total, a nonzero count
+            assert partite_closed_form([l, m, n]) == six_factorial_count(l, m, n) > 0
+
+    def test_six_factorial_oracle_against_enumeration(self):
+        # literal perfect-matching enumeration on K_(l,m,n) with at most 8 vertices
+        for l, m, n in itertools.product(range(9), repeat=3):
+            if 0 < (total := l + m + n) <= 8 and total % 2 == 0:
+                brute = enumerate_j_matches(complete_kpartite([l, m, n]), total // 2)
+                assert six_factorial_count(l, m, n) == brute
+
     def test_closed_form_arity_guard(self):
         with pytest.raises(ValueError):
             partite_closed_form([1, 1, 1, 1])
@@ -445,8 +474,7 @@ class TestLinearization:
                 product = hermite_recurrence(m) * hermite_recurrence(n)
                 degree = m + n
                 to_he = change_of_basis(degree, "monomial", "he")
-                monomial_coeffs = [product.coefficient(k) for k in range(degree + 1)]
-                he_coeffs = to_he.apply(tuple(monomial_coeffs))
+                he_coeffs = to_he.apply(product.coeffs)
                 expected = linearization_coeffs(m, n)
                 for l, c in enumerate(he_coeffs):
                     assert c == expected.get(l, 0)

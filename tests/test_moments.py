@@ -30,6 +30,11 @@ def identity(n):
     return tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1))
 
 
+def column(matrix, k):
+    # column k expands source-basis element k
+    return tuple(row[k] for row in matrix.entries)
+
+
 @st.composite
 def basis_matrices(draw, n, from_basis, to_basis):
     """An n x n matrix of int or Fraction entries, dense or mostly zero, in
@@ -114,7 +119,7 @@ class TestRawMoments:
         # polynomial coefficient-for-coefficient
         m = change_of_basis(15, "gauss-moment", "he")
         for n in range(16):
-            assert combine(m.column(n), hermite_explicit) == gauss_moment_polynomial(n)
+            assert combine(column(m, n), hermite_explicit) == gauss_moment_polynomial(n)
 
     @staticmethod
     def _binomial_moment(n, mu, sigma):
@@ -159,20 +164,20 @@ class TestConnectionCoefficients:
     # column n of its inverse E[Y^n] = sum_j n! / ((n-2j)! j!) He_(n-2j)
     def test_hermite_in_moments_values(self):
         m = change_of_basis(3, "he", "gauss-moment")
-        assert m.column(0) == (1, 0, 0, 0)
-        assert m.column(2) == (-2, 0, 1, 0)
-        assert m.column(3) == (0, -6, 0, 1)
+        assert column(m, 0) == (1, 0, 0, 0)
+        assert column(m, 2) == (-2, 0, 1, 0)
+        assert column(m, 3) == (0, -6, 0, 1)
 
     def test_moments_in_hermite_values(self):
         m = change_of_basis(4, "gauss-moment", "he")
-        assert m.column(0) == (1, 0, 0, 0, 0)
-        assert m.column(2) == (2, 0, 1, 0, 0)
-        assert m.column(4) == (12, 0, 12, 0, 1)
+        assert column(m, 0) == (1, 0, 0, 0, 0)
+        assert column(m, 2) == (2, 0, 1, 0, 0)
+        assert column(m, 4) == (12, 0, 12, 0, 1)
 
     def test_hermite_rebuilt_from_moment_polynomials(self):
         m = change_of_basis(15, "he", "gauss-moment")
         for n in range(16):
-            assert combine(m.column(n), gauss_moment_polynomial) == hermite_explicit(n)
+            assert combine(column(m, n), gauss_moment_polynomial) == hermite_explicit(n)
 
 
 class TestChangeOfBasis:
@@ -186,7 +191,7 @@ class TestChangeOfBasis:
         m = change_of_basis(1, "he", "monomial")
         assert m.entries == ((1, 0), (0, 1))
         m = change_of_basis(2, "he", "monomial")
-        assert m.column(2) == (-1, 0, 1)
+        assert column(m, 2) == (-1, 0, 1)
 
     @pytest.mark.parametrize("a,b", PAIRS)
     def test_inverse_pairs_exact(self, a, b):
@@ -220,7 +225,7 @@ class TestChangeOfBasis:
         m = change_of_basis(n, "he", "monomial")
         for k in range(n + 1):
             expected = list(hermite_recurrence(k).coeffs) + [0] * (n - k)
-            assert list(m.column(k)) == expected
+            assert list(column(m, k)) == expected
 
     def test_apply_maps_coefficient_vectors(self):
         # He_2 + 2 He_0 is x^2 + 1
@@ -272,7 +277,7 @@ class TestGaussianSmoothingIdentities:
         # moment polynomial: exactly x^n
         for n in range(31):
             expected = combine(hermite_explicit(n).coeffs, gauss_moment_polynomial)
-            assert expected == ExactPolynomial.monomial(n), n
+            assert expected == ExactPolynomial((0,) * n + (1,)), n
         assert combine(hermite_explicit(5).coeffs, gauss_moment_polynomial)(Fraction(-3, 2)) \
             == Fraction(-243, 32)
 
