@@ -50,10 +50,8 @@ def _emit_coeffs(poly, fmt, out):
         strings = [str(c) for c in poly.coeffs]
     if fmt == "json":
         print(json.dumps(strings), file=out)
-    elif fmt == "tsv":
-        print("\t".join(strings), file=out)
     else:
-        print(",".join(strings), file=out)
+        print(("\t" if fmt == "tsv" else ",").join(strings), file=out)
 
 
 def _emit_series(series, out):
@@ -117,13 +115,10 @@ def cmd_quad(args, out):
     from . import quadrature
 
     rule = quadrature.gauss_hermite_rule(args.n)
-    rows = list(zip(rule.nodes, rule.weights))
     if args.format == "json":
-        payload = {"nodes": [float(x) for x in rule.nodes],
-                   "weights": [float(w) for w in rule.weights]}
-        print(json.dumps(payload), file=out)
+        print(json.dumps({"nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}), file=out)
     else:
-        _emit_table(("node", "weight"), rows, args.format, out)
+        _emit_table(("node", "weight"), list(zip(rule.nodes, rule.weights)), args.format, out)
     return 0
 
 

@@ -19,12 +19,12 @@ from .exactpoly import ExactPolynomial, _check_order, _check_sigma
 from .polynomials import (
     SQRT_TWO_PI,
     _he_sum,
+    _pairing_column,
     _ldexp,
     _rounded,
     eval_hermite_function,
     hermite_table,
     index_multiplicities,
-    pairings,
     tensor_component,
 )
 
@@ -203,10 +203,11 @@ def gram_charlier_density(moments, order, x):
     nu = [moments.standardized(k) for k in range(order + 1)]
     coeffs = []
     for n in range(order + 1):
-        # E[He_n(Z)]: the coefficient of z^k is (-1)^j pairings(n, j), k = n - 2j, ascending
+        # E[He_n(Z)] over He_n's monomial column, in ascending k; a zero entry is
+        # skipped, since a big-int nu_k rounds to inf and 0 * inf is nan
         expected = 0.0
-        for j in range(n // 2, -1, -1):
-            expected += float((-1) ** j * pairings(n, j)) * nu[n - 2 * j]
+        for c, v in zip(_pairing_column(n, n, -1, 0), nu):
+            expected += float(c) * v if c else 0.0
         coeffs.append(expected / math.factorial(n))
     return _he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * sigma)
 
@@ -238,7 +239,7 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     """Rank-n tensors b^(n) = E[He^(n)(Y) f(Y)] / n! for Y ~ N(0, I_d).
 
     f is called once per point of the Q^d cubature.  Contracting each axis
-    of the weighted values with the 1-d table yields every moment
+    of the values with the 1-d table times the 1-d weights yields every moment
     E[prod_i He_{m_i}(Y_i) f(Y)] in O(Q^d * d * order); an entry of b^(n)
     is the moment at its index multiplicities.
     """
@@ -250,10 +251,10 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     if (order := _check_order(order, "order")) > MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
     rule = quadrature.tensor_cubature(dimension, _quad_order(order, quad_order))
-    table = _rule_table(rule.order, order)  # the base rule's: its nodes are the cubature's
+    table = _rule_table(rule.order, order) * rule.base.weights  # the 1-d table times 1-d weights
 
     def contracted(values):
-        moments = (rule.weights * values).reshape((rule.order,) * dimension)
+        moments = values.reshape((rule.order,) * dimension)
         for _ in range(dimension):
             # contracts the leading node axis and appends a degree axis
             moments = np.tensordot(moments, table, axes=([0], [1]))
@@ -319,7 +320,7 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
     k = np.asarray(k_grid, dtype=float)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0.0 at an odd rule's centre
         kx = np.multiply.outer(k, rule.nodes)
     if not np.isfinite(kx).all():
         raise OverflowError("k times the quadrature nodes is not finite")

@@ -153,9 +153,10 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     big = _RESCALE_AT / (1.0 + abs(a) + b * n_max)
     prev, cur, e = 0.0, 1.0, 0
     if log_weight:
-        # past -1e15 the weight wins at any degree; keeps floor() and exp() in range
+        # past -1e15 the weight wins at any degree; keeps floor() and exp() in range.  Past
+        # |a| = 2^1022 the mantissa starts in [0.5, 1), so that the first a * cur is finite
         log_weight = max(-1e15, log_weight)
-        e = math.floor(log_weight / _LN2)
+        e = math.floor(log_weight / _LN2) + (abs(a) > 2.0**1022)
         cur = math.exp(log_weight - e * _LN2)
     for k in range(n_max):
         prev, cur = cur, a * cur - b * k * prev

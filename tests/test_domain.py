@@ -14,7 +14,10 @@ import ast
 import collections
 import math
 import pathlib
+import random
 import re
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +253,46 @@ def test_float_extremes_give_a_value_or_a_named_refusal(name, value):
     else:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+def _edges_of_double_range(seed=15, rounds=8):
+    # seeded values from the top binade [2^1023, max] and the two below it (where
+    # 2x, for H, reaches the top binade), the subnormals, each with either sign,
+    # and big ints past double range
+    rng = random.Random(seed)
+    values = []
+    for _ in range(rounds):
+        sign = rng.choice((-1, 1))
+        values += [sign * rng.uniform(2.0**1023, sys.float_info.max),
+                   sign * math.ldexp(rng.uniform(1.0, 2.0), rng.choice((1021, 1022))),
+                   sign * rng.uniform(0.0, 2.0**-1022),
+                   sign * 10 ** rng.randint(309, 400)]
+    return values
+
+
+# the weight underflows long before the polynomial overflows: 0 at every |x| >= 2^1021
+VANISHING = {"eval_hermite_function", "eval_hermite_function(h)",
+             "evaluate_series(density-weighted)", "gram_charlier_density"}
+
+
+@pytest.mark.parametrize("name", sorted(XS))
+def test_edges_of_double_range_give_a_value_or_a_named_refusal(name):
+    # finite input never gives nan or a warning: a finite value, a signed inf or
+    # the argument's one refusal
+    what, call = XS[name]
+    for value in _edges_of_double_range():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if (message := REFUSAL[what](value)) is not None:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call(value)
+                continue
+            result = call(value)
+        if isinstance(result, (int, Fraction)):  # ExactPolynomial's exact value
+            result = _rounded(result)
+        assert not np.isnan(result).any(), value
+        if name in VANISHING and abs(value) >= 2.0**1021:
+            assert result == 0.0, value
 
 
 @pytest.mark.parametrize("name", sorted(name for name, (what, _) in XS.items()

@@ -862,3 +862,10 @@ class TestFourierEigenfunctions:
         with pytest.raises(OverflowError):
             fourier_eigen_check(3, [0.0, 1e308], 40)
 
+    def test_infinite_frequency_is_refused_without_a_warning(self):
+        # inf times the 0.0 centre node of an odd rule is invalid, not an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="^k times the quadrature nodes is not finite$"):
+                fourier_eigen_check(9, [math.inf, -math.inf], 29)
+

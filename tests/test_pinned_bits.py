@@ -88,21 +88,20 @@ EXCLUDED = frozenset({121, 123, 128, 132, 135, 137, 138, 139, 140, 142, 145, 146
                     341, 345, 346, 350, 357, 360, 361, 362, 363, 364, 365, 366, 367, 370, 371,
                     372, 374, 376, 378, 379, 380, 381, 384, 385, 386, 387, 389, 390, 391, 392,
                     393, 394, 396, 398, 399, 520, 524, 526, 527, 529, 530, 532, 533, 534, 540,
-                    542, 544, 550, 554, 556, 558, 560, 561, 562, 563, 564, 565, 566, 567, 568,
-                    569, 570, 571, 572, 573, 574, 575, 576, 577, 579, 580, 581, 582, 583, 584,
-                    585, 586, 587, 588, 589, 592, 593, 594, 595, 596, 597, 598, 599, 720, 722,
-                    723, 724, 725, 726, 727, 728, 730, 731, 734, 735, 736, 738, 739, 740, 741,
-                    744, 745, 746, 747, 748, 752, 753, 756, 757, 759, 760, 761, 762, 763, 764,
-                    765, 766, 768, 769, 770, 771, 772, 773, 774, 775, 776, 777, 778, 779, 780,
-                    781, 782, 783, 784, 785, 786, 787, 788, 789, 790, 791, 792, 793, 794, 795,
-                    796, 797, 798, 799, 920, 922, 923, 926, 928, 930, 931, 933, 935, 936, 937,
-                    938, 939, 940, 942, 946, 947, 948, 949, 951, 952, 953, 954, 956, 957, 960,
-                    961, 964, 965, 966, 967, 969, 970, 971, 974, 977, 978, 980, 981, 982, 983,
-                    986, 989, 998, 1123, 1126, 1128, 1129, 1132, 1134, 1136, 1137, 1138, 1140,
-                    1142, 1143, 1144, 1145, 1146, 1147, 1150, 1157, 1158, 1159, 1162, 1164,
-                    1165, 1166, 1170, 1171, 1172, 1174, 1176, 1180, 1183, 1185, 1186, 1188,
-                    1191, 1192, 1193, 1194, 1195, 1197})
-DIGEST = 'b0d3dd1d2d82c426f56909936e943e6f8f3800850ba84fde2e0e48cef45e9ac4'
+                    542, 544, 550, 554, 556, 558, 560, 562, 563, 564, 566, 567, 568, 569, 570,
+                    571, 572, 573, 574, 575, 576, 577, 579, 580, 583, 584, 587, 588, 589, 592,
+                    593, 594, 596, 597, 598, 720, 722, 723, 724, 725, 726, 727, 728, 730, 731,
+                    734, 735, 736, 738, 739, 740, 741, 744, 745, 746, 747, 748, 752, 753, 756,
+                    757, 759, 760, 761, 762, 763, 764, 765, 766, 768, 769, 770, 771, 772, 773,
+                    774, 775, 776, 777, 778, 779, 780, 781, 782, 783, 784, 785, 786, 787, 788,
+                    789, 790, 791, 792, 793, 794, 795, 796, 797, 798, 799, 920, 922, 923, 926,
+                    928, 930, 931, 933, 935, 936, 937, 938, 939, 940, 942, 946, 947, 948, 949,
+                    951, 952, 953, 954, 956, 957, 960, 961, 964, 965, 966, 967, 969, 970, 971,
+                    974, 977, 978, 980, 981, 982, 983, 986, 989, 998, 1123, 1126, 1128, 1129,
+                    1132, 1134, 1136, 1137, 1138, 1140, 1142, 1143, 1144, 1145, 1146, 1147,
+                    1150, 1157, 1158, 1159, 1162, 1164, 1165, 1166, 1170, 1171, 1172, 1174,
+                    1176, 1180, 1183, 1185, 1186, 1188, 1191, 1192, 1193, 1194, 1195, 1197})
+DIGEST = 'fd2b804d6606aff07e1ee98a3fe6e3ce1829ee3899b95c6576c368c7775fe6fb'
 
 
 @pytest.mark.skipif((sys.version.split()[0], np.__version__) != PINNED_ON,

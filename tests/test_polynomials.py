@@ -216,6 +216,17 @@ class TestEvaluation:
             for x in (math.inf, -math.inf):
                 assert eval_hermite_function(n, x, family) == 0.0, (n, x)
 
+    def test_weighted_functions_vanish_at_the_top_of_double_range(self):
+        # past |a| = 2^1022 the first weighted step a * cur must stay finite; the weight
+        # underflows long before He_n overflows, so each value is 0
+        for n, x, kind in ((1, 1.339e308, "he"), (3, 1.339e308, "he"),
+                           (20, -1.339429505148255e308, "he"), (174, 1.3926718186877096e308, "he"),
+                           (3, 8.04e307, "h"), (1, -8.711736630867731e307, "h"),
+                           (1, 1.7976931348623157e308, "he")):
+            assert eval_hermite_function(n, x, kind) == 0.0, (n, x, kind)
+        # the sign is that of the true value, e^{-x^2/2} 2x at a negative x
+        assert math.copysign(1.0, eval_hermite_function(1, -8.711736630867731e307, "h")) == -1.0
+
     @pytest.mark.parametrize("family", ["he", "h"])
     def test_overflow_sign_is_that_of_degree_n(self, family):
         # e.g. He_400(0) = +399!!, where a sign taken from the first degree
