@@ -95,14 +95,6 @@ def _env_quad_order():
     return _check_order(value, QUAD_ORDER_ENV, 1)
 
 
-def _check_default_rule(flag, value, rule_order):
-    # a default rule sized from a flag: name the flag, not the rule size
-    top = polynomials.MAX_ORDER
-    largest = max(v for v in range(top) if rule_order(v) <= top)
-    if value > largest:
-        raise ValueError(f"{flag} {value} exceeds {largest}, the default quadrature's limit")
-
-
 def cmd_poly(args, out):
     if args.n > 200:
         raise ValueError(f"--n is capped at 200, got {args.n}")
@@ -244,10 +236,6 @@ def cmd_expand(args, out):
     # only these three size a rule, so only they read the override
     rules = args.expand_command in ("fourier-hermite", "wce", "fourier-check")
     quad_order = _env_quad_order() if rules else None
-    if quad_order is None and args.expand_command in ("fourier-hermite", "wce"):
-        _check_default_rule("--order", args.order, expansions._quad_order)
-    elif quad_order is None and args.expand_command == "fourier-check":
-        _check_default_rule("--n", args.n, expansions._eigen_quad_order)
     if args.expand_command == "fourier-hermite":
         mu = args.mu
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+import sys
 from fractions import Fraction
+
+_EXPONENT = re.compile(r"e([-+]?\d+(_\d+)*)\s*\Z", re.IGNORECASE)  # as Fraction reads it
 
 
 def _check_order(n, what="polynomial order", least=0):
@@ -33,7 +37,11 @@ def _as_exact(value):
     if isinstance(value, int):
         return value
     if isinstance(value, (str, float)):
-        # floats convert via their exact binary value (0.5 -> 1/2)
+        # floats convert via their exact binary value (0.5 -> 1/2); Fraction builds 10**e,
+        # so a string whose exponent e is past the digit guard is refused before it
+        if isinstance(value, str) and (e := _EXPONENT.search(value)) and \
+                abs(int(e[1])) > (limit := sys.get_int_max_str_digits()) > 0:
+            raise ValueError(f"coefficient {value!r} has an exponent beyond {limit}")
         try:
             value = Fraction(value)
         except (ZeroDivisionError, OverflowError):  # "1/0", inf

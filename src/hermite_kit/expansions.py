@@ -17,8 +17,9 @@ from fractions import Fraction
 
 from .exactpoly import ExactPolynomial, _check_order, _check_sigma
 from .polynomials import (
+    _LN2,
+    MAX_ORDER,
     SQRT_TWO_PI,
-    _he_sum,
     _pairing_column,
     _ldexp,
     _rounded,
@@ -40,10 +41,10 @@ class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
     def __new__(cls, coeffs, convention):
         if convention not in (DENSITY_WEIGHTED, PLAIN_RV):
             raise ValueError(f"unknown series convention {convention!r}")
-        if not coeffs:
+        if not (coeffs := tuple(coeffs)):
             raise ValueError("series needs at least one coefficient")
         try:
-            finite = all(math.isfinite(c) for c in coeffs)
+            finite = all(map(math.isfinite, coeffs))
         except OverflowError:  # a big int or Fraction past double range
             finite = False
         if not finite:
@@ -63,6 +64,7 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
     __slots__ = ()
 
     def __new__(cls, mu, sigma, nu=()):
+        nu = tuple(nu)
         for what, value in (("mu", mu), *((f"nu_{k}", v) for k, v in enumerate(nu, 3))):
             if not abs(value) < math.inf:  # nan and +-inf; a big int is never converted
                 raise ValueError(f"{what} must be finite, got {value!r}")
@@ -83,19 +85,16 @@ class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
     __slots__ = ()
 
 
-def _quad_order(order, quad_order=None):
-    # the default keeps polynomial integrands exact with margin; an explicit rule below
-    # order + 2 aliases the top degree
+def _quad_order(order, quad_order=None, what="order", extra=12):
+    # the default, 2 order + extra points, keeps polynomial integrands exact with margin and
+    # past MAX_ORDER names the argument; an explicit rule below order + 2 aliases the top degree
     if quad_order is None:
-        return 2 * order + 12
+        if order > (largest := (MAX_ORDER - extra) // 2):
+            raise ValueError(f"{what} {order} exceeds {largest}, the default quadrature's limit")
+        return 2 * order + extra
     if (quad_order := _check_order(quad_order, "quadrature order", 1)) < order + 2:
         raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
     return quad_order
-
-
-def _eigen_quad_order(n, quad_order=None):
-    # an explicit rule needs 2n + 10 points: the check _quad_order makes at order 2n + 8
-    return max(2 * n + 10, 40) if quad_order is None else _quad_order(2 * n + 8, quad_order)
 
 
 _KEPT_TABLE_BYTES = 2**12   # a larger He table is built for its call, not kept
@@ -145,10 +144,11 @@ def _contracted_series(f, order, quad_order, convention):
     whose terms or moment overflow is kept.  Scaling back saturates: a
     coefficient past double range becomes a signed inf and is refused.
     """
+    order = _check_order(order, "truncation order")
+    rule_order = _quad_order(order, quad_order)
     from . import quadrature
 
-    order = _check_order(order, "truncation order")
-    rule = quadrature.gauss_hermite_rule(_quad_order(order, quad_order))
+    rule = quadrature.gauss_hermite_rule(rule_order)
     values = quadrature.integrand_values(f, rule)
     table = _rule_table(rule.order, order)
     weights = rule.whole_line_weights if convention == DENSITY_WEIGHTED else rule.weights
@@ -171,11 +171,32 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
 
 
 def evaluate_series(series, x):
-    """Value of the truncated expansion at x, honoring its convention; a
-    float sum that leaves double range is redone in exact rationals."""
-    x = _rounded(x)
+    """Value of the truncated expansion at x, honoring its convention: floats where
+    the sum is finite and the weight e^{-x^2/2} normal, else exact at the binary
+    values, rounded once (a weight, applied as 2**e e**r, adds about |e| ulps): a
+    signed inf past double range, 0 where the weight wins, the limit at x = +-inf."""
+    x, coeffs = _rounded(x), series.coeffs
     log_weight = -x * x / 2.0 if series.convention == DENSITY_WEIGHTED else 0.0
-    return _he_sum(series.coeffs, x, log_weight)
+    total = sum(c * h for c, h in zip(coeffs, hermite_table(len(coeffs) - 1, x)))
+    weight = math.exp(log_weight)
+    # a subnormal or 0 weight from a finite exponent has lost bits: the exact path splits it
+    if (weight >= 2.0**-1022 or log_weight == -math.inf) and math.isfinite(total := total * weight):
+        return total
+    if log_weight == -math.inf:  # the weight wins at any degree, infinite x included
+        return 0.0
+    if math.isinf(x):  # the float sum is inf or nan here: take the limit
+        if k := max((k for k, c in enumerate(coeffs) if c), default=0):
+            return math.copysign(math.inf, coeffs[k] * (x if k % 2 else 1.0))
+        return coeffs[0] * weight
+    x, prev, cur, total = Fraction(x), 0, 1, 0
+    for k, c in enumerate(coeffs):
+        total += Fraction(c) * cur
+        prev, cur = cur, x * cur - k * prev
+    # total / 2**s and e**(t - e ln 2) are O(1); their product is scaled by 2**(s + e)
+    s = total.numerator.bit_length() - total.denominator.bit_length()
+    t = max(-1e15, log_weight)  # as in _recurrence: past -1e15 the weight wins anyway
+    e = math.floor(t / _LN2)
+    return _ldexp(float(total / Fraction(2) ** s) * math.exp(t - e * _LN2), s + e)
 
 
 def series_tail_indicator(series):
@@ -194,12 +215,15 @@ def gram_charlier_density(moments, order, x):
     standardized moments; up to order 4 this is the classical form
     w(z)/(sqrt(2*pi) sigma) * (1 + nu_3/6 He_3(z) + (nu_4 - 3)/24 He_4(z)).
     The sum is evaluate_series' own, so a value that leaves double range is
-    redone exactly, and a coefficient that overflows raises ValueError.
+    redone exactly, and a coefficient that overflows raises ValueError.  Where
+    x - mu or sqrt(2*pi) sigma overflows, its operands are scaled exactly.
     Truncated values can go negative and are returned as-is.
     """
     if (order := _check_order(order, "order")) > 170:  # past 170, n! leaves double range
         raise ValueError(f"order must be 0..170, got {order}")
-    z = (_rounded(x) - _rounded(moments.mu)) / (sigma := _rounded(moments.sigma))
+    x, mu, sigma = _rounded(x), _rounded(moments.mu), _rounded(moments.sigma)
+    h = 2.0 if math.isinf(x - mu) else 1.0  # z may be finite still: halve both ends
+    z = (x / h - mu / h) / sigma * h
     nu = [moments.standardized(k) for k in range(order + 1)]
     coeffs = []
     for n in range(order + 1):
@@ -209,7 +233,9 @@ def gram_charlier_density(moments, order, x):
         for c, v in zip(_pairing_column(n, n, -1, 0), nu):
             expected += float(c) * v if c else 0.0
         coeffs.append(expected / math.factorial(n))
-    return _he_sum(coeffs, z, -z * z / 2.0) / (SQRT_TWO_PI * sigma)
+    density = evaluate_series(HermiteSeries(coeffs, DENSITY_WEIGHTED), z)
+    q = 4.0 if math.isinf(SQRT_TWO_PI * sigma) else 1.0  # sigma past 7.17e307: quarter both
+    return density / q / (SQRT_TWO_PI * (sigma / q))
 
 
 def wce_coeffs_1d(f, order, quad_order=None):
@@ -312,11 +338,14 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     cos/sin parts and computed against the Gaussian weight, where
     h_n(x) e^{x^2/2} = H_n(x).  quad_order must be at least 2n + 10.
     """
+    n = _check_order(n)
+    if quad_order is None:  # 2n + 10 points, at least 40; an explicit rule needs 2n + 10
+        quad_order = max(_quad_order(n, None, "n", 10), 40)
+    rule_order = _quad_order(2 * n + 8, quad_order)
     import numpy as np
     from . import quadrature
 
-    n = _check_order(n)
-    rule = quadrature.gauss_hermite_rule(_eigen_quad_order(n, quad_order))
+    rule = quadrature.gauss_hermite_rule(rule_order)
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
     k = np.asarray(k_grid, dtype=float)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 
 from .exactpoly import ExactPolynomial, _check_order
 
@@ -19,7 +18,7 @@ PHYSICIST = "h"
 _FAMILIES = (PROBABILIST, PHYSICIST)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-MAX_ORDER = 200  # largest Gauss-Hermite rule, here so that the CLI checks it without numpy
+MAX_ORDER = 200  # largest Gauss-Hermite rule, here so that a default rule is sized without numpy
 
 
 def _check_family(family):
@@ -193,38 +192,6 @@ def tensor_component(indices, point):
             exponent += e + s + t
     value = _ldexp(value, exponent)
     return value if value == value else 0.0  # 0 * inf: a factor that is exactly 0 wins
-
-
-def _he_sum(coeffs, x, log_weight=0.0):
-    """sum_k coeffs[k] He_k(x) * e**log_weight in floats where that is finite
-    and the weight is a normal float, else exact at the binary values of
-    coeffs and x, rounded once: a signed inf past double range, 0 where the
-    weight wins.  A weight, applied as 2**e e**r with r in [0, ln 2), adds
-    about |e| ulps; a non-finite coefficient or a nan x raises ValueError.  At
-    infinite x with a finite log_weight the sum is its limit: the signed inf
-    of the highest nonzero term, or coeffs[0] times the weight for a constant."""
-    total = sum(c * h for c, h in zip(coeffs, hermite_table(len(coeffs) - 1, x)))
-    weight = math.exp(log_weight)
-    # a subnormal or 0 weight from a finite exponent has lost bits: the exact path splits it
-    if (weight >= 2.0**-1022 or log_weight == -math.inf) and math.isfinite(total := total * weight):
-        return total
-    if not all(math.isfinite(c) for c in coeffs):
-        raise ValueError("series coefficients must be finite")
-    if log_weight == -math.inf:  # the weight wins at any degree, infinite x included
-        return 0.0
-    if math.isinf(x):  # the float sum is inf or nan here: take the limit
-        if k := max((k for k, c in enumerate(coeffs) if c), default=0):
-            return math.copysign(math.inf, coeffs[k] * (x if k % 2 else 1.0))
-        return coeffs[0] * weight
-    x, prev, cur, total = Fraction(x), 0, 1, 0
-    for k, c in enumerate(coeffs):
-        total += Fraction(c) * cur
-        prev, cur = cur, x * cur - k * prev
-    # total / 2**s and e**(t - e ln 2) are O(1); their product is scaled by 2**(s + e)
-    s = total.numerator.bit_length() - total.denominator.bit_length()
-    t = max(-1e15, log_weight)  # as in _recurrence: past -1e15 the weight wins anyway
-    e = math.floor(t / _LN2)
-    return _ldexp(float(total / Fraction(2) ** s) * math.exp(t - e * _LN2), s + e)
 
 
 def hermite_table(n_max, x, family=PROBABILIST):

@@ -162,9 +162,8 @@ def integrate_weighted(f, rule):
     each variable.  Only a sum past double range is inf, with its sign.
     """
     base, d = (rule.base, rule.dimension) if isinstance(rule, CubatureRule) else (rule, 1)
-    total, shift = _guarded(lambda v: float(functools.reduce(
-        np.matmul, [base.weights] * d, v.reshape((base.order,) * d))), integrand_values(f, rule))
-    return _ldexp(total, shift) if shift else total
+    return _ldexp(*_guarded(lambda v: float(functools.reduce(
+        np.matmul, [base.weights] * d, v.reshape((base.order,) * d))), integrand_values(f, rule)))
 
 
 integrate_cubature = integrate_weighted
@@ -177,8 +176,7 @@ def integrate_whole_line(f, rule):
     sum past double range is inf, with its sign.
     """
     whole = rule.whole_line_weights
-    total, shift = _guarded(lambda v: float(np.sum(v * whole)), integrand_values(f, rule))
-    return _ldexp(total, shift) if shift else total
+    return _ldexp(*_guarded(lambda v: float(np.sum(v * whole)), integrand_values(f, rule)))
 
 
 def tensor_cubature(d, N):

@@ -70,6 +70,8 @@ REFUSALS = [
     ("plotdata", "--kind=function", "--n=200", "--xmin=-5", "--xmax=5", "--samples=300000"),
     ("plotdata", "--kind=series", "--coeffs=1,1,1,1,1,1,1,1,1,1,1", "--xmin=0", "--xmax=1",
      "--samples=1000000"),
+    # a decimal exponent past the integer digit guard, refused before Fraction builds 10**e
+    ("expand", "deconvolve", "--coeffs=1e-99999999", "--sigma=1"),
 ]
 
 

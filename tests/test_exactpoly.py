@@ -1,6 +1,8 @@
 """Exact polynomial arithmetic underneath everything else."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,18 @@ class TestNormalization:
         assert poly.coeffs == (Fraction(1, 3), Fraction(1, 2), 2)
         # whole-valued fractions collapse to ints
         assert ExactPolynomial([Fraction(4, 2)]).coeffs == (2,)
+
+    def test_an_exponent_past_the_digit_guard_is_refused_before_parsing(self):
+        # Fraction would build 10**exponent: 10**99999999 takes minutes
+        limit = sys.get_int_max_str_digits()
+        for text in (f"1E+{limit + 1}", "1e-99999999", " -2.5e9_999_999 "):
+            message = re.escape(f"coefficient {text!r} has an exponent beyond {limit}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                ExactPolynomial([text])
+        big = 10**limit
+        assert ExactPolynomial([f"1e{limit}", f"1e-{limit}"]).coeffs == (big, Fraction(1, big))
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction: '1e'$"):
+            ExactPolynomial(["1e"])  # a malformed exponent is Fraction's to refuse
 
     def test_rejects_inexact_types(self):
         with pytest.raises(TypeError):

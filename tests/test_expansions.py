@@ -37,7 +37,7 @@ from hermite_kit import (
 )
 from hermite_kit import expansions
 from hermite_kit.expansions import _multiplicities, _normalized
-from hermite_kit.polynomials import _he_sum, hermite_explicit
+from hermite_kit.polynomials import hermite_explicit
 from hermite_kit.polynomials import index_multiplicities
 from tensor_oracles import tensor_component_recursive
 
@@ -385,6 +385,40 @@ class TestGramCharlier:
         log_value = math.log(1e308 / 24.0) + math.log(he4) - 800.0 - math.log(SQRT_TWO_PI)
         assert gram_charlier_density(m, 4, 40.0) == pytest.approx(math.exp(log_value), rel=1e-12)
 
+    @pytest.mark.parametrize("mu, sigma, x, want", [
+        (0.0, 1e308, 1.0, 3.989422804014326e-309),         # sqrt(2 pi) sigma overflows
+        (-1.5e308, 1e308, 1.5e308, 4.431848411938e-311),   # x - mu overflows too; z = 3
+    ])
+    def test_a_subnormal_density_past_an_overflowing_scale(self, mu, sigma, x, want):
+        # the exact quotient of the series value by sqrt(2 pi) sigma, rounded once
+        m = StandardizedMoments(mu=mu, sigma=sigma, nu=(0.0, 3.0))
+        z = float((Fraction(x) - Fraction(mu)) / Fraction(sigma))
+        series = evaluate_series(HermiteSeries((1.0,), DENSITY_WEIGHTED), z)
+        exact = Fraction(series) / (Fraction(SQRT_TWO_PI) * Fraction(sigma))
+        assert gram_charlier_density(m, 4, x) == float(exact) == want
+
+    def test_past_double_range_the_intermediates_round_as_within_it(self):
+        # x - mu and sqrt(2 pi) sigma each rounded to 53 bits, past double range
+        # too, then z and the density each rounded once: on both sides of
+        # sigma = 7.17e307 and of |x - mu| = 1.8e308
+        def rounded(p):
+            k = p.numerator.bit_length() - p.denominator.bit_length()
+            ulp = Fraction(2) ** (k - (abs(p) < Fraction(2) ** k) - 52)
+            return round(p / ulp) * ulp
+
+        rng = np.random.default_rng(27)
+        nu = (0.5, 3.5, -2.0)
+        coeffs = (1.0, 0.0, 0.0, nu[0] / 6.0, (nu[1] - 3.0) / 24.0, (nu[2] - 10.0 * nu[0]) / 120.0)
+        top = 1.7976931348623157e308
+        sigmas = [*rng.uniform(7.0e307, top, 300).tolist(), *rng.uniform(1.0, 1e300, 20), 7.1e307]
+        for sigma in sigmas:
+            mu, x = (float(v) for v in min(4.0 * sigma, top) * rng.uniform(-1.0, 1.0, 2))
+            z = float(rounded(Fraction(x) - Fraction(mu)) / Fraction(sigma))
+            series = evaluate_series(HermiteSeries(coeffs, DENSITY_WEIGHTED), z)
+            want = float(Fraction(series) / rounded(Fraction(SQRT_TWO_PI) * Fraction(sigma)))
+            m = StandardizedMoments(mu=mu, sigma=sigma, nu=nu)
+            assert gram_charlier_density(m, 5, x).hex() == want.hex(), (mu, sigma, x)
+
     def test_bitwise_the_sum_over_explicit_polynomials(self):
         # E[He_n(Z)] / n! summed over the coefficients of hermite_explicit(n) in
         # ascending power, then the same guarded series sum, at every order 0..170
@@ -401,7 +435,8 @@ class TestGramCharlier:
         for x in (0.5, -2.0, 7.0):
             z = (x - 0.25) / 1.5
             for order in range(171):
-                want = _he_sum(coeffs[: order + 1], z, -z * z / 2.0) / (SQRT_TWO_PI * 1.5)
+                series = HermiteSeries(coeffs[: order + 1], DENSITY_WEIGHTED)
+                want = evaluate_series(series, z) / (SQRT_TWO_PI * 1.5)
                 assert gram_charlier_density(m, order, x).hex() == want.hex(), (order, x)
 
     @pytest.mark.parametrize("nu, order, k", [((), 3, 3), ((0.0, 3.0), 6, 5), ((0.1,), 9, 4)])

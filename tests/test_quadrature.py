@@ -173,6 +173,8 @@ class TestRuleBuilder:
             ["poly", "--n", "3", "--family", "legendre"],
             ["expand", "deconvolve", "--coeffs", "1,2", "--sigma", "-1"],
             ["expand", "fourier-hermite", "--mu", "0", "--order", "150"],
+            ["expand", "wce", "--coeffs", "0,0,1", "--order", "150"],
+            ["expand", "fourier-check", "--n", "100"],
             ["graph", "match-poly", "--file", str(bad)],
         ]
         code = "\n".join([
@@ -194,15 +196,38 @@ class TestRuleBuilder:
         result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                                 capture_output=True, text=True, check=True, env=_CHILD_ENV)
         results, loaded = json.loads(result.stdout)
-        assert [status for status, _ in results] == [0] * 12 + [2, 2, 2, 3]
+        assert [status for status, _ in results] == [0] * 12 + [2] * 5 + [3]
         assert results[0][1] == "3,0,-6,0,1\n"
         assert results[4][1] == "20.053026197048002\n"
         assert results[9][1] == "-1,0,1\n"
         assert results[10][1] == results[11][1] != ""
         assert loaded == []
 
+    def test_default_rule_refusals_run_without_numpy(self):
+        # the library sizes a default rule before it imports numpy or quadrature
+        code = "\n".join([
+            "import sys",
+            "sys.modules['numpy'] = None",
+            "import hermite_kit as hk",
+            "for call in (lambda: hk.fourier_hermite_coeffs(abs, 95),",
+            "             lambda: hk.wce_coeffs_1d(abs, 95),",
+            "             lambda: hk.fourier_eigen_check(96, [1.0])):",
+            "    try:",
+            "        call()",
+            "    except ValueError as exc:",
+            "        print(exc)",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env=_CHILD_ENV)
+        assert result.stdout.splitlines() == [
+            "order 95 exceeds 94, the default quadrature's limit",
+            "order 95 exceeds 94, the default quadrature's limit",
+            "n 96 exceeds 95, the default quadrature's limit",
+        ]
+
     def test_rule_limit_and_error_are_shared_with_polynomials(self):
-        # the CLI checks both without importing quadrature, hence numpy
+        # expansions sizes a default rule and the CLI catches the error, both
+        # without importing quadrature, hence numpy
         from hermite_kit import polynomials
 
         assert quadrature.MAX_ORDER == polynomials.MAX_ORDER == 200

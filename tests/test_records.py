@@ -14,6 +14,7 @@ from hermite_kit import (
     StandardizedMoments,
     WCETensorCoeffs,
     change_of_basis,
+    evaluate_series,
     wce_coeffs_multi,
 )
 
@@ -61,6 +62,31 @@ class TestRecord:
 
     def test_repr(self, cls, fields, other, text):
         assert repr(cls(**fields)) == text
+
+
+def test_records_hold_tuples():
+    # a caller's list is copied: changing it later cannot get past the checks
+    coeffs, nu = [1.0], [0.5]
+    series, moments = HermiteSeries(coeffs, PLAIN_RV), StandardizedMoments(0.0, 1.0, nu)
+    coeffs.append(math.inf)
+    nu.append(math.nan)
+    assert (series.coeffs, moments.nu) == ((1.0,), (0.5,))
+    with pytest.raises(AttributeError):
+        series.coeffs.append(math.inf)
+
+
+def test_a_list_equals_the_same_tuple():
+    assert HermiteSeries([0.5, -1.0], PLAIN_RV) == HermiteSeries((0.5, -1.0), PLAIN_RV)
+    assert StandardizedMoments(0.0, 1.0, [0.1]) == StandardizedMoments(0.0, 1.0, (0.1,))
+
+
+def test_an_ndarray_is_accepted():
+    series = HermiteSeries(np.array([1.0, 2.0]), DENSITY_WEIGHTED)
+    assert series == HermiteSeries((1.0, 2.0), DENSITY_WEIGHTED)
+    assert evaluate_series(series, 0.5) == evaluate_series(series._replace(coeffs=(1.0, 2.0)), 0.5)
+    assert StandardizedMoments(0.0, 1.0, np.array([0.1, 3.0])).nu == (0.1, 3.0)
+    with pytest.raises(ValueError, match="^series coefficients must be finite$"):
+        HermiteSeries(np.array([1.0, np.inf]), PLAIN_RV)
 
 
 def test_moments_nu_defaults_to_empty():
