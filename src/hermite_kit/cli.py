@@ -85,8 +85,7 @@ class InputFileError(Exception):
 
 
 def _env_quad_order():
-    raw = os.environ.get(QUAD_ORDER_ENV)
-    if raw is None:
+    if (raw := os.environ.get(QUAD_ORDER_ENV)) is None:
         return None
     try:
         value = int(raw)
@@ -147,22 +146,24 @@ def cmd_plotdata(args, out):
     else:
         from . import expansions
 
-        coeffs = tuple(float(c) for c in args.coeffs)
         convention = (expansions.DENSITY_WEIGHTED if args.convention == "density"
                       else expansions.PLAIN_RV)
-        series = expansions.HermiteSeries(coeffs=coeffs, convention=convention)
+        series = expansions.HermiteSeries(map(float, args.coeffs), convention)
         values = [expansions.evaluate_series(series, x) for x in grid]
     _emit_table(("x", "value"), list(zip(grid, values)), args.format, out)
     return 0
 
 
-def _load_graph(path):
+def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
-    return graphs.parse_edge_list(text)
+
+
+def _load_graph(path):
+    return graphs.parse_edge_list(_read_text(path))
 
 
 def cmd_graph(args, out):
@@ -214,11 +215,8 @@ def cmd_graph(args, out):
 
 
 def _read_moments_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = [line.strip() for line in handle if line.strip()]
-    except OSError as exc:
-        raise InputFileError(f"cannot read {path}: {exc}") from exc
+    # text mode turns \r\n and \r into \n, so these are the lines a file iterates
+    raw = [line.strip() for line in _read_text(path).split("\n") if line.strip()]
     values = []
     for number, tok in enumerate(raw, start=1):
         try:
@@ -233,9 +231,6 @@ def _read_moments_csv(path):
 def cmd_expand(args, out):
     from . import expansions
 
-    # only these three size a rule, so only they read the override
-    rules = args.expand_command in ("fourier-hermite", "wce", "fourier-check")
-    quad_order = _env_quad_order() if rules else None
     if args.expand_command == "fourier-hermite":
         mu = args.mu
 
@@ -243,7 +238,7 @@ def cmd_expand(args, out):
             d = float(x) - mu  # plain floats: d * d overflows to inf, silently
             return math.exp(-0.5 * (d * d)) / expansions.SQRT_TWO_PI
 
-        _emit_series(expansions.fourier_hermite_coeffs(density, args.order, quad_order), out)
+        _emit_series(expansions.fourier_hermite_coeffs(density, args.order, _env_quad_order()), out)
     elif args.expand_command == "gram-charlier":
         if args.moments_csv is not None:
             mu, sigma, *nu = _read_moments_csv(args.moments_csv)
@@ -255,17 +250,15 @@ def cmd_expand(args, out):
             print("warning: truncated expansion is negative at this point", file=sys.stderr)
         print(_fmt(value), file=out)
     elif args.expand_command == "wce":
-        poly = ExactPolynomial(args.coeffs)
-        _emit_series(expansions.wce_coeffs_1d(lambda x: poly(float(x)), args.order, quad_order), out)
+        quad_order, poly = _env_quad_order(), ExactPolynomial(args.coeffs)  # the variable first
+        _emit_series(expansions.wce_coeffs_1d(poly, args.order, quad_order), out)
     elif args.expand_command == "deconvolve":
-        result = expansions.gaussian_mixture_deconvolve(
-            ExactPolynomial(args.coeffs), args.sigma
-        )
+        result = expansions.gaussian_mixture_deconvolve(ExactPolynomial(args.coeffs), args.sigma)
         _emit_coeffs(result, args.format, out)
     else:  # fourier-check
         try:
             error = expansions.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25),
-                                                   quad_order)
+                                                   _env_quad_order())
         except OverflowError as exc:
             raise ValueError(f"--kmax {args.kmax:g} is too large: {exc}") from None
         print(_fmt(error), file=out)

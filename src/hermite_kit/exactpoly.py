@@ -33,9 +33,11 @@ def _check_sigma(sigma):
 
 
 def _as_exact(value):
-    """Coerce a coefficient to an exact int or Fraction."""
+    """Coerce a coefficient to an exact int or Fraction; numpy's integers are ints."""
     if isinstance(value, int):
         return value
+    if hasattr(value, "__index__"):  # any integer type operator.index takes, as _check_order
+        return operator.index(value)
     if isinstance(value, (str, float)):
         # floats convert via their exact binary value (0.5 -> 1/2); Fraction builds 10**e,
         # so a string whose exponent e is past the digit guard is refused before it
@@ -52,10 +54,10 @@ def _as_exact(value):
 
 
 class ExactPolynomial:
-    """Polynomial stored as exact coefficients, constant term first.
-
-    The zero polynomial is represented as a single zero coefficient of
-    degree 0; otherwise the leading coefficient is nonzero.
+    """Polynomial stored as exact coefficients, constant term first: ints (numpy's
+    integers, an array's too, are ints), Fractions, floats at their exact binary
+    value, or decimal strings.  The zero polynomial is the single coefficient 0;
+    otherwise the leading coefficient is nonzero.
     """
 
     __slots__ = ("coeffs",)
@@ -72,9 +74,7 @@ class ExactPolynomial:
     def zero(cls):
         return cls((0,))
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
+    degree = property(lambda self: len(self.coeffs) - 1)
 
     def __eq__(self, other):
         if not isinstance(other, ExactPolynomial):
@@ -113,8 +113,7 @@ class ExactPolynomial:
         scalar = _as_exact(other)
         return ExactPolynomial([scalar * c for c in self.coeffs])
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def derivative(self, order=1):
         cs = self.coeffs
@@ -130,13 +129,15 @@ class ExactPolynomial:
         return ExactPolynomial([c * s**i for i, c in enumerate(self.coeffs)])
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for int/Fraction x, float otherwise."""
+        """Horner's rule: exact at an integer x (numpy's too) or a Fraction, else at float(x)."""
+        if hasattr(x, "__index__"):
+            x = operator.index(x)
         if isinstance(x, (int, Fraction)):
-            acc = _as_exact(0)
+            acc = 0
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        if math.isnan(x):
+        if math.isnan(x := float(x)):
             raise ValueError("x must not be nan")
         try:  # from the leading coefficient: 0.0 * inf is never taken
             acc = float(self.coeffs[-1])

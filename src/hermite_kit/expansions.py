@@ -33,15 +33,25 @@ DENSITY_WEIGHTED = "density-weighted"   # f(x) = e^{-x^2/2} sum a_n He_n(x)
 PLAIN_RV = "plain-rv"                   # f(Y) = sum b_n He_n(Y)
 
 
+_PYTHON_NUMBERS = frozenset((int, float, Fraction))
+
+
+def _python_numbers(values):
+    # a tuple of the Python numbers that numpy's scalars, an array's too, hold
+    values = tuple(values)
+    return values if _PYTHON_NUMBERS.issuperset(map(type, values)) else tuple(
+        v.item() if hasattr(v, "item") else v for v in values)
+
+
 class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
-    """Truncated coefficient sequence against a declared convention."""
+    """Truncated coefficient sequence against a declared convention, as Python numbers."""
 
     __slots__ = ()
 
     def __new__(cls, coeffs, convention):
         if convention not in (DENSITY_WEIGHTED, PLAIN_RV):
             raise ValueError(f"unknown series convention {convention!r}")
-        if not (coeffs := tuple(coeffs)):
+        if not (coeffs := _python_numbers(coeffs)):
             raise ValueError("series needs at least one coefficient")
         try:
             finite = all(map(math.isfinite, coeffs))
@@ -64,7 +74,7 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
     __slots__ = ()
 
     def __new__(cls, mu, sigma, nu=()):
-        nu = tuple(nu)
+        nu = _python_numbers(nu)
         for what, value in (("mu", mu), *((f"nu_{k}", v) for k, v in enumerate(nu, 3))):
             if not abs(value) < math.inf:  # nan and +-inf; a big int is never converted
                 raise ValueError(f"{what} must be finite, got {value!r}")
@@ -324,10 +334,8 @@ def gaussian_mixture_deconvolve(g, sigma):
         raise TypeError("deconvolution requires an ExactPolynomial input")
     s = Fraction(_check_sigma(sigma))
     factor = -(s * s) / 2
-    result = ExactPolynomial.zero()
-    for j in range(g.degree // 2 + 1):
-        result = result + (factor**j * Fraction(1, math.factorial(j))) * g.derivative(2 * j)
-    return result
+    return sum(((factor**j * Fraction(1, math.factorial(j))) * g.derivative(2 * j)
+                for j in range(g.degree // 2 + 1)), ExactPolynomial.zero())
 
 
 def fourier_eigen_check(n, k_grid, quad_order=None):

@@ -28,17 +28,13 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
 
     __slots__ = ()
 
-    @property
-    def size(self):
-        return len(self.entries)
+    size = property(lambda self: len(self.entries))
 
     def apply(self, coeffs):
         """Map a coefficient vector from from_basis to to_basis."""
         if len(coeffs) != self.size:
             raise ValueError(f"expected {self.size} coefficients, got {len(coeffs)}")
-        return tuple(
-            sum(row[j] * coeffs[j] for j in range(self.size)) for row in self.entries
-        )
+        return tuple(sum(a * b for a, b in zip(row, coeffs)) for row in self.entries)
 
 
 def gaussian_raw_moment(n, mu, sigma):

@@ -197,12 +197,12 @@ def tensor_component(indices, point):
 def hermite_table(n_max, x, family=PROBABILIST):
     """Rows He_0(x) .. He_{n_max}(x), or H_0 .. H_{n_max} for family 'h'.
 
-    He_{k+1} = x He_k - k He_{k-1} and H_{k+1} = 2x H_k - 2k H_{k-1}.  A
-    float x gives a list from plain float arithmetic; a 1-d numpy array of
-    nodes gives an array of shape (n_max + 1, len(x)), one step per row over
-    all nodes.  Both give the same bits, and values past double range are
-    infinities with the sign of their own degree.  A nan x raises ValueError;
-    the array form is elementwise, so a nan node gives a nan column.
+    He_{k+1} = x He_k - k He_{k-1} and H_{k+1} = 2x H_k - 2k H_{k-1}.  A number
+    x, a numpy scalar too, gives a list from plain float arithmetic; a numpy
+    array of any shape gives one of shape (n_max + 1, *x.shape), one step per
+    row over all entries.  Both give the same bits, and values past double range
+    are infinities with the sign of their own degree.  A nan x raises ValueError;
+    the array form is elementwise, so a nan entry gives a nan column.
     """
     n_max = _check_order(n_max)
     _check_family(family)
@@ -218,9 +218,10 @@ def hermite_table(n_max, x, family=PROBABILIST):
         for k in range(1, n_max):
             rows.append(a * rows[k] - (b * k) * rows[k - 1])
     table = np.array(rows[: n_max + 1])
-    # columns that left double range: redo them with the rescaling kernel; a nan column stays
-    for i in np.flatnonzero(~np.isfinite(table).all(axis=0) & ~np.isnan(x)):
-        table[:, i] = hermite_table(n_max, float(x[i]), family)
+    # columns that left double range, through flat views of any shape: redo them by _recurrence
+    columns, flat = table.reshape(n_max + 1, x.size), x.reshape(x.size)
+    for i in np.flatnonzero(~np.isfinite(columns).all(axis=0) & ~np.isnan(flat)):
+        columns[:, i] = hermite_table(n_max, float(flat[i]), family)
     return table
 
 

@@ -562,6 +562,29 @@ class TestMomentsFiles:
                          "--order", "5", "--x", "0.5")
         assert result == (2, "", "error: series coefficients must be finite\n")
 
+    def test_unreadable_moments_file_is_exit_3(self, capsys, tmp_path):
+        # a missing file and a directory: open() fails, and the refusal names the path
+        for path in (tmp_path / "missing.csv", tmp_path):
+            code, out, err = run_cli(capsys, "expand", "gram-charlier",
+                                     "--moments-csv", str(path), "--x", "0")
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: cannot read {path}: "), err
+
+    def test_moments_file_lines_are_the_text_mode_lines(self, capsys, tmp_path):
+        # \r\n and \r end a line as \n does; \x1c, a line break to str.splitlines,
+        # stays inside its line, so the third line is not a number
+        path = tmp_path / "moments.csv"
+        argv = ("expand", "gram-charlier", "--moments-csv", str(path), "--x", "0.5")
+        results = []
+        for text in (b"0\n1\n0.25\n3\n", b"0\r\n1\r0.25\r\n3\r"):
+            path.write_bytes(text)
+            results.append(run_cli(capsys, *argv))
+        assert results[0][0] == 0 and results[1] == results[0]
+        path.write_bytes(b"0\n1\n0\x1c3\n")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: line 3: expected a finite number, got '0\\x1c3'\n"
+
 
 class TestExpand:
     def test_deconvolve(self, capsys):
@@ -722,6 +745,12 @@ class TestExpand:
         monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "0")
         assert [run_cli(capsys, "expand", *argv) for argv in exact] == plain
         result = run_cli(capsys, "expand", "fourier-hermite", "--mu", "0", "--order", "4")
+        assert result == (2, "", "error: HERMITE_KIT_QUAD_ORDER must be a positive integer, "
+                                 "got 0\n")
+
+    def test_quad_order_env_is_refused_before_the_coefficients(self, capsys, monkeypatch):
+        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "0")
+        result = run_cli(capsys, "expand", "wce", "--coeffs", "1/0", "--order", "2")
         assert result == (2, "", "error: HERMITE_KIT_QUAD_ORDER must be a positive integer, "
                                  "got 0\n")
 

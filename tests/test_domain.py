@@ -4,7 +4,8 @@ An order or size is any integer type (numpy's too) and nonnegative, or
 positive where the function needs one; a float is refused even when it is
 whole.  A sigma is finite and positive, a mu or nu_k is finite, and a
 point x is not nan.  Each refusal is a ValueError with one wording, and a
-numpy integer gives exactly what the same Python int gives.  At a float
+numpy integer or float, or an array of them, gives exactly what the Python
+numbers it holds give.  At a float
 extreme (+-inf, +-1e308, the smallest subnormal, -0.0) every float argument
 gives a value or its limit, never nan, or a ValueError that names it, with
 the argument's one wording.
@@ -213,6 +214,76 @@ def test_numpy_integer_gives_the_python_int_result(name):
     assert same(ORDERS[name](np.int64(3)), ORDERS[name](3))
 
 
+@pytest.mark.parametrize("value", [0.5, 1e200, 5e-324, -1e308])
+@pytest.mark.parametrize("name", sorted(XS))
+def test_numpy_float_gives_the_python_float_result(name, value):
+    # np.float64 is a float whose arithmetic is numpy's: every float argument takes it
+    # as the float it holds, with the same value and type, or the same refusal, and no warning
+    call, number = XS[name][1], np.float64(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            want = call(value)
+        except ValueError as exc:  # a refusal names the argument as given
+            message = re.escape(str(exc).replace(repr(value), repr(number)))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(number)
+            return
+        got = call(number)
+    assert same(got, want) and type(got) is type(want)
+
+
+# numpy's numbers where a record or an exact polynomial takes them, each beside the
+# same call on the Python numbers they hold
+NUMPY_NUMBERS = {
+    "HermiteSeries(ndarray)": (
+        lambda: HermiteSeries(np.array([1.0, 1e200, -5e-324]), PLAIN_RV),
+        lambda: HermiteSeries([1.0, 1e200, -5e-324], PLAIN_RV)),
+    "HermiteSeries(numpy integers)": (
+        lambda: HermiteSeries((np.int64(1), np.uint8(2), np.int8(-3)), DENSITY_WEIGHTED),
+        lambda: HermiteSeries((1, 2, -3), DENSITY_WEIGHTED)),
+    "evaluate_series(ndarray)": (
+        lambda: evaluate_series(HermiteSeries(np.arange(-2.0, 3.0), DENSITY_WEIGHTED), 0.5),
+        lambda: evaluate_series(HermiteSeries([-2.0, -1.0, 0.0, 1.0, 2.0], DENSITY_WEIGHTED), 0.5)),
+    "evaluate_series(ndarray past double range)": (
+        lambda: evaluate_series(HermiteSeries(np.array([1e308, 1e308]), PLAIN_RV), 10.0),
+        lambda: evaluate_series(HermiteSeries([1e308, 1e308], PLAIN_RV), 10.0)),
+    "StandardizedMoments(ndarray)": (
+        lambda: StandardizedMoments(0.25, 2.0, np.array([0.5, 3.5])),
+        lambda: StandardizedMoments(0.25, 2.0, [0.5, 3.5])),
+    "StandardizedMoments(numpy integers)": (
+        lambda: StandardizedMoments(0.25, 2.0, (np.int64(0), np.int32(3))),
+        lambda: StandardizedMoments(0.25, 2.0, (0, 3))),
+    "ExactPolynomial(ndarray)": (
+        lambda: ExactPolynomial(np.arange(3)), lambda: ExactPolynomial([0, 1, 2])),
+    "ExactPolynomial(float ndarray)": (
+        lambda: ExactPolynomial(np.array([0.5, -1.5])), lambda: ExactPolynomial([0.5, -1.5])),
+    "ExactPolynomial(numpy integers)": (
+        lambda: ExactPolynomial((np.int64(2**62), np.uint8(2), np.int8(-3))),
+        lambda: ExactPolynomial((2**62, 2, -3))),
+    "ExactPolynomial.__call__(numpy integer)": (
+        lambda: ExactPolynomial((1, 2))(np.int64(3)), lambda: ExactPolynomial((1, 2))(3)),
+    "ExactPolynomial.__call__(past int64)": (  # exact: 2**186, not an int64 product
+        lambda: ExactPolynomial((0, 0, 0, 1))(np.int64(2**62)),
+        lambda: ExactPolynomial((0, 0, 0, 1))(2**62)),
+    "ExactPolynomial * numpy integer": (
+        lambda: ExactPolynomial((1, 2)) * np.int32(3), lambda: ExactPolynomial((1, 2)) * 3),
+    "ExactPolynomial.scale_argument": (
+        lambda: ExactPolynomial((1, 2)).scale_argument(np.int16(-4)),
+        lambda: ExactPolynomial((1, 2)).scale_argument(-4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_NUMBERS))
+def test_numpy_numbers_are_the_python_numbers_they_hold(name):
+    numpy_call, python_call = NUMPY_NUMBERS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = numpy_call()
+    want = python_call()
+    assert same(got, want) and type(got) is type(want)
+
+
 @pytest.mark.parametrize("bad, message", [
     (0.0, "sigma must be positive, got 0.0"),
     (-1.0, "sigma must be positive, got -1.0"),
@@ -333,6 +404,18 @@ def test_float_array_is_elementwise():
     assert table[:, 2].tolist() == hermite_table(3, -math.inf)
     # 2x overflows at 1e308 without a RuntimeWarning; the column is the scalar one
     assert hermite_table(3, np.array([1e308]), "h")[:, 0].tolist() == hermite_table(3, 1e308, "h")
+    # any shape, 0-d included, gives (n_max + 1, *x.shape), past double range too
+    x = np.array([[0.5, 1e200, math.nan], [-1e300, 2.0, math.inf]])
+    for nodes in (x, x.T, np.array(1e200), np.array(0.5), x[:, :0]):
+        for family in ("he", "h"):
+            table = hermite_table(3, nodes, family)
+            assert table.shape == (4, *nodes.shape)
+            for index in np.ndindex(nodes.shape):
+                column = table[(slice(None), *index)].tolist()
+                if math.isnan(nodes[index]):
+                    assert np.isnan(column[1:]).all()
+                else:
+                    assert column == hermite_table(3, float(nodes[index]), family)
 
 
 def test_big_ints_past_double_range_round_once():

@@ -82,6 +82,18 @@ class TestArithmetic:
         p = ExactPolynomial((1, 0, 4))      # 1 + 4x^2
         assert p.scale_argument(Fraction(1, 2)).coeffs == (1, 0, 1)
 
+    def test_only_polynomials_compare_add_and_subtract(self):
+        p = ExactPolynomial((3,))
+        assert (p == 3) is False and (p != 3) is True
+        for operation in (lambda: p + 3, lambda: 3 + p, lambda: p - 3, lambda: 3 - p):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                operation()
+
+    def test_equal_polynomials_hash_equal(self):
+        a, b = ExactPolynomial((1, Fraction(2, 4), 0)), ExactPolynomial(["1", "1/2"])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ExactPolynomial((1, 0.5))}) == 1
+
 
 class TestEvaluation:
     def test_exact_evaluation(self):

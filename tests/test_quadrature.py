@@ -249,6 +249,9 @@ class TestRuleBuilder:
         with pytest.raises(AttributeError, match="no_such_name"):
             hermite_kit.no_such_name
         assert len(PUBLIC_NAMES) == 50
+        # dir() lists every public name, resolved or not, beside the module's own
+        assert set(PUBLIC_NAMES) <= set(dir(hermite_kit)) and "__version__" in dir(hermite_kit)
+        assert dir(hermite_kit) == sorted(dir(hermite_kit))
         for name in REMOVED_NAMES:
             with pytest.raises(AttributeError, match=name):
                 getattr(hermite_kit, name)
