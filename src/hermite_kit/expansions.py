@@ -15,7 +15,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactpoly import ExactPolynomial, _check_order, _check_sigma
+from .exactpoly import (
+    _PYTHON_REALS, ExactPolynomial, _check_finite, _check_order, _check_sigma, _real)
 from .polynomials import (
     _LN2,
     MAX_ORDER,
@@ -33,16 +34,6 @@ DENSITY_WEIGHTED = "density-weighted"   # f(x) = e^{-x^2/2} sum a_n He_n(x)
 PLAIN_RV = "plain-rv"                   # f(Y) = sum b_n He_n(Y)
 
 
-_PYTHON_NUMBERS = frozenset((int, float, Fraction))
-
-
-def _python_numbers(values):
-    # a tuple of the Python numbers that numpy's scalars, an array's too, hold
-    values = tuple(values)
-    return values if _PYTHON_NUMBERS.issuperset(map(type, values)) else tuple(
-        v.item() if hasattr(v, "item") else v for v in values)
-
-
 class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
     """Truncated coefficient sequence against a declared convention, as Python numbers."""
 
@@ -51,7 +42,9 @@ class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
     def __new__(cls, coeffs, convention):
         if convention not in (DENSITY_WEIGHTED, PLAIN_RV):
             raise ValueError(f"unknown series convention {convention!r}")
-        if not (coeffs := _python_numbers(coeffs)):
+        if not _PYTHON_REALS.issuperset(map(type, coeffs := tuple(coeffs))):
+            coeffs = tuple(_real(c, "series coefficients") for c in coeffs)
+        if not coeffs:
             raise ValueError("series needs at least one coefficient")
         try:
             finite = all(map(math.isfinite, coeffs))
@@ -74,10 +67,8 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
     __slots__ = ()
 
     def __new__(cls, mu, sigma, nu=()):
-        nu = _python_numbers(nu)
-        for what, value in (("mu", mu), *((f"nu_{k}", v) for k, v in enumerate(nu, 3))):
-            if not abs(value) < math.inf:  # nan and +-inf; a big int is never converted
-                raise ValueError(f"{what} must be finite, got {value!r}")
+        mu = _check_finite(mu, "mu")
+        nu = tuple(_check_finite(v, f"nu_{k}") for k, v in enumerate(nu, 3))
         return super().__new__(cls, mu, _check_sigma(sigma), nu)
 
     _make = classmethod(lambda cls, fields: cls(*fields))

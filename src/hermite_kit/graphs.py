@@ -45,11 +45,15 @@ class SimpleGraph(namedtuple("SimpleGraph", "vertex_count edges")):
     def __new__(cls, vertex_count, edges):
         if (vertex_count := _check_order(vertex_count, "vertex count")) < 1:
             raise ValueError("graph needs at least one vertex")
+        ints, edges = (True, edges) if type(edges) is frozenset else (False, tuple(edges))
         for u, v in edges:
+            if not type(u) is type(v) is int:  # numpy's integers too: rebuilt below as ints
+                u, v, ints = _check_order(u, "vertex"), _check_order(v, "vertex"), False
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v}) not allowed")
             if not (1 <= u < v <= vertex_count):
                 raise ValueError(f"edge ({u}, {v}) not canonical for {vertex_count} vertices")
+        edges = edges if ints else frozenset((int(u), int(v)) for u, v in edges)
         return super().__new__(cls, vertex_count, edges)
 
     _make = classmethod(lambda cls, fields: cls(*fields))

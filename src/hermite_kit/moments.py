@@ -8,12 +8,11 @@ E[Y^n](x) for Y ~ N(x, 1).
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
-from .exactpoly import ExactPolynomial, _check_order, _check_sigma
+from .exactpoly import ExactPolynomial, _check_finite, _check_order, _check_sigma
 from .polynomials import _pairing_column, _rounded, hermite_explicit
 
 MONOMIAL = "monomial"
@@ -44,9 +43,8 @@ def gaussian_raw_moment(n, mu, sigma):
     double range.
     """
     n, sigma = _check_order(n, "moment order"), Fraction(_check_sigma(sigma))
-    if not abs(mu) < math.inf:  # nan and +-inf; a big int is never converted
-        raise ValueError(f"mu must be finite, got {mu!r}")
-    return _rounded(sigma**n * gauss_moment_polynomial(n)(Fraction(mu) / sigma))
+    mu = Fraction(_check_finite(mu, "mu"))  # a big int is never converted to float
+    return _rounded(sigma**n * gauss_moment_polynomial(n)(mu / sigma))
 
 
 def gauss_moment_polynomial(n):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .exactpoly import ExactPolynomial, _check_order
+from .exactpoly import ExactPolynomial, _check_order, _real
 
 PROBABILIST = "he"
 PHYSICIST = "h"
@@ -120,9 +120,9 @@ def _ldexp(m, e):
 
 
 def _rounded(exact):
-    # an exact value rounded once to float, a signed inf past double range
+    # a real x (as _real gives it; a float is one) rounded once, a signed inf past double range
     try:
-        return float(exact)
+        return exact if type(exact) is float else float(exact := _real(exact, "x"))
     except OverflowError:
         return math.inf if exact > 0 else -math.inf
 
@@ -185,8 +185,8 @@ def tensor_component(indices, point):
     counts = index_multiplicities(indices, len(point))
     value, exponent = 1.0, 0
     for degree, x in zip(counts, point):
-        if degree or x != x:  # He_0 = 1 is skipped; a nan goes on to the kernel's refusal
-            cur, e = _recurrence(degree, _rounded(x), PROBABILIST)
+        if (x := _rounded(x)) != x or degree:  # He_0 = 1 is skipped; a nan reaches the kernel
+            cur, e = _recurrence(degree, x, PROBABILIST)
             cur, s = math.frexp(cur)  # a subnormal factor too: rounded only with the product
             value, t = math.frexp(value * cur)
             exponent += e + s + t

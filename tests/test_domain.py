@@ -2,13 +2,16 @@
 
 An order or size is any integer type (numpy's too) and nonnegative, or
 positive where the function needs one; a float is refused even when it is
-whole.  A sigma is finite and positive, a mu or nu_k is finite, and a
-point x is not nan.  Each refusal is a ValueError with one wording, and a
-numpy integer or float, or an array of them, gives exactly what the Python
-numbers it holds give.  At a float
-extreme (+-inf, +-1e308, the smallest subnormal, -0.0) every float argument
-gives a value or its limit, never nan, or a ValueError that names it, with
-the argument's one wording.
+whole.  A float argument is any real number: a str, complex, Decimal or
+numpy bool is refused with a TypeError that names the argument, and a
+decimal string is taken only as an exact coefficient.  A sigma is finite
+and positive, a mu or nu_k is finite, and a point x is not nan.  Each
+refusal is a ValueError with one wording, and a numpy integer or float, or
+an array of them, gives exactly what the Python numbers it holds give, its
+refusal included, word for word.  At a float extreme (+-inf, +-1e308, the
+smallest subnormal, -0.0) every float argument gives a value or its limit,
+never nan, or a ValueError that names it, with the argument's one wording.
+Every import in src/ is read by its module.
 """
 
 import ast
@@ -19,6 +22,7 @@ import random
 import re
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -212,21 +216,32 @@ def test_bad_order_or_size_is_refused(name, bad):
 @pytest.mark.parametrize("name", sorted(ORDERS))
 def test_numpy_integer_gives_the_python_int_result(name):
     assert same(ORDERS[name](np.int64(3)), ORDERS[name](3))
+    with pytest.raises(ValueError, match="got -1$"):  # a refusal names the Python int
+        ORDERS[name](np.int64(-1))
 
 
-@pytest.mark.parametrize("value", [0.5, 1e200, 5e-324, -1e308])
-@pytest.mark.parametrize("name", sorted(XS))
-def test_numpy_float_gives_the_python_float_result(name, value):
-    # np.float64 is a float whose arithmetic is numpy's: every float argument takes it
-    # as the float it holds, with the same value and type, or the same refusal, and no warning
-    call, number = XS[name][1], np.float64(value)
+# every float argument, the sigma rows' included
+FLOAT_CALLS = {**{name: call for name, (_, call) in XS.items()}, **SIGMAS}
+
+# numpy floats at values each holds exactly; float32's nearest to 3e38 is 3.0000000054977558e38
+NUMPY_FLOATS = [*((np.float64, v) for v in (0.5, 1e200, 5e-324, -1e308)),
+                *((np.float32, v) for v in (0.5, -1.0, 2.0**-149, float(np.float32(3e38))))]
+
+
+@pytest.mark.parametrize("kind, value", NUMPY_FLOATS,
+                         ids=[f"{kind.__name__}({value!r})" for kind, value in NUMPY_FLOATS])
+@pytest.mark.parametrize("name", sorted(FLOAT_CALLS))
+def test_numpy_float_gives_the_python_float_result(name, kind, value):
+    # a numpy float is taken as the Python float it holds: the same value and type,
+    # or the very same refusal, which names the float, and no warning
+    call, number = FLOAT_CALLS[name], kind(value)
+    assert float(number) == value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             want = call(value)
-        except ValueError as exc:  # a refusal names the argument as given
-            message = re.escape(str(exc).replace(repr(value), repr(number)))
-            with pytest.raises(ValueError, match=f"^{message}$"):
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
                 call(number)
             return
         got = call(number)
@@ -282,6 +297,33 @@ def test_numpy_numbers_are_the_python_numbers_they_hold(name):
         got = numpy_call()
     want = python_call()
     assert same(got, want) and type(got) is type(want)
+
+
+# each row takes an argument that must be a real number, under the name its refusal gives
+REAL_ARGUMENTS = {
+    **{name: ("x" if what == "point" else what, call) for name, (what, call) in XS.items()},
+    **{name: ("sigma", call) for name, call in SIGMAS.items()},
+    "StandardizedMoments(mu)": ("mu", lambda v: StandardizedMoments(v, 1.0)),
+    "StandardizedMoments(nu_5)": ("nu_5", lambda v: StandardizedMoments(0.0, 1.0, (0, 3, v))),
+    # a coordinate of degree 0 is a point coordinate all the same
+    "tensor_component(degree 0)": ("x", lambda x: tensor_component((0,), (0.5, x))),
+    "ExactPolynomial(coefficient)": ("coefficient", lambda c: ExactPolynomial((1, c))),
+    "ExactPolynomial * factor": ("factor", lambda c: ExactPolynomial((1, 2)) * c),
+    "ExactPolynomial.scale_argument": ("factor", ExactPolynomial((1, 2)).scale_argument),
+}
+
+
+@pytest.mark.parametrize("bad", ["0.5", 0.5j, Decimal("0.5"), np.True_],
+                         ids=["str", "complex", "Decimal", "numpy bool"])
+@pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
+def test_an_argument_that_is_not_a_real_number_is_refused(name, bad):
+    # never parsed, never failing deep inside: a TypeError that names the argument
+    what, call = REAL_ARGUMENTS[name]
+    if what == "coefficient" and isinstance(bad, str):  # a decimal string is an exact coefficient
+        assert call(bad) == ExactPolynomial((1, Fraction(1, 2)))
+        return
+    with pytest.raises(TypeError, match=f"^{what} must be a real number, got {type(bad).__name__}$"):
+        call(bad)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -450,9 +492,17 @@ def test_every_module_level_name_is_public_or_used_in_src():
     # non-underscore one is public or referenced in src/ outside its own definition
     import hermite_kit
 
-    defined, used = set(), set()
+    defined, used, unread_imports = set(), set(), []
     for path in pathlib.Path(hermite_kit.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        # an import its own module never reads goes too
+        reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread_imports += [f"{path.name}: {alias.asname or alias.name}" for node in ast.walk(tree)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))
+                           and getattr(node, "module", None) != "__future__"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in reads]
+        for top in tree.body:
             names = {node.id if isinstance(node, ast.Name) else node.attr
                      for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))}
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -461,6 +511,7 @@ def test_every_module_level_name_is_public_or_used_in_src():
             used |= names
     public = set(hermite_kit._PUBLIC)
     assert sorted(n for n in defined - public - used if not n.startswith("_")) == []
+    assert unread_imports == []
 
 
 # read by name nowhere in src/ or perfbench/, and public all the same

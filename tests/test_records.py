@@ -15,6 +15,7 @@ from hermite_kit import (
     WCETensorCoeffs,
     change_of_basis,
     evaluate_series,
+    match_count_table,
     wce_coeffs_multi,
 )
 
@@ -119,12 +120,26 @@ def test_moments_validation_message(sigma):
     (3, ((2, 2),), r"loop edge \(2, 2\) not allowed"),
     (3, ((2, 1),), r"edge \(2, 1\) not canonical for 3 vertices"),
     (3, ((1, 4),), r"edge \(1, 4\) not canonical for 3 vertices"),
+    # a vertex is an integer: a float endpoint, even a whole one, is refused by name
+    (3, ((1.0, 2.0),), r"vertex must be a nonnegative integer, got 1\.0"),
+    (3, ((1, 2), (2, 2.5)), r"vertex must be a nonnegative integer, got 2\.5"),
 ])
 def test_graph_validation_messages(vertex_count, edges, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SimpleGraph(vertex_count=vertex_count, edges=frozenset(edges))
     with pytest.raises(ValueError, match=f"^{message}$"):
         SimpleGraph(vertex_count, frozenset(edges))
+
+
+def test_graph_edges_are_a_frozenset_of_python_int_pairs():
+    # a list, a generator or numpy's integers give the graph the Python ints give
+    want = SimpleGraph(3, frozenset({(1, 2), (2, 3)}))
+    for edges in ([(1, 2), [2, 3]], ((u, u + 1) for u in (1, 2)),
+                  frozenset({(np.int64(1), np.uint8(2)), (2, np.int32(3))})):
+        graph = SimpleGraph(3, edges)
+        assert graph == want and type(graph.edges) is frozenset
+        assert {type(u) for edge in graph.edges for u in edge} == {int}
+        assert match_count_table(graph) == (1, 2)
 
 
 def test_built_records_compare_by_value():
