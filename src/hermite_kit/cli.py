@@ -4,8 +4,6 @@ Exit codes: 0 success, 2 argument error, 3 malformed input file.
 Floats print with 17 significant digits so output round-trips exactly.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import json
@@ -13,8 +11,10 @@ import math
 import os
 import sys
 
-from . import graphs, polynomials
-from .exactpoly import ExactPolynomial, _check_order
+import hermite_kit as hk
+
+from .exactpoly import _check_order
+from .polynomials import SQRT_TWO_PI, NodeConvergenceError, _check_rule_order, _rounded
 
 QUAD_ORDER_ENV = "HERMITE_KIT_QUAD_ORDER"
 
@@ -55,10 +55,8 @@ def _emit_coeffs(poly, fmt, out):
 
 
 def _emit_series(series, out):
-    from . import expansions
-
-    print(f"tail indicator |a_N| sqrt(N!) = "
-          f"{expansions.series_tail_indicator(series):.3e}", file=sys.stderr)
+    print(f"tail indicator |a_N| sqrt(N!) = {hk.series_tail_indicator(series):.3e}",
+          file=sys.stderr)
     print(json.dumps({"convention": series.convention, "coeffs": list(series.coeffs)}), file=out)
 
 
@@ -97,15 +95,14 @@ def _env_quad_order():
 def cmd_poly(args, out):
     if args.n > 200:
         raise ValueError(f"--n is capped at 200, got {args.n}")
-    poly = polynomials.hermite_explicit(args.n, args.family)
+    poly = hk.hermite_explicit(args.n, args.family)
     _emit_coeffs(poly, args.format, out)
     return 0
 
 
 def cmd_quad(args, out):
-    from . import quadrature
-
-    rule = quadrature.gauss_hermite_rule(args.n)
+    n = _check_rule_order(args.n)  # before hk.gauss_hermite_rule loads quadrature, hence numpy
+    rule = hk.gauss_hermite_rule(n)
     if args.format == "json":
         print(json.dumps({"nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}), file=out)
     else:
@@ -140,16 +137,13 @@ def cmd_plotdata(args, out):
         raise ValueError(f"{terms} terms times --samples {args.samples} is {work}, capped at {10**7}")
     grid = _grid(args.xmin, args.xmax, args.samples)
     if args.kind == "poly":
-        values = [polynomials.eval_hermite(args.n, x, args.family) for x in grid]
+        values = [hk.eval_hermite(args.n, x, args.family) for x in grid]
     elif args.kind == "function":
-        values = [polynomials.eval_hermite_function(args.n, x, args.family) for x in grid]
+        values = [hk.eval_hermite_function(args.n, x, args.family) for x in grid]
     else:
-        from . import expansions
-
-        convention = (expansions.DENSITY_WEIGHTED if args.convention == "density"
-                      else expansions.PLAIN_RV)
-        series = expansions.HermiteSeries(map(float, args.coeffs), convention)
-        values = [expansions.evaluate_series(series, x) for x in grid]
+        convention = hk.DENSITY_WEIGHTED if args.convention == "density" else hk.PLAIN_RV
+        series = hk.HermiteSeries(map(float, args.coeffs), convention)
+        values = [hk.evaluate_series(series, x) for x in grid]
     _emit_table(("x", "value"), list(zip(grid, values)), args.format, out)
     return 0
 
@@ -163,33 +157,36 @@ def _read_text(path):
 
 
 def _load_graph(path):
-    return graphs.parse_edge_list(_read_text(path))
+    try:
+        return hk.parse_edge_list(_read_text(path))
+    except hk.GraphFileError as exc:  # a ValueError, but exit 3, as a file that cannot be read
+        raise InputFileError(exc) from None
 
 
 def cmd_graph(args, out):
     if args.graph_command == "match-poly":
-        poly = graphs.matching_polynomial(_load_graph(args.file))
+        poly = hk.matching_polynomial(_load_graph(args.file))
         _emit_coeffs(poly, args.format, out)
     elif args.graph_command == "matches":
         graph = _load_graph(args.file)
         if args.j is not None:
-            print(graphs.count_j_matches(graph, args.j), file=out)
+            print(hk.count_j_matches(graph, args.j), file=out)
         else:
-            counts = graphs.match_count_table(graph)
+            counts = hk.match_count_table(graph)
             rows = [(str(j), str(c)) for j, c in enumerate(counts)]
             _emit_table(("j", "count"), rows, args.format, out)
     elif args.graph_command == "kpartite":
         sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
         if (edges := (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2) > 10**6:
             raise ValueError(f"--parts makes {edges} edges, capped at 1000000")
-        print(graphs.format_edge_list(graphs.complete_kpartite(args.parts)), file=out)
+        print(hk.format_edge_list(hk.complete_kpartite(args.parts)), file=out)
     elif args.graph_command == "product-integral":
         sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
         cap, shape = (50_000, "three or fewer") if len(sizes) <= 3 else (2000, "four or more")
         if (total := sum(sizes)) > cap:  # four or more parts take the slower linearization fold
             raise ValueError(f"--parts sums to {total}, capped at {cap} for {shape} parts")
-        p = graphs.count_complete_matches(args.parts)
-        value = polynomials.SQRT_TWO_PI * polynomials._rounded(p)  # as hermite_product_integral
+        p = hk.count_complete_matches(args.parts)
+        value = SQRT_TWO_PI * _rounded(p)  # as hermite_product_integral
         with _exact_digits():
             count = str(p)
         if args.format == "json":
@@ -203,7 +200,7 @@ def cmd_graph(args, out):
         orders = [_check_order(k, "order") for k in (args.m, args.n)]  # their refusals come first
         if (total := sum(orders)) > 6000:
             raise ValueError(f"--m + --n is {total}, capped at 6000")
-        table = graphs.linearization_coeffs(args.m, args.n)
+        table = hk.linearization_coeffs(args.m, args.n)
         with _exact_digits():
             if args.format in ("csv", "tsv"):
                 rows = [(str(l), str(a)) for l, a in table.items()]
@@ -229,35 +226,33 @@ def _read_moments_csv(path):
 
 
 def cmd_expand(args, out):
-    from . import expansions
-
     if args.expand_command == "fourier-hermite":
         mu = args.mu
 
         def density(x):
             d = float(x) - mu  # plain floats: d * d overflows to inf, silently
-            return math.exp(-0.5 * (d * d)) / expansions.SQRT_TWO_PI
+            return math.exp(-0.5 * (d * d)) / SQRT_TWO_PI
 
-        _emit_series(expansions.fourier_hermite_coeffs(density, args.order, _env_quad_order()), out)
+        _emit_series(hk.fourier_hermite_coeffs(density, args.order, _env_quad_order()), out)
     elif args.expand_command == "gram-charlier":
         if args.moments_csv is not None:
             mu, sigma, *nu = _read_moments_csv(args.moments_csv)
         else:
             mu, sigma, nu = args.mu, args.sigma, (args.nu3, args.nu4)
-        m = expansions.StandardizedMoments(mu=mu, sigma=sigma, nu=tuple(nu))
-        value = expansions.gram_charlier_density(m, args.order, args.x)
+        m = hk.StandardizedMoments(mu=mu, sigma=sigma, nu=tuple(nu))
+        value = hk.gram_charlier_density(m, args.order, args.x)
         if value < 0:
             print("warning: truncated expansion is negative at this point", file=sys.stderr)
         print(_fmt(value), file=out)
     elif args.expand_command == "wce":
-        quad_order, poly = _env_quad_order(), ExactPolynomial(args.coeffs)  # the variable first
-        _emit_series(expansions.wce_coeffs_1d(poly, args.order, quad_order), out)
+        quad_order, poly = _env_quad_order(), hk.ExactPolynomial(args.coeffs)  # the variable first
+        _emit_series(hk.wce_coeffs_1d(poly, args.order, quad_order), out)
     elif args.expand_command == "deconvolve":
-        result = expansions.gaussian_mixture_deconvolve(ExactPolynomial(args.coeffs), args.sigma)
+        result = hk.gaussian_mixture_deconvolve(hk.ExactPolynomial(args.coeffs), args.sigma)
         _emit_coeffs(result, args.format, out)
     else:  # fourier-check
         try:
-            error = expansions.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25),
+            error = hk.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25),
                                                    _env_quad_order())
         except OverflowError as exc:
             raise ValueError(f"--kmax {args.kmax:g} is too large: {exc}") from None
@@ -365,12 +360,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (graphs.GraphFileError, InputFileError) as exc:
+    except (InputFileError, ValueError, TypeError, NodeConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, TypeError, polynomials.NodeConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, InputFileError) else 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,5 @@
 """Dense univariate polynomials with exact integer/rational coefficients."""
 
-from __future__ import annotations
-
 import math
 import numbers
 import operator
@@ -34,7 +32,8 @@ def _real(value, what):
         return operator.index(value)
     if isinstance(value, numbers.Real):
         return value if isinstance(value, Fraction) else float(value)
-    raise TypeError(f"{what} must be a real number, got {type(value).__name__}")
+    name = f"{type(value).__module__}.{type(value).__qualname__}".removeprefix("builtins.")
+    raise TypeError(f"{what} must be a real number, got {name}")  # numpy.bool, not bool
 
 
 def _check_finite(value, what):

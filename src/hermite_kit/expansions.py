@@ -7,8 +7,6 @@ the numeric check that the weighted Hermite functions are Fourier
 eigenfunctions.  Only the functions that build a rule import numpy.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
@@ -21,6 +19,7 @@ from .polynomials import (
     _LN2,
     MAX_ORDER,
     SQRT_TWO_PI,
+    _check_rule_order,
     _pairing_column,
     _ldexp,
     _rounded,
@@ -93,9 +92,7 @@ def _quad_order(order, quad_order=None, what="order", extra=12):
         if order > (largest := (MAX_ORDER - extra) // 2):
             raise ValueError(f"{what} {order} exceeds {largest}, the default quadrature's limit")
         return 2 * order + extra
-    if (quad_order := _check_order(quad_order, "quadrature order", 1)) < order + 2:
-        raise ValueError(f"quad_order must be at least {order + 2}, got {quad_order}")
-    return quad_order
+    return _check_rule_order(quad_order, order + 2)
 
 
 _KEPT_TABLE_BYTES = 2**12   # a larger He table is built for its call, not kept
@@ -270,14 +267,15 @@ def wce_coeffs_multi(f, dimension, order, quad_order=None):
     E[prod_i He_{m_i}(Y_i) f(Y)] in O(Q^d * d * order); an entry of b^(n)
     is the moment at its index multiplicities.
     """
-    import numpy as np
-    from . import quadrature
-
     if not 1 <= (dimension := _check_order(dimension, "dimension")) <= MAX_WCE_DIMENSION:
         raise ValueError(f"dimension must be 1..{MAX_WCE_DIMENSION}, got {dimension!r}")
     if (order := _check_order(order, "order")) > MAX_WCE_ORDER:
         raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
-    rule = quadrature.tensor_cubature(dimension, _quad_order(order, quad_order))
+    rule_order = _quad_order(order, quad_order)
+    import numpy as np
+    from . import quadrature
+
+    rule = quadrature.tensor_cubature(dimension, rule_order)
     table = _rule_table(rule.order, order) * rule.base.weights  # the 1-d table times 1-d weights
 
     def contracted(values):
@@ -309,7 +307,8 @@ def wce_reconstruct(coeffs, point):
                     raise ValueError(f"chaos coefficient b{indices!r} must be finite, got {b!r}")
                 total += b * tensor_component(indices, point)
     if math.isnan(total):  # finite coefficients: inf - inf between terms
-        raise ValueError(f"point {tuple(point)!r} has terms of both signs past double range")
+        point = tuple(_real(x, "x") for x in point)  # each coordinate as the kernel took it
+        raise ValueError(f"point {point!r} has terms of both signs past double range")
     return total
 
 

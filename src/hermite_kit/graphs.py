@@ -17,8 +17,6 @@ part by part through the He linearization coefficients and closed by the
 three-part form: at most three parts in the thousands take milliseconds.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple

@@ -6,8 +6,6 @@ Chebyshev-Hermite family against the Gaussian moment polynomials
 E[Y^n](x) for Y ~ N(x, 1).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial

@@ -5,8 +5,6 @@ float paths evaluate by forward three-term recurrences on values, never by
 expanding coefficients, which keeps them usable far beyond degree 20.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 
@@ -18,7 +16,16 @@ PHYSICIST = "h"
 _FAMILIES = (PROBABILIST, PHYSICIST)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-MAX_ORDER = 200  # largest Gauss-Hermite rule, here so that a default rule is sized without numpy
+MAX_ORDER = 200  # largest Gauss-Hermite rule, here so that rules are checked without numpy
+
+
+def _check_rule_order(N, least=1):
+    # N as a Python int from least (a caller's floor) to MAX_ORDER: every rule order, before numpy
+    if (N := _check_order(N, "quadrature order", 1)) < least:
+        raise ValueError(f"quad_order must be at least {least}, got {N}")
+    if N > MAX_ORDER:
+        raise ValueError(f"quadrature order {N} exceeds the supported maximum {MAX_ORDER}")
+    return N
 
 
 def _check_family(family):

@@ -10,8 +10,6 @@ form e^{-x^2/2} / (N psi_{N-1}(x_i)^2).  Each order is built once per process
 and shared, so its arrays are read-only.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactpoly import _check_order
-from .polynomials import MAX_ORDER, SQRT_TWO_PI, NodeConvergenceError, _ldexp, hermite_table
+from .polynomials import SQRT_TWO_PI, NodeConvergenceError, _check_rule_order, _ldexp, hermite_table
 
 CUBATURE_POINT_BUDGET = 10**7
 
@@ -83,9 +81,7 @@ def gauss_hermite_rule(N):
     RuntimeError naming the first such node, if Newton polishing fails to
     reach the residual tolerance.
     """
-    if (N := _check_order(N, "quadrature order", 1)) > MAX_ORDER:
-        raise ValueError(f"quadrature order {N} exceeds the supported maximum {MAX_ORDER}")
-    return _build_rule(N)
+    return _build_rule(_check_rule_order(N))
 
 
 def _orthonormal_pair(n, x):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hermite_kit import cli, graphs, partite_closed_form, polynomials, quadrature
+import hermite_kit
+from hermite_kit import cli, graphs, partite_closed_form, quadrature
 from hermite_kit.cli import _grid, main
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -197,7 +198,7 @@ class TestPlotdata:
 
     def test_at_the_terms_cap_is_sampled(self, capsys, monkeypatch):
         # 10**7 terms to sum is the cap itself; a stand-in evaluator keeps the test small
-        monkeypatch.setattr(polynomials, "eval_hermite", lambda n, x, family: float(n))
+        monkeypatch.setattr(hermite_kit, "eval_hermite", lambda n, x, family: float(n))
         code, out, err = run_cli(capsys, "plotdata", "--kind", "poly", "--n", "4999999",
                                  "--xmin", "0", "--xmax", "1", "--samples", "2")
         assert (code, out, err) == (0, "x\tvalue\n0\t4999999\n1\t4999999\n", "")
@@ -289,7 +290,7 @@ class TestGraph:
     def test_kpartite_at_the_edge_cap_is_built(self, capsys, monkeypatch):
         # 10**6 edges is the cap itself; a stand-in graph keeps the test small
         calls, kpartite = [], graphs.complete_kpartite
-        monkeypatch.setattr(graphs, "complete_kpartite",
+        monkeypatch.setattr(hermite_kit, "complete_kpartite",
                             lambda parts: calls.append(parts) or kpartite([1, 1]))
         assert run_cli(capsys, "graph", "kpartite", "--parts", "1000,1000") == (0, "2\n1 2\n", "")
         assert calls == [[1000, 1000]]
@@ -302,7 +303,7 @@ class TestGraph:
     ])
     def test_product_integral_refusals(self, capsys, monkeypatch, parts, message):
         # refused before any count: 4 x 2500 took 16 s, 4 x 25000 passed 1.2 GB
-        monkeypatch.setattr(graphs, "count_complete_matches", None)
+        monkeypatch.setattr(hermite_kit, "count_complete_matches", None)
         assert run_cli(capsys, "graph", "product-integral", f"--parts={parts}") == \
             (2, "", f"error: {message}\n")
 
@@ -322,7 +323,7 @@ class TestGraph:
     ])
     def test_linearize_refusals(self, capsys, monkeypatch, m, n, message):
         # refused before any coefficient: 5000 and 5000 took 12 s and printed 49 MB
-        monkeypatch.setattr(graphs, "linearization_coeffs", None)
+        monkeypatch.setattr(hermite_kit, "linearization_coeffs", None)
         assert run_cli(capsys, "graph", "linearize", "--m", m, "--n", n) == \
             (2, "", f"error: {message}\n")
 
@@ -353,7 +354,7 @@ class TestGraph:
     def test_product_integral_counts_once(self, capsys, monkeypatch, fmt):
         calls = []
         count = graphs.count_complete_matches
-        monkeypatch.setattr(graphs, "count_complete_matches",
+        monkeypatch.setattr(hermite_kit, "count_complete_matches",
                             lambda parts: calls.append(parts) or count(parts))
         code, _, _ = run_cli(
             capsys, "graph", "product-integral", "--parts", "100,100,100,100", "--format", fmt

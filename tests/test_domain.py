@@ -224,7 +224,7 @@ def test_numpy_integer_gives_the_python_int_result(name):
 FLOAT_CALLS = {**{name: call for name, (_, call) in XS.items()}, **SIGMAS}
 
 # numpy floats at values each holds exactly; float32's nearest to 3e38 is 3.0000000054977558e38
-NUMPY_FLOATS = [*((np.float64, v) for v in (0.5, 1e200, 5e-324, -1e308)),
+NUMPY_FLOATS = [*((np.float64, v) for v in (0.5, 1e200, 5e-324, -1e308, math.inf, -math.inf)),
                 *((np.float32, v) for v in (0.5, -1.0, 2.0**-149, float(np.float32(3e38))))]
 
 
@@ -246,6 +246,13 @@ def test_numpy_float_gives_the_python_float_result(name, kind, value):
             return
         got = call(number)
     assert same(got, want) and type(got) is type(want)
+
+
+def test_a_numpy_integer_coordinate_is_named_as_the_python_int():
+    # at y = +inf RECONSTRUCTION's terms are inf - inf; the refusal shows each
+    # coordinate as the kernel took it, the float ones by NUMPY_FLOATS' infinities
+    with pytest.raises(ValueError, match=r"^point \(1, inf\) has terms of both signs"):
+        wce_reconstruct(RECONSTRUCTION, (np.int64(1), math.inf))
 
 
 # numpy's numbers where a record or an exact polynomial takes them, each beside the
@@ -322,7 +329,8 @@ def test_an_argument_that_is_not_a_real_number_is_refused(name, bad):
     if what == "coefficient" and isinstance(bad, str):  # a decimal string is an exact coefficient
         assert call(bad) == ExactPolynomial((1, Fraction(1, 2)))
         return
-    with pytest.raises(TypeError, match=f"^{what} must be a real number, got {type(bad).__name__}$"):
+    name = {str: "str", complex: "complex", Decimal: "decimal.Decimal", np.bool_: "numpy.bool"}
+    with pytest.raises(TypeError, match=f"^{what} must be a real number, got {name[type(bad)]}$"):
         call(bad)
 
 

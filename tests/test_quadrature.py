@@ -7,6 +7,7 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +28,7 @@ from hermite_kit import (
     tensor_cubature,
     wce_coeffs_multi,
 )
-from hermite_kit import quadrature
+from hermite_kit import polynomials, quadrature
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -42,6 +43,33 @@ def orthonormal_residual(N, x):
 # a child interpreter imports the same hermite_kit as this process, installed or not
 _CHILD_ENV = {**os.environ,
               "PYTHONPATH": os.path.dirname(os.path.dirname(hermite_kit.__file__))}
+
+
+def _cli_without_numpy(commands, **env):
+    """[status, stdout, stderr] of each argv through cli.main, in one child where
+    None in sys.modules makes any import of numpy raise ImportError, and which of
+    dataclasses and inspect that child loaded."""
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "sys.modules['numpy'] = None",
+        "import hermite_kit",
+        "from hermite_kit.cli import main",
+        "results = []",
+        "for argv in json.loads(sys.argv[1]):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        try:",
+        "            status = main(argv)",
+        "        except SystemExit as exc:",
+        "            status = exc.code",
+        "    results.append([status, out.getvalue(), err.getvalue()])",
+        "print(json.dumps([results, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))",
+    ])
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                            capture_output=True, text=True, check=True,
+                            env={**_CHILD_ENV, **env})
+    return json.loads(result.stdout)
+
 
 PUBLIC_NAMES = [
     "ChangeOfBasisMatrix", "CubatureRule", "DENSITY_WEIGHTED", "ExactPolynomial",
@@ -149,8 +177,7 @@ class TestRuleBuilder:
         assert result.stdout.splitlines() == ["False []", "['hermite_kit.exactpoly']"]
 
     def test_exact_cli_paths_run_without_numpy(self, tmp_path):
-        # None in sys.modules makes any import of numpy raise ImportError; the
-        # records are named tuples, so neither dataclasses nor inspect loads
+        # the records are named tuples, so neither dataclasses nor inspect loads
         graph, bad = tmp_path / "c4.txt", tmp_path / "bad.txt"
         graph.write_text("4\n1 2\n2 3\n3 4\n1 4\n", encoding="utf-8")
         bad.write_text("3\n1 2\n1 2\n", encoding="utf-8")
@@ -175,43 +202,57 @@ class TestRuleBuilder:
             ["expand", "fourier-hermite", "--mu", "0", "--order", "150"],
             ["expand", "wce", "--coeffs", "0,0,1", "--order", "150"],
             ["expand", "fourier-check", "--n", "100"],
+            ["quad", "--n", "0"],
+            ["quad", "--n", "201"],
             ["graph", "match-poly", "--file", str(bad)],
         ]
-        code = "\n".join([
-            "import contextlib, io, json, sys",
-            "sys.modules['numpy'] = None",
-            "import hermite_kit",
-            "from hermite_kit.cli import main",
-            "results = []",
-            "for argv in json.loads(sys.argv[1]):",
-            "    out = io.StringIO()",
-            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):",
-            "        try:",
-            "            status = main(argv)",
-            "        except SystemExit as exc:",
-            "            status = exc.code",
-            "    results.append([status, out.getvalue()])",
-            "print(json.dumps([results, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))",
-        ])
-        result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
-                                capture_output=True, text=True, check=True, env=_CHILD_ENV)
-        results, loaded = json.loads(result.stdout)
-        assert [status for status, _ in results] == [0] * 12 + [2] * 5 + [3]
+        results, loaded = _cli_without_numpy(commands)
+        assert [status for status, _, _ in results] == [0] * 12 + [2] * 7 + [3]
         assert results[0][1] == "3,0,-6,0,1\n"
         assert results[4][1] == "20.053026197048002\n"
         assert results[9][1] == "-1,0,1\n"
         assert results[10][1] == results[11][1] != ""
+        assert [err for _, _, err in results[17:19]] == [
+            "error: quadrature order must be a positive integer, got 0\n",
+            "error: quadrature order 201 exceeds the supported maximum 200\n",
+        ]
+        assert results[19][2] == "error: line 3: duplicate edge (1, 2)\n"
         assert loaded == []
 
+    def test_explicit_rule_order_refusal_runs_without_numpy(self):
+        # an explicit order past the largest rule is refused before a rule is built
+        results, _ = _cli_without_numpy([["expand", "wce", "--coeffs", "1", "--order", "2"]],
+                                        HERMITE_KIT_QUAD_ORDER="201")
+        assert results == [
+            [2, "", "error: quadrature order 201 exceeds the supported maximum 200\n"]]
+
+    @pytest.mark.parametrize("argv, output", [
+        (["poly", "--n", "4"], "3,0,-6,0,1\n"),
+        (["plotdata", "--kind", "series", "--coeffs", "1", "--xmin", "0", "--xmax", "0",
+          "--samples", "2"], "x\tvalue\n0\t1\n0\t1\n"),
+        (["expand", "gram-charlier", "--x", "0"], "0.3989422804014327\n"),
+    ], ids=["poly", "plotdata series", "expand gram-charlier"])
+    def test_a_cli_process_loads_only_what_it_runs(self, argv, output):
+        # a fresh `python -m hermite_kit.cli` process; -v logs every module it
+        # imports, those a public name loads through importlib too
+        result = subprocess.run([sys.executable, "-v", "-m", "hermite_kit.cli", *argv],
+                                capture_output=True, text=True, check=True, env=_CHILD_ENV)
+        loaded = set(re.findall(r"^import '([\w.]+)'", result.stderr, re.MULTILINE))
+        assert result.stdout == output
+        assert "hermite_kit.polynomials" in loaded
+        assert not {"hermite_kit.graphs", "__future__", "numpy"} & loaded
+
     def test_default_rule_refusals_run_without_numpy(self):
-        # the library sizes a default rule before it imports numpy or quadrature
+        # the library sizes and checks every rule before it imports numpy or quadrature
         code = "\n".join([
             "import sys",
             "sys.modules['numpy'] = None",
             "import hermite_kit as hk",
             "for call in (lambda: hk.fourier_hermite_coeffs(abs, 95),",
             "             lambda: hk.wce_coeffs_1d(abs, 95),",
-            "             lambda: hk.fourier_eigen_check(96, [1.0])):",
+            "             lambda: hk.fourier_eigen_check(96, [1.0]),",
+            "             lambda: hk.wce_coeffs_multi(abs, 4, 1),",
+            "             lambda: hk.wce_coeffs_multi(abs, 2, 1, 201)):",
             "    try:",
             "        call()",
             "    except ValueError as exc:",
@@ -223,14 +264,15 @@ class TestRuleBuilder:
             "order 95 exceeds 94, the default quadrature's limit",
             "order 95 exceeds 94, the default quadrature's limit",
             "n 96 exceeds 95, the default quadrature's limit",
+            "dimension must be 1..3, got 4",
+            "quadrature order 201 exceeds the supported maximum 200",
         ]
 
     def test_rule_limit_and_error_are_shared_with_polynomials(self):
-        # expansions sizes a default rule and the CLI catches the error, both
-        # without importing quadrature, hence numpy
-        from hermite_kit import polynomials
-
-        assert quadrature.MAX_ORDER == polynomials.MAX_ORDER == 200
+        # expansions sizes and checks a rule, and the CLI checks a rule order and
+        # catches the error, all without importing quadrature, hence numpy
+        assert polynomials.MAX_ORDER == 200
+        assert quadrature._check_rule_order is polynomials._check_rule_order
         assert quadrature.NodeConvergenceError is polynomials.NodeConvergenceError
 
     def test_public_names_resolve_to_their_modules(self):
@@ -258,7 +300,7 @@ class TestRuleBuilder:
 
     def test_node_residuals_at_every_order(self):
         # the scalar evaluator, not the array path the builder polishes with
-        for N in range(1, quadrature.MAX_ORDER + 1):
+        for N in range(1, polynomials.MAX_ORDER + 1):
             for x in gauss_hermite_rule(N).nodes:
                 assert abs(orthonormal_residual(N, x)) <= 1e-13
 
