@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 
 from .exactpoly import ExactPolynomial, _check_order
-from .polynomials import SQRT_TWO_PI, _rounded, pairings
+from .polynomials import SQRT_TWO_PI, _pairing_column, _rounded
 
 MAX_MATCH_VERTICES = 24
 
@@ -166,7 +166,7 @@ def match_count_table(graph):
         neighbours[label[u - 1]] |= 1 << label[v - 1]
         neighbours[label[v - 1]] |= 1 << label[u - 1]
     # any induced subgraph's counts stay below K_n's, so no slot carries
-    width = max(pairings(n, j) for j in range(n // 2 + 1)).bit_length()
+    width = max(_pairing_column(n, n, shift=0)).bit_length()
     memo = {0: 1}
 
     def table(mask):  # called only on masks not yet in memo; a table is never 0

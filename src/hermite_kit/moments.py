@@ -36,7 +36,7 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
 
 def gaussian_raw_moment(n, mu, sigma):
     """E[Y^n] for Y ~ N(mu, sigma^2) = sigma^n E[(mu/sigma + Z)^n], the moment
-    polynomial sum_j pairings(n, j) x^(n-2j) at x = mu/sigma, evaluated exactly
+    polynomial sum_j n!/(2^j (n-2j)! j!) x^(n-2j) at x = mu/sigma, evaluated exactly
     at the binary values of mu and sigma and rounded once; a signed inf past
     double range.
     """
@@ -76,9 +76,8 @@ def change_of_basis(n, from_basis, to_basis):
     builder = _COLUMN_BUILDERS.get((from_basis, to_basis))
     if builder is None:
         raise ValueError(f"unsupported basis pair {from_basis!r} -> {to_basis!r}")
-    columns = [builder(n, k) for k in range(n + 1)]
-    entries = tuple(tuple(columns[k][i] for k in range(n + 1)) for i in range(n + 1))
-    return ChangeOfBasisMatrix(from_basis=from_basis, to_basis=to_basis, entries=entries)
+    rows = tuple(zip(*(builder(n, k) for k in range(n + 1))))
+    return ChangeOfBasisMatrix(from_basis=from_basis, to_basis=to_basis, entries=rows)
 
 
 def compose(second, first):

@@ -55,16 +55,13 @@ def hermite_recurrence(n, family=PROBABILIST):
     return ExactPolynomial(coeffs)
 
 
-def pairings(n, j):
-    """n! / (2^j (n-2j)! j!), the ways to choose j disjoint pairs from n items."""
-    return math.comb(n, 2 * j) * math.perm(2 * j, j) >> j
-
-
 def _pairing_column(n, k, sign=1, shift=1):
-    # element k expands with sign^j k! 2^((shift-1) j) / ((k-2j)! j!) at row k - 2j
-    col = [0] * (n + 1)
+    # element k expands with sign^j k! 2^((shift-1) j) / ((k-2j)! j!) at row k - 2j; the
+    # pairing count c_j = k! / (2^j (k-2j)! j!) steps by the exact ratio (k-2j)(k-2j-1) / (2(j+1))
+    col, c = [0] * (n + 1), 1
     for j in range(k // 2 + 1):
-        col[k - 2 * j] = sign**j * pairings(k, j) << (shift * j)
+        col[k - 2 * j] = sign**j * c << (shift * j)
+        c = c * (k - 2 * j) * (k - 2 * j - 1) // (2 * j + 2)
     return col
 
 
@@ -80,11 +77,6 @@ def hermite_explicit(n, family=PROBABILIST):
     return ExactPolynomial(coeffs)
 
 
-def _gaussian_moment_exact(k):
-    # int x^k e^{-x^2/2} dx in units of sqrt(2*pi): (k-1)!! for even k, 0 odd
-    return 0 if k % 2 else pairings(k, k // 2)
-
-
 def gram_schmidt_construct(n):
     """Orthogonalize 1, x, ..., x^n against the Gaussian weight, exactly.
 
@@ -98,7 +90,9 @@ def gram_schmidt_construct(n):
     Returns the monic orthogonal sequence [q_0, ..., q_n].
     """
     n = _check_order(n)
-    moments = [_gaussian_moment_exact(i) for i in range(2 * n + 1)]
+    moments = [1, 0]  # m_k = (k-1)!! for even k, 0 for odd, by m_(k+2) = (k+1) m_k
+    for k in range(2 * n - 1):
+        moments.append((k + 1) * moments[k])
     basis, rows = [], []
     for k in range(n + 1):
         q, row = [0] * k + [1], moments[k : k + n + 1]

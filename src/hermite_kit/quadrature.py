@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactpoly import _check_order
+from .exactpoly import _check_order, _real
 from .polynomials import SQRT_TWO_PI, NodeConvergenceError, _check_rule_order, _ldexp, hermite_table
 
 CUBATURE_POINT_BUDGET = 10**7
@@ -122,12 +122,18 @@ def integrand_values(f, rule):
     as an array: one call per node, in order.
 
     A cubature point is a row of a freshly built block, so f may keep or
-    modify it.  A non-finite value raises ValueError naming its index.
+    modify it.  A value v is float(v - 0.0), which keeps -0.0 and takes an np.bool_; a str,
+    Decimal or complex raises TypeError naming its type, a non-finite value ValueError its index.
     """
     cubature = isinstance(rule, CubatureRule)
     values = np.empty(rule.order ** rule.dimension if cubature else len(rule.weights))
     for i, x in enumerate(itertools.chain.from_iterable(rule._blocks()) if cubature else rule.nodes):
-        y = float(f(x))
+        v = f(x)
+        try:
+            y = float(v - 0.0)
+        except TypeError:
+            _real(v, "integrand value")  # refuses v, naming its type
+            raise
         if not math.isfinite(y):
             where = f"point index {i}" if cubature else f"node index {i} (x={float(x)!r})"
             raise ValueError(f"integrand returned non-finite value {y!r} at {where}")

@@ -30,6 +30,7 @@ from hermite_kit import (
     parse_edge_list,
     partite_closed_form,
 )
+from hermite_kit import graphs
 from hermite_kit.moments import change_of_basis
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -227,6 +228,14 @@ class TestVertexElimination:
         for m in range(1, 25):
             closed = tuple(f(m) // (2**j * f(m - 2 * j) * f(j)) for j in range(m // 2 + 1))
             assert match_count_table(complete_graph(m)) == closed
+
+    def test_slot_width_is_the_largest_pairing_count(self):
+        # the packed slot of n vertices is as wide as the largest count of K_n, comb * perm
+        for n in range(1, 25):
+            largest = max(math.comb(n, 2 * j) * math.perm(2 * j, j) >> j
+                          for j in range(n // 2 + 1))
+            assert max(graphs._pairing_column(n, n, shift=0)).bit_length() == \
+                largest.bit_length()
 
     def test_edgeless_isolated_and_single_edge(self):
         assert match_count_table(SimpleGraph(vertex_count=1, edges=frozenset())) == (1,)

@@ -20,7 +20,7 @@ from hermite_kit import (
     integrate_weighted,
     weierstrass_preimage_polynomial,
 )
-from hermite_kit.moments import ChangeOfBasisMatrix
+from hermite_kit.moments import _COLUMN_BUILDERS, ChangeOfBasisMatrix
 from hermite_kit.polynomials import _rounded
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -33,6 +33,19 @@ def identity(n):
 def column(matrix, k):
     # column k expands source-basis element k
     return tuple(row[k] for row in matrix.entries)
+
+
+def pairing_count(k, j):
+    """k! / (2^j (k-2j)! j!) as comb * perm: the oracle for every pairing column."""
+    return math.comb(k, 2 * j) * math.perm(2 * j, j) >> j
+
+
+def pairing_column(n, k, sign, shift):
+    # entry k - 2j of column k is sign^j pairing_count(k, j) 2^(shift j), the rest 0
+    col = [0] * (n + 1)
+    for j in range(k // 2 + 1):
+        col[k - 2 * j] = sign**j * pairing_count(k, j) << shift * j
+    return col
 
 
 @st.composite
@@ -178,6 +191,41 @@ class TestConnectionCoefficients:
         m = change_of_basis(15, "he", "gauss-moment")
         for n in range(16):
             assert combine(column(m, n), gauss_moment_polynomial) == hermite_explicit(n)
+
+
+class TestPairingColumns:
+    # (sign, shift) of each builder's column, as pairing_column takes them
+    SIGN_SHIFT = {
+        ("he", "monomial"): (-1, 0), ("monomial", "he"): (1, 0),
+        ("h", "2x-monomial"): (-1, 1), ("2x-monomial", "h"): (1, 1),
+        ("he", "gauss-moment"): (-1, 1), ("gauss-moment", "he"): (1, 1),
+    }
+
+    def test_every_builder_is_the_comb_perm_formula_to_400(self):
+        assert self.SIGN_SHIFT.keys() == _COLUMN_BUILDERS.keys()
+        for pair, (sign, shift) in self.SIGN_SHIFT.items():
+            build = _COLUMN_BUILDERS[pair]
+            for k in range(401):
+                want = pairing_column(400, k, sign, shift)
+                assert build(400, k) == want
+                assert build(k, k) == want[: k + 1]
+
+    @pytest.mark.parametrize("pair", list(SIGN_SHIFT))
+    def test_matrix_rows_are_the_columns_transposed(self, pair):
+        sign, shift = self.SIGN_SHIFT[pair]
+        for n in (0, 1, 2, 7, 60):
+            columns = [pairing_column(n, k, sign, shift) for k in range(n + 1)]
+            rows = tuple(tuple(col[i] for col in columns) for i in range(n + 1))
+            assert change_of_basis(n, *pair).entries == rows
+
+    def test_hermite_explicit_is_the_comb_perm_formula_to_400(self):
+        for n in range(401):
+            he = pairing_column(n, n, -1, 0)
+            assert hermite_explicit(n).coeffs == tuple(he)
+            # H_n's coefficient of x^(n-2j) is He_n's times 2^(n-j)
+            assert hermite_explicit(n, "h").coeffs == tuple(c << (n + i) // 2
+                                                            for i, c in enumerate(he))
+            assert gauss_moment_polynomial(n).coeffs == tuple(pairing_column(n, n, 1, 0))
 
 
 class TestChangeOfBasis:

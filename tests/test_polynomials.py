@@ -21,7 +21,11 @@ from hermite_kit import (
     hermite_recurrence,
     hermite_table,
 )
-from hermite_kit.polynomials import _gaussian_moment_exact as moment
+
+
+def moment(k):
+    # int x^k e^{-x^2/2} dx / sqrt(2*pi): (k-1)!! for even k, 0 for odd
+    return 0 if k % 2 else math.prod(range(k - 1, 0, -2))
 
 
 def fraction_gram_schmidt(n):

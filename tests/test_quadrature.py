@@ -11,8 +11,10 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -701,6 +703,48 @@ class TestSeparableContraction:
             exact = _exact_cubature_sum(rule, values)
             scale = Fraction(math.ulp(float(_exact_cubature_sum(rule, np.abs(values)))))
             assert abs(Fraction(got) - exact) / scale <= bound
+
+
+class TestIntegrandValues:
+    """Each value is taken as float(v - 0.0): a real number, a bool or np.bool_ indicator
+    among them, gives the bits float(v) gives, and anything else is refused by its type."""
+
+    @pytest.mark.parametrize("value, name", [
+        ("1.0", "str"), (Decimal("1.0"), "decimal.Decimal"), (1j, "complex"),
+        (1.0 + 0j, "complex"), (None, "NoneType"), ([1.0], "list")])
+    def test_non_real_values_are_refused_by_type(self, value, name):
+        message = rf"^integrand value must be a real number, got {name}$"
+        for integrate, rule in [(integrate_weighted, gauss_hermite_rule(4)),
+                                (integrate_whole_line, gauss_hermite_rule(4)),
+                                (integrate_cubature, tensor_cubature(2, 3))]:
+            with pytest.raises(TypeError, match=message):
+                integrate(lambda x: value, rule)
+
+    @pytest.mark.parametrize("value", [
+        1, -3, 2**60 + 1, 0.1, -0.0, 0.0, math.tau, Fraction(1, 3), np.float32(0.1),
+        np.float64(-0.0), np.int64(-7), np.uint64(2**64 - 1), np.longdouble(1) / 3,
+        mpmath.mpf(2) / 3, np.array(0.25)])
+    def test_real_values_keep_their_bits(self, value):
+        rule = gauss_hermite_rule(3)
+        got = quadrature.integrand_values(lambda x: value, rule)
+        assert got.tobytes() == np.full(3, float(value)).tobytes()
+
+    def test_indicators_integrate(self):
+        rule, cubature = gauss_hermite_rule(5), tensor_cubature(2, 4)
+        half = integrate_weighted(lambda x: float(x > 0), rule)
+        assert integrate_weighted(lambda x: x > 0, rule) == half  # np.bool_
+        assert integrate_weighted(lambda x: bool(x > 0), rule) == half
+        quarter = integrate_cubature(lambda p: float(p[0] > 0 and p[1] > 0), cubature)
+        assert integrate_cubature(lambda p: (p[0] > 0) & (p[1] > 0), cubature) == quarter
+        assert integrate_cubature(lambda p: bool(p[0] > 0 and p[1] > 0), cubature) == quarter
+        assert quarter == pytest.approx(SQRT_TWO_PI**2 / 4, rel=1e-15)
+
+    def test_a_type_error_inside_the_integrand_is_not_replaced(self):
+        def f(x):
+            raise TypeError("from the integrand")
+
+        with pytest.raises(TypeError, match="^from the integrand$"):
+            integrate_weighted(f, gauss_hermite_rule(3))
 
 
 class TestStreamedPoints:
