@@ -6,6 +6,7 @@ Floats print with 17 significant digits so output round-trips exactly.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,14 @@ from .exactpoly import _check_order
 from .polynomials import SQRT_TWO_PI, NodeConvergenceError, _check_rule_order, _rounded
 
 QUAD_ORDER_ENV = "HERMITE_KIT_QUAD_ORDER"
+# each cap is checked in one command below; README.md's limits table lists them
+MAX_POLY_N = 200
+MAX_SAMPLES = 10**6
+MAX_PLOTDATA_WORK = 10**7       # terms times samples: each sample sums every term
+MAX_KPARTITE_EDGES = 10**6
+MAX_PARTS_TOTAL = 50_000        # product-integral with three or fewer parts
+MAX_PARTS_TOTAL_FOLDED = 2000   # four or more parts take the slower linearization fold
+MAX_LINEARIZE_TOTAL = 6000      # linearize: --m + --n
 
 
 def _fmt(x):
@@ -24,14 +33,17 @@ def _fmt(x):
 
 
 def _emit_table(header, rows, fmt, out):
-    if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        print(json.dumps(payload), file=out)
+    if fmt == "json":  # in chunks of rows, written as one json.dumps of them all would be
+        rows, sep = iter(rows), "["
+        while chunk := [dict(zip(header, row)) for row in itertools.islice(rows, 4096)]:
+            out.write(sep + json.dumps(chunk)[1:-1])
+            sep = ", "
+        print("]" if sep == ", " else "[]", file=out)
         return
     sep = "\t" if fmt == "tsv" else ","
     print(sep.join(header), file=out)
     for row in rows:
-        print(sep.join(str(c) if isinstance(c, str) else _fmt(c) for c in row), file=out)
+        out.write(sep.join([c if isinstance(c, str) else _fmt(c) for c in row]) + "\n")
 
 
 @contextlib.contextmanager
@@ -93,8 +105,8 @@ def _env_quad_order():
 
 
 def cmd_poly(args, out):
-    if args.n > 200:
-        raise ValueError(f"--n is capped at 200, got {args.n}")
+    if args.n > MAX_POLY_N:
+        raise ValueError(f"--n is capped at {MAX_POLY_N}, got {args.n}")
     poly = hk.hermite_explicit(args.n, args.family)
     _emit_coeffs(poly, args.format, out)
     return 0
@@ -106,7 +118,7 @@ def cmd_quad(args, out):
     if args.format == "json":
         print(json.dumps({"nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}), file=out)
     else:
-        _emit_table(("node", "weight"), list(zip(rule.nodes, rule.weights)), args.format, out)
+        _emit_table(("node", "weight"), zip(rule.nodes, rule.weights), args.format, out)
     return 0
 
 
@@ -130,21 +142,22 @@ def cmd_plotdata(args, out):
         raise ValueError("--samples must be at least 2")
     if args.xmax < args.xmin:
         raise ValueError(f"empty range [{args.xmin}, {args.xmax}]")
-    if args.samples > 10**6:
-        raise ValueError(f"--samples is capped at 1000000, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples is capped at {MAX_SAMPLES}, got {args.samples}")
     terms = len(args.coeffs) if args.kind == "series" else args.n + 1
-    if (work := terms * args.samples) > 10**7:  # each sample sums every term
-        raise ValueError(f"{terms} terms times --samples {args.samples} is {work}, capped at {10**7}")
+    if (work := terms * args.samples) > MAX_PLOTDATA_WORK:
+        raise ValueError(f"{terms} terms times --samples {args.samples} is {work}, "
+                         f"capped at {MAX_PLOTDATA_WORK}")
     grid = _grid(args.xmin, args.xmax, args.samples)
-    if args.kind == "poly":
-        values = [hk.eval_hermite(args.n, x, args.family) for x in grid]
-    elif args.kind == "function":
-        values = [hk.eval_hermite_function(args.n, x, args.family) for x in grid]
-    else:
+    if args.kind == "series":
         convention = hk.DENSITY_WEIGHTED if args.convention == "density" else hk.PLAIN_RV
         series = hk.HermiteSeries(map(float, args.coeffs), convention)
-        values = [hk.evaluate_series(series, x) for x in grid]
-    _emit_table(("x", "value"), list(zip(grid, values)), args.format, out)
+        rows = ((x, hk.evaluate_series(series, x)) for x in grid)
+    else:
+        value = hk.eval_hermite if args.kind == "poly" else hk.eval_hermite_function
+        n = _check_order(args.n)  # here: each row is written once computed, after the header
+        rows = ((x, value(n, x, args.family)) for x in grid)
+    _emit_table(("x", "value"), rows, args.format, out)
     return 0
 
 
@@ -177,13 +190,14 @@ def cmd_graph(args, out):
             _emit_table(("j", "count"), rows, args.format, out)
     elif args.graph_command == "kpartite":
         sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
-        if (edges := (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2) > 10**6:
-            raise ValueError(f"--parts makes {edges} edges, capped at 1000000")
+        if (edges := (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2) > MAX_KPARTITE_EDGES:
+            raise ValueError(f"--parts makes {edges} edges, capped at {MAX_KPARTITE_EDGES}")
         print(hk.format_edge_list(hk.complete_kpartite(args.parts)), file=out)
     elif args.graph_command == "product-integral":
         sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
-        cap, shape = (50_000, "three or fewer") if len(sizes) <= 3 else (2000, "four or more")
-        if (total := sum(sizes)) > cap:  # four or more parts take the slower linearization fold
+        cap, shape = (MAX_PARTS_TOTAL, "three or fewer") if len(sizes) <= 3 \
+            else (MAX_PARTS_TOTAL_FOLDED, "four or more")
+        if (total := sum(sizes)) > cap:
             raise ValueError(f"--parts sums to {total}, capped at {cap} for {shape} parts")
         p = hk.count_complete_matches(args.parts)
         value = SQRT_TWO_PI * _rounded(p)  # as hermite_product_integral
@@ -198,8 +212,8 @@ def cmd_graph(args, out):
             _emit_table(("parts", "P", "J"), [(parts_label, count, value)], args.format, out)
     else:  # linearize
         orders = [_check_order(k, "order") for k in (args.m, args.n)]  # their refusals come first
-        if (total := sum(orders)) > 6000:
-            raise ValueError(f"--m + --n is {total}, capped at 6000")
+        if (total := sum(orders)) > MAX_LINEARIZE_TOTAL:
+            raise ValueError(f"--m + --n is {total}, capped at {MAX_LINEARIZE_TOTAL}")
         table = hk.linearization_coeffs(args.m, args.n)
         with _exact_digits():
             if args.format in ("csv", "tsv"):

@@ -1,5 +1,6 @@
 """Dense univariate polynomials with exact integer/rational coefficients."""
 
+import contextlib
 import math
 import numbers
 import operator
@@ -29,7 +30,8 @@ def _real(value, what):
     if type(value) in _PYTHON_REALS:
         return value
     if hasattr(value, "__index__"):
-        return operator.index(value)
+        with contextlib.suppress(TypeError):  # an ndarray has one; only a 0-d integer one takes it
+            return operator.index(value)
     if isinstance(value, numbers.Real):
         return value if isinstance(value, Fraction) else float(value)
     name = f"{type(value).__module__}.{type(value).__qualname__}".removeprefix("builtins.")

@@ -31,6 +31,7 @@ from .polynomials import (
 
 DENSITY_WEIGHTED = "density-weighted"   # f(x) = e^{-x^2/2} sum a_n He_n(x)
 PLAIN_RV = "plain-rv"                   # f(Y) = sum b_n He_n(Y)
+MAX_FACTORIAL_ORDER = 170               # the largest n whose n! is inside double range
 
 
 class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
@@ -121,15 +122,15 @@ def _rule_table(Q, order):
 
 @functools.cache
 def _norms():
-    # sqrt(2 pi) n! for n = 0..170, built once per process on first use
-    return tuple(SQRT_TWO_PI * math.factorial(n) for n in range(171))
+    # sqrt(2 pi) n! for n = 0..MAX_FACTORIAL_ORDER, built once per process on first use
+    return tuple(SQRT_TWO_PI * math.factorial(n) for n in range(MAX_FACTORIAL_ORDER + 1))
 
 
 def _normalized(moments):
-    # a 1-d array of moments sqrt(2 pi) n! a_n -> coefficients a_n; past n = 170 n!
-    # leaves double range, so a finite moment is divided exactly and inf or nan passes on
+    # a 1-d array of moments sqrt(2 pi) n! a_n -> coefficients a_n; past MAX_FACTORIAL_ORDER
+    # n! leaves double range, so a finite moment is divided exactly and inf or nan passes on
     norms = _norms()
-    return tuple(m / norms[n] if n <= 170 else m if not math.isfinite(m)
+    return tuple(m / norms[n] if n <= MAX_FACTORIAL_ORDER else m if not math.isfinite(m)
                  else float(Fraction(m) / (Fraction(SQRT_TWO_PI) * math.factorial(n)))
                  for n, m in enumerate(moments.tolist()))
 
@@ -202,7 +203,7 @@ def series_tail_indicator(series):
     convergent one.  Reported, never used to clip.
     """
     n, f = series.truncation, math.factorial(series.truncation)
-    shift = 0 if n <= 170 else f.bit_length() - 64 & ~1  # past 170, n! leaves double range
+    shift = 0 if n <= MAX_FACTORIAL_ORDER else f.bit_length() - 64 & ~1
     return _ldexp(abs(series.coeffs[-1]) * math.sqrt(f >> shift), shift // 2)
 
 
@@ -217,8 +218,8 @@ def gram_charlier_density(moments, order, x):
     x - mu or sqrt(2*pi) sigma overflows, its operands are scaled exactly.
     Truncated values can go negative and are returned as-is.
     """
-    if (order := _check_order(order, "order")) > 170:  # past 170, n! leaves double range
-        raise ValueError(f"order must be 0..170, got {order}")
+    if (order := _check_order(order, "order")) > MAX_FACTORIAL_ORDER:
+        raise ValueError(f"order must be 0..{MAX_FACTORIAL_ORDER}, got {order}")
     x, mu, sigma = _rounded(x), _rounded(moments.mu), _rounded(moments.sigma)
     h = 2.0 if math.isinf(x - mu) else 1.0  # z may be finite still: halve both ends
     z = (x / h - mu / h) / sigma * h
@@ -346,7 +347,7 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     rule = quadrature.gauss_hermite_rule(rule_order)
     eigenvalue = (-1j) ** (n % 4)
     column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
-    k = np.asarray(k_grid, dtype=float)
+    k = np.array([_real(q, "k") for q in k_grid], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):   # inf * 0.0 at an odd rule's centre
         kx = np.multiply.outer(k, rule.nodes)
     if not np.isfinite(kx).all():

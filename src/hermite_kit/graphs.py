@@ -134,10 +134,8 @@ def match_count_table(graph):
     """
     n = graph.vertex_count
     if n > MAX_MATCH_VERTICES:
-        raise ValueError(
-            f"graph has {n} vertices; match counting is "
-            f"guarded at {MAX_MATCH_VERTICES} (exponential beyond)"
-        )
+        raise ValueError(f"graph has {n} vertices; match counting is "
+                         f"guarded at {MAX_MATCH_VERTICES} (exponential beyond)")
     neighbours = [0] * n
     for u, v in graph.edges:
         neighbours[u - 1] |= 1 << (v - 1)

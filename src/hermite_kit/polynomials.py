@@ -212,6 +212,8 @@ def hermite_table(n_max, x, family=PROBABILIST):
         rows = [1.0]
         _recurrence(n_max, _rounded(x), family, rows)
         return rows
+    if x.dtype.kind not in "iuf":  # as a scalar x: no str, object, complex or bool entries
+        raise TypeError(f"x must be an array of real numbers, got dtype {x.dtype}")
     x = x.astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)

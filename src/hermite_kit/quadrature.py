@@ -21,6 +21,7 @@ from .exactpoly import _check_order, _real
 from .polynomials import SQRT_TWO_PI, NodeConvergenceError, _check_rule_order, _ldexp, hermite_table
 
 CUBATURE_POINT_BUDGET = 10**7
+MAX_CUBATURE_DIMENSION = 32  # the most axes np.meshgrid, which builds the points, takes
 
 _NEWTON_MAX_ITER = 100
 _NODE_RESIDUAL_TOL = 1e-13
@@ -188,10 +189,8 @@ def tensor_cubature(d, N):
     N = base.order  # a Python int: a numpy N**d could wrap
     size = N**d
     if size > CUBATURE_POINT_BUDGET:
-        raise ValueError(
-            f"cubature of order {N} in dimension {d} needs {size} points, "
-            f"above the budget of {CUBATURE_POINT_BUDGET}"
-        )
-    if d > 32:  # np.meshgrid, which builds the points, takes at most 32 axes; only N = 1 is here
-        raise ValueError(f"dimension must be 1..32, got {d}")
+        raise ValueError(f"cubature of order {N} in dimension {d} needs {size} points, "
+                         f"above the budget of {CUBATURE_POINT_BUDGET}")
+    if d > MAX_CUBATURE_DIMENSION:  # only N = 1 is here
+        raise ValueError(f"dimension must be 1..{MAX_CUBATURE_DIMENSION}, got {d}")
     return CubatureRule(dimension=d, base=base)

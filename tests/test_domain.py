@@ -2,10 +2,11 @@
 
 An order or size is any integer type (numpy's too) and nonnegative, or
 positive where the function needs one; a float is refused even when it is
-whole.  A float argument is any real number: a str, complex, Decimal or
-numpy bool is refused with a TypeError that names the argument, and a
-decimal string is taken only as an exact coefficient.  A sigma is finite
-and positive, a mu or nu_k is finite, and a point x is not nan.  Each
+whole.  A float argument is any real number: a str, complex, Decimal,
+numpy bool or, where one number is expected, array is refused with a
+TypeError that names the argument, and a decimal string is taken only as
+an exact coefficient.  A sigma is finite and positive, a mu or nu_k is
+finite, and a point x is not nan.  Each
 refusal is a ValueError with one wording, and a numpy integer or float, or
 an array of them, gives exactly what the Python numbers it holds give, its
 refusal included, word for word.  At a float extreme (+-inf, +-1e308, the
@@ -317,11 +318,13 @@ REAL_ARGUMENTS = {
     "ExactPolynomial(coefficient)": ("coefficient", lambda c: ExactPolynomial((1, c))),
     "ExactPolynomial * factor": ("factor", lambda c: ExactPolynomial((1, 2)) * c),
     "ExactPolynomial.scale_argument": ("factor", ExactPolynomial((1, 2)).scale_argument),
+    "fourier_eigen_check(k)": ("k", lambda k: fourier_eigen_check(2, [0.5, k])),
 }
 
 
-@pytest.mark.parametrize("bad", ["0.5", 0.5j, Decimal("0.5"), np.True_],
-                         ids=["str", "complex", "Decimal", "numpy bool"])
+@pytest.mark.parametrize("bad", ["0.5", 0.5j, Decimal("0.5"), np.True_, np.array(0.5),
+                                 np.array([0.5])],
+                         ids=["str", "complex", "Decimal", "numpy bool", "0-d array", "array"])
 @pytest.mark.parametrize("name", sorted(REAL_ARGUMENTS))
 def test_an_argument_that_is_not_a_real_number_is_refused(name, bad):
     # never parsed, never failing deep inside: a TypeError that names the argument
@@ -329,7 +332,11 @@ def test_an_argument_that_is_not_a_real_number_is_refused(name, bad):
     if what == "coefficient" and isinstance(bad, str):  # a decimal string is an exact coefficient
         assert call(bad) == ExactPolynomial((1, Fraction(1, 2)))
         return
-    name = {str: "str", complex: "complex", Decimal: "decimal.Decimal", np.bool_: "numpy.bool"}
+    if name == "hermite_table" and isinstance(bad, np.ndarray):  # the elementwise form
+        assert call(bad).reshape(6).tolist() == hermite_table(5, 0.5)
+        return
+    name = {str: "str", complex: "complex", Decimal: "decimal.Decimal", np.bool_: "numpy.bool",
+            np.ndarray: "numpy.ndarray"}
     with pytest.raises(TypeError, match=f"^{what} must be a real number, got {name[type(bad)]}$"):
         call(bad)
 
@@ -466,6 +473,26 @@ def test_float_array_is_elementwise():
                     assert np.isnan(column[1:]).all()
                 else:
                     assert column == hermite_table(3, float(nodes[index]), family)
+
+
+@pytest.mark.parametrize("bad", [np.array(["0.5"]), np.array([Decimal("0.5")]),
+                                 np.array([0.5 + 0j]), np.array([True])],
+                         ids=["str", "Decimal", "complex", "bool"])
+def test_an_array_that_is_not_of_real_numbers_is_refused(bad):
+    # as each entry would be at the scalar door: not parsed, not truncated
+    message = rf"^x must be an array of real numbers, got dtype {re.escape(str(bad.dtype))}$"
+    with pytest.raises(TypeError, match=message):
+        hermite_table(3, bad)
+
+
+def test_integer_arrays_are_their_float_values():
+    for x in (np.array([3, -2], np.int8), np.array([3, 2], np.uint64), np.array([0.5], np.float32)):
+        assert hermite_table(3, x).T.tolist() == [hermite_table(3, float(v)) for v in x]
+
+
+def test_a_zero_dimensional_integer_array_is_the_int_it_holds():
+    assert ExactPolynomial((1, np.array(3))) == ExactPolynomial((1, 3))
+    assert eval_hermite(3, np.array(2, np.int64)) == eval_hermite(3, 2)
 
 
 def test_big_ints_past_double_range_round_once():

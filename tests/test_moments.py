@@ -1,9 +1,11 @@
 """Gaussian moments, basis connections, and the blur/deblur identities."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,6 +284,23 @@ class TestChangeOfBasis:
         for coeffs in ((2, 0), (2, 0, 1, 5)):
             with pytest.raises(ValueError, match=f"^expected 3 coefficients, got {len(coeffs)}$"):
                 m.apply(coeffs)
+
+    @pytest.mark.parametrize("n, dtype", [(28, np.int64), (30, np.int32), (60, np.int64)])
+    def test_apply_is_exact_for_numpy_integers(self, n, dtype):
+        # each coefficient is the Python int it holds: no int64 wraparound, no OverflowError
+        m = change_of_basis(n, "he", "monomial")
+        coeffs = np.zeros(n + 1, dtype)
+        coeffs[n] = 10**4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = m.apply(coeffs)
+        assert got == m.apply([0] * n + [10**4])
+        assert all(type(c) is int for c in got)
+        assert m.apply(np.array([1.5] + [0] * n)) == (1.5,) + (0.0,) * n
+
+    def test_apply_refuses_a_coefficient_that_is_not_a_real_number(self):
+        with pytest.raises(TypeError, match="^coefficient must be a real number, got str$"):
+            change_of_basis(2, "he", "monomial").apply((1, "2", 3))
 
     def test_unsupported_pair_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):

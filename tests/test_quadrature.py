@@ -711,7 +711,8 @@ class TestIntegrandValues:
 
     @pytest.mark.parametrize("value, name", [
         ("1.0", "str"), (Decimal("1.0"), "decimal.Decimal"), (1j, "complex"),
-        (1.0 + 0j, "complex"), (None, "NoneType"), ([1.0], "list")])
+        (1.0 + 0j, "complex"), (None, "NoneType"), ([1.0], "list"),
+        (np.array([1.0]), "numpy.ndarray")])
     def test_non_real_values_are_refused_by_type(self, value, name):
         message = rf"^integrand value must be a real number, got {name}$"
         for integrate, rule in [(integrate_weighted, gauss_hermite_rule(4)),
