@@ -6,6 +6,8 @@ expanding coefficients, which keeps them usable far beyond degree 20.
 """
 
 import math
+import os
+import struct
 import sys
 
 from .exactpoly import ExactPolynomial, _check_order, _real
@@ -26,6 +28,24 @@ def _check_rule_order(N, least=1):
     if N > MAX_ORDER:
         raise ValueError(f"quadrature order {N} exceeds the supported maximum {MAX_ORDER}")
     return N
+
+
+# every Gauss-Hermite rule, made by tests/rule_table.py: for N = 1..MAX_ORDER in turn, the
+# ceil(N/2) nonnegative nodes of the N-point rule, ascending, then their weights, as
+# little-endian doubles, so that rule N starts 16 (N*N // 4) bytes in
+_RULE_TABLE = os.path.join(os.path.dirname(__file__), "gauss_hermite.bin")
+
+
+def _read_rule(N):
+    # (nodes, weights) of the N-point rule as lists of floats, N as _check_rule_order gives
+    # it, without numpy; the negative half mirrors the stored one, bit for bit
+    half, mirrored = (N + 1) // 2, N // 2  # an odd rule's middle node, 0.0, is not mirrored
+    with open(_RULE_TABLE, "rb") as table:
+        table.seek(16 * (N * N // 4))
+        values = struct.unpack(f"<{2 * half}d", table.read(16 * half))
+    nodes, weights = values[:half], values[half:]
+    return ([-x for x in reversed(nodes[half - mirrored:])] + list(nodes),
+            [*reversed(weights[half - mirrored:]), *weights])
 
 
 def _check_family(family):
@@ -253,9 +273,3 @@ def eval_hermite_function(n, x, kind=PROBABILIST):
     log_weight = -x * x / (4.0 if kind == PROBABILIST else 2.0)
     cur, e = _recurrence(n, x, kind, log_weight=log_weight)
     return _ldexp(cur, e)
-
-
-# raised by quadrature; defined here so that the CLI catches it without numpy
-class NodeConvergenceError(RuntimeError):
-    """Raised when Newton polishing leaves a node above the residual tolerance."""
-

@@ -1,13 +1,16 @@
 """Gauss-Hermite quadrature for the weight e^{-x^2/2} and tensor cubature.
 
-Nodes start as the eigenvalues of the Jacobi matrix of the monic three-term
-recurrence (zero diagonal, off-diagonals sqrt(1..N-1)) from numpy's dense
-symmetric eigensolver.  Newton steps on the unit-norm weighted Hermite
-function then polish every node at once, one Hermite-table sweep per step,
-and the nodes are symmetrized about the origin.  Weights use the closed form
-sqrt(2*pi) N! / [N He_{N-1}(x_i)]^2 rewritten in the overflow-safe weighted
-form e^{-x^2/2} / (N psi_{N-1}(x_i)^2).  Each order is built once per process
-and shared, so its arrays are read-only.
+The rules N = 1..200 are read from gauss_hermite.bin beside this module; no
+rule is built at run time.  tests/rule_table.py made the file, and `python
+tests/rule_table.py` rewrites it: nodes are the eigenvalues of the Jacobi
+matrix of the monic three-term recurrence (Golub & Welsch 1969), polished by
+Newton steps on the unit-norm weighted Hermite function to a residual of
+1e-13 and symmetrized about the origin, and weights are the overflow-safe
+e^{-x^2/2} / (N psi_{N-1}(x_i)^2) form of sqrt(2*pi) N! / [N He_{N-1}(x_i)]^2.
+For each N in turn the file holds the nonnegative half of the rule, its
+ceil(N/2) nodes then their weights, as little-endian doubles (161 600 bytes in
+all); the negative half is its mirror image, bit for bit.  Each order is read
+once per process and shared, so its arrays are read-only.
 """
 
 import functools
@@ -18,13 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactpoly import _check_order, _real
-from .polynomials import SQRT_TWO_PI, NodeConvergenceError, _check_rule_order, _ldexp, hermite_table
+from .polynomials import _check_rule_order, _ldexp, _read_rule
 
 CUBATURE_POINT_BUDGET = 10**7
 MAX_CUBATURE_DIMENSION = 32  # the most axes np.meshgrid, which builds the points, takes
 
-_NEWTON_MAX_ITER = 100
-_NODE_RESIDUAL_TOL = 1e-13
 _BLOCK_ROWS = 2**14   # most cubature points built at once
 
 
@@ -39,7 +40,7 @@ class QuadratureRule:
     @functools.cached_property
     def whole_line_weights(self):
         """w_i e^{x_i^2/2} per node, read-only, built on first read.  Finite for
-        every built rule; ValueError for a rule whose product leaves double range."""
+        every tabled rule; ValueError for a rule whose product leaves double range."""
         with np.errstate(over="ignore"):
             whole = self.weights * np.exp(0.5 * self.nodes**2)
         if not np.isfinite(whole).all():
@@ -75,45 +76,17 @@ class CubatureRule:
 
 
 def gauss_hermite_rule(N):
-    """N-point rule whose nodes are the zeros of He_N.
+    """N-point rule whose nodes are the zeros of He_N, read from the table.
 
-    Built once per order and shared: the returned arrays are read-only.
-    Raises ValueError for N outside 1..200 and NodeConvergenceError, a
-    RuntimeError naming the first such node, if Newton polishing fails to
-    reach the residual tolerance.
+    Read once per order and shared: the returned arrays are read-only.
+    Raises ValueError for N outside 1..200.
     """
-    return _build_rule(_check_rule_order(N))
-
-
-def _orthonormal_pair(n, x):
-    # (psi_n(x), psi_{n-1}(x)) at the nodes x, psi_n = he_n / sqrt(sqrt(2 pi) n!),
-    # both O(1) and finite there; n! enters exactly, shifted by an even power of two
-    f = math.factorial(n)
-    shift = max(f.bit_length() - 64, 0) & ~1
-    scale = 1.0 / math.sqrt(SQRT_TWO_PI * (f >> shift))
-    prev, cur = hermite_table(n, x)[-2:] * (scale * np.exp(-x * x / 4.0))
-    return np.ldexp(cur, -shift // 2), np.ldexp(math.sqrt(n) * prev, -shift // 2)
+    return _rule(_check_rule_order(N))
 
 
 @functools.cache
-def _build_rule(N):
-    # eigvalsh reads only the lower triangle of the Jacobi matrix
-    nodes = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1.0, N)), -1))
-    for _ in range(_NEWTON_MAX_ITER):
-        value, lower = _orthonormal_pair(N, nodes)
-        pending = ~(np.abs(value) <= _NODE_RESIDUAL_TOL)   # a nan is pending too
-        if not pending.any():
-            break
-        slope = math.sqrt(N) * lower - 0.5 * nodes * value
-        nodes = np.where(pending, nodes - value / slope, nodes)
-    else:
-        raise NodeConvergenceError(f"node {np.argmax(pending)} of the order-{N} rule did not "
-                                   f"converge after {_NEWTON_MAX_ITER} Newton iterations")
-
-    log_w = -np.log(N) - 0.5 * nodes**2 - 2.0 * np.log(np.abs(lower))
-    # parity of He_N is exact; enforce the same on the float nodes and weights
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = np.exp(0.5 * (log_w + log_w[::-1]))
+def _rule(N):
+    nodes, weights = map(np.array, _read_rule(N))
     nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureRule(order=N, nodes=nodes, weights=weights)
 
@@ -176,8 +149,11 @@ def integrate_whole_line(f, rule):
     """int f(x) dx over the real line via f(x) = [f(x) e^{x^2/2}] e^{-x^2/2}.
 
     Accurate when f(x) e^{x^2/2} is moderate at the outermost nodes.  Only a
-    sum past double range is inf, with its sign.
+    sum past double range is inf, with its sign.  rule is a 1-d QuadratureRule.
     """
+    if not isinstance(rule, QuadratureRule):
+        raise TypeError(f"integrate_whole_line needs a 1-d QuadratureRule, "
+                        f"got {type(rule).__name__}")
     whole = rule.whole_line_weights
     return _ldexp(*_guarded(lambda v: float(np.sum(v * whole)), integrand_values(f, rule)))
 

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 import hermite_kit
 from hermite_kit import (
-    eval_hermite_function,
     gauss_hermite_rule,
     integrate_cubature,
     integrate_weighted,
@@ -30,16 +29,11 @@ from hermite_kit import (
     tensor_cubature,
     wce_coeffs_multi,
 )
+from golden import regen
 from hermite_kit import polynomials, quadrature
+from rule_table import orthonormal_residual
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-
-def orthonormal_residual(N, x):
-    # psi_N(x) = he_N(x) / sqrt(sqrt(2 pi) N!) from the scalar kernel, not from
-    # the array pair with which the builder polishes the nodes
-    return eval_hermite_function(N, x) * math.exp(
-        -0.5 * (math.lgamma(N + 1) + math.log(SQRT_TWO_PI)))
 
 
 # a child interpreter imports the same hermite_kit as this process, installed or not
@@ -71,6 +65,19 @@ def _cli_without_numpy(commands, **env):
                             capture_output=True, text=True, check=True,
                             env={**_CHILD_ENV, **env})
     return json.loads(result.stdout)
+
+
+_QUADS = [(n, fmt) for n in (1, 2, 3, 200) for fmt in ("csv", "tsv", "json")]
+
+
+def _quad_output(N, fmt):
+    # the stdout of `quad --n N --format fmt`, from gauss_hermite_rule's arrays
+    rule = gauss_hermite_rule(N)
+    if fmt == "json":
+        return json.dumps({"nodes": rule.nodes.tolist(), "weights": rule.weights.tolist()}) + "\n"
+    rows = [("node", "weight"), *((format(x, ".17g"), format(w, ".17g"))
+                                  for x, w in zip(rule.nodes, rule.weights))]
+    return "".join(("," if fmt == "csv" else "\t").join(row) + "\n" for row in rows)
 
 
 PUBLIC_NAMES = [
@@ -207,9 +214,10 @@ class TestRuleBuilder:
             ["quad", "--n", "0"],
             ["quad", "--n", "201"],
             ["graph", "match-poly", "--file", str(bad)],
+            *(["quad", f"--n={n}", f"--format={fmt}"] for n, fmt in _QUADS),
         ]
         results, loaded = _cli_without_numpy(commands)
-        assert [status for status, _, _ in results] == [0] * 12 + [2] * 7 + [3]
+        assert [status for status, _, _ in results] == [0] * 12 + [2] * 7 + [3] + [0] * 12
         assert results[0][1] == "3,0,-6,0,1\n"
         assert results[4][1] == "20.053026197048002\n"
         assert results[9][1] == "-1,0,1\n"
@@ -219,6 +227,14 @@ class TestRuleBuilder:
             "error: quadrature order 201 exceeds the supported maximum 200\n",
         ]
         assert results[19][2] == "error: line 3: duplicate edge (1, 2)\n"
+        quads = dict(zip(_QUADS, (out for _, out, _ in results[20:])))
+        assert all(out == _quad_output(*key) for key, out in quads.items())
+        golden = {f"quad --n={n}": (n, "csv") for n in (1, 2)}
+        golden |= {f"quad --n 3 --format {fmt}": (3, fmt) for fmt in ("csv", "tsv", "json")}
+        recorded = dict(line.split("\t")[::2] for line in
+                        regen.CORPUS.read_text(encoding="utf-8").splitlines()[2:])
+        assert {argv: recorded[argv] for argv in golden} == \
+            {argv: regen.digest(quads[key]) for argv, key in golden.items()}
         assert loaded == []
 
     def test_explicit_rule_order_refusal_runs_without_numpy(self):
@@ -233,7 +249,9 @@ class TestRuleBuilder:
         (["plotdata", "--kind", "series", "--coeffs", "1", "--xmin", "0", "--xmax", "0",
           "--samples", "2"], "x\tvalue\n0\t1\n0\t1\n"),
         (["expand", "gram-charlier", "--x", "0"], "0.3989422804014327\n"),
-    ], ids=["poly", "plotdata series", "expand gram-charlier"])
+        (["quad", "--n", "3"], "node,weight\n-1.7320508075688772,0.41777137910516693\n"
+                               "0,1.6710855164206673\n1.7320508075688772,0.41777137910516693\n"),
+    ], ids=["poly", "plotdata series", "expand gram-charlier", "quad"])
     def test_a_cli_process_loads_only_what_it_runs(self, argv, output):
         # a fresh `python -m hermite_kit.cli` process; -v logs every module it
         # imports, those a public name loads through importlib too
@@ -270,12 +288,11 @@ class TestRuleBuilder:
             "quadrature order 201 exceeds the supported maximum 200",
         ]
 
-    def test_rule_limit_and_error_are_shared_with_polynomials(self):
-        # expansions sizes and checks a rule, and the CLI checks a rule order and
-        # catches the error, all without importing quadrature, hence numpy
+    def test_rule_limit_is_shared_with_polynomials(self):
+        # expansions sizes and checks a rule, and the CLI checks a rule order,
+        # both without importing quadrature, hence numpy
         assert polynomials.MAX_ORDER == 200
         assert quadrature._check_rule_order is polynomials._check_rule_order
-        assert quadrature.NodeConvergenceError is polynomials.NodeConvergenceError
 
     def test_public_names_resolve_to_their_modules(self):
         modules = [importlib.import_module(f"hermite_kit.{name}") for name in
@@ -300,29 +317,12 @@ class TestRuleBuilder:
             with pytest.raises(AttributeError, match=name):
                 getattr(hermite_kit, name)
 
-    def test_node_residuals_at_every_order(self):
-        # the scalar evaluator, not the array path the builder polishes with
-        for N in range(1, polynomials.MAX_ORDER + 1):
-            for x in gauss_hermite_rule(N).nodes:
-                assert abs(orthonormal_residual(N, x)) <= 1e-13
-
-    @pytest.mark.parametrize("N", [1, 2, 3, 20, 21, 22, 60, 120, 170, 171, 172, 200])
-    def test_newton_pair_matches_the_scalar_kernel(self, N):
-        # (psi_N, psi_{N-1}) from the array path, at the nodes and on a grid across
-        # them; N! first needs the even shift at N = 21 and leaves double range at 171
-        nodes = gauss_hermite_rule(N).nodes
-        xs = np.concatenate([nodes, np.linspace(nodes[0], nodes[-1], 41)])
-        value, lower = quadrature._orthonormal_pair(N, xs)
-        for x, v, w in zip(xs, value, lower):
-            assert abs(v - orthonormal_residual(N, x)) <= 2e-14, x
-            assert abs(w - orthonormal_residual(N - 1, x)) <= 2e-14, x
-
     @pytest.mark.parametrize("N, bound", [(20, 1e-13), (60, 6e-13)])
     def test_weights_against_mpmath(self, N, bound):
         # roots of He_N polished at 50 digits from the float nodes, weights
         # sqrt(2 pi) N! / (N He_{N-1})^2; each bound rounds up the error of
         # the earlier scipy tridiagonal-eigensolver build (8.6e-14 at N=20,
-        # 5.5e-13 at N=60), which this builder matches
+        # 5.5e-13 at N=60), which the tabled rules match
         import mpmath as mp
 
         def he_pair(x):
@@ -342,45 +342,6 @@ class TestRuleBuilder:
                 want = mp.sqrt(2 * mp.pi) * mp.factorial(N) / (N * lower) ** 2
                 assert abs(float(t) - x) <= 1e-13 * max(1.0, abs(x))
                 assert abs(w - want) <= bound * want
-
-    def test_non_convergence_names_first_node(self, monkeypatch):
-        real = quadrature._orthonormal_pair
-
-        def stuck_from_node_3(n, x):
-            # a nan residual must count as not converged
-            value, lower = real(n, x)
-            return np.where(np.arange(len(x)) >= 3, np.nan, value), lower
-
-        monkeypatch.setattr(quadrature, "_orthonormal_pair", stuck_from_node_3)
-        monkeypatch.setattr(quadrature, "_NEWTON_MAX_ITER", 2)
-        quadrature._build_rule.cache_clear()
-        with pytest.raises(RuntimeError, match="node 3 of the order-9 rule did not converge"):
-            gauss_hermite_rule(9)
-
-    @pytest.mark.parametrize("N", [5, 20, 100, 200])
-    def test_newton_polishes_a_perturbed_start(self, N, monkeypatch):
-        # the eigensolver's nodes already meet the tolerance, so Newton barely runs;
-        # start it 1e-4 (1 + |x|) off, alternating in sign, so that the slope counts
-        reference = gauss_hermite_rule(N).nodes
-        quadrature._build_rule.cache_clear()
-        real_eigvalsh, real_pair, calls = np.linalg.eigvalsh, quadrature._orthonormal_pair, []
-
-        def perturbed(a):
-            x = real_eigvalsh(a)
-            return x + 1e-4 * (1.0 + np.abs(x)) * (-1.0) ** np.arange(len(x))
-
-        def counted(n, x):
-            calls.append(n)
-            return real_pair(n, x)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
-        monkeypatch.setattr(quadrature, "_orthonormal_pair", counted)
-        try:
-            nodes = gauss_hermite_rule(N).nodes
-        finally:
-            quadrature._build_rule.cache_clear()  # the polished rule must not serve later tests
-        assert len(calls) - 1 <= 2  # Newton steps: every call but the last one, which converged
-        assert np.all(np.abs(nodes - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
 
 
 class TestExactness:
@@ -487,8 +448,15 @@ class TestWholeLine:
                 integrate_whole_line(called.append, fake)
         assert called == []
 
+    def test_a_cubature_rule_is_refused(self):
+        called = []
+        with pytest.raises(TypeError, match=r"^integrate_whole_line needs a 1-d "
+                           r"QuadratureRule, got CubatureRule$"):
+            integrate_whole_line(called.append, tensor_cubature(2, 3))
+        assert called == []
+
     def test_whole_line_integral_is_bitwise_the_plain_sum(self):
-        # every built rule has finite whole-line weights, and a finite sum is the
+        # every tabled rule has finite whole-line weights, and a finite sum is the
         # plain product summed, the sign of an exact zero included
         def f(x):
             return -0.0 if x < -1.0 else 0.0 if x > 2.0 else math.exp(-x * x / 3) * (x - 0.5)
