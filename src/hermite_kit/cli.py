@@ -1,6 +1,6 @@
 """Command-line interface: every library capability with machine-readable output.
 
-Exit codes: 0 success, 2 argument error, 3 malformed input file.
+Exit codes: 0 success, 2 argument error, 3 unreadable or malformed input file.
 Floats print with 17 significant digits so output round-trips exactly.
 """
 
@@ -9,7 +9,6 @@ import contextlib
 import itertools
 import json
 import math
-import os
 import sys
 
 import hermite_kit as hk
@@ -17,7 +16,6 @@ import hermite_kit as hk
 from .exactpoly import _check_order
 from .polynomials import SQRT_TWO_PI, _check_rule_order, _read_rule, _rounded
 
-QUAD_ORDER_ENV = "HERMITE_KIT_QUAD_ORDER"
 # each cap is checked in one command below; README.md's limits table lists them
 MAX_POLY_N = 200
 MAX_SAMPLES = 10**6
@@ -94,16 +92,6 @@ class InputFileError(Exception):
     """An input file could not be read or parsed; exits with code 3."""
 
 
-def _env_quad_order():
-    if (raw := os.environ.get(QUAD_ORDER_ENV)) is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{QUAD_ORDER_ENV} must be an integer, got {raw!r}")
-    return _check_order(value, QUAD_ORDER_ENV, 1)
-
-
 def cmd_poly(args, out):
     if args.n > MAX_POLY_N:
         raise ValueError(f"--n is capped at {MAX_POLY_N}, got {args.n}")
@@ -164,7 +152,7 @@ def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error, a ValueError, exits 3 here
         raise InputFileError(f"cannot read {path}: {exc}") from exc
 
 
@@ -246,7 +234,7 @@ def cmd_expand(args, out):
             d = float(x) - mu  # plain floats: d * d overflows to inf, silently
             return math.exp(-0.5 * (d * d)) / SQRT_TWO_PI
 
-        _emit_series(hk.fourier_hermite_coeffs(density, args.order, _env_quad_order()), out)
+        _emit_series(hk.fourier_hermite_coeffs(density, args.order, args.quad_order), out)
     elif args.expand_command == "gram-charlier":
         if args.moments_csv is not None:
             mu, sigma, *nu = _read_moments_csv(args.moments_csv)
@@ -258,15 +246,15 @@ def cmd_expand(args, out):
             print("warning: truncated expansion is negative at this point", file=sys.stderr)
         print(_fmt(value), file=out)
     elif args.expand_command == "wce":
-        quad_order, poly = _env_quad_order(), hk.ExactPolynomial(args.coeffs)  # the variable first
-        _emit_series(hk.wce_coeffs_1d(poly, args.order, quad_order), out)
+        poly = hk.ExactPolynomial(args.coeffs)
+        _emit_series(hk.wce_coeffs_1d(poly, args.order, args.quad_order), out)
     elif args.expand_command == "deconvolve":
         result = hk.gaussian_mixture_deconvolve(hk.ExactPolynomial(args.coeffs), args.sigma)
         _emit_coeffs(result, args.format, out)
     else:  # fourier-check
         try:
             error = hk.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25),
-                                                   _env_quad_order())
+                                           args.quad_order)
         except OverflowError as exc:
             raise ValueError(f"--kmax {args.kmax:g} is too large: {exc}") from None
         print(_fmt(error), file=out)
@@ -340,6 +328,7 @@ def build_parser():
                         help="density-weighted expansion of a shifted Gaussian density")
     e.add_argument("--mu", type=_finite_float, required=True)
     e.add_argument("--order", type=int, default=30)
+    e.add_argument("--quad-order", type=int, default=None)
 
     e = esub.add_parser("gram-charlier", help="Gram-Charlier density value")
     e.add_argument("--mu", type=_finite_float, default=0.0)
@@ -354,6 +343,7 @@ def build_parser():
     e = esub.add_parser("wce", help="chaos coefficients of a polynomial of a unit Gaussian")
     e.add_argument("--coeffs", type=_parse_number_list, required=True)
     e.add_argument("--order", type=int, required=True)
+    e.add_argument("--quad-order", type=int, default=None)
 
     e = esub.add_parser("deconvolve", help="exact Gaussian-mixture deconvolution of a polynomial")
     e.add_argument("--coeffs", type=_parse_number_list, required=True)
@@ -363,6 +353,7 @@ def build_parser():
     e = esub.add_parser("fourier-check", help="Fourier eigenfunction residual of h_n")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--kmax", type=_finite_float, default=3.0)
+    e.add_argument("--quad-order", type=int, default=None)
     p.set_defaults(func=cmd_expand)
 
     return parser

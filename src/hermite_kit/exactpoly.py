@@ -131,8 +131,6 @@ class ExactPolynomial:
     def derivative(self, order=1):
         cs = self.coeffs
         for _ in range(_check_order(order, "derivative order")):
-            if len(cs) == 1:
-                return ExactPolynomial.zero()
             cs = tuple(i * c for i, c in enumerate(cs) if i >= 1)
         return ExactPolynomial(cs)
 

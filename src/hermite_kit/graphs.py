@@ -230,15 +230,17 @@ def complete_kpartite(part_sizes):
 def count_complete_matches(part_sizes):
     """Perfect-match count P of the complete multipartite graph.
 
-    P = int e^{-x^2/2} prod_i He_(n_i) / sqrt(2 pi).  The product of all but
-    the last two factors is folded into He coefficients with
-    linearization_coeffs; the last two close it through the three-part form,
-    P = sum_l c_l P(l, m, n).  Exact, iterative, and O(N^2) big-integer
+    P = int e^{-x^2/2} prod_i He_(n_i) / sqrt(2 pi).  The r parts of size 1
+    are He_1^r = x^r, which seeds the product in He coefficients at once; all
+    but the last two other factors are folded into it with
+    linearization_coeffs, and the last two close it through the three-part
+    form, P = sum_l c_l P(l, m, n).  Exact, iterative, and O(N^2) big-integer
     products for parts of total N.  Zero for odd total vertex count.
     """
     sizes = [_check_order(s, "part size") for s in part_sizes]
-    *head, m, n = (0, 0, *sizes)  # He_0 = 1 pads short products
-    product = {0: 1}
+    *head, m, n = (0, 0, *(s for s in sizes if s != 1))  # He_0 = 1 pads short products
+    r = sizes.count(1)
+    product = {l: c for l, c in enumerate(_pairing_column(r, r, shift=0)) if c}
     for part in head:
         folded = {}
         for l, c in product.items():

@@ -136,14 +136,13 @@ def line(argv, directory):
 @contextlib.contextmanager
 def environment():
     """The fixed environment the corpus is made in: argparse wraps usage at
-    COLUMNS, and no quadrature override.  cli.main builds its parser once,
-    not once per argv; parsing leaves the parser as it was."""
+    COLUMNS.  cli.main builds its parser once, not once per argv; parsing
+    leaves the parser as it was."""
     from hermite_kit import cli
 
     parser = cli.build_parser()
     with mock.patch.dict(os.environ, COLUMNS="80"), \
             mock.patch.object(cli, "build_parser", lambda: parser):
-        os.environ.pop(cli.QUAD_ORDER_ENV, None)
         yield
 
 

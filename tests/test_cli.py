@@ -260,6 +260,16 @@ class TestGraph:
         code, _, _ = run_cli(capsys, "graph", "match-poly", "--file", "/nonexistent/g.txt")
         assert code == 3
 
+    @pytest.mark.parametrize("argv", [("graph", "matches", "--file"),
+                                      ("expand", "gram-charlier", "--x", "0", "--moments-csv")])
+    def test_a_file_that_is_not_utf8_is_exit_3(self, capsys, tmp_path, argv):
+        # a decode error is a ValueError, but the file cannot be read: exit 3, naming it
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"2\n1 \xff2\n")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+
     def test_single_vertex_file(self, capsys, tmp_path):
         # one vertex is a graph (match polynomial x); zero vertices is a malformed file
         for text, want in (("1", (0, "0,1\n")), ("0", (3, ""))):
@@ -653,12 +663,11 @@ class TestExpand:
         (("fourier-hermite", "--mu", "1e308", "--order", "198"), 0),
         (("wce", "--coeffs", "0,0,0,0,1e308", "--order", "198"), 2),
     ])
-    def test_orders_past_170(self, capsys, monkeypatch, argv, code):
+    def test_orders_past_170(self, capsys, argv, code):
         # n! leaves double range at n = 171; a 200-point rule serves up to order 198
-        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "200")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_cli(capsys, "expand", *argv)
+            result = run_cli(capsys, "expand", *argv, "--quad-order", "200")
         assert result[0] == code and "Traceback" not in result[2]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         if code == 0:
@@ -717,42 +726,46 @@ class TestExpand:
         assert (code, out) == (2, "")
         assert err == f"error: {message}, the default quadrature's limit\n"
 
-    def test_quad_order_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "4")
+    def test_quad_order_flag(self, capsys):
         # an order-4 rule would alias the top coefficients of an order-8 series
-        result = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,0,0,0,0,0,0,1", "--order", "8")
+        result = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,0,0,0,0,0,0,1", "--order", "8",
+                         "--quad-order", "4")
         assert result == (2, "", "error: quad_order must be at least 10, got 4\n")
-        # the override is honoured: a 10-point rule is exact to degree 19, so He_8 x^12
+        # the flag is honoured: a 10-point rule is exact to degree 19, so He_8 x^12
         # is not integrated exactly and b_8 of x^12 reads 1395; the default rule gives 1485
         x12 = ",".join(["0"] * 12 + ["1"])
-        for order, want in (("10", 1395.0), (None, 1485.0)):
-            if order is None:
-                monkeypatch.delenv("HERMITE_KIT_QUAD_ORDER")
-            else:
-                monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", order)
-            code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", x12, "--order", "8")
+        for flag, want in ((["--quad-order", "10"], 1395.0), ([], 1485.0)):
+            code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", x12, "--order", "8", *flag)
             assert code == 0
             assert json.loads(out)["coeffs"][8] == pytest.approx(want, rel=1e-12)
-        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "not-a-number")
-        code, _, _ = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,1", "--order", "2")
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:  # argparse: invalid int value
+            main(["expand", "wce", "--coeffs", "0,0,1", "--order", "2", "--quad-order", "x"])
+        assert excinfo.value.code == 2
 
-    def test_quad_order_env_is_read_only_where_a_rule_is_built(self, capsys, monkeypatch):
-        exact = [("deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
-                 ("gram-charlier", "--nu3", "0.5", "--nu4", "3.5", "--x", "0.5")]
-        plain = [run_cli(capsys, "expand", *argv) for argv in exact]
-        assert all(code == 0 for code, _, _ in plain)
-        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "0")
-        assert [run_cli(capsys, "expand", *argv) for argv in exact] == plain
-        result = run_cli(capsys, "expand", "fourier-hermite", "--mu", "0", "--order", "4")
-        assert result == (2, "", "error: HERMITE_KIT_QUAD_ORDER must be a positive integer, "
-                                 "got 0\n")
+    @pytest.mark.parametrize("argv", [
+        ("fourier-hermite", "--mu", "0.5", "--order", "4"),
+        ("wce", "--coeffs", "0,0,1", "--order", "4"),
+        ("fourier-check", "--n", "4"),
+        ("deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
+        ("gram-charlier", "--nu3", "0.5", "--nu4", "3.5", "--x", "0.5"),
+    ])
+    def test_the_environment_is_not_read(self, capsys, monkeypatch, argv):
+        # the rule order is a flag: setting HERMITE_KIT_QUAD_ORDER changes nothing
+        plain = run_cli(capsys, "expand", *argv)
+        assert plain[0] == 0
+        for value in ("0", "4", "201", "not-a-number"):
+            monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", value)
+            assert run_cli(capsys, "expand", *argv) == plain
 
-    def test_quad_order_env_is_refused_before_the_coefficients(self, capsys, monkeypatch):
-        monkeypatch.setenv("HERMITE_KIT_QUAD_ORDER", "0")
-        result = run_cli(capsys, "expand", "wce", "--coeffs", "1/0", "--order", "2")
-        assert result == (2, "", "error: HERMITE_KIT_QUAD_ORDER must be a positive integer, "
-                                 "got 0\n")
+    @pytest.mark.parametrize("argv", [
+        ("deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
+        ("gram-charlier", "--x", "0.5"),
+    ])
+    def test_quad_order_is_refused_where_no_rule_is_built(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:  # argparse: unrecognized arguments
+            main(["expand", *argv, "--quad-order", "20"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --quad-order 20" in capsys.readouterr().err
 
 
 class TestHarness:

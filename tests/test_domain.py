@@ -549,6 +549,23 @@ def test_every_module_level_name_is_public_or_used_in_src():
     assert unread_imports == []
 
 
+def test_no_module_reads_the_environment():
+    # the command line is the whole input: no os.environ, os.getenv or their bytes forms
+    import hermite_kit
+
+    readers, reads = {"environ", "environb", "getenv", "getenvb"}, []
+    for path in pathlib.Path(hermite_kit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            reads += [f"{path.name}: {name}" for name in names if name in readers]
+    assert reads == []
+
+
 # read by name nowhere in src/ or perfbench/, and public all the same
 UNREAD_METHODS = {
     # the connection problem's coefficient map: what a change-of-basis matrix is for

@@ -423,6 +423,24 @@ class TestCompleteMatchCounts:
     def test_fold_matches_part_lowering_recurrence(self, parts):
         assert count_complete_matches(parts) == part_lowering_count(parts)
 
+    def test_parts_of_size_one_seed_the_fold(self):
+        # r parts of size 1 are He_1^r = x^r: K_r has (r - 1)!! perfect matches for even r
+        for r in range(14):
+            assert count_complete_matches([1] * r) == (math.prod(range(1, r, 2)) if r % 2 == 0
+                                                       else 0)
+        # ones anywhere among the parts that fold and the two that close the fold
+        rng = random.Random(3)
+        for _ in range(300):
+            parts = [rng.choice((0, 1, 1, 1, 2, 3, 4)) for _ in range(rng.randint(0, 8))]
+            assert count_complete_matches(parts) == part_lowering_count(parts), parts
+
+    def test_many_parts_of_size_one(self):
+        # the ones seed the product at once, with no fold step per part
+        start = time.perf_counter()
+        count = count_complete_matches([1] * 2000)
+        assert time.perf_counter() - start < 1.0
+        assert count == math.prod(range(1, 2000, 2))
+
     def test_oracle_against_realized_graphs(self):
         for parts in [(2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 2), (3, 1, 2, 2), (1, 1, 1, 1, 2)]:
             total = sum(parts)

@@ -41,7 +41,7 @@ _CHILD_ENV = {**os.environ,
               "PYTHONPATH": os.path.dirname(os.path.dirname(hermite_kit.__file__))}
 
 
-def _cli_without_numpy(commands, **env):
+def _cli_without_numpy(commands):
     """[status, stdout, stderr] of each argv through cli.main, in one child where
     None in sys.modules makes any import of numpy raise ImportError, and which of
     dataclasses and inspect that child loaded."""
@@ -63,7 +63,7 @@ def _cli_without_numpy(commands, **env):
     ])
     result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
                             capture_output=True, text=True, check=True,
-                            env={**_CHILD_ENV, **env})
+                            env=_CHILD_ENV)
     return json.loads(result.stdout)
 
 
@@ -239,8 +239,8 @@ class TestRuleBuilder:
 
     def test_explicit_rule_order_refusal_runs_without_numpy(self):
         # an explicit order past the largest rule is refused before a rule is built
-        results, _ = _cli_without_numpy([["expand", "wce", "--coeffs", "1", "--order", "2"]],
-                                        HERMITE_KIT_QUAD_ORDER="201")
+        results, _ = _cli_without_numpy([["expand", "wce", "--coeffs", "1", "--order", "2",
+                                          "--quad-order", "201"]])
         assert results == [
             [2, "", "error: quadrature order 201 exceeds the supported maximum 200\n"]]
 
