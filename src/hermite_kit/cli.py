@@ -1,4 +1,6 @@
-"""Command-line interface: every library capability with machine-readable output.
+"""Command-line interface: the library with machine-readable output.
+
+`expand wce` prints a polynomial's exact He coefficients; wce_coeffs_1d stays a library call.
 
 Exit codes: 0 success, 2 argument error, 3 unreadable or malformed input file.
 Floats print with 17 significant digits so output round-trips exactly.
@@ -24,6 +26,7 @@ MAX_KPARTITE_EDGES = 10**6
 MAX_PARTS_TOTAL = 50_000        # product-integral with three or fewer parts
 MAX_PARTS_TOTAL_FOLDED = 2000   # four or more parts take the slower linearization fold
 MAX_LINEARIZE_TOTAL = 6000      # linearize: --m + --n
+MAX_COEFFS_DEGREE = 50          # wce, deconvolve: exact work grows with it (and sigma's bits)
 
 
 def _fmt(x):
@@ -245,12 +248,18 @@ def cmd_expand(args, out):
         if value < 0:
             print("warning: truncated expansion is negative at this point", file=sys.stderr)
         print(_fmt(value), file=out)
-    elif args.expand_command == "wce":
+    elif args.expand_command in ("wce", "deconvolve"):
+        if (degree := len(args.coeffs) - 1) > MAX_COEFFS_DEGREE:  # checked before any parsing
+            raise ValueError(f"--coeffs has degree {degree}, capped at {MAX_COEFFS_DEGREE}")
         poly = hk.ExactPolynomial(args.coeffs)
-        _emit_series(hk.wce_coeffs_1d(poly, args.order, args.quad_order), out)
-    elif args.expand_command == "deconvolve":
-        result = hk.gaussian_mixture_deconvolve(hk.ExactPolynomial(args.coeffs), args.sigma)
-        _emit_coeffs(result, args.format, out)
+        if args.expand_command == "deconvolve":
+            _emit_coeffs(hk.gaussian_mixture_deconvolve(poly, args.sigma), args.format, out)
+        else:  # a polynomial's chaos coefficients are its He coefficients: the connection problem
+            if (order := _check_order(args.order, "truncation order")) > MAX_POLY_N:
+                raise ValueError(f"--order is capped at {MAX_POLY_N}, got {order}")
+            he = hk.change_of_basis(poly.degree, "monomial", "he").apply(poly.coeffs)
+            coeffs = [_rounded(b) for b in he[:order + 1]] + [0.0] * (order - poly.degree)
+            _emit_series(hk.HermiteSeries(coeffs, hk.PLAIN_RV), out)
     else:  # fourier-check
         try:
             error = hk.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25),
@@ -343,7 +352,6 @@ def build_parser():
     e = esub.add_parser("wce", help="chaos coefficients of a polynomial of a unit Gaussian")
     e.add_argument("--coeffs", type=_parse_number_list, required=True)
     e.add_argument("--order", type=int, required=True)
-    e.add_argument("--quad-order", type=int, default=None)
 
     e = esub.add_parser("deconvolve", help="exact Gaussian-mixture deconvolution of a polynomial")
     e.add_argument("--coeffs", type=_parse_number_list, required=True)

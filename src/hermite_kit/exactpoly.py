@@ -83,10 +83,6 @@ class ExactPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls):
-        return cls((0,))
-
     degree = property(lambda self: len(self.coeffs) - 1)
 
     def __eq__(self, other):
@@ -127,12 +123,6 @@ class ExactPolynomial:
         return ExactPolynomial([scalar * c for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def derivative(self, order=1):
-        cs = self.coeffs
-        for _ in range(_check_order(order, "derivative order")):
-            cs = tuple(i * c for i, c in enumerate(cs) if i >= 1)
-        return ExactPolynomial(cs)
 
     def scale_argument(self, factor):
         """Return p(factor * x), exactly."""

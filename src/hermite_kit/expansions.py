@@ -2,7 +2,7 @@
 
 Covers the weighted Fourier-Hermite density expansion, the Gram-Charlier
 series, scalar and tensor Wiener-chaos coefficients, exact deconvolution of
-polynomial Gaussian mixtures through the inverse blur operator series, and
+polynomial Gaussian mixtures through the pairing column of He_k, and
 the numeric check that the weighted Hermite functions are Fourier
 eigenfunctions.  Only the functions that build a rule import numpy.
 """
@@ -316,17 +316,19 @@ def wce_reconstruct(coeffs, point):
 def gaussian_mixture_deconvolve(g, sigma):
     """Mixing polynomial f with (phi_sigma * f)(y) = g(y), exactly.
 
-    f = sum_j (-sigma^2/2)^j g^(2j) / j!, a series that stops on its own once
-    2j exceeds deg g.  Only polynomial g is accepted (the derivative series
-    has no meaning for rougher inputs), and sigma enters at its exact binary
-    value.
+    f = sum_k c_k sigma^k He_k(x / sigma) for g = sum_k c_k x^k: entry j of He_k's pairing
+    column, (-1)^j k! / (2^j (k-2j)! j!), times sigma^(2j) is its x^(k-2j) coefficient, in
+    O(deg^2) exact operations.  g must be an ExactPolynomial; sigma enters at its binary value.
     """
     if not isinstance(g, ExactPolynomial):
         raise TypeError("deconvolution requires an ExactPolynomial input")
-    s = Fraction(_check_sigma(sigma))
-    factor = -(s * s) / 2
-    return sum(((factor**j * Fraction(1, math.factorial(j))) * g.derivative(2 * j)
-                for j in range(g.degree // 2 + 1)), ExactPolynomial.zero())
+    s2 = Fraction(_check_sigma(sigma)) ** 2
+    powers = [s2**j for j in range(g.degree // 2 + 1)]
+    f = [0] * len(g.coeffs)
+    for k, c in enumerate(g.coeffs):
+        for j, entry in enumerate(_pairing_column(k, k, -1, 0)[k::-2]):
+            f[k - 2 * j] += c * entry * powers[j]
+    return ExactPolynomial(f)
 
 
 def fourier_eigen_check(n, k_grid, quad_order=None):

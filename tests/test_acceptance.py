@@ -195,7 +195,7 @@ def test_criterion_09_linearization():
         for m in range(11):
             for n in range(11):
                 product = hermite_recurrence(m) * hermite_recurrence(n)
-                rebuilt = ExactPolynomial.zero()
+                rebuilt = ExactPolynomial()
                 for l, a in linearization_coeffs(m, n).items():
                     rebuilt = rebuilt + a * hermite_explicit(l)
                 assert rebuilt == product

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import math
 import pathlib
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -596,6 +598,27 @@ class TestMomentsFiles:
         assert err == f"error: {path}: line 3: expected a finite number, got '0\\x1c3'\n"
 
 
+def _moment(k):
+    # E[Y^k] for Y ~ N(0, 1): (k-1)!! for even k, 0 for odd
+    return 0 if k % 2 else math.prod(range(k - 1, 0, -2))
+
+
+@functools.cache
+def _he(n):
+    return hermite_kit.hermite_recurrence(n).coeffs
+
+
+def _chaos(coeffs, n):
+    # b_n = E[He_n(Y) f(Y)] / n! exactly, from the moments and the three-term recurrence
+    total = sum(a * c * _moment(i + k) for i, a in enumerate(_he(n)) for k, c in enumerate(coeffs))
+    return Fraction(total) / math.factorial(n)
+
+
+# a coefficient as an integer or a decimal string; past e300 the printed b_n can overflow
+_COEFF_TEXT = st.one_of(st.integers(-10**30, 10**30).map(str),
+                        st.builds("{}e{}".format, st.integers(-999, 999), st.integers(-330, 300)))
+
+
 class TestExpand:
     def test_deconvolve(self, capsys):
         code, out, _ = run_cli(
@@ -643,12 +666,10 @@ class TestExpand:
         (("fourier-hermite", "--mu", "1e308", "--order", "3"), 0,
          '{"convention": "density-weighted", "coeffs": [0.0, 0.0, 0.0, 0.0]}\n',
          "tail indicator |a_N| sqrt(N!) = 0.000e+00\n"),
-        (("wce", "--coeffs", "0,1e308", "--order", "2"), 2, "",
-         "error: integrand returned non-finite value -inf at node index 0"),
-    ], ids=["fourier-hermite", "wce"])
+    ], ids=["fourier-hermite"])
     def test_overflowing_integrand_leaves_no_runtime_warning(self, capsys, argv, code, out, err):
-        # the integrands run in plain floats, where (x - mu)^2 and the Horner
-        # products overflow to inf without a numpy warning on stderr
+        # the integrand runs in plain floats, where (x - mu)^2 overflows to inf
+        # without a numpy warning on stderr
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_cli(capsys, "expand", *argv)
@@ -656,68 +677,73 @@ class TestExpand:
         assert result[2].startswith(err) and "Warning" not in result[2]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize("argv, code", [
-        (("wce", "--coeffs", "1", "--order", "180"), 0),
-        (("fourier-hermite", "--mu", "0", "--order", "180"), 0),
-        (("wce", "--coeffs", "1e308", "--order", "180"), 0),
-        (("fourier-hermite", "--mu", "1e308", "--order", "198"), 0),
-        (("wce", "--coeffs", "0,0,0,0,1e308", "--order", "198"), 2),
+    @pytest.mark.parametrize("argv", [
+        ("fourier-hermite", "--mu", "0", "--order", "180"),
+        ("fourier-hermite", "--mu", "1e308", "--order", "198"),
     ])
-    def test_orders_past_170(self, capsys, argv, code):
+    def test_orders_past_170(self, capsys, argv):
         # n! leaves double range at n = 171; a 200-point rule serves up to order 198
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_cli(capsys, "expand", *argv, "--quad-order", "200")
-        assert result[0] == code and "Traceback" not in result[2]
+            code, out, err = run_cli(capsys, "expand", *argv, "--quad-order", "200")
+        assert code == 0 and "Traceback" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if code == 0:
-            assert len(json.loads(result[1])["coeffs"]) == int(argv[-1]) + 1
+        assert len(json.loads(out)["coeffs"]) == int(argv[-1]) + 1
 
-    def test_bad_node_prints_as_a_plain_float(self, capsys):
-        code, out, err = run_cli(capsys, "expand", "wce", "--coeffs", "0,1e308", "--order", "2")
-        assert (code, out) == (2, "")
-        assert "(x=-6.630878198393131)" in err and "np." not in err
+    @pytest.mark.parametrize("coeffs, order, want", [
+        ("0,0,1", 4, [1.0, 0.0, 1.0, 0.0, 0.0]),
+        ("1", 180, [1.0] + [0.0] * 180),            # orders past 170, where n! leaves double range
+        ("1e308", 180, [1e308] + [0.0] * 180),
+        ("1e200", 0, [1e200]),                      # E[f(Y)^2] = 1e400 leaves double range
+        ("1e308", 4, [1e308, 0.0, 0.0, 0.0, 0.0]),  # sqrt(2 pi) n! b_n would too
+        ("0,1e308", 2, [0.0, 1e308, 0.0]),           # 1e308 y is -inf at the outer nodes
+        (",".join(["0"] * 12 + ["1"]), 8, [10395.0, 0.0, 62370.0, 0.0, 51975.0, 0.0, 13860.0,
+                                            0.0, 1485.0]),
+        (",".join(["0"] * 40 + ["1"]), 0, [3.1983098677287775e+23]),   # E[Y^40] = 39!!
+    ], ids=["y^2", "1 order 180", "1e308 order 180", "1e200", "1e308", "1e308 y", "y^12",
+            "y^40"])
+    def test_wce_prints_the_rounded_exact_coefficients(self, capsys, coeffs, order, want):
+        # b_n = E[He_n(Y) f(Y)] / n! is f's He coefficient, rounded once; y^40 at order 0
+        # passes degree 4 order + 23, the most a rule of 2 order + 12 points integrates
+        code, out, _ = run_cli(capsys, "expand", "wce", f"--coeffs={coeffs}", "--order", str(order))
+        assert (code, json.loads(out)) == (0, {"convention": "plain-rv", "coeffs": want})
 
-    def test_wce_keeps_a_finite_coefficient_of_an_overflowing_square(self, capsys):
-        # E[f(Y)^2] = 1e400 leaves double range; b_0 = 1e200 does not
-        code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", "1e200", "--order", "0")
-        assert code == 0
-        assert json.loads(out)["coeffs"] == [pytest.approx(1e200, rel=1e-15)]
-
-    @pytest.mark.parametrize("order", ["0", "1", "4"])  # the moments reach inf, then inf - inf
-    def test_wce_keeps_a_finite_coefficient_of_an_overflowing_moment(self, capsys, order):
-        # sqrt(2 pi) n! b_n leaves double range before the division; b_0 = 1e308 does not
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", "1e308", "--order", order)
-        assert code == 0
-        coeffs = json.loads(out)["coeffs"]
-        assert len(coeffs) == int(order) + 1
-        assert coeffs[0] == pytest.approx(1e308, rel=1e-14)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    @pytest.mark.parametrize("order", ["1", "4"])
+    @pytest.mark.parametrize("order", ["1", "4", "198"])
     def test_wce_overflowing_coefficient_is_exit_2_without_warning(self, capsys, order):
-        # f = 1e308 y^4 has b_0 = 3e308; y^4 already overflows it at the outermost node
+        # f = 1e308 y^4 has b_0 = 3e308, past double range
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(
                 capsys, "expand", "wce", "--coeffs", "0,0,0,0,1e308", "--order", order
             )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: integrand returned non-finite value inf at node index 0 ")
+        assert (code, out, err) == (2, "", "error: series coefficients must be finite\n")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    def test_wce_series(self, capsys):
-        code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,1", "--order", "4")
-        payload = json.loads(out)
-        assert payload["convention"] == "plain-rv"
-        assert payload["coeffs"][0] == pytest.approx(1.0, rel=1e-12)
-        assert payload["coeffs"][2] == pytest.approx(1.0, rel=1e-12)
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_COEFF_TEXT, min_size=1, max_size=cli.MAX_COEFFS_DEGREE + 1),
+           st.integers(0, cli.MAX_POLY_N))
+    @example(["0"] * 40 + ["1"], 0)
+    @example(["7e-3"] * (cli.MAX_COEFFS_DEGREE + 1), cli.MAX_POLY_N)
+    @example(["0", "0", "0", "0", "1e308"], 4)
+    def test_wce_prints_each_coefficient_correctly_rounded(self, texts, order):
+        coeffs = [Fraction(text) for text in texts]
+        degree = max((k for k, c in enumerate(coeffs) if c), default=0)
+        try:  # past the degree b_n = 0: He_n is orthogonal to every lower degree
+            want = [float(_chaos(coeffs, n)) if n <= degree else 0.0 for n in range(order + 1)]
+        except OverflowError:  # a printed b_n past double range
+            want = None
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["expand", "wce", "--coeffs=" + ",".join(texts), "--order", str(order)])
+        if want is None:
+            assert (code, out.getvalue(), err.getvalue()) == \
+                (2, "", "error: series coefficients must be finite\n")
+        else:
+            assert (code, json.loads(out.getvalue())) == \
+                (0, {"convention": "plain-rv", "coeffs": want})
 
     @pytest.mark.parametrize("argv, message", [
         (("fourier-hermite", "--mu", "0", "--order", "150"), "order 150 exceeds 94"),
-        (("wce", "--coeffs", "0,0,1", "--order", "150"), "order 150 exceeds 94"),
         (("fourier-check", "--n", "100"), "n 100 exceeds 95"),
     ])
     def test_default_rule_limit_names_the_flag(self, capsys, argv, message):
@@ -728,18 +754,24 @@ class TestExpand:
 
     def test_quad_order_flag(self, capsys):
         # an order-4 rule would alias the top coefficients of an order-8 series
-        result = run_cli(capsys, "expand", "wce", "--coeffs", "0,0,0,0,0,0,0,0,1", "--order", "8",
+        result = run_cli(capsys, "expand", "fourier-hermite", "--mu", "0.5", "--order", "8",
                          "--quad-order", "4")
         assert result == (2, "", "error: quad_order must be at least 10, got 4\n")
-        # the flag is honoured: a 10-point rule is exact to degree 19, so He_8 x^12
-        # is not integrated exactly and b_8 of x^12 reads 1395; the default rule gives 1485
-        x12 = ",".join(["0"] * 12 + ["1"])
-        for flag, want in ((["--quad-order", "10"], 1395.0), ([], 1485.0)):
-            code, out, _ = run_cli(capsys, "expand", "wce", "--coeffs", x12, "--order", "8", *flag)
-            assert code == 0
-            assert json.loads(out)["coeffs"][8] == pytest.approx(want, rel=1e-12)
+
+        def density(x):  # cmd_expand's, bit for bit
+            d = float(x) - 0.5
+            return math.exp(-0.5 * (d * d)) / SQRT_TWO_PI
+
+        # the flag is honoured: the 10-point rule's coefficients, not the default 28-point rule's
+        series = {q: list(hermite_kit.fourier_hermite_coeffs(density, 8, q).coeffs)
+                  for q in (10, None)}
+        assert series[10] != series[None]
+        for flag, q in ((["--quad-order", "10"], 10), ([], None)):
+            code, out, _ = run_cli(capsys, "expand", "fourier-hermite", "--mu", "0.5",
+                                   "--order", "8", *flag)
+            assert (code, json.loads(out)["coeffs"]) == (0, series[q])
         with pytest.raises(SystemExit) as excinfo:  # argparse: invalid int value
-            main(["expand", "wce", "--coeffs", "0,0,1", "--order", "2", "--quad-order", "x"])
+            main(["expand", "fourier-hermite", "--mu", "0", "--order", "2", "--quad-order", "x"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -758,6 +790,7 @@ class TestExpand:
             assert run_cli(capsys, "expand", *argv) == plain
 
     @pytest.mark.parametrize("argv", [
+        ("wce", "--coeffs", "0,0,1", "--order", "4"),
         ("deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
         ("gram-charlier", "--x", "0.5"),
     ])

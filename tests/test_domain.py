@@ -79,7 +79,6 @@ ORDERS = {
     "hermite_table(array)": lambda n: hermite_table(n, np.array([0.5, 40.0])),
     "eval_hermite": lambda n: eval_hermite(n, 0.5),
     "eval_hermite_function": lambda n: eval_hermite_function(n, 0.5),
-    "ExactPolynomial.derivative": ExactPolynomial((1, 2, 3, 4, 5)).derivative,
     "gaussian_raw_moment": lambda n: gaussian_raw_moment(n, 0.5, 2.0),
     "gauss_moment_polynomial": gauss_moment_polynomial,
     "change_of_basis": lambda n: change_of_basis(n, "he", "monomial"),
@@ -566,13 +565,6 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
-# read by name nowhere in src/ or perfbench/, and public all the same
-UNREAD_METHODS = {
-    # the connection problem's coefficient map: what a change-of-basis matrix is for
-    "ChangeOfBasisMatrix.apply",
-}
-
-
 def test_every_public_method_is_read_outside_its_definition():
     # a method or property that only restates stored data for the tests goes: each
     # non-underscore one of a public class is read in src/ outside its own
@@ -596,7 +588,7 @@ def test_every_public_method_is_read_outside_its_definition():
                               for node in ast.walk(method))
                     if reads[method.name] == own:
                         unread.append(f"{cls.name}.{method.name}")
-    assert sorted(set(unread) - UNREAD_METHODS) == []
+    assert unread == []
 
 
 def test_one_wording_for_every_order():

@@ -10,6 +10,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hermite_kit import (
     DENSITY_WEIGHTED,
@@ -35,7 +37,7 @@ from hermite_kit import (
     wce_reconstruct,
     weierstrass_preimage_polynomial,
 )
-from hermite_kit import expansions
+from hermite_kit import cli, expansions
 from hermite_kit.expansions import _multiplicities, _normalized
 from hermite_kit.polynomials import hermite_explicit
 from hermite_kit.polynomials import index_multiplicities
@@ -204,6 +206,14 @@ class TestOneEvaluationPerNode:
         corner = lambda p: math.inf if (p[0], p[1]) == (rule.nodes[0], rule.nodes[4]) else 1.0
         with pytest.raises(ValueError, match="point index 4"):
             wce_coeffs_multi(corner, 2, 2, 20)
+
+    def test_bad_node_prints_as_a_plain_float(self):
+        # 1e308 y is -inf at the first node of the default 16-point rule
+        with pytest.raises(ValueError) as refused:
+            wce_coeffs_1d(ExactPolynomial((0, 1e308)), 2)
+        message = str(refused.value)
+        assert message.startswith("integrand returned non-finite value -inf at node index 0")
+        assert "(x=-6.630878198393131)" in message and "np." not in message
 
 
 class TestSeriesEvaluation:
@@ -822,6 +832,20 @@ class TestRuleTableCache:
         expansions._kept_table.cache_clear()
 
 
+def gaussian_blur(coeffs, sigma):
+    # y -> E[f(y + sigma Z)] by the binomial expansion, with E[Z^i] = (i-1)!! for even i
+    out = [0] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        for i in range(0, k + 1, 2):
+            out[k - i] += c * math.comb(k, i) * sigma**i * math.prod(range(i - 1, 0, -2))
+    return ExactPolynomial(out)
+
+
+# random exact polynomials up to the CLI's degree cap, integer or rational coefficients
+_POLYNOMIALS = st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=1000)),
+                        min_size=1, max_size=cli.MAX_COEFFS_DEGREE + 1).map(ExactPolynomial)
+
+
 class TestDeconvolution:
     def test_constant(self):
         assert gaussian_mixture_deconvolve(ExactPolynomial((1,)), 1.0).coeffs == (1,)
@@ -853,6 +877,19 @@ class TestDeconvolution:
                         integrate_weighted(lambda z: f(y + sigma * z), rule) / SQRT_TWO_PI
                     )
                     assert blurred == pytest.approx(float(g(y)), rel=1e-8, abs=1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1 / 3, 0.75, 2, 5e-324, 1.7e308, 10**400,
+                                       Fraction(1, 3)],
+                             ids=["0.1", "1/3", "0.75", "2", "5e-324", "1.7e308", "10**400",
+                                  "Fraction(1, 3)"])
+    @settings(max_examples=8, deadline=None)
+    @given(g=_POLYNOMIALS)
+    @example(g=ExactPolynomial([1] * (cli.MAX_COEFFS_DEGREE + 1)))
+    def test_blurs_back_exactly(self, sigma, g):
+        # an independent oracle: sigma at its exact binary value, E[Z^i] by the double factorial
+        f = gaussian_mixture_deconvolve(g, sigma)
+        assert f.degree == g.degree
+        assert gaussian_blur(f.coeffs, Fraction(sigma)) == g
 
     def test_linearity(self):
         g = ExactPolynomial((2, 0, 3, 1))

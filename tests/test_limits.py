@@ -2,12 +2,13 @@
 
 A limit is a module-level name in src/ that starts with MAX_ or ends with
 _BUDGET.  Each has a row of the table under "## Size limits", keyed by the
-limit as a Python expression; a limit derived from one, such as the default
-rule's, has a row that states the formula.  A row's value is the limit's,
-the function it names reads the constant, and the first input past the limit,
-built here from the limit's value, is the row's input and gives the row's
-refusal: a ValueError from the library called directly, or exit 2 with that
-message and nothing on stdout from the CLI through cli.main in-process.
+limit as a Python expression, and one row more for each further input that
+it caps; a limit derived from one, such as the default rule's, has a row
+that states the formula.  A row's value is the limit's, the function it
+names reads the constant, and the first input past the limit, built here
+from the limit's value, is the row's input and gives the row's refusal: a
+ValueError from the library called directly, or exit 2 with that message
+and nothing on stdout from the CLI through cli.main in-process.
 """
 
 import ast
@@ -29,7 +30,8 @@ README = pathlib.Path(__file__).parents[1] / "README.md"
 LIMIT_NAME = re.compile(r"MAX_[A-Z0-9_]+|[A-Z0-9_]+_BUDGET")
 
 # the first input past each limit, built from the limit's value: a call of
-# public names, or a hermite-kit command line
+# public names, or a hermite-kit command line; a tuple, in the table's order,
+# for a limit with a row per input it caps
 FIRST_REFUSED = {
     "polynomials.MAX_ORDER": lambda n: f"gauss_hermite_rule({n + 1})",
     "(polynomials.MAX_ORDER - 12) // 2":
@@ -44,7 +46,11 @@ FIRST_REFUSED = {
     "expansions.MAX_FACTORIAL_ORDER":
         lambda n: f"gram_charlier_density(StandardizedMoments(0, 1), {n + 1}, 0)",
     "graphs.MAX_MATCH_VERTICES": lambda n: f"match_count_table(complete_graph({n + 1}))",
-    "cli.MAX_POLY_N": lambda n: f"hermite-kit poly --n {n + 1}",
+    "cli.MAX_POLY_N": (lambda n: f"hermite-kit poly --n {n + 1}",
+                       lambda n: f"hermite-kit expand wce --coeffs 1 --order {n + 1}"),
+    "cli.MAX_COEFFS_DEGREE": (
+        lambda n: f"hermite-kit expand wce --coeffs {','.join(['1'] * (n + 2))} --order 0",
+        lambda n: f"hermite-kit expand deconvolve --coeffs {','.join(['1'] * (n + 2))} --sigma 1"),
     "cli.MAX_SAMPLES":
         lambda n: f"hermite-kit plotdata --kind poly --xmin 0 --xmax 1 --samples {n + 1}",
     # the smallest order refused at two samples
@@ -71,7 +77,14 @@ def _table():
     return [dict(zip(header, row)) for row in rows]
 
 
-ROWS = {row["limit"]: row for row in _table()}
+ROWS = {}
+for _row in _table():
+    ROWS.setdefault(_row["limit"], []).append(_row)
+
+
+def _first_refused(limit):
+    inputs = FIRST_REFUSED[limit]
+    return inputs if isinstance(inputs, tuple) else (inputs,)
 
 
 def _modules():
@@ -101,12 +114,13 @@ def test_every_limit_constant_has_a_row():
 
 @pytest.mark.parametrize("limit", sorted(ROWS))
 def test_a_row_states_its_limit_and_where_it_is_checked(limit):
-    row, modules = ROWS[limit], _modules()
-    assert _value(row["value"]) == eval(limit, modules)
-    module, name = row["checked in"].split(".")
-    source = inspect.getsource(getattr(modules[module], name))
-    for constant in re.findall(r"\w+\.(\w+)", limit):
-        assert constant in source
+    modules = _modules()
+    for row in ROWS[limit]:
+        assert _value(row["value"]) == eval(limit, modules)
+        module, name = row["checked in"].split(".")
+        source = inspect.getsource(getattr(modules[module], name))
+        for constant in re.findall(r"\w+\.(\w+)", limit):
+            assert constant in source
 
 
 def _refusal(text):
@@ -126,7 +140,8 @@ def _refusal(text):
 
 @pytest.mark.parametrize("limit", sorted(ROWS))
 def test_the_first_input_past_a_limit_gives_the_rows_refusal(limit):
-    row = ROWS[limit]
-    text = FIRST_REFUSED[limit](eval(limit, _modules()))
-    assert row["first refused input"] == text
-    assert _refusal(text) == row["refusal"]
+    value = eval(limit, _modules())
+    for row, first_refused in zip(ROWS[limit], _first_refused(limit), strict=True):
+        text = first_refused(value)
+        assert row["first refused input"] == text
+        assert _refusal(text) == row["refusal"]

@@ -86,7 +86,7 @@ def hermite_form(n, mu, sigma):
 
 def combine(coeffs, basis):
     # sum_k coeffs[k] basis(k), exactly
-    return sum((c * basis(k) for k, c in enumerate(coeffs)), ExactPolynomial.zero())
+    return sum((c * basis(k) for k, c in enumerate(coeffs)), ExactPolynomial())
 
 
 class TestRawMoments:

@@ -28,6 +28,11 @@ def moment(k):
     return 0 if k % 2 else math.prod(range(k - 1, 0, -2))
 
 
+def derivative(p):
+    # the formal derivative, term by term
+    return ExactPolynomial([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
 def fraction_gram_schmidt(n):
     """Modified Gram-Schmidt on 1, x, ..., x^n with every inner product
     expanded over coefficient pairs in Fractions: the O(n^4) oracle that
@@ -298,17 +303,17 @@ class TestTable:
 class TestDerivative:
     # the Appell property He_n' = n He_(n-1), against the formal derivative
     def test_examples(self):
-        assert hermite_recurrence(2).derivative().coeffs == (0, 2)
-        assert hermite_recurrence(3).derivative().coeffs == (-3, 0, 3)
-        assert hermite_recurrence(4).derivative().coeffs == (0, -12, 0, 4)
+        assert derivative(hermite_recurrence(2)).coeffs == (0, 2)
+        assert derivative(hermite_recurrence(3)).coeffs == (-3, 0, 3)
+        assert derivative(hermite_recurrence(4)).coeffs == (0, -12, 0, 4)
 
     def test_zero_order_is_zero_polynomial(self):
-        assert hermite_recurrence(0).derivative() == ExactPolynomial.zero()
+        assert derivative(hermite_recurrence(0)) == ExactPolynomial()
 
     def test_matches_formal_derivative(self):
         for n in range(1, 41):
-            assert hermite_recurrence(n).derivative() == n * hermite_recurrence(n - 1)
-            assert hermite_explicit(n).derivative() == n * hermite_explicit(n - 1)
+            assert derivative(hermite_recurrence(n)) == n * hermite_recurrence(n - 1)
+            assert derivative(hermite_explicit(n)) == n * hermite_explicit(n - 1)
 
 
 def generating_series(t, order):
@@ -358,7 +363,8 @@ class TestDifferentialEquations:
         x = ExactPolynomial((0, 1))
         for n in range(41):
             for p in (hermite_recurrence(n), hermite_explicit(n)):
-                assert p.derivative(2) - x * p.derivative() + n * p == ExactPolynomial.zero(), n
+                dp = derivative(p)
+                assert derivative(dp) - x * dp + n * p == ExactPolynomial(), n
 
     @staticmethod
     def _weighted_recurrence_mp(n, x):

@@ -209,7 +209,7 @@ class TestRuleBuilder:
             ["poly", "--n", "3", "--family", "legendre"],
             ["expand", "deconvolve", "--coeffs", "1,2", "--sigma", "-1"],
             ["expand", "fourier-hermite", "--mu", "0", "--order", "150"],
-            ["expand", "wce", "--coeffs", "0,0,1", "--order", "150"],
+            ["expand", "wce", "--coeffs", "0,0,1", "--order", "201"],
             ["expand", "fourier-check", "--n", "100"],
             ["quad", "--n", "0"],
             ["quad", "--n", "201"],
@@ -239,7 +239,7 @@ class TestRuleBuilder:
 
     def test_explicit_rule_order_refusal_runs_without_numpy(self):
         # an explicit order past the largest rule is refused before a rule is built
-        results, _ = _cli_without_numpy([["expand", "wce", "--coeffs", "1", "--order", "2",
+        results, _ = _cli_without_numpy([["expand", "fourier-hermite", "--mu", "0", "--order", "2",
                                           "--quad-order", "201"]])
         assert results == [
             [2, "", "error: quadrature order 201 exceeds the supported maximum 200\n"]]
@@ -249,9 +249,11 @@ class TestRuleBuilder:
         (["plotdata", "--kind", "series", "--coeffs", "1", "--xmin", "0", "--xmax", "0",
           "--samples", "2"], "x\tvalue\n0\t1\n0\t1\n"),
         (["expand", "gram-charlier", "--x", "0"], "0.3989422804014327\n"),
+        (["expand", "wce", "--coeffs", "0,0,1", "--order", "4"],
+         '{"convention": "plain-rv", "coeffs": [1.0, 0.0, 1.0, 0.0, 0.0]}\n'),
         (["quad", "--n", "3"], "node,weight\n-1.7320508075688772,0.41777137910516693\n"
                                "0,1.6710855164206673\n1.7320508075688772,0.41777137910516693\n"),
-    ], ids=["poly", "plotdata series", "expand gram-charlier", "quad"])
+    ], ids=["poly", "plotdata series", "expand gram-charlier", "expand wce", "quad"])
     def test_a_cli_process_loads_only_what_it_runs(self, argv, output):
         # a fresh `python -m hermite_kit.cli` process; -v logs every module it
         # imports, those a public name loads through importlib too
