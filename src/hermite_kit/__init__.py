@@ -23,7 +23,6 @@ _PUBLIC = {
     "evaluate_series": "expansions",
     "fourier_eigen_check": "expansions",
     "fourier_hermite_coeffs": "expansions",
-    "gaussian_mixture_deconvolve": "expansions",
     "gram_charlier_density": "expansions",
     "series_tail_indicator": "expansions",
     "wce_coeffs_1d": "expansions",
@@ -46,6 +45,7 @@ _PUBLIC = {
     "change_of_basis": "moments",
     "compose": "moments",
     "gauss_moment_polynomial": "moments",
+    "gaussian_mixture_deconvolve": "moments",
     "gaussian_raw_moment": "moments",
     "weierstrass_preimage_polynomial": "moments",
     "PHYSICIST": "polynomials",

@@ -124,11 +124,6 @@ class ExactPolynomial:
 
     __rmul__ = __mul__
 
-    def scale_argument(self, factor):
-        """Return p(factor * x), exactly."""
-        s = _as_exact(_real(factor, "factor"))
-        return ExactPolynomial([c * s**i for i, c in enumerate(self.coeffs)])
-
     def __call__(self, x):
         """Horner's rule at x as _real gives it, from the leading coefficient, so that
         0.0 * inf is never taken: exact at an int or a Fraction, else in floats."""

@@ -1,10 +1,8 @@
 """Hermite-based expansions of densities and functions of Gaussians.
 
-Covers the weighted Fourier-Hermite density expansion, the Gram-Charlier
-series, scalar and tensor Wiener-chaos coefficients, exact deconvolution of
-polynomial Gaussian mixtures through the pairing column of He_k, and
-the numeric check that the weighted Hermite functions are Fourier
-eigenfunctions.  Only the functions that build a rule import numpy.
+Covers the weighted Fourier-Hermite density expansion, the Gram-Charlier series, scalar
+and tensor Wiener-chaos coefficients, and the numeric check that the weighted Hermite
+functions are Fourier eigenfunctions.  Only the functions that build a rule import numpy.
 """
 
 import functools
@@ -13,8 +11,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exactpoly import (
-    _PYTHON_REALS, ExactPolynomial, _check_finite, _check_order, _check_sigma, _real)
+from .exactpoly import _PYTHON_REALS, _check_finite, _check_order, _check_sigma, _real
 from .polynomials import (
     _LN2,
     MAX_ORDER,
@@ -311,24 +308,6 @@ def wce_reconstruct(coeffs, point):
         point = tuple(_real(x, "x") for x in point)  # each coordinate as the kernel took it
         raise ValueError(f"point {point!r} has terms of both signs past double range")
     return total
-
-
-def gaussian_mixture_deconvolve(g, sigma):
-    """Mixing polynomial f with (phi_sigma * f)(y) = g(y), exactly.
-
-    f = sum_k c_k sigma^k He_k(x / sigma) for g = sum_k c_k x^k: entry j of He_k's pairing
-    column, (-1)^j k! / (2^j (k-2j)! j!), times sigma^(2j) is its x^(k-2j) coefficient, in
-    O(deg^2) exact operations.  g must be an ExactPolynomial; sigma enters at its binary value.
-    """
-    if not isinstance(g, ExactPolynomial):
-        raise TypeError("deconvolution requires an ExactPolynomial input")
-    s2 = Fraction(_check_sigma(sigma)) ** 2
-    powers = [s2**j for j in range(g.degree // 2 + 1)]
-    f = [0] * len(g.coeffs)
-    for k, c in enumerate(g.coeffs):
-        for j, entry in enumerate(_pairing_column(k, k, -1, 0)[k::-2]):
-            f[k - 2 * j] += c * entry * powers[j]
-    return ExactPolynomial(f)
 
 
 def fourier_eigen_check(n, k_grid, quad_order=None):

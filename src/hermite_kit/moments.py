@@ -1,4 +1,4 @@
-"""Gaussian raw moments and the connection problem with Hermite bases.
+"""Gaussian raw moments, basis connections and the exact Gaussian transform.
 
 The basis tags mirror the polynomial sets whose change-of-basis matrices
 share coefficients: the physicists' family against powers of 2x, and the
@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import partial
 
 from .exactpoly import ExactPolynomial, _check_finite, _check_order, _check_sigma, _real
-from .polynomials import _pairing_column, _rounded, hermite_explicit
+from .polynomials import _pairing_column, _rounded
 
 MONOMIAL = "monomial"
 TWO_X_MONOMIAL = "2x-monomial"
@@ -100,9 +100,33 @@ def compose(second, first):
     )
 
 
+def _gaussian_transform(coeffs, variance):
+    """E[p(x + sqrt(v) Z)] for p = sum_k c_k x^k (each int or Fraction) and v = a/b of either
+    sign: c_k times entry j of x^k's pairing column times a^j b^(J-j), J = deg // 2, goes to
+    x^(k-2j), and each sum is divided once by b^J."""
+    a, b, half = variance.numerator, variance.denominator, (len(coeffs) - 1) // 2
+    weights = [a**j * b ** (half - j) for j in range(half + 1)]
+    out = [0] * len(coeffs)
+    for k, c in enumerate(coeffs):
+        if c:  # the preimage's x^n would build n columns for nothing
+            for j, entry in enumerate(_pairing_column(k, k, shift=0)[k::-2]):
+                out[k - 2 * j] += c * (entry * weights[j])
+    return ExactPolynomial([Fraction(t, weights[0]) for t in out])  # weights[0] = b^J
+
+
 def weierstrass_preimage_polynomial(n, sigma):
-    """sigma^n He_n(x / sigma) as an exact polynomial; sigma is taken at
-    its exact binary value, so dyadic sigmas stay exact.
+    """sigma^n He_n(x / sigma) as an exact polynomial, the Gaussian transform of x^n with
+    variance -sigma^2; sigma is taken at its exact binary value, so dyadic sigmas stay exact.
     """
     n, s = _check_order(n), Fraction(_check_sigma(sigma))
-    return s**n * hermite_explicit(n).scale_argument(1 / s)
+    return _gaussian_transform([0] * n + [1], -s * s)
+
+
+def gaussian_mixture_deconvolve(g, sigma):
+    """Mixing polynomial f with (phi_sigma * f)(y) = g(y), exactly: for g = sum_k c_k x^k,
+    f = sum_k c_k sigma^k He_k(x / sigma), the Gaussian transform of g with variance -sigma^2.
+    g must be an ExactPolynomial; sigma enters at its binary value."""
+    if not isinstance(g, ExactPolynomial):
+        raise TypeError("deconvolution requires an ExactPolynomial input")
+    s = Fraction(_check_sigma(sigma))
+    return _gaussian_transform(g.coeffs, -s * s)

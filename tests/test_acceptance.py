@@ -8,6 +8,7 @@ import itertools
 import math
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
@@ -224,6 +225,10 @@ def test_criterion_11_deconvolution():
             for sigma in (0.5, 1.0, 2.0):
                 f = gaussian_mixture_deconvolve(g, sigma)
                 assert f == weierstrass_preimage_polynomial(k, sigma)
+                # sigma^k He_k(x / sigma) from the recurrence: an oracle apart from the kernel
+                he = hermite_recurrence(k).coeffs
+                assert f == ExactPolynomial(
+                    [c * Fraction(sigma) ** (k - i) for i, c in enumerate(he)])
                 rule = gauss_hermite_rule(k // 2 + 3)
                 for y in (-2.0, 0.0, 1.0, 3.0):
                     blurred = integrate_weighted(

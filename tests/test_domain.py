@@ -290,9 +290,6 @@ NUMPY_NUMBERS = {
         lambda: ExactPolynomial((0, 0, 0, 1))(2**62)),
     "ExactPolynomial * numpy integer": (
         lambda: ExactPolynomial((1, 2)) * np.int32(3), lambda: ExactPolynomial((1, 2)) * 3),
-    "ExactPolynomial.scale_argument": (
-        lambda: ExactPolynomial((1, 2)).scale_argument(np.int16(-4)),
-        lambda: ExactPolynomial((1, 2)).scale_argument(-4)),
 }
 
 
@@ -316,7 +313,6 @@ REAL_ARGUMENTS = {
     "tensor_component(degree 0)": ("x", lambda x: tensor_component((0,), (0.5, x))),
     "ExactPolynomial(coefficient)": ("coefficient", lambda c: ExactPolynomial((1, c))),
     "ExactPolynomial * factor": ("factor", lambda c: ExactPolynomial((1, 2)) * c),
-    "ExactPolynomial.scale_argument": ("factor", ExactPolynomial((1, 2)).scale_argument),
     "fourier_eigen_check(k)": ("k", lambda k: fourier_eigen_check(2, [0.5, k])),
 }
 

@@ -71,10 +71,6 @@ class TestArithmetic:
         assert (3 * a).coeffs == (3, 6)
         assert (a * Fraction(1, 2)).coeffs == (Fraction(1, 2), 1)
 
-    def test_scale_argument(self):
-        p = ExactPolynomial((1, 0, 4))      # 1 + 4x^2
-        assert p.scale_argument(Fraction(1, 2)).coeffs == (1, 0, 1)
-
     def test_only_polynomials_compare_add_and_subtract(self):
         p = ExactPolynomial((3,))
         assert (p == 3) is False and (p != 3) is True

@@ -5,12 +5,14 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hermite_kit import (
+    ExactPolynomial,
     GraphFileError,
     SimpleGraph,
     complete_graph,
@@ -297,6 +299,63 @@ class TestMatchingPolynomial:
         # The pairing-count closed form is an oracle independent of the recurrence.
         for m in range(1, 21):
             assert matching_polynomial(complete_graph(m)) == hermite_explicit(m)
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex (r, c) labelled r * cols + c + 1."""
+    label = {(r, c): r * cols + c + 1 for r in range(rows) for c in range(cols)}
+    edges = [(label[r, c], label[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+    edges += [(label[r, c], label[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
+    return SimpleGraph.from_edges(rows * cols, edges)
+
+
+def kasteleyn_count(rows, cols):
+    """Perfect matchings (domino tilings) of the rows x cols grid, Kasteleyn's and
+    Temperley-Fisher's product of 4 cos^2(pi j / (rows + 1)) + 4 cos^2(pi k / (cols + 1))
+    over j <= ceil(rows / 2), k <= ceil(cols / 2), rounded."""
+    return round(math.prod(4 * math.cos(math.pi * j / (rows + 1)) ** 2
+                           + 4 * math.cos(math.pi * k / (cols + 1)) ** 2
+                           for j in range(1, (rows + 1) // 2 + 1)
+                           for k in range(1, (cols + 1) // 2 + 1)))
+
+
+def chebyshev(n, first):
+    """Coefficients of T_n(y) (first kind) or U_n(y) by T_(k+1) = 2y T_k - T_(k-1), with
+    T_1 = y and U_1 = 2y."""
+    prev, cur = [1], [0, 1 if first else 2]
+    if n == 0:
+        return prev
+    for _ in range(n - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def at_half_x(coeffs, factor=1):
+    # factor * p(x / 2) as an exact polynomial in x
+    return ExactPolynomial([Fraction(factor * c, 2**i) for i, c in enumerate(coeffs)])
+
+
+class TestClosedFormFamilies:
+    @pytest.mark.parametrize("rows, cols, count", [(2, 12, 233), (3, 8, 153), (4, 6, 281)],
+                             ids=["2x12", "3x8", "4x6"])
+    def test_grid_perfect_matchings_are_kasteleyn_counts(self, rows, cols, count):
+        assert kasteleyn_count(rows, cols) == count
+        table = match_count_table(grid_graph(rows, cols))
+        assert len(table) - 1 == rows * cols // 2 and table[-1] == count
+
+    # Godsil (1993): alpha(P_n, x) = U_n(x / 2) and alpha(C_n, x) = 2 T_n(x / 2)
+    def test_path_matching_polynomials_are_chebyshev_u(self):
+        for n in range(1, 25):
+            path = SimpleGraph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+            assert matching_polynomial(path) == at_half_x(chebyshev(n, first=False))
+
+    def test_cycle_matching_polynomials_are_chebyshev_t(self):
+        for n in range(3, 25):
+            cycle = SimpleGraph.from_edges(n, [(v, v % n + 1) for v in range(1, n + 1)])
+            assert matching_polynomial(cycle) == at_half_x(chebyshev(n, first=True), 2)
 
 
 class TestGraphConstruction:

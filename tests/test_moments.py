@@ -69,6 +69,13 @@ def gauss_expectation(g, order):
     return integrate_weighted(g, gauss_hermite_rule(order)) / SQRT_TWO_PI
 
 
+def scaled_hermite(n, sigma):
+    """sigma^n He_n(x / sigma) from the three-term recurrence, not the pairing column:
+    the x^i coefficient of He_n times sigma^(n-i), sigma at its exact binary value."""
+    s = Fraction(sigma)
+    return ExactPolynomial([c * s ** (n - i) for i, c in enumerate(hermite_recurrence(n).coeffs)])
+
+
 def preimage_value(n, sigma, x):
     """sigma^n He_n(x / sigma) at a float x, exact and rounded once."""
     return _rounded(weierstrass_preimage_polynomial(n, sigma)(Fraction(float(x))))
@@ -381,10 +388,9 @@ class TestGaussianSmoothingIdentities:
                     assert blurred == pytest.approx(y**n, rel=1e-10, abs=1e-10)
 
     def test_preimage_polynomial_is_exact(self):
-        for n in range(11):
-            poly = weierstrass_preimage_polynomial(n, Fraction(1, 2))
-            scaled = Fraction(1, 2) ** n * hermite_explicit(n).scale_argument(2)
-            assert poly == scaled
+        for sigma in (0.5, 0.75, Fraction(1, 3), 1e-300):
+            for n in range(41):
+                assert weierstrass_preimage_polynomial(n, sigma) == scaled_hermite(n, sigma)
 
     def test_sigma_validation(self):
         with pytest.raises(ValueError):

@@ -244,25 +244,31 @@ class TestRuleBuilder:
         assert results == [
             [2, "", "error: quadrature order 201 exceeds the supported maximum 200\n"]]
 
-    @pytest.mark.parametrize("argv, output", [
-        (["poly", "--n", "4"], "3,0,-6,0,1\n"),
+    @pytest.mark.parametrize("argv, output, modules", [
+        (["poly", "--n", "4"], "3,0,-6,0,1\n", ()),
         (["plotdata", "--kind", "series", "--coeffs", "1", "--xmin", "0", "--xmax", "0",
-          "--samples", "2"], "x\tvalue\n0\t1\n0\t1\n"),
-        (["expand", "gram-charlier", "--x", "0"], "0.3989422804014327\n"),
+          "--samples", "2"], "x\tvalue\n0\t1\n0\t1\n", ("expansions",)),
+        (["expand", "gram-charlier", "--x", "0"], "0.3989422804014327\n", ("expansions",)),
         (["expand", "wce", "--coeffs", "0,0,1", "--order", "4"],
-         '{"convention": "plain-rv", "coeffs": [1.0, 0.0, 1.0, 0.0, 0.0]}\n'),
+         '{"convention": "plain-rv", "coeffs": [1.0, 0.0, 1.0, 0.0, 0.0]}\n',
+         ("moments", "expansions")),
+        (["expand", "deconvolve", "--coeffs", "0,0,1", "--sigma", "1"], "-1,0,1\n", ("moments",)),
         (["quad", "--n", "3"], "node,weight\n-1.7320508075688772,0.41777137910516693\n"
-                               "0,1.6710855164206673\n1.7320508075688772,0.41777137910516693\n"),
-    ], ids=["poly", "plotdata series", "expand gram-charlier", "expand wce", "quad"])
-    def test_a_cli_process_loads_only_what_it_runs(self, argv, output):
+                               "0,1.6710855164206673\n1.7320508075688772,0.41777137910516693\n",
+         ()),
+    ], ids=["poly", "plotdata series", "expand gram-charlier", "expand wce", "expand deconvolve",
+            "quad"])
+    def test_a_cli_process_loads_only_what_it_runs(self, argv, output, modules):
         # a fresh `python -m hermite_kit.cli` process; -v logs every module it
-        # imports, those a public name loads through importlib too
+        # imports, those a public name loads through importlib too.  Beside exactpoly and
+        # polynomials, which every subcommand reads, it loads just the modules it runs
         result = subprocess.run([sys.executable, "-v", "-m", "hermite_kit.cli", *argv],
                                 capture_output=True, text=True, check=True, env=_CHILD_ENV)
         loaded = set(re.findall(r"^import '([\w.]+)'", result.stderr, re.MULTILINE))
         assert result.stdout == output
-        assert "hermite_kit.polynomials" in loaded
-        assert not {"hermite_kit.graphs", "__future__", "numpy"} & loaded
+        assert {name for name in loaded if name.startswith("hermite_kit.")} == \
+            {f"hermite_kit.{name}" for name in ("exactpoly", "polynomials", *modules)}
+        assert not {"__future__", "numpy"} & loaded
 
     def test_default_rule_refusals_run_without_numpy(self):
         # the library sizes and checks every rule before it imports numpy or quadrature
