@@ -1,6 +1,7 @@
 """Command-line interface: the library with machine-readable output.
 
-`expand wce` prints a polynomial's exact He coefficients; wce_coeffs_1d stays a library call.
+`expand wce` and `expand fourier-hermite` print exact He coefficients, each rounded once, and
+no subcommand loads numpy: wce_coeffs_1d and fourier_hermite_coeffs stay library calls.
 
 Exit codes: 0 success, 2 argument error, 3 unreadable or malformed input file.
 Floats print with 17 significant digits so output round-trips exactly.
@@ -12,6 +13,7 @@ import itertools
 import json
 import math
 import sys
+from fractions import Fraction
 
 import hermite_kit as hk
 
@@ -27,6 +29,7 @@ MAX_PARTS_TOTAL = 50_000        # product-integral with three or fewer parts
 MAX_PARTS_TOTAL_FOLDED = 2000   # four or more parts take the slower linearization fold
 MAX_LINEARIZE_TOTAL = 6000      # linearize: --m + --n
 MAX_COEFFS_DEGREE = 50          # wce, deconvolve: exact work grows with it (and sigma's bits)
+MAX_FOURIER_ORDER = 94          # fourier-hermite --order: fourier_hermite_coeffs' default bound
 
 
 def _fmt(x):
@@ -182,7 +185,9 @@ def cmd_graph(args, out):
         sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
         if (edges := (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2) > MAX_KPARTITE_EDGES:
             raise ValueError(f"--parts makes {edges} edges, capped at {MAX_KPARTITE_EDGES}")
-        print(hk.format_edge_list(hk.complete_kpartite(args.parts)), file=out)
+        from .graphs import _kpartite_edges  # format_edge_list's lines, written as generated
+        print(hk.SimpleGraph(sum(sizes), ()).vertex_count, file=out)  # refuses 0 vertices
+        out.writelines(f"{u} {v}\n" for u, v in _kpartite_edges(sizes))
     elif args.graph_command == "product-integral":
         sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
         cap, shape = (MAX_PARTS_TOTAL, "three or fewer") if len(sizes) <= 3 \
@@ -231,13 +236,13 @@ def _read_moments_csv(path):
 
 def cmd_expand(args, out):
     if args.expand_command == "fourier-hermite":
-        mu = args.mu
-
-        def density(x):
-            d = float(x) - mu  # plain floats: d * d overflows to inf, silently
-            return math.exp(-0.5 * (d * d)) / SQRT_TWO_PI
-
-        _emit_series(hk.fourier_hermite_coeffs(density, args.order, args.quad_order), out)
+        if (order := _check_order(args.order, "truncation order")) > MAX_FOURIER_ORDER:
+            raise ValueError(f"--order is capped at {MAX_FOURIER_ORDER}, got {order}")
+        # e^(mu x - mu^2/2) = sum He_n(x) mu^n / n!: N(mu, 1) has a_n = mu^n / (n! sqrt(2 pi)),
+        # sqrt(2 pi) to 40 digits (the float SQRT_TWO_PI is 1.04e-16 low, near half its ulp)
+        mu, norm = Fraction(args.mu), Fraction(2506628274631000502415765284811045253007, 10**39)
+        coeffs = [_rounded(mu**n / math.factorial(n) / norm) for n in range(order + 1)]
+        _emit_series(hk.HermiteSeries(coeffs, hk.DENSITY_WEIGHTED), out)
     elif args.expand_command == "gram-charlier":
         if args.moments_csv is not None:
             mu, sigma, *nu = _read_moments_csv(args.moments_csv)
@@ -337,7 +342,6 @@ def build_parser():
                         help="density-weighted expansion of a shifted Gaussian density")
     e.add_argument("--mu", type=_finite_float, required=True)
     e.add_argument("--order", type=int, default=30)
-    e.add_argument("--quad-order", type=int, default=None)
 
     e = esub.add_parser("gram-charlier", help="Gram-Charlier density value")
     e.add_argument("--mu", type=_finite_float, default=0.0)

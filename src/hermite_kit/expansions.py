@@ -2,7 +2,7 @@
 
 Covers the weighted Fourier-Hermite density expansion, the Gram-Charlier series, scalar
 and tensor Wiener-chaos coefficients, and the numeric check that the weighted Hermite
-functions are Fourier eigenfunctions.  Only the functions that build a rule import numpy.
+functions are Fourier eigenfunctions.  Only the contractions of a table with a rule import numpy.
 """
 
 import functools
@@ -15,10 +15,13 @@ from .exactpoly import _PYTHON_REALS, _check_finite, _check_order, _check_sigma,
 from .polynomials import (
     _LN2,
     MAX_ORDER,
+    PHYSICIST,
     SQRT_TWO_PI,
     _check_rule_order,
     _pairing_column,
     _ldexp,
+    _read_rule,
+    _recurrence,
     _rounded,
     eval_hermite_function,
     hermite_table,
@@ -314,25 +317,25 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     """Max deviation of the numeric Fourier transform of h_n from
     (-i)^n h_n over a grid of frequencies.
 
-    The transform (1/sqrt(2*pi)) int h_n(x) e^{-ikx} dx is split into
-    cos/sin parts and computed against the Gaussian weight, where
-    h_n(x) e^{x^2/2} = H_n(x).  quad_order must be at least 2n + 10.
+    The transform (1/sqrt(2*pi)) int h_n(x) e^{-ikx} dx is computed against the Gaussian
+    weight, where h_n(x) e^{x^2/2} = H_n(x).  The rule mirrors bit for bit and H_n has n's
+    parity, so the other part cancels exactly: plain floats sum cos(kx) (even n) or sin(kx)
+    (odd n) over the nonnegative nodes, weights doubled but the middle node's.  Q >= 2n + 10.
     """
     n = _check_order(n)
     if quad_order is None:  # 2n + 10 points, at least 40; an explicit rule needs 2n + 10
         quad_order = max(_quad_order(n, None, "n", 10), 40)
     rule_order = _quad_order(2 * n + 8, quad_order)
-    import numpy as np
-    from . import quadrature
-
-    rule = quadrature.gauss_hermite_rule(rule_order)
-    eigenvalue = (-1j) ** (n % 4)
-    column = rule.weights * hermite_table(n, rule.nodes, "h")[n]
-    k = np.array([_real(q, "k") for q in k_grid], dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0.0 at an odd rule's centre
-        kx = np.multiply.outer(k, rule.nodes)
-    if not np.isfinite(kx).all():
-        raise OverflowError("k times the quadrature nodes is not finite")
-    transform = (np.cos(kx) @ column - 1j * (np.sin(kx) @ column)) / SQRT_TWO_PI
-    expected = eigenvalue * np.array([eval_hermite_function(n, q, "h") for q in k])
-    return float(np.max(np.abs(transform - expected), initial=0.0))
+    half = rule_order // 2  # the nonnegative half; an odd rule's middle node, 0.0, comes first
+    nodes, weights = (values[half:] for values in _read_rule(rule_order))
+    column = [(w if x == 0.0 else 2.0 * w) * _ldexp(*_recurrence(n, x, PHYSICIST))
+              for x, w in zip(nodes, weights)]
+    trig, sign = math.sin if n % 2 else math.cos, -1.0 if n // 2 % 2 else 1.0
+    residual = 0.0
+    for k in (float(_real(q, "k")) for q in k_grid):
+        if not math.isfinite(k * nodes[-1]):
+            raise OverflowError("k times the quadrature nodes is not finite")
+        transform = math.fsum(c * trig(k * x) for c, x in zip(column, nodes))
+        expected = sign * eval_hermite_function(n, k, PHYSICIST)
+        residual = max(residual, abs(transform / SQRT_TWO_PI - expected))
+    return residual

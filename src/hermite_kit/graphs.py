@@ -220,11 +220,15 @@ def complete_kpartite(part_sizes):
     Vertices are numbered consecutively part by part.
     """
     sizes = [_check_order(s, "part size") for s in part_sizes]
+    return SimpleGraph(vertex_count=sum(sizes), edges=frozenset(_kpartite_edges(sizes)))
+
+
+def _kpartite_edges(sizes):
+    # the edges (u, v), u < v, in ascending order, lazily: each vertex meets every vertex of
+    # the later parts, one range per vertex, not per pair of parts
     start = list(itertools.accumulate(sizes, initial=1))  # part i is start[i] .. start[i+1] - 1
-    # each vertex meets every vertex of the later parts: one range per vertex, not per pair of parts
-    edges = frozenset((u, v) for low, high in itertools.pairwise(start)
-                      for u in range(low, high) for v in range(high, start[-1]))
-    return SimpleGraph(vertex_count=sum(sizes), edges=edges)
+    return ((u, v) for low, high in itertools.pairwise(start)
+            for u in range(low, high) for v in range(high, start[-1]))
 
 
 def count_complete_matches(part_sizes):

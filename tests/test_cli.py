@@ -11,6 +11,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -299,12 +300,20 @@ class TestGraph:
             (2, "", f"error: {message}\n")
 
     def test_kpartite_at_the_edge_cap_is_built(self, capsys, monkeypatch):
-        # 10**6 edges is the cap itself; a stand-in graph keeps the test small
-        calls, kpartite = [], graphs.complete_kpartite
-        monkeypatch.setattr(hermite_kit, "complete_kpartite",
-                            lambda parts: calls.append(parts) or kpartite([1, 1]))
-        assert run_cli(capsys, "graph", "kpartite", "--parts", "1000,1000") == (0, "2\n1 2\n", "")
+        # 10**6 edges is the cap itself; stand-in edges keep the test small
+        calls, edges = [], graphs._kpartite_edges
+        monkeypatch.setattr(graphs, "_kpartite_edges",
+                            lambda sizes: calls.append(sizes) or edges([1, 1]))
+        assert run_cli(capsys, "graph", "kpartite", "--parts", "1000,1000") == \
+            (0, "2000\n1 2\n", "")
         assert calls == [[1000, 1000]]
+
+    @pytest.mark.parametrize("parts", ["2,2", "3", "0,3", "1,2,3", "3,0,1,2"])
+    def test_kpartite_writes_the_graphs_edge_list(self, capsys, parts):
+        # the edges as they are generated are format_edge_list's sorted edges, byte for byte
+        graph = graphs.complete_kpartite([int(s) for s in parts.split(",")])
+        assert run_cli(capsys, "graph", "kpartite", "--parts", parts) == \
+            (0, graphs.format_edge_list(graph) + "\n", "")
 
     @pytest.mark.parametrize("parts, message", [
         ("0,0,50001", "--parts sums to 50001, capped at 50000 for three or fewer parts"),
@@ -663,13 +672,12 @@ class TestExpand:
         assert payload["coeffs"][3] == pytest.approx(0.125 / (6 * SQRT_TWO_PI), rel=1e-10)
 
     @pytest.mark.parametrize("argv, code, out, err", [
-        (("fourier-hermite", "--mu", "1e308", "--order", "3"), 0,
-         '{"convention": "density-weighted", "coeffs": [0.0, 0.0, 0.0, 0.0]}\n',
-         "tail indicator |a_N| sqrt(N!) = 0.000e+00\n"),
+        (("fourier-hermite", "--mu", "1e308", "--order", "3"), 2, "",
+         "error: series coefficients must be finite\n"),
     ], ids=["fourier-hermite"])
     def test_overflowing_integrand_leaves_no_runtime_warning(self, capsys, argv, code, out, err):
-        # the integrand runs in plain floats, where (x - mu)^2 overflows to inf
-        # without a numpy warning on stderr
+        # a_2 = mu^2 / (2 sqrt(2 pi)) is past double range: refused, as wce refuses
+        # one, without a warning on stderr
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_cli(capsys, "expand", *argv)
@@ -677,18 +685,19 @@ class TestExpand:
         assert result[2].startswith(err) and "Warning" not in result[2]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
-    @pytest.mark.parametrize("argv", [
-        ("fourier-hermite", "--mu", "0", "--order", "180"),
-        ("fourier-hermite", "--mu", "1e308", "--order", "198"),
-    ])
-    def test_orders_past_170(self, capsys, argv):
-        # n! leaves double range at n = 171; a 200-point rule serves up to order 198
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, "expand", *argv, "--quad-order", "200")
-        assert code == 0 and "Traceback" not in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(json.loads(out)["coeffs"]) == int(argv[-1]) + 1
+    @pytest.mark.parametrize("mu", [0.0, 0.5, -3.0, 7.0, 50.0, 1e-300])
+    def test_fourier_hermite_prints_the_generating_function_coefficients(self, capsys, mu):
+        # e^(mu x - mu^2/2) = sum He_n(x) mu^n / n!: the N(mu, 1) density has
+        # a_n = mu^n / (n! sqrt(2 pi)), each printed within 1 ulp (2^-1074 for a subnormal)
+        code, out, _ = run_cli(capsys, "expand", "fourier-hermite", f"--mu={mu!r}",
+                               "--order", str(cli.MAX_FOURIER_ORDER))
+        got = json.loads(out)["coeffs"]
+        assert (code, len(got)) == (0, cli.MAX_FOURIER_ORDER + 1)
+        with mpmath.workdps(50):
+            want = [mpmath.mpf(mu) ** n / (mpmath.factorial(n) * mpmath.sqrt(2 * mpmath.pi))
+                    for n in range(cli.MAX_FOURIER_ORDER + 1)]
+            for n, (a, w) in enumerate(zip(got, want)):
+                assert abs(a - w) <= max(math.ulp(float(w)), 2.0**-1074), (n, a, float(w))
 
     @pytest.mark.parametrize("coeffs, order, want", [
         ("0,0,1", 4, [1.0, 0.0, 1.0, 0.0, 0.0]),
@@ -743,35 +752,29 @@ class TestExpand:
                 (0, {"convention": "plain-rv", "coeffs": want})
 
     @pytest.mark.parametrize("argv, message", [
-        (("fourier-hermite", "--mu", "0", "--order", "150"), "order 150 exceeds 94"),
-        (("fourier-check", "--n", "100"), "n 100 exceeds 95"),
-    ])
-    def test_default_rule_limit_names_the_flag(self, capsys, argv, message):
+        # the CLI's cap, where a quadrature rule once set it
+        (("fourier-hermite", "--mu", "0", "--order", "150"), "--order is capped at 94, got 150"),
         # the library's own refusal, which names the argument the rule is sized from
-        code, out, err = run_cli(capsys, "expand", *argv)
-        assert (code, out) == (2, "")
-        assert err == f"error: {message}, the default quadrature's limit\n"
+        (("fourier-check", "--n", "100"), "n 100 exceeds 95, the default quadrature's limit"),
+    ])
+    def test_order_limit_names_the_flag(self, capsys, argv, message):
+        assert run_cli(capsys, "expand", *argv) == (2, "", f"error: {message}\n")
 
     def test_quad_order_flag(self, capsys):
         # an order-4 rule would alias the top coefficients of an order-8 series
-        result = run_cli(capsys, "expand", "fourier-hermite", "--mu", "0.5", "--order", "8",
-                         "--quad-order", "4")
-        assert result == (2, "", "error: quad_order must be at least 10, got 4\n")
-
-        def density(x):  # cmd_expand's, bit for bit
-            d = float(x) - 0.5
-            return math.exp(-0.5 * (d * d)) / SQRT_TWO_PI
-
-        # the flag is honoured: the 10-point rule's coefficients, not the default 28-point rule's
-        series = {q: list(hermite_kit.fourier_hermite_coeffs(density, 8, q).coeffs)
-                  for q in (10, None)}
-        assert series[10] != series[None]
-        for flag, q in ((["--quad-order", "10"], 10), ([], None)):
-            code, out, _ = run_cli(capsys, "expand", "fourier-hermite", "--mu", "0.5",
-                                   "--order", "8", *flag)
-            assert (code, json.loads(out)["coeffs"]) == (0, series[q])
+        with pytest.raises(ValueError, match="quad_order must be at least 10, got 4"):
+            hermite_kit.fourier_hermite_coeffs(math.cos, 8, 4)
+        result = run_cli(capsys, "expand", "fourier-check", "--n", "4", "--quad-order", "17")
+        assert result == (2, "", "error: quad_order must be at least 18, got 17\n")
+        # the flag is honoured: the 18-point rule's residual, not the default 40-point rule's
+        grid = _grid(-3.0, 3.0, 25)
+        residual = {q: hermite_kit.fourier_eigen_check(4, grid, q) for q in (18, None)}
+        assert residual[18] != residual[None]
+        for flag, q in ((["--quad-order", "18"], 18), ([], None)):
+            code, out, _ = run_cli(capsys, "expand", "fourier-check", "--n", "4", *flag)
+            assert (code, float(out)) == (0, residual[q])
         with pytest.raises(SystemExit) as excinfo:  # argparse: invalid int value
-            main(["expand", "fourier-hermite", "--mu", "0", "--order", "2", "--quad-order", "x"])
+            main(["expand", "fourier-check", "--n", "2", "--quad-order", "x"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -790,6 +793,7 @@ class TestExpand:
             assert run_cli(capsys, "expand", *argv) == plain
 
     @pytest.mark.parametrize("argv", [
+        ("fourier-hermite", "--mu", "0.5", "--order", "4"),
         ("wce", "--coeffs", "0,0,1", "--order", "4"),
         ("deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
         ("gram-charlier", "--x", "0.5"),

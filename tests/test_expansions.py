@@ -630,6 +630,19 @@ class TestPastTheFloatFactorial:
             with pytest.raises(ValueError, match="must be finite"):
                 fourier_hermite_coeffs(lambda x: 1e308 * math.exp(-x * x / 200), 180, 200)
 
+    @pytest.mark.parametrize("mu, order", [(0.0, 180), (1e308, 198)])
+    def test_orders_past_170(self, mu, order):
+        # n! leaves double range at n = 171; a 200-point rule serves up to order 198
+
+        def density(x):  # N(mu, 1) in plain floats: d * d overflows to inf, silently
+            d = float(x) - mu
+            return math.exp(-0.5 * (d * d)) / SQRT_TWO_PI
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = fourier_hermite_coeffs(density, order, 200)
+        assert series.truncation == order and all(map(math.isfinite, series.coeffs))
+
     def test_tail_indicator_past_order_170(self):
         for n in (171, 180):  # the bits of n! past 64: odd at 171, even at 180
             series = HermiteSeries(coeffs=(0.0,) * n + (1e-150,), convention=PLAIN_RV)
@@ -910,7 +923,34 @@ class TestDeconvolution:
             gaussian_mixture_deconvolve(ExactPolynomial((1,)), 0)
 
 
+def full_rule_eigen_residual(n, k, quad_order):
+    """|(1/sqrt(2 pi)) sum_i w_i H_n(x_i) e^(-i k x_i) - (-i)^n h_n(k)| over every node of
+    the rule, in complex numpy arithmetic with H_n by numpy's Clenshaw sum, and the sum of
+    the magnitudes of its terms."""
+    rule = gauss_hermite_rule(quad_order)
+    unit = [0] * n + [1]
+    kx = k * rule.nodes
+    terms = rule.weights * np.polynomial.hermite.hermval(rule.nodes, unit) \
+        * (np.cos(kx) - 1j * np.sin(kx)) / SQRT_TWO_PI
+    expected = (-1j) ** n * math.exp(-k * k / 2) * np.polynomial.hermite.hermval(k, unit)
+    return abs(terms.sum() - expected), float(np.abs(terms).sum()) + abs(expected)
+
+
 class TestFourierEigenfunctions:
+    @pytest.mark.parametrize("n", range(31))
+    @pytest.mark.parametrize("odd", [False, True], ids=["default rule", "odd rule"])
+    def test_half_rule_sum_matches_the_full_rule(self, n, odd):
+        # the opposite-parity half cancels exactly on the mirrored rule, so the
+        # half-rule sum differs from the full one by rounding only; an odd rule
+        # has a middle node at 0, whose weight is not doubled
+        quad_order = max(2 * n + 10, 40) + odd
+        norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))  # ||h_n||
+        for k in np.linspace(-3.0, 3.0, 13).tolist():
+            want, scale = full_rule_eigen_residual(n, k, quad_order)
+            got = fourier_eigen_check(n, [k], quad_order if odd else None)
+            assert abs(got - want) <= 4 * 2.0**-52 * scale, (k, got, want, scale)
+            assert got <= 1e-10 * norm  # the transform of h_n is (-i)^n h_n
+
     def test_gaussian_self_transform(self):
         assert fourier_eigen_check(0, [0.0], 40) <= 1e-12
 

@@ -34,8 +34,7 @@ LIMIT_NAME = re.compile(r"MAX_[A-Z0-9_]+|[A-Z0-9_]+_BUDGET")
 # for a limit with a row per input it caps
 FIRST_REFUSED = {
     "polynomials.MAX_ORDER": lambda n: f"gauss_hermite_rule({n + 1})",
-    "(polynomials.MAX_ORDER - 12) // 2":
-        lambda n: f"hermite-kit expand fourier-hermite --mu 0.5 --order {n + 1}",
+    "(polynomials.MAX_ORDER - 12) // 2": lambda n: f"fourier_hermite_coeffs(abs, {n + 1})",
     "(polynomials.MAX_ORDER - 10) // 2": lambda n: f"hermite-kit expand fourier-check --n {n + 1}",
     # the smallest order refused in dimension 4
     "quadrature.CUBATURE_POINT_BUDGET":
@@ -51,6 +50,8 @@ FIRST_REFUSED = {
     "cli.MAX_COEFFS_DEGREE": (
         lambda n: f"hermite-kit expand wce --coeffs {','.join(['1'] * (n + 2))} --order 0",
         lambda n: f"hermite-kit expand deconvolve --coeffs {','.join(['1'] * (n + 2))} --sigma 1"),
+    "cli.MAX_FOURIER_ORDER":
+        lambda n: f"hermite-kit expand fourier-hermite --mu 0.5 --order {n + 1}",
     "cli.MAX_SAMPLES":
         lambda n: f"hermite-kit plotdata --kind poly --xmin 0 --xmax 1 --samples {n + 1}",
     # the smallest order refused at two samples

@@ -69,6 +69,10 @@ def _cli_without_numpy(commands):
 
 _QUADS = [(n, fmt) for n in (1, 2, 3, 200) for fmt in ("csv", "tsv", "json")]
 
+# `expand fourier-hermite --mu 0.5 --order 2`: mu^n / (n! sqrt(2 pi)), correctly rounded (mpmath)
+_FOURIER_HERMITE_HALF_2 = ('{"convention": "density-weighted", "coeffs": '
+                           '[0.3989422804014327, 0.19947114020071635, 0.04986778505017909]}\n')
+
 
 def _quad_output(N, fmt):
     # the stdout of `quad --n N --format fmt`, from gauss_hermite_rule's arrays
@@ -206,6 +210,8 @@ class TestRuleBuilder:
             ["expand", "deconvolve", "--coeffs", "0,0,1", "--sigma", "1"],
             ["expand", "gram-charlier", "--nu3", "0.5", "--nu4", "3.5", "--x", "0.5"],
             ["expand", "gram-charlier", "--moments-csv", str(moments), "--x", "0.5"],
+            ["expand", "fourier-hermite", "--mu", "0.5", "--order", "2"],
+            ["expand", "fourier-check", "--n", "0", "--kmax", "0"],
             ["poly", "--n", "3", "--family", "legendre"],
             ["expand", "deconvolve", "--coeffs", "1,2", "--sigma", "-1"],
             ["expand", "fourier-hermite", "--mu", "0", "--order", "150"],
@@ -217,17 +223,19 @@ class TestRuleBuilder:
             *(["quad", f"--n={n}", f"--format={fmt}"] for n, fmt in _QUADS),
         ]
         results, loaded = _cli_without_numpy(commands)
-        assert [status for status, _, _ in results] == [0] * 12 + [2] * 7 + [3] + [0] * 12
+        assert [status for status, _, _ in results] == [0] * 14 + [2] * 7 + [3] + [0] * 12
         assert results[0][1] == "3,0,-6,0,1\n"
         assert results[4][1] == "20.053026197048002\n"
         assert results[9][1] == "-1,0,1\n"
         assert results[10][1] == results[11][1] != ""
-        assert [err for _, _, err in results[17:19]] == [
+        assert results[12][1] == _FOURIER_HERMITE_HALF_2
+        assert results[13][1] == "1.1102230246251565e-15\n"
+        assert [err for _, _, err in results[19:21]] == [
             "error: quadrature order must be a positive integer, got 0\n",
             "error: quadrature order 201 exceeds the supported maximum 200\n",
         ]
-        assert results[19][2] == "error: line 3: duplicate edge (1, 2)\n"
-        quads = dict(zip(_QUADS, (out for _, out, _ in results[20:])))
+        assert results[21][2] == "error: line 3: duplicate edge (1, 2)\n"
+        quads = dict(zip(_QUADS, (out for _, out, _ in results[22:])))
         assert all(out == _quad_output(*key) for key, out in quads.items())
         golden = {f"quad --n={n}": (n, "csv") for n in (1, 2)}
         golden |= {f"quad --n 3 --format {fmt}": (3, fmt) for fmt in ("csv", "tsv", "json")}
@@ -239,7 +247,7 @@ class TestRuleBuilder:
 
     def test_explicit_rule_order_refusal_runs_without_numpy(self):
         # an explicit order past the largest rule is refused before a rule is built
-        results, _ = _cli_without_numpy([["expand", "fourier-hermite", "--mu", "0", "--order", "2",
+        results, _ = _cli_without_numpy([["expand", "fourier-check", "--n", "2",
                                           "--quad-order", "201"]])
         assert results == [
             [2, "", "error: quadrature order 201 exceeds the supported maximum 200\n"]]
@@ -256,12 +264,19 @@ class TestRuleBuilder:
         (["quad", "--n", "3"], "node,weight\n-1.7320508075688772,0.41777137910516693\n"
                                "0,1.6710855164206673\n1.7320508075688772,0.41777137910516693\n",
          ()),
+        (["graph", "kpartite", "--parts", "2,2"], "4\n1 3\n1 4\n2 3\n2 4\n", ("graphs",)),
+        (["expand", "fourier-hermite", "--mu", "0.5", "--order", "2"], _FOURIER_HERMITE_HALF_2,
+         ("expansions",)),
+        # k = 0 takes no trig function: the bits are the rule table's, on any libm
+        (["expand", "fourier-check", "--n", "0", "--kmax", "0"], "1.1102230246251565e-15\n",
+         ("expansions",)),
     ], ids=["poly", "plotdata series", "expand gram-charlier", "expand wce", "expand deconvolve",
-            "quad"])
+            "quad", "graph kpartite", "expand fourier-hermite", "expand fourier-check"])
     def test_a_cli_process_loads_only_what_it_runs(self, argv, output, modules):
         # a fresh `python -m hermite_kit.cli` process; -v logs every module it
         # imports, those a public name loads through importlib too.  Beside exactpoly and
-        # polynomials, which every subcommand reads, it loads just the modules it runs
+        # polynomials, which every subcommand reads, it loads just the modules it runs,
+        # and no subcommand loads numpy
         result = subprocess.run([sys.executable, "-v", "-m", "hermite_kit.cli", *argv],
                                 capture_output=True, text=True, check=True, env=_CHILD_ENV)
         loaded = set(re.findall(r"^import '([\w.]+)'", result.stderr, re.MULTILINE))
