@@ -1,7 +1,7 @@
 """Command-line interface: the library with machine-readable output.
 
-`expand wce` and `expand fourier-hermite` print exact He coefficients, each rounded once, and
-no subcommand loads numpy: wce_coeffs_1d and fourier_hermite_coeffs stay library calls.
+`expand wce` and `expand fourier-hermite` print exact He coefficients, each rounded once; no
+subcommand loads numpy or takes a rule size (`expand fourier-check` runs the default rule).
 
 Exit codes: 0 success, 2 argument error, 3 unreadable or malformed input file.
 Floats print with 17 significant digits so output round-trips exactly.
@@ -29,7 +29,7 @@ MAX_PARTS_TOTAL = 50_000        # product-integral with three or fewer parts
 MAX_PARTS_TOTAL_FOLDED = 2000   # four or more parts take the slower linearization fold
 MAX_LINEARIZE_TOTAL = 6000      # linearize: --m + --n
 MAX_COEFFS_DEGREE = 50          # wce, deconvolve: exact work grows with it (and sigma's bits)
-MAX_FOURIER_ORDER = 94          # fourier-hermite --order: fourier_hermite_coeffs' default bound
+MAX_FOURIER_ORDER = 94          # fourier-hermite --order: CLI-only; perfbench expects 150 refused
 
 
 def _fmt(x):
@@ -266,12 +266,7 @@ def cmd_expand(args, out):
             coeffs = [_rounded(b) for b in he[:order + 1]] + [0.0] * (order - poly.degree)
             _emit_series(hk.HermiteSeries(coeffs, hk.PLAIN_RV), out)
     else:  # fourier-check
-        try:
-            error = hk.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25),
-                                           args.quad_order)
-        except OverflowError as exc:
-            raise ValueError(f"--kmax {args.kmax:g} is too large: {exc}") from None
-        print(_fmt(error), file=out)
+        print(_fmt(hk.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25))), file=out)
     return 0
 
 
@@ -365,7 +360,6 @@ def build_parser():
     e = esub.add_parser("fourier-check", help="Fourier eigenfunction residual of h_n")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--kmax", type=_finite_float, default=3.0)
-    e.add_argument("--quad-order", type=int, default=None)
     p.set_defaults(func=cmd_expand)
 
     return parser

@@ -32,6 +32,7 @@ from .polynomials import (
 DENSITY_WEIGHTED = "density-weighted"   # f(x) = e^{-x^2/2} sum a_n He_n(x)
 PLAIN_RV = "plain-rv"                   # f(Y) = sum b_n He_n(Y)
 MAX_FACTORIAL_ORDER = 170               # the largest n whose n! is inside double range
+MAX_EIGEN_FREQUENCY = 11                # fourier_eigen_check's default band: |k| <= 11
 
 
 class HermiteSeries(namedtuple("HermiteSeries", "coeffs convention")):
@@ -86,13 +87,13 @@ class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
     __slots__ = ()
 
 
-def _quad_order(order, quad_order=None, what="order", extra=12):
-    # the default, 2 order + extra points, keeps polynomial integrands exact with margin and
-    # past MAX_ORDER names the argument; an explicit rule below order + 2 aliases the top degree
+def _quad_order(order, quad_order):
+    # the expansions' rule: 2 order + 12 points by default, exact on polynomial integrands with
+    # margin and refused past MAX_ORDER; an explicit rule below order + 2 aliases the top degree
     if quad_order is None:
-        if order > (largest := (MAX_ORDER - extra) // 2):
-            raise ValueError(f"{what} {order} exceeds {largest}, the default quadrature's limit")
-        return 2 * order + extra
+        if order > (largest := (MAX_ORDER - 12) // 2):
+            raise ValueError(f"order {order} exceeds {largest}, the default quadrature's limit")
+        return 2 * order + 12
     return _check_rule_order(quad_order, order + 2)
 
 
@@ -162,9 +163,10 @@ def fourier_hermite_coeffs(f, order, quad_order=None):
     """Density-weighted expansion coefficients
     a_n = (1 / (sqrt(2*pi) n!)) int He_n(x) f(x) dx, by whole-line quadrature.
 
-    f is called once per node of the Q-point rule and the Hermite table is
-    contracted with those values, in O(order * Q).  quad_order must be at
-    least order + 2 (defaults to 2*order + 12).
+    f is called once per node of the Q-point rule and the Hermite table is contracted with
+    those values, in O(order * Q).  quad_order must be at least order + 2.  The default,
+    2*order + 12, is sized from the order alone, so mass past its outer node is lost without
+    a warning: N(7, 1) at order 3 gets a_0 = 0.3277, not 0.3989; quad_order=200 gives 0.3989.
     """
     return _contracted_series(f, order, quad_order, DENSITY_WEIGHTED)
 
@@ -320,19 +322,23 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     The transform (1/sqrt(2*pi)) int h_n(x) e^{-ikx} dx is computed against the Gaussian
     weight, where h_n(x) e^{x^2/2} = H_n(x).  The rule mirrors bit for bit and H_n has n's
     parity, so the other part cancels exactly: plain floats sum cos(kx) (even n) or sin(kx)
-    (odd n) over the nonnegative nodes, weights doubled but the middle node's.  Q >= 2n + 10.
+    (odd n) over the nonnegative nodes, weights doubled but the middle node's.  The default rule,
+    MAX_ORDER points, takes n <= 95 and |k| <= MAX_EIGEN_FREQUENCY; an explicit Q >= 2n + 10.
     """
     n = _check_order(n)
-    if quad_order is None:  # 2n + 10 points, at least 40; an explicit rule needs 2n + 10
-        quad_order = max(_quad_order(n, None, "n", 10), 40)
-    rule_order = _quad_order(2 * n + 8, quad_order)
+    if quad_order is None and n > (largest := (MAX_ORDER - 10) // 2):
+        raise ValueError(f"n {n} exceeds {largest}, the default quadrature's limit")
+    rule_order = MAX_ORDER if quad_order is None else _check_rule_order(quad_order, 2 * n + 10)
+    ks, band = [_real(q, "k") for q in k_grid], MAX_EIGEN_FREQUENCY
+    if quad_order is None and (far := [k for k in ks if not abs(k) <= band]):
+        raise ValueError(f"k must be in [-{band}, {band}] on the default rule, got {far[0]!r}")
     half = rule_order // 2  # the nonnegative half; an odd rule's middle node, 0.0, comes first
     nodes, weights = (values[half:] for values in _read_rule(rule_order))
     column = [(w if x == 0.0 else 2.0 * w) * _ldexp(*_recurrence(n, x, PHYSICIST))
               for x, w in zip(nodes, weights)]
     trig, sign = math.sin if n % 2 else math.cos, -1.0 if n // 2 % 2 else 1.0
     residual = 0.0
-    for k in (float(_real(q, "k")) for q in k_grid):
+    for k in map(float, ks):
         if not math.isfinite(k * nodes[-1]):
             raise OverflowError("k times the quadrature nodes is not finite")
         transform = math.fsum(c * trig(k * x) for c, x in zip(column, nodes))

@@ -96,8 +96,9 @@ def integrand_values(f, rule):
     as an array: one call per node, in order.
 
     A cubature point is a row of a freshly built block, so f may keep or
-    modify it.  A value v is float(v - 0.0), which keeps -0.0 and takes an np.bool_; a str,
-    Decimal or complex raises TypeError naming its type, a non-finite value ValueError its index.
+    modify it.  A value v is float(v - 0.0), which keeps -0.0 and takes an np.bool_, or else the
+    int its __index__ gives; a str, Decimal or complex raises TypeError naming its type, and a
+    non-finite value ValueError its index.
     """
     cubature = isinstance(rule, CubatureRule)
     values = np.empty(rule.order ** rule.dimension if cubature else len(rule.weights))
@@ -106,8 +107,7 @@ def integrand_values(f, rule):
         try:
             y = float(v - 0.0)
         except TypeError:
-            _real(v, "integrand value")  # refuses v, naming its type
-            raise
+            y = float(_real(v, "integrand value"))
         if not math.isfinite(y):
             where = f"point index {i}" if cubature else f"node index {i} (x={float(x)!r})"
             raise ValueError(f"integrand returned non-finite value {y!r} at {where}")

@@ -488,11 +488,13 @@ class TestNonFiniteFloats:
         code, out, _ = run_cli(capsys, *argv)
         assert (code, out) == (0, expected)
 
-    @pytest.mark.parametrize("kmax", ["1e308", "-1e308", "5e307"])
-    def test_fourier_check_overflow_names_kmax(self, capsys, kmax):
+    @pytest.mark.parametrize("kmax, first", [("12", "-12.0"), ("1e306", "-1e+306"),
+                                             ("-1e308", "1e+308")])
+    def test_fourier_check_refuses_kmax_past_the_band(self, capsys, kmax, first):
+        # the grid's first point, -kmax, is past the default rule's band
         code, out, err = run_cli(capsys, "expand", "fourier-check", "--n", "3", f"--kmax={kmax}")
         assert (code, out) == (2, "")
-        assert err.startswith("error: --kmax ") and "Traceback" not in err
+        assert err == f"error: k must be in [-11, 11] on the default rule, got {first}\n"
 
     def test_moments_file_names_the_line(self, capsys, tmp_path):
         path = tmp_path / "moments.csv"
@@ -663,6 +665,14 @@ class TestExpand:
         assert code == 0
         assert float(out) <= 1e-6
 
+    @pytest.mark.parametrize("kmax", ["10", "11"])
+    def test_fourier_check_resolves_its_band(self, capsys, kmax):
+        # h_3 is an eigenfunction, so the true residual is 0; a 40-point rule aliases --kmax 10
+        # to 3.369
+        code, out, err = run_cli(capsys, "expand", "fourier-check", "--n", "3", "--kmax", kmax)
+        assert (code, err) == (0, "")
+        assert float(out) < 1e-13
+
     def test_fourier_hermite_series(self, capsys):
         code, out, _ = run_cli(
             capsys, "expand", "fourier-hermite", "--mu", "0.5", "--order", "6"
@@ -764,18 +774,13 @@ class TestExpand:
         # an order-4 rule would alias the top coefficients of an order-8 series
         with pytest.raises(ValueError, match="quad_order must be at least 10, got 4"):
             hermite_kit.fourier_hermite_coeffs(math.cos, 8, 4)
-        result = run_cli(capsys, "expand", "fourier-check", "--n", "4", "--quad-order", "17")
-        assert result == (2, "", "error: quad_order must be at least 18, got 17\n")
-        # the flag is honoured: the 18-point rule's residual, not the default 40-point rule's
+        # the library's explicit rule still counts: the 18-point rule's residual is not the
+        # default 200-point rule's, which the CLI prints
         grid = _grid(-3.0, 3.0, 25)
         residual = {q: hermite_kit.fourier_eigen_check(4, grid, q) for q in (18, None)}
         assert residual[18] != residual[None]
-        for flag, q in ((["--quad-order", "18"], 18), ([], None)):
-            code, out, _ = run_cli(capsys, "expand", "fourier-check", "--n", "4", *flag)
-            assert (code, float(out)) == (0, residual[q])
-        with pytest.raises(SystemExit) as excinfo:  # argparse: invalid int value
-            main(["expand", "fourier-check", "--n", "2", "--quad-order", "x"])
-        assert excinfo.value.code == 2
+        code, out, _ = run_cli(capsys, "expand", "fourier-check", "--n", "4")
+        assert (code, float(out)) == (0, residual[None])
 
     @pytest.mark.parametrize("argv", [
         ("fourier-hermite", "--mu", "0.5", "--order", "4"),
@@ -785,7 +790,7 @@ class TestExpand:
         ("gram-charlier", "--nu3", "0.5", "--nu4", "3.5", "--x", "0.5"),
     ])
     def test_the_environment_is_not_read(self, capsys, monkeypatch, argv):
-        # the rule order is a flag: setting HERMITE_KIT_QUAD_ORDER changes nothing
+        # no rule size is read from anywhere: setting HERMITE_KIT_QUAD_ORDER changes nothing
         plain = run_cli(capsys, "expand", *argv)
         assert plain[0] == 0
         for value in ("0", "4", "201", "not-a-number"):
@@ -793,14 +798,20 @@ class TestExpand:
             assert run_cli(capsys, "expand", *argv) == plain
 
     @pytest.mark.parametrize("argv", [
-        ("fourier-hermite", "--mu", "0.5", "--order", "4"),
-        ("wce", "--coeffs", "0,0,1", "--order", "4"),
-        ("deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
-        ("gram-charlier", "--x", "0.5"),
+        ("poly", "--n", "4"),
+        ("quad", "--n", "4"),
+        ("plotdata", "--kind", "poly", "--xmin", "0", "--xmax", "1", "--samples", "2"),
+        ("graph", "linearize", "--m", "1", "--n", "1"),
+        ("expand", "fourier-hermite", "--mu", "0.5", "--order", "4"),
+        ("expand", "wce", "--coeffs", "0,0,1", "--order", "4"),
+        ("expand", "deconvolve", "--coeffs", "0,0,1", "--sigma", "1"),
+        ("expand", "gram-charlier", "--x", "0.5"),
+        ("expand", "fourier-check", "--n", "4"),
     ])
-    def test_quad_order_is_refused_where_no_rule_is_built(self, capsys, argv):
+    def test_every_subcommand_refuses_quad_order(self, capsys, argv):
+        # no subcommand takes a rule size: fourier-check runs the library's default rule
         with pytest.raises(SystemExit) as excinfo:  # argparse: unrecognized arguments
-            main(["expand", *argv, "--quad-order", "20"])
+            main([*argv, "--quad-order", "20"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --quad-order 20" in capsys.readouterr().err
 

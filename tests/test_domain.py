@@ -140,15 +140,16 @@ REFUSAL = {
                         else None if v > 0 else f"sigma must be positive, got {v!r}"),
     "series coefficients": lambda v: (
         None if math.isfinite(_rounded(v)) else "series coefficients must be finite"),
+    # a frequency past the default rule's band, nan included
+    "k": lambda v: (None if abs(v) <= 11
+                    else f"k must be in [-11, 11] on the default rule, got {v!r}"),
     # a coordinate of RECONSTRUCTION's point: at y = +inf its top terms are inf - inf
     "point": lambda v: (f"point {(0.5, v)!r} has terms of both signs past double range"
                         if _rounded(v) == math.inf else REFUSAL["x"](v)),
 }
 
 # each row takes the float argument under test, for which 0.5 is valid, and
-# names its REFUSAL.  fourier_eigen_check's k is exempt until it is checked
-# against the rule's resolved band (the fourier-check item in ROADMAP.md): a k
-# whose product with a node overflows raises OverflowError.
+# names its REFUSAL.  fourier_eigen_check's k is checked on the default rule only.
 XS = {
     "eval_hermite": ("x", lambda x: eval_hermite(3, x)),
     "eval_hermite(h)": ("x", lambda x: eval_hermite(4, x, "h")),
@@ -182,6 +183,7 @@ XS = {
     # He_2(x) He_1(0) is 0 at every x, also where He_2(x) leaves double range
     "tensor_component(zero factor)": ("x", lambda x: tensor_component((0, 0, 1), (x, 0.0))),
     "wce_reconstruct": ("point", lambda x: wce_reconstruct(RECONSTRUCTION, (0.5, x))),
+    "fourier_eigen_check(k)": ("k", lambda k: fourier_eigen_check(2, [0.5, k])),
 }
 
 # public callables with no order, size, scale or float argument of their own:
@@ -313,7 +315,6 @@ REAL_ARGUMENTS = {
     "tensor_component(degree 0)": ("x", lambda x: tensor_component((0,), (0.5, x))),
     "ExactPolynomial(coefficient)": ("coefficient", lambda c: ExactPolynomial((1, c))),
     "ExactPolynomial * factor": ("factor", lambda c: ExactPolynomial((1, 2)) * c),
-    "fourier_eigen_check(k)": ("k", lambda k: fourier_eigen_check(2, [0.5, k])),
 }
 
 

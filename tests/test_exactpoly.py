@@ -99,6 +99,13 @@ class TestEvaluation:
         p = ExactPolynomial((10**300, 0, 1))
         assert p(2.0) == pytest.approx(1e300, rel=1e-12)
 
+    def test_a_coefficient_past_float_range_is_refused_at_a_float_point(self):
+        # Horner in floats cannot hold it; an exact point keeps the exact value
+        for c in (10**400, Fraction(10**400, 3)):
+            with pytest.raises(ValueError, match="^a coefficient is past float range: "):
+                ExactPolynomial([c])(0.5)
+            assert ExactPolynomial([c])(1) == c
+
     def test_float_evaluation_at_infinity_is_the_limit(self):
         # Horner from the leading coefficient never takes 0.0 * inf
         assert ExactPolynomial((1, 0, 1))(-math.inf) == math.inf

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -941,15 +942,42 @@ class TestFourierEigenfunctions:
     @pytest.mark.parametrize("odd", [False, True], ids=["default rule", "odd rule"])
     def test_half_rule_sum_matches_the_full_rule(self, n, odd):
         # the opposite-parity half cancels exactly on the mirrored rule, so the
-        # half-rule sum differs from the full one by rounding only; an odd rule
-        # has a middle node at 0, whose weight is not doubled
-        quad_order = max(2 * n + 10, 40) + odd
+        # half-rule sum differs from the full one by rounding only; the default rule
+        # is the 200-point one, and an odd rule has a middle node at 0, whose weight
+        # is not doubled
+        quad_order = max(2 * n + 10, 40) + 1 if odd else expansions.MAX_ORDER
         norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))  # ||h_n||
         for k in np.linspace(-3.0, 3.0, 13).tolist():
             want, scale = full_rule_eigen_residual(n, k, quad_order)
             got = fourier_eigen_check(n, [k], quad_order if odd else None)
             assert abs(got - want) <= 4 * 2.0**-52 * scale, (k, got, want, scale)
             assert got <= 1e-10 * norm  # the transform of h_n is (-i)^n h_n
+
+    @given(n=st.integers(0, 95), k=st.floats(-expansions.MAX_EIGEN_FREQUENCY,
+                                             expansions.MAX_EIGEN_FREQUENCY))
+    @settings(max_examples=60, deadline=None)
+    @example(n=3, k=10.0)   # a 40-point rule aliases it to 3.369
+    @example(n=95, k=11.0)  # the band's edge at the largest n
+    def test_default_rule_resolves_its_band(self, n, k):
+        # the transform of h_n is (-i)^n h_n: on the default rule, within the band, the
+        # residual is at most 1e-10 ||h_n||, against the library's h_n and numpy's H_n alike
+        norm = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))  # ||h_n||
+        assert fourier_eigen_check(n, [k]) <= 1e-10 * norm
+        assert full_rule_eigen_residual(n, k, expansions.MAX_ORDER)[0] <= 1e-10 * norm
+
+    @pytest.mark.parametrize("k", [-11.000000000000002, 12, 10**400, Fraction(23, 2), math.inf,
+                                   -math.inf, math.nan])
+    def test_default_rule_refuses_a_frequency_past_its_band(self, k):
+        message = f"k must be in [-11, 11] on the default rule, got {k!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fourier_eigen_check(3, [0.5, k])
+
+    def test_an_explicit_rule_checks_no_band(self):
+        # past the default band, the 200-point rule still resolves k = 12 at n = 3, and a
+        # 40-point rule returns the aliased residual of k = 10 unrefused
+        norm = math.sqrt(2.0**3 * math.factorial(3) * math.sqrt(math.pi))  # ||h_3||
+        assert fourier_eigen_check(3, [12.0], 200) <= 1e-10 * norm
+        assert fourier_eigen_check(3, [10.0], 40) > 0.1 * norm
 
     def test_gaussian_self_transform(self):
         assert fourier_eigen_check(0, [0.0], 40) <= 1e-12

@@ -36,6 +36,8 @@ FIRST_REFUSED = {
     "polynomials.MAX_ORDER": lambda n: f"gauss_hermite_rule({n + 1})",
     "(polynomials.MAX_ORDER - 12) // 2": lambda n: f"fourier_hermite_coeffs(abs, {n + 1})",
     "(polynomials.MAX_ORDER - 10) // 2": lambda n: f"hermite-kit expand fourier-check --n {n + 1}",
+    "expansions.MAX_EIGEN_FREQUENCY":
+        lambda n: f"hermite-kit expand fourier-check --n 0 --kmax {n + 1}",
     # the smallest order refused in dimension 4
     "quadrature.CUBATURE_POINT_BUDGET":
         lambda n: f"tensor_cubature(4, {math.isqrt(math.isqrt(n)) + 1})",
