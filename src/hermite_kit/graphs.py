@@ -1,20 +1,15 @@
 """Matching combinatorics of simple graphs.
 
-j-match counts come from vertex elimination: the lowest remaining vertex v is
-left unmatched or matched to a remaining neighbour u, so over vertex sets S
-p(S, j) = p(S - v, j) + sum_u p(S - v - u, j - 1).  Twins, vertices with equal
-open or closed neighbourhoods, are interchangeable, so the sum takes one
-member per twin class times the class's count.  The memo is keyed on the
-remaining vertex bitmask: n + 1 states for K_n, at most prod (n_i + 1) for
-K_(n_1, ..., n_k).  Classes are eliminated in a greedy frontier order, which
-about halves the states of a random graph against label order.  On K_m the
-elimination is the recurrence p_m = p_(m-1) + (m-1) x p_(m-2), the
-combinatorial proof that K_m's matching polynomial is He_m.  Each table is
-one int of fixed-width slots, so adding tables is one `+` and raising j is
-one shift.  Complete k-partite perfect-match counts have closed forms for two
-and three parts; any other count is the Hermite product integral, folded
-part by part through the He linearization coefficients and closed by the
-three-part form: at most three parts in the thousands take milliseconds.
+j-match counts are tables packed into one int of fixed-width slots: adding
+tables is one `+`, raising j one shift, and a disjoint union's table, the
+product of its components', one `*`.  A connected set with a disconnected
+complement takes Godsil's dual step, alpha(G, x) = sum_k p(G-bar, k)
+He_(n-2k)(x), so cographs, K_n (He_n) among them, need no elimination.  A
+set connected both ways is eliminated on its sparser side.  Complete
+k-partite perfect-match counts have closed forms for two and three parts;
+any other count is the Hermite product integral, folded part by part
+through the He linearization coefficients and closed by the three-part
+form: at most three parts in the thousands take milliseconds.
 """
 
 import itertools
@@ -114,39 +109,85 @@ def format_edge_list(graph):
 
 
 def match_count_table(graph):
-    """All j-match counts (p(G,0), p(G,1), ..., p(G, nu(G))) exactly, by
-    vertex elimination over packed tables: slot j of table(S) holds the
-    j-match count of the subgraph induced on the vertex set S.
+    """All j-match counts (p(G,0), p(G,1), ..., p(G, nu(G))) exactly.
 
-    Twins, vertices with equal open or equal closed neighbourhoods, are
-    interchangeable, so S - v - u and S - v - u' have equal tables for twins
-    u, u'.  Each twin class gets consecutive labels; among the partners of
-    the eliminated vertex a class's lowest member stands for the run of its
-    twins above it, and its sub-table is counted once per twin.  Removing
-    the lowest vertex and such leaders keeps every class's remaining
-    members its top labels, so K_n has n + 1 states and K_(n_1, ..., n_k)
-    at most prod (n_i + 1).  The classes are laid out in frontier order:
-    next the class that leaves the fewest unplaced vertices adjacent to
-    placed ones (the lowest on ties).  Once the labels below i are gone, a
-    state is the rest less part of that frontier, so a random G(20, 0.6)
-    takes 5 900-10 400 states (11 500-17 700 in label order) and a
-    G(24, 0.5) 31 000 (91 000).
-    """
+    A disconnected vertex set multiplies its components' tables; a connected
+    one with a disconnected complement dualizes (`_dual`) the product of its
+    complement's.  A set connected both ways is eliminated (`_eliminate`) on
+    the side with fewer edges in it, G on ties."""
     n = graph.vertex_count
     if n > MAX_MATCH_VERTICES:
         raise ValueError(f"graph has {n} vertices; match counting is "
                          f"guarded at {MAX_MATCH_VERTICES} (exponential beyond)")
-    neighbours = [0] * n
+    neighbours, full = [0] * n, (1 << n) - 1
     for u, v in graph.edges:
         neighbours[u - 1] |= 1 << (v - 1)
         neighbours[v - 1] |= 1 << (u - 1)
+    sides = neighbours, [full ^ mask ^ 1 << v for v, mask in enumerate(neighbours)]
+    # any induced subgraph's counts stay below K_n's, so no product or sum carries
+    width = max(_pairing_column(n, n, shift=0)).bit_length()
+
+    def table(mask, side):  # the packed table of side 0 (G) or 1 (G-bar) induced on mask
+        if (size := mask.bit_count()) == 1:
+            return 1
+        for route in (side, 1 - side):
+            if len(parts := _components(sides[route], mask)) > 1:
+                packed = math.prod(table(part, route) for part in parts)
+                break
+        else:  # prime both ways: G-bar if G has more than half the pairs in mask
+            route = 2 * sum((m & mask).bit_count() for v, m in enumerate(neighbours)
+                            if mask >> v & 1) > size * (size - 1)
+            packed = _eliminate(sides[route], mask, width)
+        return packed if route == side else _dual(packed, size, width)
+
+    packed, slot = table(full, 0), (1 << width) - 1
+    return tuple(packed >> width * j & slot for j in range(-(-packed.bit_length() // width)))
+
+
+def _components(neighbours, mask):  # the vertex masks of the graph's components in mask
+    parts = []
+    while mask:
+        part, todo = 0, mask & -mask
+        while todo:
+            low = todo & -todo
+            part |= low
+            todo = (todo | neighbours[low.bit_length() - 1]) & mask & ~part
+        parts.append(part)
+        mask ^= part
+    return parts
+
+
+def _dual(packed, size, width):
+    """G's table from G-bar's, G on `size` vertices, by Godsil's p(G, j) = sum_k
+    (-1)^k p(G-bar, k) c(size - 2k, j - k), where c(m, i), entry m - 2i of the
+    pairing column, is K_m's i-match count.  The signed terms sum to G's table."""
+    total, slot = 0, (1 << width) - 1
+    for k in range(-(-packed.bit_length() // width)):
+        clique = _pairing_column(size - 2 * k, size - 2 * k, shift=0)[::-2]
+        clique = sum(c << width * (i + k) for i, c in enumerate(clique))
+        total += (-1) ** k * (packed >> width * k & slot) * clique
+    return total
+
+
+def _eliminate(neighbours, mask, width):
+    """The packed table of the graph induced on mask, memoized on the vertices
+    left.  Twins (equal open or closed neighbourhoods) get consecutive labels,
+    and a class's lowest member stands for its twins, counted once per twin:
+    K_n has n + 1 states.  The classes are in frontier order, next the one
+    that leaves the fewest unplaced vertices adjacent to placed ones: a
+    random G(20, 0.6) takes 5 900-10 400 states, 11 500-17 700 in label order.
+    """
+    vertices = [v for v in range(len(neighbours)) if mask >> v & 1]
+    neighbours = [m & mask for m in neighbours]
     false_twins, true_twins = {}, {}
-    for v, mask in enumerate(neighbours):
-        false_twins.setdefault(mask, []).append(v)
-        true_twins.setdefault(mask | 1 << v, []).append(v)
+    for v in vertices:
+        false_twins.setdefault(neighbours[v], []).append(v)
+        true_twins.setdefault(neighbours[v] | 1 << v, []).append(v)
     classes = {}  # lowest member -> (mask, members); a vertex is in at most one class of size > 1
-    for v, mask in enumerate(neighbours):
-        twins = false_twins[mask] if len(false_twins[mask]) > 1 else true_twins[mask | 1 << v]
+    for v in vertices:
+        adjacent = neighbours[v]
+        twins = (false_twins[adjacent] if len(false_twins[adjacent]) > 1
+                 else true_twins[adjacent | 1 << v])
         classes[twins[0]] = sum(1 << u for u in twins), twins
     order, follows, placed, reach = [], 0, 0, 0  # follows: labels whose predecessor is a twin
     while classes:
@@ -158,13 +199,8 @@ def match_count_table(graph):
         order += twins
         placed |= members
         reach |= neighbours[low]
-    label = {v: i for i, v in enumerate(order)}
-    neighbours = [0] * n
-    for u, v in graph.edges:
-        neighbours[label[u - 1]] |= 1 << label[v - 1]
-        neighbours[label[v - 1]] |= 1 << label[u - 1]
-    # any induced subgraph's counts stay below K_n's, so no slot carries
-    width = max(_pairing_column(n, n, shift=0)).bit_length()
+    neighbours = [sum(1 << i for i, u in enumerate(order) if neighbours[v] >> u & 1)
+                  for v in order]
     memo = {0: 1}
 
     def table(mask):  # called only on masks not yet in memo; a table is never 0
@@ -187,11 +223,7 @@ def match_count_table(graph):
         memo[mask] = packed
         return packed
 
-    packed, slot, counts = table((1 << n) - 1), (1 << width) - 1, []
-    while packed:
-        counts.append(packed & slot)
-        packed >>= width
-    return tuple(counts)
+    return table((1 << len(order)) - 1)
 
 
 def count_j_matches(graph, j):
@@ -203,9 +235,9 @@ def count_j_matches(graph, j):
 
 def matching_polynomial(graph):
     """alpha(G, x) = sum_j (-1)^j p(G, j) x^(|v| - 2j), exactly."""
-    m = graph.vertex_count
+    counts, m = match_count_table(graph), graph.vertex_count  # the cap before the list
     coeffs = [0] * (m + 1)
-    for j, p in enumerate(match_count_table(graph)):
+    for j, p in enumerate(counts):
         coeffs[m - 2 * j] = (-1) ** j * p
     return ExactPolynomial(coeffs)
 

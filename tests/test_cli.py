@@ -281,6 +281,15 @@ class TestGraph:
             code, out, _ = run_cli(capsys, "graph", "match-poly", "--file", str(path))
             assert (code, out) == want
 
+    @pytest.mark.parametrize("command", ["match-poly", "matches"])
+    def test_vertex_cap_refuses_before_any_allocation(self, capsys, tmp_path, command):
+        # match-poly once built its coefficient list first: OverflowError, exit 1
+        path = tmp_path / "huge.txt"
+        path.write_text("99999999999999999999\n", encoding="utf-8")
+        assert run_cli(capsys, "graph", command, "--file", str(path)) == (
+            2, "", "error: graph has 99999999999999999999 vertices; "
+                   "match counting is guarded at 24 (exponential beyond)\n")
+
     def test_kpartite_emits_edge_list(self, capsys):
         code, out, _ = run_cli(capsys, "graph", "kpartite", "--parts", "2,2")
         assert code == 0

@@ -1,5 +1,6 @@
 """Matching combinatorics against enumeration, closed forms, and quadrature."""
 
+import contextlib
 import functools
 import itertools
 import math
@@ -93,6 +94,64 @@ def edge_deletion_table(graph):
     return table((1 << len(edges)) - 1)
 
 
+def neighbour_masks(graph):
+    masks = [0] * graph.vertex_count
+    for u, v in graph.edges:
+        masks[u - 1] |= 1 << (v - 1)
+        masks[v - 1] |= 1 << (u - 1)
+    return masks
+
+
+def complement(graph):
+    n = graph.vertex_count
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return SimpleGraph.from_edges(n, [pair for pair in pairs if pair not in graph.edges])
+
+
+def direct_table(graph):
+    """The counts by vertex elimination on the graph itself, the whole vertex
+    set at once: no component split, no complement and no dual step."""
+    n = graph.vertex_count
+    width = max(graphs._pairing_column(n, n, shift=0)).bit_length()
+    packed, counts = graphs._eliminate(neighbour_masks(graph), (1 << n) - 1, width), []
+    while packed:
+        counts.append(packed & (1 << width) - 1)
+        packed >>= width
+    return tuple(counts)
+
+
+def direct_alpha(graph):
+    """alpha(G, x) = sum_j (-1)^j p(G, j) x^(n - 2j) from the direct route's counts."""
+    n, coeffs = graph.vertex_count, [0] * (graph.vertex_count + 1)
+    for j, c in enumerate(direct_table(graph)):
+        coeffs[n - 2 * j] = (-1) ** j * c
+    return ExactPolynomial(coeffs)
+
+
+def is_connected(graph, vertices):
+    """Breadth-first search over the edge set, on the subgraph induced on vertices."""
+    vertices = set(vertices)
+    seen, todo = set(), [min(vertices)]
+    while todo:
+        v = todo.pop()
+        seen.add(v)
+        todo += [u for u in vertices - seen if (min(u, v), max(u, v)) in graph.edges]
+    return seen == vertices
+
+
+@contextlib.contextmanager
+def recorded_routes():
+    """Record each elimination as (neighbour masks, vertex mask) and each dual
+    step as ("dual", size) while match_count_table runs."""
+    calls, eliminate, dual = [], graphs._eliminate, graphs._dual
+    graphs._eliminate = lambda nb, mask, width: calls.append((nb, mask)) or eliminate(nb, mask, width)
+    graphs._dual = lambda packed, size, width: calls.append(("dual", size)) or dual(packed, size, width)
+    try:
+        yield calls
+    finally:
+        graphs._eliminate, graphs._dual = eliminate, dual
+
+
 def part_lowering_count(part_sizes):
     """The combinatorial route to perfect matches of K_(n_1, ..., n_k): a
     vertex of the smallest nonzero part pairs with one of the n_i vertices of
@@ -129,6 +188,32 @@ def simple_graphs(draw, max_vertices):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return SimpleGraph.from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def cographs(draw, max_vertices):
+    """Cographs: single vertices merged two at a time by disjoint union or by
+    join (every edge between the two), on shuffled labels."""
+    n = draw(st.integers(1, max_vertices))
+    groups, edges = [[v] for v in draw(st.permutations(range(1, n + 1)))], []
+    while len(groups) > 1:
+        i = draw(st.integers(0, len(groups) - 2))
+        a, b = groups.pop(i), groups.pop(i)
+        if draw(st.booleans()):
+            edges += [(u, v) for u in a for v in b]
+        groups.append(a + b)
+    return SimpleGraph.from_edges(n, edges)
+
+
+@st.composite
+def disjoint_unions(draw, max_vertices):
+    """Two random graphs side by side on shuffled labels, with the two graphs."""
+    first = draw(simple_graphs(max_vertices // 2))
+    second = draw(simple_graphs(max_vertices - first.vertex_count))
+    n, shift = first.vertex_count + second.vertex_count, first.vertex_count
+    label = dict(enumerate(draw(st.permutations(range(1, n + 1))), start=1))
+    edges = [*first.edges, *((u + shift, v + shift) for u, v in second.edges)]
+    return SimpleGraph.from_edges(n, [(label[u], label[v]) for u, v in edges]), first, second
 
 
 @st.composite
@@ -282,7 +367,125 @@ class TestVertexElimination:
         assert table[:2] == (1, len(edges)) and len(table) <= 13
 
 
+def routed_table(graph):
+    """match_count_table's counts and the routes it took; the counts checked
+    against the direct route, and against enumeration up to 8 vertices."""
+    with recorded_routes() as calls:
+        table = match_count_table(graph)
+    assert table == direct_table(graph)
+    if graph.vertex_count <= 8:
+        assert table == tuple(enumerate_j_matches(graph, j) for j in range(len(table)))
+        assert enumerate_j_matches(graph, len(table)) == 0
+    return table, calls
+
+
+def path(n):
+    return SimpleGraph.from_edges(n, [(v, v + 1) for v in range(1, n)])
+
+
+def cycle(n):
+    return SimpleGraph.from_edges(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+class TestDecompositionRoutes:
+    """Each route of match_count_table: components multiply, a connected set
+    with a disconnected complement is dualized, and only a part connected
+    both ways is eliminated, on its sparser side."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(disjoint_unions(12))
+    def test_components_multiply(self, union):
+        graph, first, second = union
+        table, calls = routed_table(graph)
+        first, second = direct_table(first), direct_table(second)
+        product = [0] * (len(first) + len(second) - 1)
+        for i, a in enumerate(first):
+            for j, b in enumerate(second):
+                product[i + j] += a * b
+        assert table == tuple(product)
+        for call in calls:  # no eliminated part spans the two graphs
+            if call[0] != "dual":
+                vertices = [v + 1 for v in range(graph.vertex_count) if call[1] >> v & 1]
+                assert is_connected(graph, vertices)
+
+    @settings(max_examples=80, deadline=None)
+    @given(cographs(12))
+    def test_cographs_need_no_elimination(self, graph):
+        _, calls = routed_table(graph)
+        assert all(call[0] == "dual" for call in calls)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(simple_graphs(12), simple_graphs(12).map(complement)))
+    def test_prime_parts_are_eliminated_on_the_sparser_side(self, graph):
+        _, calls = routed_table(graph)
+        masks, other = neighbour_masks(graph), complement(graph)
+        for call in calls:
+            if call[0] == "dual":
+                continue
+            nb, mask = call
+            vertices = [v + 1 for v in range(graph.vertex_count) if mask >> v & 1]
+            assert is_connected(graph, vertices) and is_connected(other, vertices)
+            inside = sum(1 for u, v in graph.edges if u in vertices and v in vertices)
+            pairs = math.comb(len(vertices), 2)
+            assert (nb == masks) == (2 * inside <= pairs)  # the side with fewer edges, G on ties
+
+    @pytest.mark.parametrize("graph, routes", [
+        (path(6), ["G"]),
+        (complement(path(6)), ["G-bar", ("dual", 6)]),
+        (cycle(7), ["G"]),
+        (complement(cycle(7)), ["G-bar", ("dual", 7)]),
+        (path(4), ["G"]),  # self-complementary: a tie goes to G
+        (cycle(5), ["G"]),
+        (complete_kpartite([3, 3]), [("dual", 3), ("dual", 3), ("dual", 6)]),
+        (complete_graph(8), [("dual", 8)]),
+        (SimpleGraph.from_edges(2, []), []),  # K_1 + K_1
+        (SimpleGraph.from_edges(1, []), []),
+        (SimpleGraph.from_edges(8, []), []),
+    ])
+    def test_named_routes(self, graph, routes):
+        _, calls = routed_table(graph)
+        masks = neighbour_masks(graph)
+        assert [call if call[0] == "dual" else ("G" if call[0] == masks else "G-bar")
+                for call in calls] == routes
+
+    @settings(max_examples=100, deadline=None)
+    @given(simple_graphs(12))
+    def test_godsil_duality(self, graph):
+        # alpha(G, x) = sum_k p(G-bar, k) He_(n-2k)(x), both sides counted directly
+        n, q = graph.vertex_count, direct_table(complement(graph))
+        dual = sum((c * hermite_explicit(n - 2 * k) for k, c in enumerate(q)), ExactPolynomial())
+        assert direct_alpha(graph) == dual == matching_polynomial(graph)
+
+    def test_direct_route_on_complete_graphs_is_the_hermite_recurrence(self):
+        # eliminated directly, K_m's table is p_m = p_(m-1) + (m-1) x p_(m-2), so He_m
+        for m in range(1, 21):
+            assert direct_alpha(complete_graph(m)) == hermite_recurrence(m)
+
+    def test_dense_graphs_at_the_cap_are_fast(self):
+        # by the complement these take about a millisecond each; eliminated
+        # directly, 0.3-0.8 s each
+        pairs = list(itertools.combinations(range(1, 25), 2))
+        dense = [complement(cycle(24)), complement(path(24))]
+        for seed in range(3):
+            rng = random.Random(seed)
+            dense.append(SimpleGraph.from_edges(24, [e for e in pairs if rng.random() < 0.9]))
+        start = time.perf_counter()
+        tables = [match_count_table(graph) for graph in dense]
+        assert time.perf_counter() - start < 0.5
+        # K_2m minus C_2m: 4, 31, 293, 3326, 44 189 perfect matchings at 2m = 6..14
+        for m, count in zip(range(3, 8), (4, 31, 293, 3326, 44189)):
+            assert match_count_table(complement(cycle(2 * m)))[m] == count
+        assert [t[:2] for t in tables] == [(1, g.edge_count) for g in dense]
+
+
 class TestMatchingPolynomial:
+    def test_vertex_cap_comes_before_the_coefficient_list(self):
+        # a 20-digit vertex count is refused by the cap, not by allocating the list
+        graph = SimpleGraph(vertex_count=99999999999999999999, edges=frozenset())
+        with pytest.raises(ValueError, match="graph has 99999999999999999999 vertices; "
+                                             "match counting is guarded at 24"):
+            matching_polynomial(graph)
+
     def test_edgeless_graph(self):
         graph = SimpleGraph(vertex_count=5, edges=frozenset())
         assert matching_polynomial(graph).coeffs == (0, 0, 0, 0, 0, 1)
