@@ -2,7 +2,8 @@
 
 Covers the weighted Fourier-Hermite density expansion, the Gram-Charlier series, scalar
 and tensor Wiener-chaos coefficients, and the numeric check that the weighted Hermite
-functions are Fourier eigenfunctions.  Only the contractions of a table with a rule import numpy.
+functions are Fourier eigenfunctions.  Only the He tables at a rule's nodes and their
+contractions import numpy.
 """
 
 import functools
@@ -101,10 +102,16 @@ _KEPT_TABLE_BYTES = 2**12   # a larger He table is built for its call, not kept
 
 
 def _table(Q, order):
-    # the read-only table; _rule_table decides whether it is kept
+    # the read-only table, one numpy step per row over all nodes; _rule_table decides whether it
+    # is kept.  At order <= Q - 2, which _quad_order holds, every row is finite at every node
+    import numpy as np
     from . import quadrature
 
-    table = hermite_table(order, quadrature.gauss_hermite_rule(Q).nodes)
+    x = quadrature.gauss_hermite_rule(Q).nodes
+    rows = [np.ones_like(x), x]
+    for k in range(1, order):
+        rows.append(x * rows[k] - k * rows[k - 1])
+    table = np.array(rows[: order + 1])
     table.flags.writeable = False
     return table
 

@@ -235,9 +235,10 @@ def complete_kpartite(part_sizes):
 
 def _kpartite_edges(sizes):
     # the edges (u, v), u < v, in ascending order, lazily: each vertex meets every vertex of
-    # the later parts, one range per vertex, not per pair of parts
+    # the later parts, one range per vertex, not per pair of parts; a part with no vertex after
+    # it is skipped, not walked, so an edgeless graph of any size takes no time
     start = list(itertools.accumulate(sizes, initial=1))  # part i is start[i] .. start[i+1] - 1
-    return ((u, v) for low, high in itertools.pairwise(start)
+    return ((u, v) for low, high in itertools.pairwise(start) if high < start[-1]
             for u in range(low, high) for v in range(high, start[-1]))
 
 

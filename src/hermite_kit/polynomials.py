@@ -1,14 +1,14 @@
 """Chebyshev-Hermite (probabilists') and Hermite (physicists') polynomials.
 
 Exact construction runs over arbitrary-precision integers/rationals; the
-float paths evaluate by forward three-term recurrences on values, never by
-expanding coefficients, which keeps them usable far beyond degree 20.
+float paths evaluate by forward three-term recurrences on values at one real
+x, never by expanding coefficients, which keeps them usable far beyond degree
+20.  Rows at the nodes of a whole rule are expansions' own table.
 """
 
 import math
 import os
 import struct
-import sys
 
 from .exactpoly import ExactPolynomial, _check_order, _real
 
@@ -18,11 +18,11 @@ PHYSICIST = "h"
 _FAMILIES = (PROBABILIST, PHYSICIST)
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-MAX_ORDER = 200  # largest Gauss-Hermite rule, here so that rules are checked without numpy
+MAX_ORDER = 200  # largest Gauss-Hermite rule, here so that rules are checked before any array
 
 
 def _check_rule_order(N, least=1):
-    # N as a Python int from least (a caller's floor) to MAX_ORDER: every rule order, before numpy
+    # N as a Python int from least (a caller's floor) to MAX_ORDER: every rule order, up front
     if (N := _check_order(N, "quadrature order", 1)) < least:
         raise ValueError(f"quad_order must be at least {least}, got {N}")
     if N > MAX_ORDER:
@@ -38,7 +38,7 @@ _RULE_TABLE = os.path.join(os.path.dirname(__file__), "gauss_hermite.bin")
 
 def _read_rule(N):
     # (nodes, weights) of the N-point rule as lists of floats, N as _check_rule_order gives
-    # it, without numpy; the negative half mirrors the stored one, bit for bit
+    # it; the negative half mirrors the stored one, bit for bit
     half, mirrored = (N + 1) // 2, N // 2  # an odd rule's middle node, 0.0, is not mirrored
     with open(_RULE_TABLE, "rb") as table:
         table.seek(16 * (N * N // 4))
@@ -153,7 +153,7 @@ def _recurrence(n_max, x, family, rows=None, log_weight=0.0):
     e**log_weight: (cur, e), the last row as a mantissa over a factor
     2**e.  rows, if given, receives rows 1..n_max as floats.
 
-    Plain float arithmetic, no numpy per step.  The weight starts as
+    Plain float arithmetic.  The weight starts as
     cur * 2**e, and dividing both carried rows by a power of two is exact,
     so rows inside double range keep the plain recurrence's bits, a huge
     row times a tiny weight neither overflows nor underflows on the way,
@@ -216,36 +216,17 @@ def tensor_component(indices, point):
 
 
 def hermite_table(n_max, x, family=PROBABILIST):
-    """Rows He_0(x) .. He_{n_max}(x), or H_0 .. H_{n_max} for family 'h'.
+    """Rows He_0(x) .. He_{n_max}(x), or H_0 .. H_{n_max} for family 'h', as a list.
 
-    He_{k+1} = x He_k - k He_{k-1} and H_{k+1} = 2x H_k - 2k H_{k-1}.  A number
-    x, a numpy scalar too, gives a list from plain float arithmetic; a numpy
-    array of any shape gives one of shape (n_max + 1, *x.shape), one step per
-    row over all entries.  Both give the same bits, and values past double range
-    are infinities with the sign of their own degree.  A nan x raises ValueError;
-    the array form is elementwise, so a nan entry gives a nan column.
+    He_{k+1} = x He_k - k He_{k-1} and H_{k+1} = 2x H_k - 2k H_{k-1}, in plain
+    float arithmetic at one real x.  Values past double range are infinities
+    with the sign of their own degree; a nan x raises ValueError.
     """
     n_max = _check_order(n_max)
     _check_family(family)
-    np = sys.modules.get("numpy")  # an ndarray exists only once numpy is loaded
-    if np is None or not isinstance(x, np.ndarray):
-        rows = [1.0]
-        _recurrence(n_max, _rounded(x), family, rows)
-        return rows
-    if x.dtype.kind not in "iuf":  # as a scalar x: no str, object, complex or bool entries
-        raise TypeError(f"x must be an array of real numbers, got dtype {x.dtype}")
-    x = x.astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b = (2.0 * x, 2.0) if family == PHYSICIST else (x, 1.0)
-        rows = [np.ones_like(x), a]
-        for k in range(1, n_max):
-            rows.append(a * rows[k] - (b * k) * rows[k - 1])
-    table = np.array(rows[: n_max + 1])
-    # columns that left double range, through flat views of any shape: redo them by _recurrence
-    columns, flat = table.reshape(n_max + 1, x.size), x.reshape(x.size)
-    for i in np.flatnonzero(~np.isfinite(columns).all(axis=0) & ~np.isnan(flat)):
-        columns[:, i] = hermite_table(n_max, float(flat[i]), family)
-    return table
+    rows = [1.0]
+    _recurrence(n_max, _rounded(x), family, rows)
+    return rows
 
 
 def eval_hermite(n, x, family=PROBABILIST):

@@ -163,8 +163,13 @@ def tensor_cubature(d, N):
     d = _check_order(d, "dimension", 1)
     base = gauss_hermite_rule(N)  # checks N first, with the 1-d rule's messages
     N = base.order  # a Python int: a numpy N**d could wrap
-    size = N**d
-    if size > CUBATURE_POINT_BUDGET:
+    # N**d has d log2(N) bits, so it is built only where it is small: N >= 2 is over budget from
+    # d = 24 on (2**24 > 10**7), and the refusal names it by its digits where Python prints them
+    if N > 1 and (d >= CUBATURE_POINT_BUDGET.bit_length() or N**d > CUBATURE_POINT_BUDGET):
+        try:
+            size = f"{N**d}" if d <= 2**16 else f"{N}**{d}"
+        except ValueError:  # more digits than Python converts
+            size = f"{N}**{d}"
         raise ValueError(f"cubature of order {N} in dimension {d} needs {size} points, "
                          f"above the budget of {CUBATURE_POINT_BUDGET}")
     if d > MAX_CUBATURE_DIMENSION:  # only N = 1 is here

@@ -7,7 +7,8 @@ checks the file against it.  Nodes start as the eigenvalues of the Jacobi matrix
 of the monic three-term recurrence (zero diagonal, off-diagonals sqrt(1..N-1))
 from numpy's dense symmetric eigensolver (Golub & Welsch 1969).  Newton steps on
 the unit-norm weighted Hermite function then polish every node at once, one
-Hermite-table sweep per step, and the nodes are symmetrized about the origin.
+two-row He recurrence over all nodes per step, and the nodes are symmetrized
+about the origin.
 Weights use the closed form sqrt(2*pi) N! / [N He_{N-1}(x_i)]^2 rewritten in
 the overflow-safe weighted form e^{-x^2/2} / (N psi_{N-1}(x_i)^2).
 
@@ -28,8 +29,7 @@ import numpy as np
 if __name__ == "__main__":  # run as a script: the checkout's hermite_kit, installed or not
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from hermite_kit.polynomials import (
-    _RULE_TABLE, MAX_ORDER, SQRT_TWO_PI, eval_hermite_function, hermite_table)
+from hermite_kit.polynomials import _RULE_TABLE, MAX_ORDER, SQRT_TWO_PI, eval_hermite_function
 from hermite_kit.quadrature import QuadratureRule
 
 _NEWTON_MAX_ITER = 100
@@ -49,11 +49,16 @@ def orthonormal_residual(N, x):
 
 def _orthonormal_pair(n, x):
     # (psi_n(x), psi_{n-1}(x)) at the nodes x, psi_n = he_n / sqrt(sqrt(2 pi) n!),
-    # both O(1) and finite there; n! enters exactly, shifted by an even power of two
+    # both O(1) and finite there; n! enters exactly, shifted by an even power of two.
+    # He_(n-1) and He_n by two rows of the recurrence over all nodes, n >= 1
     f = math.factorial(n)
     shift = max(f.bit_length() - 64, 0) & ~1
     scale = 1.0 / math.sqrt(SQRT_TWO_PI * (f >> shift))
-    prev, cur = hermite_table(n, x)[-2:] * (scale * np.exp(-x * x / 4.0))
+    prev, cur = np.ones_like(x), x
+    for k in range(1, n):
+        prev, cur = cur, x * cur - k * prev
+    weight = scale * np.exp(-x * x / 4.0)
+    prev, cur = prev * weight, cur * weight
     return np.ldexp(cur, -shift // 2), np.ldexp(math.sqrt(n) * prev, -shift // 2)
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import sys
+import time
 import warnings
 from fractions import Fraction
 
@@ -316,6 +317,17 @@ class TestGraph:
         assert run_cli(capsys, "graph", "kpartite", "--parts", "1000,1000") == \
             (0, "2000\n1 2\n", "")
         assert calls == [[1000, 1000]]
+
+    @pytest.mark.parametrize("parts, count", [("1" + "0" * 21, "1" + "0" * 21),
+                                              ("0,0," + "7" * 4000, "7" * 4000), ("0,5,0", "5")],
+                             ids=["10**21", "0,0,4000 digits", "0,5,0"])
+    def test_kpartite_of_one_nonempty_part_prints_the_vertex_count_at_once(self, capsys, parts,
+                                                                           count):
+        # no edges, so the edge cap passes; the one part is not walked vertex by vertex
+        start = time.perf_counter()
+        result = run_cli(capsys, "graph", "kpartite", "--parts", parts)
+        assert time.perf_counter() - start < 1.0
+        assert result == (0, f"{count}\n", "")
 
     @pytest.mark.parametrize("parts", ["2,2", "3", "0,3", "1,2,3", "3,0,1,2"])
     def test_kpartite_writes_the_graphs_edge_list(self, capsys, parts):

@@ -76,7 +76,6 @@ ORDERS = {
     "hermite_explicit": lambda n: hermite_explicit(n, "h"),
     "gram_schmidt_construct": gram_schmidt_construct,
     "hermite_table": lambda n: hermite_table(n, 0.5),
-    "hermite_table(array)": lambda n: hermite_table(n, np.array([0.5, 40.0])),
     "eval_hermite": lambda n: eval_hermite(n, 0.5),
     "eval_hermite_function": lambda n: eval_hermite_function(n, 0.5),
     "gaussian_raw_moment": lambda n: gaussian_raw_moment(n, 0.5, 2.0),
@@ -328,9 +327,6 @@ def test_an_argument_that_is_not_a_real_number_is_refused(name, bad):
     if what == "coefficient" and isinstance(bad, str):  # a decimal string is an exact coefficient
         assert call(bad) == ExactPolynomial((1, Fraction(1, 2)))
         return
-    if name == "hermite_table" and isinstance(bad, np.ndarray):  # the elementwise form
-        assert call(bad).reshape(6).tolist() == hermite_table(5, 0.5)
-        return
     name = {str: "str", complex: "complex", Decimal: "decimal.Decimal", np.bool_: "numpy.bool",
             np.ndarray: "numpy.ndarray"}
     with pytest.raises(TypeError, match=f"^{what} must be a real number, got {name[type(bad)]}$"):
@@ -449,46 +445,14 @@ def test_a_coefficient_that_is_not_finite_is_refused_by_name(bad):
         wce_reconstruct(WCETensorCoeffs(2, tensors), (0.0, 0.0))
 
 
-def test_float_array_is_elementwise():
-    # a nan node gives a nan column, not a refusal; the other columns keep their values
-    table = hermite_table(3, np.array([0.5, math.nan, -math.inf]))
-    assert table[:, 0].tolist() == hermite_table(3, 0.5)
-    assert np.isnan(table[1:, 1]).all()
-    assert table[:, 2].tolist() == hermite_table(3, -math.inf)
-    # 2x overflows at 1e308 without a RuntimeWarning; the column is the scalar one
-    assert hermite_table(3, np.array([1e308]), "h")[:, 0].tolist() == hermite_table(3, 1e308, "h")
-    # any shape, 0-d included, gives (n_max + 1, *x.shape), past double range too
-    x = np.array([[0.5, 1e200, math.nan], [-1e300, 2.0, math.inf]])
-    for nodes in (x, x.T, np.array(1e200), np.array(0.5), x[:, :0]):
-        for family in ("he", "h"):
-            table = hermite_table(3, nodes, family)
-            assert table.shape == (4, *nodes.shape)
-            for index in np.ndindex(nodes.shape):
-                column = table[(slice(None), *index)].tolist()
-                if math.isnan(nodes[index]):
-                    assert np.isnan(column[1:]).all()
-                else:
-                    assert column == hermite_table(3, float(nodes[index]), family)
-
-
-@pytest.mark.parametrize("bad", [np.array(["0.5"]), np.array([Decimal("0.5")]),
-                                 np.array([0.5 + 0j]), np.array([True])],
-                         ids=["str", "Decimal", "complex", "bool"])
-def test_an_array_that_is_not_of_real_numbers_is_refused(bad):
-    # as each entry would be at the scalar door: not parsed, not truncated
-    message = rf"^x must be an array of real numbers, got dtype {re.escape(str(bad.dtype))}$"
-    with pytest.raises(TypeError, match=message):
-        hermite_table(3, bad)
-
-
-def test_integer_arrays_are_their_float_values():
-    for x in (np.array([3, -2], np.int8), np.array([3, 2], np.uint64), np.array([0.5], np.float32)):
-        assert hermite_table(3, x).T.tolist() == [hermite_table(3, float(v)) for v in x]
-
-
 def test_a_zero_dimensional_integer_array_is_the_int_it_holds():
     assert ExactPolynomial((1, np.array(3))) == ExactPolynomial((1, 3))
     assert eval_hermite(3, np.array(2, np.int64)) == eval_hermite(3, 2)
+    # hermite_table too: it takes one real x, and refuses an array of any other shape
+    assert same(hermite_table(4, np.array(3, np.int64), "h"), hermite_table(4, 3, "h"))
+    for x in (np.array([3, -2], np.int8), np.zeros((2, 0))):
+        with pytest.raises(TypeError, match="^x must be a real number, got numpy.ndarray$"):
+            hermite_table(3, x)
 
 
 def test_big_ints_past_double_range_round_once():
@@ -560,6 +524,28 @@ def test_no_module_reads_the_environment():
                 names = []
             reads += [f"{path.name}: {name}" for name in names if name in readers]
     assert reads == []
+
+
+@pytest.mark.parametrize("module", ["polynomials", "exactpoly", "moments", "graphs", "cli"])
+def test_the_scalar_modules_never_name_numpy(module):
+    # no numpy import, no name np or numpy, and no string but a docstring that says numpy:
+    # an array reaches these modules only to be refused, or as the Python numbers it holds
+    import hermite_kit
+
+    tree = ast.parse((pathlib.Path(hermite_kit.__file__).parent / f"{module}.py").read_text())
+    nodes = list(ast.walk(tree))
+    docstrings = {id(node.body[0].value) for node in nodes
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    names = [name for node in nodes for name in (
+        [node.module] if isinstance(node, ast.ImportFrom) else
+        [node.name, node.asname] if isinstance(node, ast.alias) else
+        [node.id] if isinstance(node, ast.Name) else
+        [node.attr] if isinstance(node, ast.Attribute) else [])]
+    strings = [node.value for node in nodes if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and id(node) not in docstrings]
+    assert [name for name in names if name and name.split(".")[0] in ("numpy", "np")] == []
+    assert [string for string in strings if "numpy" in string] == []
 
 
 def test_every_public_method_is_read_outside_its_definition():

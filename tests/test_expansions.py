@@ -28,6 +28,7 @@ from hermite_kit import (
     gauss_hermite_rule,
     gaussian_mixture_deconvolve,
     gram_charlier_density,
+    hermite_table,
     integrate_cubature,
     integrate_weighted,
     integrate_whole_line,
@@ -772,11 +773,25 @@ class TestRuleTableCache:
         assert rule.whole_line_weights.tobytes() == want.tobytes()
         assert rule.whole_line_weights is rule.whole_line_weights
         tables = [expansions._rule_table(Q, order) for Q, order in ((26, 7), (200, 180))]
-        assert np.array_equal(tables[0], expansions.hermite_table(7, rule.nodes))  # kept
+        assert tables[0].T.tolist() == [hermite_table(7, x) for x in rule.nodes.tolist()]  # kept
         assert tables[1].shape == (181, 200)  # built for its call
         for array in (*tables, rule.whole_line_weights):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+    def test_every_table_a_rule_serves_is_finite(self):
+        # the numpy rows need no guard: at the largest order a Q-point rule serves, Q - 2,
+        # every entry is finite without a warning (the largest is 5.4e265, at Q = 200), and
+        # each column holds the scalar kernel's bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = {Q: expansions._table(Q, Q - 2) for Q in range(2, 201)}
+        assert all(np.isfinite(table).all() for table in tables.values())
+        assert 5e265 < max(np.abs(table).max() for table in tables.values()) < 6e265
+        for Q in (2, 3, 17, 64, 131, 199, 200):
+            nodes = gauss_hermite_rule(Q).nodes.tolist()
+            scalar = np.array([hermite_table(Q - 2, x) for x in nodes])
+            assert tables[Q].T.tobytes() == scalar.tobytes(), Q
 
     def test_a_table_past_the_bound_is_returned_but_not_kept(self):
         expansions._kept_table.cache_clear()

@@ -666,6 +666,14 @@ class TestGraphConstruction:
         assert c4.edge_count == 4
         assert (1, 2) not in c4.edges and (3, 4) not in c4.edges
 
+    @pytest.mark.parametrize("parts", [[10**30], [0, 0, 10**30], [0, 10**30, 0]])
+    def test_an_edgeless_graph_of_any_size_is_built_at_once(self, parts):
+        # a part with no vertex after it has no edges and is not walked vertex by vertex
+        start = time.perf_counter()
+        graph = complete_kpartite(parts)
+        assert time.perf_counter() - start < 1.0
+        assert graph == SimpleGraph(10**30, frozenset())
+
     def test_rejects_loops_and_bad_edges(self):
         with pytest.raises(ValueError):
             SimpleGraph(vertex_count=3, edges=frozenset({(2, 2)}))

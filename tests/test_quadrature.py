@@ -609,6 +609,14 @@ class TestCubature:
         with pytest.raises(ValueError, match="needs 19487171 points, above the budget of 10000000$"):
             tensor_cubature(7, 11)
 
+    @pytest.mark.parametrize("d", [20000, 10**12])
+    def test_a_power_past_python_digits_is_refused_by_the_budget(self, d):
+        # 2**d is not built: at d = 20000 its digits are past Python's int-to-str limit,
+        # and at d = 10**12 it would take 125 GB
+        with pytest.raises(ValueError, match=f"^cubature of order 2 in dimension {d} needs "
+                                             f"2\\*\\*{d} points, above the budget of 10000000$"):
+            tensor_cubature(d, 2)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_order_checked_before_the_budget(self, d):
         # (-100)**4 is 1e8 points; the order is refused first, as the 1-d rule refuses it
