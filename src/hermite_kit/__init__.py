@@ -22,11 +22,8 @@ _PUBLIC = {
     "WCETensorCoeffs": "expansions",
     "evaluate_series": "expansions",
     "fourier_eigen_check": "expansions",
-    "fourier_hermite_coeffs": "expansions",
     "gram_charlier_density": "expansions",
     "series_tail_indicator": "expansions",
-    "wce_coeffs_1d": "expansions",
-    "wce_coeffs_multi": "expansions",
     "wce_reconstruct": "expansions",
     "GraphFileError": "graphs",
     "SimpleGraph": "graphs",
@@ -59,11 +56,14 @@ _PUBLIC = {
     "tensor_component": "polynomials",
     "CubatureRule": "quadrature",
     "QuadratureRule": "quadrature",
+    "fourier_hermite_coeffs": "quadrature",
     "gauss_hermite_rule": "quadrature",
     "integrate_cubature": "quadrature",
     "integrate_weighted": "quadrature",
     "integrate_whole_line": "quadrature",
     "tensor_cubature": "quadrature",
+    "wce_coeffs_1d": "quadrature",
+    "wce_coeffs_multi": "quadrature",
 }
 
 __all__ = [*_PUBLIC]

@@ -25,6 +25,13 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
 
     __slots__ = ()
 
+    def __new__(cls, from_basis, to_basis, entries):
+        entries = tuple(map(tuple, entries))  # a caller's lists are copied: the check holds
+        if any(len(row) != len(entries) for row in entries):
+            raise ValueError(f"entries must be square, got row lengths {[*map(len, entries)]}")
+        return super().__new__(cls, from_basis, to_basis, entries)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
     size = property(lambda self: len(self.entries))
 
     def apply(self, coeffs):

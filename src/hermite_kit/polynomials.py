@@ -3,7 +3,7 @@
 Exact construction runs over arbitrary-precision integers/rationals; the
 float paths evaluate by forward three-term recurrences on values at one real
 x, never by expanding coefficients, which keeps them usable far beyond degree
-20.  Rows at the nodes of a whole rule are expansions' own table.
+20.  Rows at the nodes of a whole rule are quadrature's own table.
 """
 
 import math

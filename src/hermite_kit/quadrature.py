@@ -11,17 +11,24 @@ For each N in turn the file holds the nonnegative half of the rule, its
 ceil(N/2) nodes then their weights, as little-endian doubles (161 600 bytes in
 all); the negative half is its mirror image, bit for bit.  Each order is read
 once per process and shared, so its arrays are read-only.
+
+The quadrature-driven expansions, which contract a He table at a rule's nodes with the
+integrand's values, live here too: this is the one module that loads numpy.
 """
 
 import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .exactpoly import _check_order, _real
-from .polynomials import _check_rule_order, _ldexp, _read_rule
+from .expansions import (DENSITY_WEIGHTED, MAX_FACTORIAL_ORDER, PLAIN_RV, HermiteSeries,
+                         WCETensorCoeffs)
+from .polynomials import (MAX_ORDER, SQRT_TWO_PI, _check_rule_order, _ldexp, _read_rule, _rounded,
+                          index_multiplicities)
 
 CUBATURE_POINT_BUDGET = 10**7
 MAX_CUBATURE_DIMENSION = 32  # the most axes np.meshgrid, which builds the points, takes
@@ -97,8 +104,8 @@ def integrand_values(f, rule):
 
     A cubature point is a row of a freshly built block, so f may keep or
     modify it.  A value v is float(v - 0.0), which keeps -0.0 and takes an np.bool_, or else the
-    int its __index__ gives; a str, Decimal or complex raises TypeError naming its type, and a
-    non-finite value ValueError its index.
+    int its __index__ gives, rounded once; a str, Decimal or complex raises TypeError naming its
+    type, and a non-finite value, an int or Fraction past double range too, ValueError its index.
     """
     cubature = isinstance(rule, CubatureRule)
     values = np.empty(rule.order ** rule.dimension if cubature else len(rule.weights))
@@ -106,8 +113,8 @@ def integrand_values(f, rule):
         v = f(x)
         try:
             y = float(v - 0.0)
-        except TypeError:
-            y = float(_real(v, "integrand value"))
+        except (TypeError, OverflowError):  # an int or Fraction past double range is +-inf
+            y = _rounded(_real(v, "integrand value"))
         if not math.isfinite(y):
             where = f"point index {i}" if cubature else f"node index {i} (x={float(x)!r})"
             raise ValueError(f"integrand returned non-finite value {y!r} at {where}")
@@ -175,3 +182,142 @@ def tensor_cubature(d, N):
     if d > MAX_CUBATURE_DIMENSION:  # only N = 1 is here
         raise ValueError(f"dimension must be 1..{MAX_CUBATURE_DIMENSION}, got {d}")
     return CubatureRule(dimension=d, base=base)
+
+
+def _quad_order(order, quad_order):
+    # the expansions' rule: 2 order + 12 points by default, exact on polynomial integrands with
+    # margin and refused past MAX_ORDER; an explicit rule below order + 2 aliases the top degree
+    if quad_order is None:
+        if order > (largest := (MAX_ORDER - 12) // 2):
+            raise ValueError(f"order {order} exceeds {largest}, the default quadrature's limit")
+        return 2 * order + 12
+    return _check_rule_order(quad_order, order + 2)
+
+
+_KEPT_TABLE_BYTES = 2**12   # a larger He table is built for its call, not kept
+
+
+def _table(Q, order):
+    # the read-only table, one numpy step per row over all nodes; _rule_table decides whether it
+    # is kept.  At order <= Q - 2, which _quad_order holds, every row is finite at every node
+    x = gauss_hermite_rule(Q).nodes
+    rows = [np.ones_like(x), x]
+    for k in range(1, order):
+        rows.append(x * rows[k] - k * rows[k - 1])
+    table = np.array(rows[: order + 1])
+    table.flags.writeable = False
+    return table
+
+
+_kept_table = functools.cache(_table)
+
+
+def _rule_table(Q, order):
+    """Rows He_0 .. He_order at the nodes of the cached Q-point rule, read-only.
+
+    A table of at most _KEPT_TABLE_BYTES is kept and shared for the life of
+    the process: with Q <= 200 and order <= Q - 2, at most 1261 tables of
+    2 517 688 bytes (2.4 MiB) in all.  A larger table is built for its call."""
+    return (_kept_table if 8 * (order + 1) * Q <= _KEPT_TABLE_BYTES else _table)(Q, order)
+
+
+@functools.cache
+def _norms():
+    # sqrt(2 pi) n! for n = 0..MAX_FACTORIAL_ORDER, built once per process on first use
+    return tuple(SQRT_TWO_PI * math.factorial(n) for n in range(MAX_FACTORIAL_ORDER + 1))
+
+
+def _normalized(moments):
+    # a 1-d array of moments sqrt(2 pi) n! a_n -> coefficients a_n; past MAX_FACTORIAL_ORDER
+    # n! leaves double range, so a finite moment is divided exactly and inf or nan passes on
+    norms = _norms()
+    return tuple(m / norms[n] if n <= MAX_FACTORIAL_ORDER else m if not math.isfinite(m)
+                 else float(Fraction(m) / (Fraction(SQRT_TWO_PI) * math.factorial(n)))
+                 for n, m in enumerate(moments.tolist()))
+
+
+def _contracted_series(f, order, quad_order, convention):
+    """Series with coefficients (table @ (weights * f(nodes)))_n / (sqrt(2 pi) n!)
+    on the Q-point rule: whole-line weights for DENSITY_WEIGHTED, else plain.
+
+    The contraction goes through _guarded, so a finite coefficient
+    whose terms or moment overflow is kept.  Scaling back saturates: a
+    coefficient past double range becomes a signed inf and is refused.
+    """
+    order = _check_order(order, "truncation order")
+    rule_order = _quad_order(order, quad_order)
+    rule = gauss_hermite_rule(rule_order)
+    values = integrand_values(f, rule)
+    table = _rule_table(rule.order, order)
+    weights = rule.whole_line_weights if convention == DENSITY_WEIGHTED else rule.weights
+    moments, shift = _guarded(lambda v: table @ (weights * v), values)
+    coeffs = _normalized(moments)
+    if shift:
+        coeffs = tuple(_ldexp(c, shift) for c in coeffs)
+    return HermiteSeries(coeffs=coeffs, convention=convention)
+
+
+def fourier_hermite_coeffs(f, order, quad_order=None):
+    """Density-weighted expansion coefficients
+    a_n = (1 / (sqrt(2*pi) n!)) int He_n(x) f(x) dx, by whole-line quadrature.
+
+    f is called once per node of the Q-point rule and the Hermite table is contracted with
+    those values, in O(order * Q).  quad_order must be at least order + 2.  The default,
+    2*order + 12, is sized from the order alone, so mass past its outer node is lost without
+    a warning: N(7, 1) at order 3 gets a_0 = 0.3277, not 0.3989; quad_order=200 gives 0.3989.
+    """
+    return _contracted_series(f, order, quad_order, DENSITY_WEIGHTED)
+
+
+def wce_coeffs_1d(f, order, quad_order=None):
+    """Chaos coefficients b_n = E[He_n(Y) f(Y)] / n! for Y ~ N(0, 1).
+
+    f is called once per node of the Q-point rule, Q >= order + 2.  Cost O(order * Q).
+    """
+    return _contracted_series(f, order, quad_order, PLAIN_RV)
+
+
+MAX_WCE_DIMENSION = 3
+MAX_WCE_ORDER = 4
+
+
+@functools.cache
+def _multiplicities(dimension, rank):
+    # per axis of the moment grid, the multiplicity of that axis at every
+    # index of a rank-`rank` tensor: one fancy index, built once per shape
+    counts = [index_multiplicities(indices, dimension)
+              for indices in itertools.product(range(dimension), repeat=rank)]
+    return tuple(np.reshape(axis, (dimension,) * rank) for axis in zip(*counts))
+
+
+def wce_coeffs_multi(f, dimension, order, quad_order=None):
+    """Rank-n tensors b^(n) = E[He^(n)(Y) f(Y)] / n! for Y ~ N(0, I_d).
+
+    f is called once per point of the Q^d cubature.  Contracting each axis
+    of the values with the 1-d table times the 1-d weights yields every moment
+    E[prod_i He_{m_i}(Y_i) f(Y)] in O(Q^d * d * order); an entry of b^(n)
+    is the moment at its index multiplicities.
+    """
+    if not 1 <= (dimension := _check_order(dimension, "dimension")) <= MAX_WCE_DIMENSION:
+        raise ValueError(f"dimension must be 1..{MAX_WCE_DIMENSION}, got {dimension!r}")
+    if (order := _check_order(order, "order")) > MAX_WCE_ORDER:
+        raise ValueError(f"order must be 0..{MAX_WCE_ORDER}, got {order!r}")
+    rule_order = _quad_order(order, quad_order)
+    rule = tensor_cubature(dimension, rule_order)
+    table = _rule_table(rule.order, order) * rule.base.weights  # the 1-d table times 1-d weights
+
+    def contracted(values):
+        moments = values.reshape((rule.order,) * dimension)
+        for _ in range(dimension):
+            # contracts the leading node axis and appends a degree axis
+            moments = np.tensordot(moments, table, axes=([0], [1]))
+        return moments
+
+    moments, shift = _guarded(contracted, integrand_values(f, rule))
+    normalization = (2.0 * math.pi) ** (dimension / 2.0)
+    tensors = [moments[_multiplicities(dimension, rank)] / (normalization * math.factorial(rank))
+               for rank in range(order + 1)]
+    if shift:  # scaling back saturates: an entry past double range becomes +-inf
+        with np.errstate(over="ignore"):
+            tensors = [np.ldexp(tensor, shift) for tensor in tensors]
+    return WCETensorCoeffs(dimension=dimension, tensors=tuple(tensors))

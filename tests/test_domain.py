@@ -95,6 +95,7 @@ ORDERS = {
     "tensor_cubature(dimension)": lambda n: tensor_cubature(n, 2),
     "tensor_cubature(order)": lambda n: tensor_cubature(2, n),
     "SimpleGraph": lambda n: SimpleGraph(n, frozenset({(1, 2)})),
+    "WCETensorCoeffs": lambda n: WCETensorCoeffs(n, (1.0,)),
     "count_j_matches": lambda n: count_j_matches(complete_graph(4), n),
     "complete_graph": complete_graph,
     "complete_kpartite": lambda n: complete_kpartite([2, n]),
@@ -189,9 +190,9 @@ XS = {
 # they take graphs, callables, rules or text, or are records and errors
 NO_NUMERIC_ARGUMENT = {
     "ChangeOfBasisMatrix", "CubatureRule", "GraphFileError", "QuadratureRule",
-    "WCETensorCoeffs", "compose", "format_edge_list", "integrate_cubature",
-    "integrate_weighted", "integrate_whole_line", "match_count_table",
-    "matching_polynomial", "parse_edge_list", "series_tail_indicator",
+    "compose", "format_edge_list", "integrate_cubature", "integrate_weighted",
+    "integrate_whole_line", "match_count_table", "matching_polynomial",
+    "parse_edge_list", "series_tail_indicator",
 }
 
 
@@ -526,7 +527,8 @@ def test_no_module_reads_the_environment():
     assert reads == []
 
 
-@pytest.mark.parametrize("module", ["polynomials", "exactpoly", "moments", "graphs", "cli"])
+@pytest.mark.parametrize("module",
+                         ["polynomials", "exactpoly", "expansions", "moments", "graphs", "cli"])
 def test_the_scalar_modules_never_name_numpy(module):
     # no numpy import, no name np or numpy, and no string but a docstring that says numpy:
     # an array reaches these modules only to be refused, or as the Python numbers it holds
@@ -546,6 +548,28 @@ def test_the_scalar_modules_never_name_numpy(module):
                and isinstance(node.value, str) and id(node) not in docstrings]
     assert [name for name in names if name and name.split(".")[0] in ("numpy", "np")] == []
     assert [string for string in strings if "numpy" in string] == []
+
+
+def test_only_quadrature_imports_numpy_and_every_import_is_at_module_level():
+    # one module decides what loads numpy; a function-local import would hide a second
+    # door, so the one kept is cli's graphs import, which only the graph subcommands need
+    import hermite_kit
+
+    numpy_imports, local_imports = [], []
+    for path in sorted(pathlib.Path(hermite_kit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) \
+                else [node.module or ""]
+            if any(name.split(".")[0] == "numpy" for name in names):
+                numpy_imports.append((path.name, id(node) in top))
+            if id(node) not in top:
+                local_imports.append(f"{path.name}: {ast.unparse(node)}")
+    assert numpy_imports == [("quadrature.py", True)]
+    assert local_imports == ["cli.py: from .graphs import _kpartite_edges"]
 
 
 def test_every_public_method_is_read_outside_its_definition():

@@ -39,8 +39,8 @@ from hermite_kit import (
     wce_reconstruct,
     weierstrass_preimage_polynomial,
 )
-from hermite_kit import cli, expansions
-from hermite_kit.expansions import _multiplicities, _normalized
+from hermite_kit import cli, expansions, quadrature
+from hermite_kit.quadrature import _multiplicities, _normalized
 from hermite_kit.polynomials import hermite_explicit
 from hermite_kit.polynomials import index_multiplicities
 from tensor_oracles import tensor_component_recursive
@@ -543,7 +543,7 @@ class TestOverflowingMoments:
             warnings.simplefilter("error")
             series = wce_coeffs_1d(f, 1, 3)
         rule = gauss_hermite_rule(3)
-        moments = expansions._rule_table(3, 1) @ (rule.weights * np.array([f(y) for y in rule.nodes]))
+        moments = quadrature._rule_table(3, 1) @ (rule.weights * np.array([f(y) for y in rule.nodes]))
         with np.errstate(over="ignore"):
             assert np.isfinite(moments).all() and moments.sum() == math.inf
         assert series.coeffs == _normalized(moments)
@@ -734,7 +734,7 @@ def _bits(result):
 def _small_keys():
     # every (Q, order) a built rule serves whose table the cache keeps, in order of Q
     return [(Q, order) for Q in range(2, 201) for order in range(Q - 1)
-            if 8 * (order + 1) * Q <= expansions._KEPT_TABLE_BYTES]
+            if 8 * (order + 1) * Q <= quadrature._KEPT_TABLE_BYTES]
 
 
 _CHAOS_INTEGRAND = lambda y: math.sin(y) + 0.25 * y**3
@@ -745,21 +745,21 @@ class TestRuleTableCache:
     when it is at most 4 KiB, and built for its call when larger."""
 
     def test_cached_results_are_the_cold_ones_bit_for_bit(self):
-        expansions._kept_table.cache_clear()
+        quadrature._kept_table.cache_clear()
         density = shifted_gaussian(0.3)
         calls = [(fourier_hermite_coeffs, density, order) for order in range(95)]
         calls += [(wce_coeffs_1d, _CHAOS_INTEGRAND, order) for order in range(95)]
         # the first pass fills the cache, the second reads the kept tables
         warm = [[_bits(expand(f, order)) for expand, f, order in calls] for _ in range(2)]
         for (expand, f, order), first, second in zip(calls, *warm):
-            expansions._kept_table.cache_clear()
+            quadrature._kept_table.cache_clear()
             assert first == second == _bits(expand(f, order)), (expand.__name__, order)
 
     def test_chaos_tensors_share_the_one_dimensional_tables(self):
         f = lambda p: p[0] ** 2 * p[-1] + math.cos(p[0])
-        info = expansions._kept_table.cache_info
+        info = quadrature._kept_table.cache_info
         for dimension, order in itertools.product((1, 2, 3), range(5)):
-            expansions._kept_table.cache_clear()
+            quadrature._kept_table.cache_clear()
             cold = _bits(wce_coeffs_multi(f, dimension, order))
             assert (info().hits, info().misses, info().currsize) == (0, 1, 1)
             wce_coeffs_1d(_CHAOS_INTEGRAND, order)  # a hit on the same entry
@@ -772,7 +772,7 @@ class TestRuleTableCache:
             want = rule.weights * np.exp(0.5 * rule.nodes**2)
         assert rule.whole_line_weights.tobytes() == want.tobytes()
         assert rule.whole_line_weights is rule.whole_line_weights
-        tables = [expansions._rule_table(Q, order) for Q, order in ((26, 7), (200, 180))]
+        tables = [quadrature._rule_table(Q, order) for Q, order in ((26, 7), (200, 180))]
         assert tables[0].T.tolist() == [hermite_table(7, x) for x in rule.nodes.tolist()]  # kept
         assert tables[1].shape == (181, 200)  # built for its call
         for array in (*tables, rule.whole_line_weights):
@@ -785,7 +785,7 @@ class TestRuleTableCache:
         # each column holds the scalar kernel's bits
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tables = {Q: expansions._table(Q, Q - 2) for Q in range(2, 201)}
+            tables = {Q: quadrature._table(Q, Q - 2) for Q in range(2, 201)}
         assert all(np.isfinite(table).all() for table in tables.values())
         assert 5e265 < max(np.abs(table).max() for table in tables.values()) < 6e265
         for Q in (2, 3, 17, 64, 131, 199, 200):
@@ -794,33 +794,33 @@ class TestRuleTableCache:
             assert tables[Q].T.tobytes() == scalar.tobytes(), Q
 
     def test_a_table_past_the_bound_is_returned_but_not_kept(self):
-        expansions._kept_table.cache_clear()
+        quadrature._kept_table.cache_clear()
         # 8 (order + 1) Q bytes: 2400 and exactly 4096 are kept, 4608 and up are not
-        kept = [expansions._rule_table(Q, order) for Q, order in ((30, 9), (64, 7))]
-        large = [expansions._rule_table(Q, order) for Q, order in ((64, 8), (200, 180))]
+        kept = [quadrature._rule_table(Q, order) for Q, order in ((30, 9), (64, 7))]
+        large = [quadrature._rule_table(Q, order) for Q, order in ((64, 8), (200, 180))]
         assert [table.nbytes for table in kept + large] == [2400, 4096, 4608, 8 * 181 * 200]
         assert not any(table.flags.writeable for table in kept + large)
-        assert expansions._kept_table.cache_info().currsize == 2
-        assert expansions._rule_table(30, 9) is kept[0] and expansions._rule_table(64, 7) is kept[1]
-        again = expansions._rule_table(64, 8)
+        assert quadrature._kept_table.cache_info().currsize == 2
+        assert quadrature._rule_table(30, 9) is kept[0] and quadrature._rule_table(64, 7) is kept[1]
+        again = quadrature._rule_table(64, 8)
         assert again is not large[0] and again.tobytes() == large[0].tobytes()
-        assert expansions._kept_table.cache_info().currsize == 2
+        assert quadrature._kept_table.cache_info().currsize == 2
 
     def test_kept_tables_stay_within_the_byte_bound(self):
         # the key space is finite, so the cache is bounded without evicting
-        expansions._kept_table.cache_clear()
+        quadrature._kept_table.cache_clear()
         total = 0
         for Q in range(2, 201):
             for order in range(Q - 1):
-                size = expansions._kept_table.cache_info().currsize
-                table = expansions._rule_table(Q, order)
-                if expansions._kept_table.cache_info().currsize == size:  # not kept
+                size = quadrature._kept_table.cache_info().currsize
+                table = quadrature._rule_table(Q, order)
+                if quadrature._kept_table.cache_info().currsize == size:  # not kept
                     assert table.nbytes > 4096
                     break  # the tables only grow with the order
                 total += table.nbytes
-        assert expansions._kept_table.cache_info().currsize == len(_small_keys()) == 1261
+        assert quadrature._kept_table.cache_info().currsize == len(_small_keys()) == 1261
         assert total == 2_517_688 <= 2.41 * 2**20
-        expansions._kept_table.cache_clear()
+        quadrature._kept_table.cache_clear()
 
     @staticmethod
     def _in_four_threads(run):
@@ -840,7 +840,7 @@ class TestRuleTableCache:
                  for expand, f in ((fourier_hermite_coeffs, density),
                                    (wce_coeffs_1d, _CHAOS_INTEGRAND))]
         serial = {(expand, order): _bits(expand(f, order)) for expand, f, order in calls}
-        expansions._kept_table.cache_clear()
+        quadrature._kept_table.cache_clear()
         results = self._in_four_threads(
             lambda: [((expand, order), _bits(expand(f, order))) for expand, f, order in calls])
         for key, bits in itertools.chain.from_iterable(results):
@@ -850,15 +850,15 @@ class TestRuleTableCache:
         # every small table, missed by four threads together: each key ends with one
         # kept entry, and every thread got the serial table's bits
         keys = _small_keys()
-        serial = [expansions._table(*key).tobytes() for key in keys]
-        expansions._kept_table.cache_clear()
-        results = self._in_four_threads(lambda: [expansions._rule_table(*key) for key in keys])
-        assert expansions._kept_table.cache_info().currsize == len(keys)
+        serial = [quadrature._table(*key).tobytes() for key in keys]
+        quadrature._kept_table.cache_clear()
+        results = self._in_four_threads(lambda: [quadrature._rule_table(*key) for key in keys])
+        assert quadrature._kept_table.cache_info().currsize == len(keys)
         for tables in results:
             assert [table.tobytes() for table in tables] == serial
-        kept = [expansions._rule_table(*key) for key in keys]  # hits now
+        kept = [quadrature._rule_table(*key) for key in keys]  # hits now
         assert [table.tobytes() for table in kept] == serial
-        expansions._kept_table.cache_clear()
+        quadrature._kept_table.cache_clear()
 
 
 def gaussian_blur(coeffs, sigma):

@@ -42,8 +42,8 @@ FIRST_REFUSED = {
     "quadrature.CUBATURE_POINT_BUDGET":
         lambda n: f"tensor_cubature(4, {math.isqrt(math.isqrt(n)) + 1})",
     "quadrature.MAX_CUBATURE_DIMENSION": lambda n: f"tensor_cubature({n + 1}, 1)",
-    "expansions.MAX_WCE_DIMENSION": lambda n: f"wce_coeffs_multi(sum, {n + 1}, 1)",
-    "expansions.MAX_WCE_ORDER": lambda n: f"wce_coeffs_multi(sum, 1, {n + 1})",
+    "quadrature.MAX_WCE_DIMENSION": lambda n: f"wce_coeffs_multi(sum, {n + 1}, 1)",
+    "quadrature.MAX_WCE_ORDER": lambda n: f"wce_coeffs_multi(sum, 1, {n + 1})",
     "expansions.MAX_FACTORIAL_ORDER":
         lambda n: f"gram_charlier_density(StandardizedMoments(0, 1), {n + 1}, 0)",
     "graphs.MAX_MATCH_VERTICES": lambda n: f"match_count_table(complete_graph({n + 1}))",

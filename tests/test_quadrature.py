@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 
 import hermite_kit
 from hermite_kit import (
+    fourier_hermite_coeffs,
     gauss_hermite_rule,
     integrate_cubature,
     integrate_weighted,
     integrate_whole_line,
     tensor_cubature,
+    wce_coeffs_1d,
     wce_coeffs_multi,
 )
 from golden import regen
@@ -279,17 +281,13 @@ class TestRuleBuilder:
         assert not {"__future__", "numpy"} & loaded
 
     def test_default_rule_refusals_run_without_numpy(self):
-        # the library sizes and checks every rule, explicit or default, and the default
-        # rule's band, before it imports numpy or quadrature
+        # fourier_eigen_check sizes and checks its rule, explicit or default, and the
+        # default rule's band, in plain floats: it never imports numpy or quadrature
         code = "\n".join([
             "import sys",
             "sys.modules['numpy'] = None",
             "import hermite_kit as hk",
-            "for call in (lambda: hk.fourier_hermite_coeffs(abs, 95),",
-            "             lambda: hk.wce_coeffs_1d(abs, 95),",
-            "             lambda: hk.fourier_eigen_check(96, [1.0]),",
-            "             lambda: hk.wce_coeffs_multi(abs, 4, 1),",
-            "             lambda: hk.wce_coeffs_multi(abs, 2, 1, 201),",
+            "for call in (lambda: hk.fourier_eigen_check(96, [1.0]),",
             "             lambda: hk.fourier_eigen_check(2, [1.0], 201),",
             "             lambda: hk.fourier_eigen_check(2, [12.0])):",
             "    try:",
@@ -300,14 +298,25 @@ class TestRuleBuilder:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                 text=True, check=True, env=_CHILD_ENV)
         assert result.stdout.splitlines() == [
-            "order 95 exceeds 94, the default quadrature's limit",
-            "order 95 exceeds 94, the default quadrature's limit",
             "n 96 exceeds 95, the default quadrature's limit",
-            "dimension must be 1..3, got 4",
-            "quadrature order 201 exceeds the supported maximum 200",
             "quadrature order 201 exceeds the supported maximum 200",
             "k must be in [-11, 11] on the default rule, got 12.0",
         ]
+
+    def test_expansion_refusals_come_before_the_integrand(self):
+        # the quadrature-driven expansions size and check their rule before they call f
+        called = []
+        for call, message in [
+                (lambda: fourier_hermite_coeffs(called.append, 95),
+                 "order 95 exceeds 94, the default quadrature's limit"),
+                (lambda: wce_coeffs_1d(called.append, 95),
+                 "order 95 exceeds 94, the default quadrature's limit"),
+                (lambda: wce_coeffs_multi(called.append, 4, 1), "dimension must be 1..3, got 4"),
+                (lambda: wce_coeffs_multi(called.append, 2, 1, 201),
+                 "quadrature order 201 exceeds the supported maximum 200")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        assert called == []
 
     def test_rule_limit_is_shared_with_polynomials(self):
         # expansions sizes and checks a rule, and the CLI checks a rule order,
@@ -747,6 +756,18 @@ class TestIntegrandValues:
                                 (integrate_whole_line, gauss_hermite_rule(4)),
                                 (integrate_cubature, tensor_cubature(2, 3))]:
             assert integrate(lambda x: Count(), rule) == integrate(lambda x: 3, rule)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400)],
+                             ids=["int", "negative int", "Fraction"])
+    def test_values_past_double_range_are_refused_by_index(self, value):
+        # float(v - 0.0) overflows here: the value is rounded once, to a signed inf
+        prefix = f"^integrand returned non-finite value {'-inf' if value < 0 else 'inf'} at "
+        for call, where in [(lambda f: integrate_weighted(f, gauss_hermite_rule(3)), "node"),
+                            (lambda f: integrate_whole_line(f, gauss_hermite_rule(3)), "node"),
+                            (lambda f: integrate_cubature(f, tensor_cubature(2, 2)), "point"),
+                            (lambda f: fourier_hermite_coeffs(f, 2), "node")]:
+            with pytest.raises(ValueError, match=prefix + where + " index 0"):
+                call(lambda x: value)
 
     def test_a_type_error_inside_the_integrand_is_not_replaced(self):
         def f(x):

@@ -67,11 +67,13 @@ class TestRecord:
 
 def test_records_hold_tuples():
     # a caller's list is copied: changing it later cannot get past the checks
-    coeffs, nu = [1.0], [0.5]
+    coeffs, nu, rows = [1.0], [0.5], [[1, 0], [0, 1]]
     series, moments = HermiteSeries(coeffs, PLAIN_RV), StandardizedMoments(0.0, 1.0, nu)
+    matrix = ChangeOfBasisMatrix("he", "monomial", rows)
     coeffs.append(math.inf)
     nu.append(math.nan)
-    assert (series.coeffs, moments.nu) == ((1.0,), (0.5,))
+    rows[1].append(5)
+    assert (series.coeffs, moments.nu, matrix.entries) == ((1.0,), (0.5,), ((1, 0), (0, 1)))
     with pytest.raises(AttributeError):
         series.coeffs.append(math.inf)
 
@@ -154,7 +156,12 @@ def test_built_records_compare_by_value():
     (HermiteSeries, ((1.0,), PLAIN_RV), [((), PLAIN_RV), ((1.0,), "bogus"), ((math.inf,), PLAIN_RV)]),
     (StandardizedMoments, (0.0, 1.0, ()), [(0.0, 0.0, ()), (0.0, math.nan, ())]),
     (SimpleGraph, (2, frozenset({(1, 2)})), [(0, frozenset()), (2, frozenset({(2, 1)}))]),
-], ids=["HermiteSeries", "StandardizedMoments", "SimpleGraph"])
+    (WCETensorCoeffs, (1, (np.array(1.0), np.zeros(1))),
+     [(0, ()), (2, (np.array(1.0), np.zeros(1)))]),
+    (ChangeOfBasisMatrix, ("he", "monomial", ((1, 0), (0, 1))),
+     [("he", "monomial", ((1, 0), (0,)))]),
+], ids=["HermiteSeries", "StandardizedMoments", "SimpleGraph", "WCETensorCoeffs",
+        "ChangeOfBasisMatrix"])
 def test_make_and_replace_validate(cls, fields, bad):
     record = cls._make(fields)
     assert record == cls(*fields) and type(record) is cls
@@ -174,3 +181,17 @@ def test_replace_of_one_field_is_checked():
     with pytest.raises(ValueError, match="^sigma must be positive, got -2.0$"):
         StandardizedMoments(0.0, 1.0)._replace(sigma=-2.0)
     assert StandardizedMoments(0.0, 1.0)._replace(nu=(0.5,)).nu == (0.5,)
+
+
+@pytest.mark.parametrize("build, message", [
+    # a ragged matrix would apply and compose truncated, as if its missing entries were 0
+    (lambda: ChangeOfBasisMatrix("monomial", "he", ((1, 2), (3,))),
+     r"entries must be square, got row lengths \[2, 1\]"),
+    # a misshapen tensor would be indexed past its end by wce_reconstruct
+    (lambda: WCETensorCoeffs(2, (np.array(1.0), np.zeros(1))),
+     r"tensor b\^\(1\) must have shape \(2,\), got \(1,\)"),
+    (lambda: WCETensorCoeffs(0, ()), "dimension must be a positive integer, got 0"),
+], ids=["ragged matrix", "misshapen tensor", "no dimension"])
+def test_malformed_records_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
