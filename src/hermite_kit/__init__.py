@@ -25,18 +25,15 @@ _PUBLIC = {
     "gram_charlier_density": "expansions",
     "series_tail_indicator": "expansions",
     "wce_reconstruct": "expansions",
-    "GraphFileError": "graphs",
     "SimpleGraph": "graphs",
     "complete_graph": "graphs",
     "complete_kpartite": "graphs",
     "count_complete_matches": "graphs",
     "count_j_matches": "graphs",
-    "format_edge_list": "graphs",
     "hermite_product_integral": "graphs",
     "linearization_coeffs": "graphs",
     "match_count_table": "graphs",
     "matching_polynomial": "graphs",
-    "parse_edge_list": "graphs",
     "partite_closed_form": "graphs",
     "ChangeOfBasisMatrix": "moments",
     "change_of_basis": "moments",

@@ -12,6 +12,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ MAX_PARTS_TOTAL_FOLDED = 2000   # four or more parts take the slower linearizati
 MAX_LINEARIZE_TOTAL = 6000      # linearize: --m + --n
 MAX_COEFFS_DEGREE = 50          # wce, deconvolve: exact work grows with it (and sigma's bits)
 MAX_FOURIER_ORDER = 94          # fourier-hermite --order: CLI-only; perfbench expects 150 refused
+_EXPONENT = re.compile(r"e([-+]?\d+(_\d+)*)\Z", re.IGNORECASE)  # as Fraction reads it
 
 
 def _fmt(x):
@@ -92,6 +94,17 @@ def _finite_float(text):
 
 def _parse_number_list(text):
     return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
+
+
+def _exact_coefficient(text):
+    # a --coeffs token as an exact Fraction; Fraction builds 10**e, so a huge e is refused first
+    limit = sys.get_int_max_str_digits()
+    if (e := _EXPONENT.search(text)) and abs(int(e[1])) > limit > 0:
+        raise ValueError(f"coefficient {text!r} has an exponent beyond {limit}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # "1/0"
+        raise ValueError(f"coefficient {text!r} is not a finite number") from None
 
 
 class InputFileError(Exception):
@@ -163,10 +176,37 @@ def _read_text(path):
 
 
 def _load_graph(path):
-    try:
-        return hk.parse_edge_list(_read_text(path))
-    except hk.GraphFileError as exc:  # a ValueError, but exit 3, as a file that cannot be read
-        raise InputFileError(exc) from None
+    # the edge-list format: the vertex count, then one 'u v' per line (1-indexed); blank lines
+    # are skipped, and a bad line (a loop or a repeated pair too) exits 3 with its 1-based number
+    vertex_count, seen = None, set()
+    for number, line in enumerate(_read_text(path).splitlines(), start=1):
+        if not (line := line.strip()):
+            continue
+        at = f"line {number}:"
+        if vertex_count is None:
+            try:
+                vertex_count = int(line)
+            except ValueError:
+                raise InputFileError(f"{at} expected the vertex count, got {line!r}") from None
+            if vertex_count < 1:
+                raise InputFileError(f"{at} vertex count must be positive, got {vertex_count}")
+            continue
+        if len(parts := line.split()) != 2:
+            raise InputFileError(f"{at} expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise InputFileError(f"{at} non-integer vertex in {line!r}") from None
+        if u == v:
+            raise InputFileError(f"{at} loop edge ({u}, {v}) not allowed")
+        if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+            raise InputFileError(f"{at} vertex outside 1..{vertex_count} in ({u}, {v})")
+        if (pair := (min(u, v), max(u, v))) in seen:
+            raise InputFileError(f"{at} duplicate edge ({u}, {v})")
+        seen.add(pair)
+    if vertex_count is None:
+        raise InputFileError("line 1: empty graph file")
+    return hk.SimpleGraph(vertex_count, frozenset(seen))
 
 
 def cmd_graph(args, out):
@@ -185,7 +225,7 @@ def cmd_graph(args, out):
         sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
         if (edges := (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2) > MAX_KPARTITE_EDGES:
             raise ValueError(f"--parts makes {edges} edges, capped at {MAX_KPARTITE_EDGES}")
-        from .graphs import _kpartite_edges  # format_edge_list's lines, written as generated
+        from .graphs import _kpartite_edges  # _load_graph's format, written as generated
         print(hk.SimpleGraph(sum(sizes), ()).vertex_count, file=out)  # refuses 0 vertices
         out.writelines(f"{u} {v}\n" for u, v in _kpartite_edges(sizes))
     elif args.graph_command == "product-integral":
@@ -256,7 +296,7 @@ def cmd_expand(args, out):
     elif args.expand_command in ("wce", "deconvolve"):
         if (degree := len(args.coeffs) - 1) > MAX_COEFFS_DEGREE:  # checked before any parsing
             raise ValueError(f"--coeffs has degree {degree}, capped at {MAX_COEFFS_DEGREE}")
-        poly = hk.ExactPolynomial(args.coeffs)
+        poly = hk.ExactPolynomial(map(_exact_coefficient, args.coeffs))
         if args.expand_command == "deconvolve":
             _emit_coeffs(hk.gaussian_mixture_deconvolve(poly, args.sigma), args.format, out)
         else:  # a polynomial's chaos coefficients are its He coefficients: the connection problem

@@ -4,11 +4,8 @@ import contextlib
 import math
 import numbers
 import operator
-import re
-import sys
 from fractions import Fraction
 
-_EXPONENT = re.compile(r"e([-+]?\d+(_\d+)*)\s*\Z", re.IGNORECASE)  # as Fraction reads it
 _PYTHON_REALS = frozenset((int, float, Fraction))
 
 
@@ -55,23 +52,17 @@ def _check_sigma(sigma):
 
 
 def _as_exact(value):
-    """A coefficient as an exact int or Fraction: a decimal string, or a real number
-    as _real gives it, a float at its exact binary value (0.5 -> 1/2)."""
-    if isinstance(value, str) or type(value := _real(value, "coefficient")) is float:
-        # Fraction builds 10**e: a string exponent past the digit guard is refused before it
-        if isinstance(value, str) and (e := _EXPONENT.search(value)) and \
-                abs(int(e[1])) > (limit := sys.get_int_max_str_digits()) > 0:
-            raise ValueError(f"coefficient {value!r} has an exponent beyond {limit}")
-        try:
-            value = Fraction(value)
-        except (ZeroDivisionError, OverflowError):  # "1/0", inf
-            raise ValueError(f"coefficient {value!r} is not a finite number") from None
+    """A real coefficient as _real gives it, exact: a float at its binary value (0.5 -> 1/2)."""
+    if type(value := _real(value, "coefficient")) is float:
+        if not math.isfinite(value):
+            raise ValueError(f"coefficient {value!r} is not a finite number")
+        value = Fraction(value)
     return int(value) if value.denominator == 1 else value
 
 
 class ExactPolynomial:
     """Polynomial stored as exact coefficients, constant term first, from real numbers
-    (numpy's, an array's too; a float at its exact binary value) or decimal strings.
+    (numpy's, an array's too; a float at its exact binary value).
     The zero polynomial is the single coefficient 0; otherwise the leading coefficient is nonzero.
     """
 

@@ -6,8 +6,10 @@ eigenfunctions, all in plain Python numbers.  The quadrature-driven expansions, 
 contract a Hermite table with a rule, live in quadrature, the one module that loads numpy.
 """
 
+import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -68,16 +70,24 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
         return _rounded(self.nu[k - 3]) if k > 2 else (1.0, 0.0, 1.0)[k]
 
 
+def _shape(tensor):  # a float's or real array's shape, or of floats nested in tuples; else None
+    if isinstance(tensor, tuple):
+        shapes = {_shape(t) for t in tensor}
+        return (len(tensor), *shapes.pop()) if len(shapes) == 1 and None not in shapes else None
+    kind = "f" if type(tensor) is float else getattr(getattr(tensor, "dtype", None), "kind", None)
+    return getattr(tensor, "shape", ()) if kind in ("i", "u", "f") else None
+
+
 class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
     """Symmetric chaos tensors b^(0) .. b^(N) of a d-dim expansion, b^(r) of shape (d,) * r."""
 
     __slots__ = ()
 
-    def __new__(cls, dimension, tensors):  # an array's shape is checked, a nested tuple's not
+    def __new__(cls, dimension, tensors):
         dimension = _check_order(dimension, "dimension", 1)
         for rank, tensor in enumerate(tensors := tuple(tensors)):
             want = (dimension,) * rank
-            if (shape := getattr(tensor, "shape", want)) != want:
+            if (shape := _shape(tensor)) != want:
                 raise ValueError(f"tensor b^({rank}) must have shape {want}, got {shape}")
         return super().__new__(cls, dimension, tensors)
 
@@ -158,8 +168,9 @@ def wce_reconstruct(coeffs, point):
         raise ValueError(f"point has {len(point)} coordinates, expected {coeffs.dimension}")
     total = 0.0
     for rank, tensor in enumerate(coeffs.tensors):
+        tensor = tensor.tolist() if hasattr(tensor, "tolist") else tensor  # cheap to index by level
         for indices in itertools.product(range(coeffs.dimension), repeat=rank):
-            if b := float(tensor[indices]):
+            if b := float(functools.reduce(operator.getitem, indices, tensor)):
                 if not math.isfinite(b):
                     raise ValueError(f"chaos coefficient b{indices!r} must be finite, got {b!r}")
                 total += b * tensor_component(indices, point)

@@ -22,14 +22,6 @@ from .polynomials import SQRT_TWO_PI, _pairing_column, _rounded
 MAX_MATCH_VERTICES = 24
 
 
-class GraphFileError(ValueError):
-    """Malformed edge-list input; carries the offending 1-based line number."""
-
-    def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class SimpleGraph(namedtuple("SimpleGraph", "vertex_count edges")):
     """Simple undirected graph on vertices 1..|v|; edges a frozenset of (u, v) with u < v."""
 
@@ -59,53 +51,6 @@ class SimpleGraph(namedtuple("SimpleGraph", "vertex_count edges")):
     @property
     def edge_count(self):
         return len(self.edges)
-
-
-def parse_edge_list(text):
-    """Read the edge-list format: first line |v|, then one 'u v' per line.
-
-    Vertices are 1-indexed; duplicate pairs and loops are rejected with the
-    offending line number.
-    """
-    lines = text.splitlines()
-    vertex_count = None
-    seen = set()
-    for number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if vertex_count is None:
-            try:
-                vertex_count = int(stripped)
-            except ValueError:
-                raise GraphFileError(number, f"expected the vertex count, got {stripped!r}") from None
-            if vertex_count < 1:
-                raise GraphFileError(number, f"vertex count must be positive, got {vertex_count}")
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise GraphFileError(number, f"expected 'u v', got {stripped!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFileError(number, f"non-integer vertex in {stripped!r}") from None
-        if u == v:
-            raise GraphFileError(number, f"loop edge ({u}, {v}) not allowed")
-        if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-            raise GraphFileError(number, f"vertex outside 1..{vertex_count} in ({u}, {v})")
-        pair = (min(u, v), max(u, v))
-        if pair in seen:
-            raise GraphFileError(number, f"duplicate edge ({u}, {v})")
-        seen.add(pair)
-    if vertex_count is None:
-        raise GraphFileError(1, "empty graph file")
-    return SimpleGraph(vertex_count=vertex_count, edges=frozenset(seen))
-
-
-def format_edge_list(graph):
-    lines = [str(graph.vertex_count)]
-    lines.extend(f"{u} {v}" for u, v in sorted(graph.edges))
-    return "\n".join(lines)
 
 
 def match_count_table(graph):

@@ -10,7 +10,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
-from .exactpoly import ExactPolynomial, _check_finite, _check_order, _check_sigma, _real
+from .exactpoly import ExactPolynomial, _as_exact, _check_finite, _check_order, _check_sigma
 from .polynomials import _pairing_column, _rounded
 
 MONOMIAL = "monomial"
@@ -35,10 +35,10 @@ class ChangeOfBasisMatrix(namedtuple("ChangeOfBasisMatrix", "from_basis to_basis
     size = property(lambda self: len(self.entries))
 
     def apply(self, coeffs):
-        """Map a coefficient vector from from_basis to to_basis, exactly for integers of any type."""
+        """Map coefficients from from_basis to to_basis exactly, each float at its binary value."""
         if len(coeffs) != self.size:
             raise ValueError(f"expected {self.size} coefficients, got {len(coeffs)}")
-        coeffs = [_real(c, "coefficient") for c in coeffs]
+        coeffs = [_as_exact(c) for c in coeffs]
         return tuple(sum(a * b for a, b in zip(row, coeffs)) for row in self.entries)
 
 

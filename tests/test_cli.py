@@ -234,6 +234,11 @@ class TestGrid:
         assert np.array(grid).tobytes() == expected.tobytes()
 
 
+def _edge_list(graph):
+    # the edge-list format: the vertex count, then each edge u < v, in ascending order
+    return "".join([f"{graph.vertex_count}\n", *(f"{u} {v}\n" for u, v in sorted(graph.edges))])
+
+
 class TestGraph:
     @pytest.fixture
     def c4_file(self, tmp_path):
@@ -331,10 +336,9 @@ class TestGraph:
 
     @pytest.mark.parametrize("parts", ["2,2", "3", "0,3", "1,2,3", "3,0,1,2"])
     def test_kpartite_writes_the_graphs_edge_list(self, capsys, parts):
-        # the edges as they are generated are format_edge_list's sorted edges, byte for byte
+        # the edges as they are generated are the graph's sorted edges, byte for byte
         graph = graphs.complete_kpartite([int(s) for s in parts.split(",")])
-        assert run_cli(capsys, "graph", "kpartite", "--parts", parts) == \
-            (0, graphs.format_edge_list(graph) + "\n", "")
+        assert run_cli(capsys, "graph", "kpartite", "--parts", parts) == (0, _edge_list(graph), "")
 
     @pytest.mark.parametrize("parts, message", [
         ("0,0,50001", "--parts sums to 50001, capped at 50000 for three or fewer parts"),
@@ -474,6 +478,52 @@ class TestExactIntegerOutput:
             path.write_text(text, encoding="utf-8")
             code, out, _ = run_cli(capsys, "graph", "match-poly", "--file", str(path))
             assert (code, out) == (3, "")
+
+
+class TestEdgeListFormat:
+    # graph matches reads the file; a malformed one exits 3 naming its 1-based line
+    def run(self, capsys, tmp_path, text):
+        path = tmp_path / "g.txt"
+        path.write_text(text, encoding="utf-8")
+        return run_cli(capsys, "graph", "matches", "--file", str(path))
+
+    def refused(self, capsys, tmp_path, text, message):
+        assert self.run(capsys, tmp_path, text) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("parts", ["2,1,1", "3,0,2", "1,1,1,1,1"])
+    def test_round_trip(self, capsys, tmp_path, parts):
+        # graph kpartite writes the format graph matches reads
+        code, text, _ = run_cli(capsys, "graph", "kpartite", "--parts", parts)
+        counts = hermite_kit.match_count_table(
+            hermite_kit.complete_kpartite([int(s) for s in parts.split(",")]))
+        assert code == 0 and self.run(capsys, tmp_path, text) == \
+            (0, "j,count\n" + "".join(f"{j},{c}\n" for j, c in enumerate(counts)), "")
+
+    def test_duplicate_edge_reports_line(self, capsys, tmp_path):
+        self.refused(capsys, tmp_path, "3\n1 2\n2 1\n", "line 3: duplicate edge (2, 1)")
+        # blank lines are skipped but counted
+        self.refused(capsys, tmp_path, "\n3\n\n1 2\n 1  2 \n", "line 5: duplicate edge (1, 2)")
+
+    def test_loop_reports_line(self, capsys, tmp_path):
+        self.refused(capsys, tmp_path, "3\n2 2\n", "line 2: loop edge (2, 2) not allowed")
+
+    def test_vertex_out_of_range(self, capsys, tmp_path):
+        self.refused(capsys, tmp_path, "3\n1 4\n", "line 2: vertex outside 1..3 in (1, 4)")
+        self.refused(capsys, tmp_path, "3\n0 1\n", "line 2: vertex outside 1..3 in (0, 1)")
+
+    def test_malformed_tokens(self, capsys, tmp_path):
+        self.refused(capsys, tmp_path, "three\n1 2\n",
+                     "line 1: expected the vertex count, got 'three'")
+        self.refused(capsys, tmp_path, "3\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'")
+        self.refused(capsys, tmp_path, "3\n1 x\n", "line 2: non-integer vertex in '1 x'")
+
+    def test_empty_file(self, capsys, tmp_path):
+        self.refused(capsys, tmp_path, "\n\n", "line 1: empty graph file")
+        self.refused(capsys, tmp_path, "", "line 1: empty graph file")
+
+    def test_single_vertex_file(self, capsys, tmp_path):
+        assert self.run(capsys, tmp_path, "1\n") == (0, "j,count\n0,1\n", "")
+        self.refused(capsys, tmp_path, "0\n", "line 1: vertex count must be positive, got 0")
 
 
 class TestNonFiniteFloats:
@@ -781,6 +831,35 @@ class TestExpand:
         else:
             assert (code, json.loads(out.getvalue())) == \
                 (0, {"convention": "plain-rv", "coeffs": want})
+
+    @pytest.mark.parametrize("command", [("wce", "--order", "2"), ("deconvolve", "--sigma", "1")])
+    def test_coefficients_are_read_as_exact_fractions(self, capsys, command):
+        # each --coeffs token is a Fraction: g = 1/3 + x/2 + 2x^2 is 7/3 + He_1 / 2 + 2 He_2,
+        # and its deconvolution 1/3 + He_1 / 2 + 2 He_2 = -5/3 + x/2 + 2x^2
+        argv = ("expand", command[0], "--coeffs", "1/3,0.5,2", *command[1:])
+        assert run_cli(capsys, *argv)[:2] == (0, "-5/3,1/2,2\n" if command[0] == "deconvolve"
+                                              else f'{{"convention": "plain-rv", "coeffs": '
+                                                   f'[{7 / 3!r}, 0.5, 2.0]}}\n')
+
+    @pytest.mark.parametrize("command", [("wce", "--order", "2"), ("deconvolve", "--sigma", "1")])
+    def test_coefficient_refusals(self, capsys, command):
+        # Fraction would build 10**exponent: 10**99999999 takes minutes, so it is refused first
+        limit = sys.get_int_max_str_digits()
+        for coeffs, message in [
+                (f"1E+{limit + 1}", f"coefficient '1E+{limit + 1}' has an exponent beyond {limit}"),
+                ("0,1e-99999999", f"coefficient '1e-99999999' has an exponent beyond {limit}"),
+                (" -2.5e9_999_999 ",
+                 f"coefficient '-2.5e9_999_999' has an exponent beyond {limit}"),
+                ("1/0", "coefficient '1/0' is not a finite number"),
+                ("1e", "Invalid literal for Fraction: '1e'")]:  # Fraction's to refuse
+            argv = ("expand", command[0], f"--coeffs={coeffs}", *command[1:])
+            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_an_exponent_at_the_digit_guard_is_read(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        argv = ("expand", "deconvolve", f"--coeffs=1e{limit},1e-{limit}", "--sigma", "1")
+        big = decimal(10**limit)
+        assert run_cli(capsys, *argv) == (0, f"{big},1/{big}\n", "")
 
     @pytest.mark.parametrize("argv, message", [
         # the CLI's cap, where a quadrature rule once set it

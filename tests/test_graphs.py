@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 
 from hermite_kit import (
     ExactPolynomial,
-    GraphFileError,
     SimpleGraph,
     complete_graph,
     complete_kpartite,
     count_complete_matches,
     count_j_matches,
     eval_hermite,
-    format_edge_list,
     gauss_hermite_rule,
     hermite_explicit,
     hermite_product_integral,
@@ -30,7 +28,6 @@ from hermite_kit import (
     linearization_coeffs,
     match_count_table,
     matching_polynomial,
-    parse_edge_list,
     partite_closed_form,
 )
 from hermite_kit import graphs
@@ -679,41 +676,6 @@ class TestGraphConstruction:
             SimpleGraph(vertex_count=3, edges=frozenset({(2, 2)}))
         with pytest.raises(ValueError):
             SimpleGraph(vertex_count=3, edges=frozenset({(1, 4)}))
-
-
-class TestEdgeListFormat:
-    def test_round_trip(self):
-        graph = complete_kpartite([2, 1, 1])
-        parsed = parse_edge_list(format_edge_list(graph))
-        assert parsed == graph
-
-    def test_duplicate_edge_reports_line(self):
-        text = "3\n1 2\n2 1\n"
-        with pytest.raises(GraphFileError, match="line 3"):
-            parse_edge_list(text)
-
-    def test_loop_reports_line(self):
-        with pytest.raises(GraphFileError, match="line 2"):
-            parse_edge_list("3\n2 2\n")
-
-    def test_vertex_out_of_range(self):
-        with pytest.raises(GraphFileError, match="line 2"):
-            parse_edge_list("3\n1 4\n")
-
-    def test_malformed_tokens(self):
-        with pytest.raises(GraphFileError, match="line 1"):
-            parse_edge_list("three\n1 2\n")
-        with pytest.raises(GraphFileError, match="line 2"):
-            parse_edge_list("3\n1 2 3\n")
-
-    def test_empty_file(self):
-        with pytest.raises(GraphFileError):
-            parse_edge_list("\n\n")
-
-    def test_single_vertex_file(self):
-        assert parse_edge_list("1\n") == SimpleGraph(1, frozenset())
-        with pytest.raises(GraphFileError, match="^line 1: vertex count must be positive, got 0$"):
-            parse_edge_list("0\n")
 
 
 class TestCompleteMatchCounts:

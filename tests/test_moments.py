@@ -303,7 +303,18 @@ class TestChangeOfBasis:
             got = m.apply(coeffs)
         assert got == m.apply([0] * n + [10**4])
         assert all(type(c) is int for c in got)
-        assert m.apply(np.array([1.5] + [0] * n)) == (1.5,) + (0.0,) * n
+        assert m.apply(np.array([1.5] + [0] * n)) == (Fraction(3, 2),) + (0,) * n
+
+    def test_apply_takes_a_float_at_its_binary_value(self):
+        # in floats, 1e300 times entries past 1e8 overflowed and the terms of both signs
+        # gave 31 nan of 41; each float now enters exactly, so every entry is exact
+        m = change_of_basis(40, "he", "monomial")
+        got = m.apply([1e300] * 41)
+        assert got == m.apply([int(1e300)] * 41) and all(type(c) is int for c in got)
+        assert change_of_basis(1, "monomial", "he").apply([0.1, 0]) == (Fraction(0.1), 0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^coefficient {bad!r} is not a finite number$"):
+                change_of_basis(1, "monomial", "he").apply([bad, 0])
 
     def test_apply_refuses_a_coefficient_that_is_not_a_real_number(self):
         with pytest.raises(TypeError, match="^coefficient must be a real number, got str$"):

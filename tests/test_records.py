@@ -17,6 +17,7 @@ from hermite_kit import (
     evaluate_series,
     match_count_table,
     wce_coeffs_multi,
+    wce_reconstruct,
 )
 
 # record class, its fields, the fields of an unequal record, and the repr
@@ -28,7 +29,7 @@ RECORDS = [
      dict(mu=0.25, sigma=2.0, nu=(0.1,)),
      "StandardizedMoments(mu=0.25, sigma=2.0, nu=(0.1, 3.5))"),
     (WCETensorCoeffs, dict(dimension=2, tensors=(1.0, (0.5, 0.25))),
-     dict(dimension=1, tensors=(1.0, (0.5, 0.25))),
+     dict(dimension=2, tensors=(1.0, (0.5, -0.25))),
      "WCETensorCoeffs(dimension=2, tensors=(1.0, (0.5, 0.25)))"),
     (ChangeOfBasisMatrix, dict(from_basis="he", to_basis="monomial", entries=((1, 0), (0, 1))),
      dict(from_basis="monomial", to_basis="he", entries=((1, 0), (0, 1))),
@@ -191,7 +192,42 @@ def test_replace_of_one_field_is_checked():
     (lambda: WCETensorCoeffs(2, (np.array(1.0), np.zeros(1))),
      r"tensor b\^\(1\) must have shape \(2,\), got \(1,\)"),
     (lambda: WCETensorCoeffs(0, ()), "dimension must be a positive integer, got 0"),
-], ids=["ragged matrix", "misshapen tensor", "no dimension"])
+    # nested tuples are read one index at a time, so their shape is checked too
+    (lambda: WCETensorCoeffs(1, (1.0, 2.0)),
+     r"tensor b\^\(1\) must have shape \(1,\), got \(\)"),
+    (lambda: WCETensorCoeffs(2, (1.0, (0.5, 0.25), ((1.0, 2.0), (3.0,)))),
+     r"tensor b\^\(2\) must have shape \(2, 2\), got None"),
+    (lambda: WCETensorCoeffs(2, (1.0, (0.5, 0.25, 0.0))),
+     r"tensor b\^\(1\) must have shape \(2,\), got \(3,\)"),
+    # an entry is a float, never text or a list that could change later, and an array's
+    # dtype is real: wce_reconstruct once read "1.5" as 1.5 and failed on complex or None
+    (lambda: WCETensorCoeffs(1, ("1.5",)), r"tensor b\^\(0\) must have shape \(\), got None"),
+    (lambda: WCETensorCoeffs(1, (1.0, [0.5])),
+     r"tensor b\^\(1\) must have shape \(1,\), got None"),
+    (lambda: WCETensorCoeffs(1, (np.array("1.5"),)),
+     r"tensor b\^\(0\) must have shape \(\), got None"),
+    (lambda: WCETensorCoeffs(1, (1.0, np.array([1j]))),
+     r"tensor b\^\(1\) must have shape \(1,\), got None"),
+    (lambda: WCETensorCoeffs(1, (np.array(None),)),
+     r"tensor b\^\(0\) must have shape \(\), got None"),
+], ids=["ragged matrix", "misshapen tensor", "no dimension", "shallow tuple", "ragged tuple",
+        "long tuple", "text", "list", "text array", "complex array", "object array"])
 def test_malformed_records_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_a_tuple_record_reconstructs_as_its_array_record(dimension):
+    # b^(0) a plain float and b^(r) nested tuples, read one index at a time
+    rng = np.random.default_rng(dimension)
+    arrays = [np.array(rng.normal())] + [rng.normal(size=(dimension,) * r) for r in (1, 2, 3)]
+    tuples = tuple(map(_nested, arrays))
+    point = tuple(rng.normal(size=dimension).tolist())
+    want = wce_reconstruct(WCETensorCoeffs(dimension, arrays), point)
+    assert wce_reconstruct(WCETensorCoeffs(dimension, tuples), point) == want
+    assert wce_reconstruct(WCETensorCoeffs(dimension, (1.0,)), point) == 1.0
+
+
+def _nested(array):  # an array as floats nested in tuples
+    return tuple(_nested(a) for a in array) if array.ndim else float(array)
