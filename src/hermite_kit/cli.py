@@ -31,7 +31,7 @@ MAX_PARTS_TOTAL_FOLDED = 2000   # four or more parts take the slower linearizati
 MAX_LINEARIZE_TOTAL = 6000      # linearize: --m + --n
 MAX_COEFFS_DEGREE = 50          # wce, deconvolve: exact work grows with it (and sigma's bits)
 MAX_FOURIER_ORDER = 94          # fourier-hermite --order: CLI-only; perfbench expects 150 refused
-_EXPONENT = re.compile(r"e([-+]?\d+(_\d+)*)\Z", re.IGNORECASE)  # as Fraction reads it
+_EXPONENT = re.compile(r"e[-+]?(\d+(_\d+)*)\s*\Z", re.IGNORECASE)  # as Fraction reads it
 
 
 def _fmt(x):
@@ -53,10 +53,10 @@ def _emit_table(header, rows, fmt, out):
 
 
 @contextlib.contextmanager
-def _exact_digits():
-    # exact integers print at any length; parsed input keeps the default digit guard
+def _digit_guard(digits):
+    # 0 while exact integers print, at any length; Python's fixed default while input is read
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(digits)
     try:
         yield
     finally:
@@ -64,7 +64,7 @@ def _exact_digits():
 
 
 def _emit_coeffs(poly, fmt, out):
-    with _exact_digits():
+    with _digit_guard(0):
         strings = [str(c) for c in poly.coeffs]
     if fmt == "json":
         print(json.dumps(strings), file=out)
@@ -78,33 +78,30 @@ def _emit_series(series, out):
     print(json.dumps({"convention": series.convention, "coeffs": list(series.coeffs)}), file=out)
 
 
+def _split(text, read=str.strip, sep=","):  # each token of a list read, blank ones skipped
+    return [read(tok) for tok in text.split(sep) if tok.strip()]
+
+
 def _parse_int_list(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _finite_float(text):
     with contextlib.suppress(ValueError):
-        if math.isfinite(value := float(text)):
-            return value
+        return _split(text, int)
+    raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _number(text, exact=False):
+    # every real token, '1/2' too, as Fraction reads it: exact, or rounded once to a finite float
+    # that keeps a zero's sign; Fraction builds 10**e, so a longer exponent than Python's default
+    # digit guard is refused first, and that fixed guard holds whatever PYTHONINTMAXSTRDIGITS says
+    bound = sys.int_info.default_max_str_digits
+    digits = (e := _EXPONENT.search(text)) and e[1].replace("_", "").lstrip("0")
+    if digits and (len(digits) > len(str(bound)) or int(digits) > bound):
+        raise argparse.ArgumentTypeError(f"{text!r} has an exponent beyond {bound}")
+    with contextlib.suppress(ValueError, ZeroDivisionError), _digit_guard(bound):
+        if exact:
+            return Fraction(text)
+        if math.isfinite(value := _rounded(Fraction(text))):  # Fraction("-0.0") is 0
+            return -0.0 if not value and text.strip().startswith("-") else value
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-
-
-def _parse_number_list(text):
-    return [tok.strip() for tok in text.split(",") if tok.strip() != ""]
-
-
-def _exact_coefficient(text):
-    # a --coeffs token as an exact Fraction; Fraction builds 10**e, so a huge e is refused first
-    limit = sys.get_int_max_str_digits()
-    if (e := _EXPONENT.search(text)) and abs(int(e[1])) > limit > 0:
-        raise ValueError(f"coefficient {text!r} has an exponent beyond {limit}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:  # "1/0"
-        raise ValueError(f"coefficient {text!r} is not a finite number") from None
 
 
 class InputFileError(Exception):
@@ -157,7 +154,7 @@ def cmd_plotdata(args, out):
     grid = _grid(args.xmin, args.xmax, args.samples)
     if args.kind == "series":
         convention = hk.DENSITY_WEIGHTED if args.convention == "density" else hk.PLAIN_RV
-        series = hk.HermiteSeries(map(float, args.coeffs), convention)
+        series = hk.HermiteSeries([_number(c) for c in args.coeffs], convention)
         rows = ((x, hk.evaluate_series(series, x)) for x in grid)
     else:
         value = hk.eval_hermite if args.kind == "poly" else hk.eval_hermite_function
@@ -236,7 +233,7 @@ def cmd_graph(args, out):
             raise ValueError(f"--parts sums to {total}, capped at {cap} for {shape} parts")
         p = hk.count_complete_matches(args.parts)
         value = SQRT_TWO_PI * _rounded(p)  # as hermite_product_integral
-        with _exact_digits():
+        with _digit_guard(0):
             count = str(p)
         if args.format == "json":
             print(json.dumps({"parts": args.parts, "P": count, "J": float(value)}), file=out)
@@ -250,7 +247,7 @@ def cmd_graph(args, out):
         if (total := sum(orders)) > MAX_LINEARIZE_TOTAL:
             raise ValueError(f"--m + --n is {total}, capped at {MAX_LINEARIZE_TOTAL}")
         table = hk.linearization_coeffs(args.m, args.n)
-        with _exact_digits():
+        with _digit_guard(0):
             if args.format in ("csv", "tsv"):
                 rows = [(str(l), str(a)) for l, a in table.items()]
                 _emit_table(("l", "coefficient"), rows, args.format, out)
@@ -262,11 +259,10 @@ def cmd_graph(args, out):
 
 def _read_moments_csv(path):
     # text mode turns \r\n and \r into \n, so these are the lines a file iterates
-    raw = [line.strip() for line in _read_text(path).split("\n") if line.strip()]
     values = []
-    for number, tok in enumerate(raw, start=1):
+    for number, tok in enumerate(_split(_read_text(path), sep="\n"), start=1):
         try:
-            values.append(_finite_float(tok))
+            values.append(_number(tok))
         except argparse.ArgumentTypeError as exc:
             raise InputFileError(f"{path}: line {number}: {exc}") from None
     if len(values) < 2:
@@ -296,7 +292,7 @@ def cmd_expand(args, out):
     elif args.expand_command in ("wce", "deconvolve"):
         if (degree := len(args.coeffs) - 1) > MAX_COEFFS_DEGREE:  # checked before any parsing
             raise ValueError(f"--coeffs has degree {degree}, capped at {MAX_COEFFS_DEGREE}")
-        poly = hk.ExactPolynomial(map(_exact_coefficient, args.coeffs))
+        poly = hk.ExactPolynomial([_number(c, exact=True) for c in args.coeffs])
         if args.expand_command == "deconvolve":
             _emit_coeffs(hk.gaussian_mixture_deconvolve(poly, args.sigma), args.format, out)
         else:  # a polynomial's chaos coefficients are its He coefficients: the connection problem
@@ -336,10 +332,10 @@ def build_parser():
     p.add_argument("--kind", choices=("poly", "function", "series"), required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--family", choices=("he", "h"), default="he")
-    p.add_argument("--coeffs", type=_parse_number_list, default=[])
+    p.add_argument("--coeffs", type=_split, default=[])
     p.add_argument("--convention", choices=("density", "plain"), default="density")
-    p.add_argument("--xmin", type=_finite_float, required=True)
-    p.add_argument("--xmax", type=_finite_float, required=True)
+    p.add_argument("--xmin", type=_number, required=True)
+    p.add_argument("--xmax", type=_number, required=True)
     p.add_argument("--samples", type=int, required=True)
     add_format(p, default="tsv")
     p.set_defaults(func=cmd_plotdata)
@@ -375,31 +371,31 @@ def build_parser():
 
     e = esub.add_parser("fourier-hermite",
                         help="density-weighted expansion of a shifted Gaussian density")
-    e.add_argument("--mu", type=_finite_float, required=True)
+    e.add_argument("--mu", type=_number, required=True)
     e.add_argument("--order", type=int, default=30)
 
     e = esub.add_parser("gram-charlier", help="Gram-Charlier density value")
-    e.add_argument("--mu", type=_finite_float, default=0.0)
-    e.add_argument("--sigma", type=_finite_float, default=1.0)
-    e.add_argument("--nu3", type=_finite_float, default=0.0)
-    e.add_argument("--nu4", type=_finite_float, default=3.0)
+    e.add_argument("--mu", type=_number, default=0.0)
+    e.add_argument("--sigma", type=_number, default=1.0)
+    e.add_argument("--nu3", type=_number, default=0.0)
+    e.add_argument("--nu4", type=_number, default=3.0)
     e.add_argument("--order", type=int, default=4)
-    e.add_argument("--x", type=_finite_float, required=True)
+    e.add_argument("--x", type=_number, required=True)
     e.add_argument("--moments-csv", default=None,
                    help="file with one value per line: mu, sigma, nu3, nu4, ...")
 
     e = esub.add_parser("wce", help="chaos coefficients of a polynomial of a unit Gaussian")
-    e.add_argument("--coeffs", type=_parse_number_list, required=True)
+    e.add_argument("--coeffs", type=_split, required=True)
     e.add_argument("--order", type=int, required=True)
 
     e = esub.add_parser("deconvolve", help="exact Gaussian-mixture deconvolution of a polynomial")
-    e.add_argument("--coeffs", type=_parse_number_list, required=True)
-    e.add_argument("--sigma", type=_finite_float, required=True)
+    e.add_argument("--coeffs", type=_split, required=True)
+    e.add_argument("--sigma", type=_number, required=True)
     add_format(e)
 
     e = esub.add_parser("fourier-check", help="Fourier eigenfunction residual of h_n")
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--kmax", type=_finite_float, default=3.0)
+    e.add_argument("--kmax", type=_number, default=3.0)
     p.set_defaults(func=cmd_expand)
 
     return parser
@@ -410,7 +406,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (InputFileError, ValueError, TypeError) as exc:
+    except (InputFileError, ValueError, TypeError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InputFileError) else 2
 

@@ -70,12 +70,15 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
         return _rounded(self.nu[k - 3]) if k > 2 else (1.0, 0.0, 1.0)[k]
 
 
-def _shape(tensor):  # a float's or real array's shape, or of floats nested in tuples; else None
-    if isinstance(tensor, tuple):
-        shapes = {_shape(t) for t in tensor}
+def _shape(tensor, rank):  # a float's or real array's shape, or of floats nested in tuples
+    if isinstance(tensor, tuple):  # None if ragged
+        shapes = {_shape(t, rank) for t in tensor}
         return (len(tensor), *shapes.pop()) if len(shapes) == 1 and None not in shapes else None
     kind = "f" if type(tensor) is float else getattr(getattr(tensor, "dtype", None), "kind", None)
-    return getattr(tensor, "shape", ()) if kind in ("i", "u", "f") else None
+    if kind in ("i", "u", "f"):
+        return getattr(tensor, "shape", ())
+    name = f"{tensor.dtype} array" if kind else type(tensor).__name__
+    raise TypeError(f"tensor b^({rank}) must hold floats or a real array, got {name}")
 
 
 class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
@@ -87,7 +90,7 @@ class WCETensorCoeffs(namedtuple("WCETensorCoeffs", "dimension tensors")):
         dimension = _check_order(dimension, "dimension", 1)
         for rank, tensor in enumerate(tensors := tuple(tensors)):
             want = (dimension,) * rank
-            if (shape := _shape(tensor)) != want:
+            if (shape := _shape(tensor, rank)) != want:
                 raise ValueError(f"tensor b^({rank}) must have shape {want}, got {shape}")
         return super().__new__(cls, dimension, tensors)
 

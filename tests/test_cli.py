@@ -1,12 +1,15 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import functools
 import io
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import time
 import warnings
@@ -577,8 +580,156 @@ class TestNonFiniteFloats:
         assert "line 3" in err
 
 
+# each real flag, and a --moments-csv line, at a fraction: its id names the slot
+_FRACTION_FLAGS = {
+    "gram-charlier --x": (("expand", "gram-charlier", "--x={}"), "1/2"),
+    "gram-charlier --mu": (("expand", "gram-charlier", "--x=0", "--mu={}"), "1/2"),
+    "gram-charlier --sigma": (("expand", "gram-charlier", "--x=0", "--sigma={}"), "3/2"),
+    "gram-charlier --nu3": (("expand", "gram-charlier", "--x=0", "--nu3={}"), "1/2"),
+    "gram-charlier --nu4": (("expand", "gram-charlier", "--x=0", "--nu4={}"), "3/2"),
+    "gram-charlier --moments-csv": (("expand", "gram-charlier", "--moments-csv={}", "--x=0.5"),
+                                    "1/2"),
+    "fourier-hermite --mu": (("expand", "fourier-hermite", "--mu={}", "--order=4"), "1/2"),
+    "deconvolve --sigma": (("expand", "deconvolve", "--coeffs=0,0,1", "--sigma={}"), "1/2"),
+    "fourier-check --kmax": (("expand", "fourier-check", "--n=3", "--kmax={}"), "3/2"),
+    "plotdata --xmin": (("plotdata", "--kind=poly", "--n=2", "--xmin={}", "--xmax=2",
+                         "--samples=3"), "1/2"),
+    "plotdata --xmax": (("plotdata", "--kind=poly", "--n=2", "--xmin=0", "--xmax={}",
+                         "--samples=3"), "1/2"),
+    "plotdata --coeffs": (("plotdata", "--kind=series", "--coeffs=1,{}", "--xmin=0", "--xmax=1",
+                           "--samples=3"), "1/2"),
+}
+
+
+def _with_value(argv, value, tmp_path):
+    # argv with its {} slot at value; a --moments-csv slot names a file whose third line it is
+    if any(arg.startswith("--moments-csv") for arg in argv):
+        (path := tmp_path / "moments.csv").write_text(f"0\n1\n{value}\n3\n", encoding="utf-8")
+        value = str(path)
+    return [arg.replace("{}", value) for arg in argv]
+
+
+def _refusal(argv, token, tmp_path):
+    # the one refusal text: argparse names the flag, a file its line, --coeffs neither
+    flag = next(arg for arg in argv if "{}" in arg).split("=")[0]
+    if flag == "--moments-csv":
+        return 3, f"error: {tmp_path / 'moments.csv'}: line 3: expected a finite number, " \
+                  f"got {token!r}\n"
+    if flag == "--coeffs":
+        return 2, f"error: expected a finite number, got {token!r}\n"
+    return 2, f"argument {flag}: expected a finite number, got {token!r}\n"
+
+
+def _run_or_exit(capsys, argv):
+    # run_cli, with argparse's refusals as their exit code and output
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+class TestNumbers:
+    """One reader takes every real token: a Fraction, exact for the --coeffs of wce and
+    deconvolve and rounded once to a finite float everywhere else."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-5e-324)
+    @example(2.225073858507201e-308)   # the largest subnormal
+    @example(2.2250738585072014e-308)  # the smallest normal
+    @example(1.7976931348623157e308)
+    def test_every_double_is_read_bit_for_bit(self, x):
+        # float(Fraction(t)) and float(t) are both correctly rounded, and the sign of a zero
+        # comes from the text; repr reads back as x, and shorter forms as float() reads them
+        # (1.798e+308 is past double range, so refused)
+        assert cli._number(repr(x)).hex() == x.hex()
+        for text in (format(x, ".17g"), format(x, ".3e"), f" {x!r}\n"):
+            if math.isfinite(float(text)):
+                assert cli._number(text).hex() == float(text).hex(), text
+            else:
+                with pytest.raises(argparse.ArgumentTypeError, match="expected a finite number"):
+                    cli._number(text)
+
+    @pytest.mark.parametrize("text, want", [
+        ("-0", "-0x0.0p+0"), ("-0.0", "-0x0.0p+0"), ("0.0", "0x0.0p+0"), ("+0", "0x0.0p+0"),
+        ("-1e-400", "-0x0.0p+0"), ("1e-400", "0x0.0p+0"), ("-0/7", "-0x0.0p+0"),
+        ("1/3", (1 / 3).hex()), ("1_000.5", "0x1.f440000000000p+9"),
+        ("1.7976931348623158e308", "0x1.fffffffffffffp+1023"),  # rounds down, not to inf
+    ])
+    def test_a_float_token_is_rounded_once(self, text, want):
+        assert cli._number(text).hex() == want
+
+    def test_coefficient_tokens_are_exact(self):
+        assert cli._number("1/3", exact=True) == Fraction(1, 3)
+        assert cli._number("0.1", exact=True) == Fraction(1, 10)
+        assert cli._number("1e400", exact=True) == 10**400  # exact, so past double range
+
+    @pytest.mark.parametrize("slot", sorted(_FRACTION_FLAGS))
+    def test_every_real_flag_takes_a_fraction(self, capsys, tmp_path, slot):
+        # a/b reads as the decimal of the same number, bit for bit in the output
+        argv, value = _FRACTION_FLAGS[slot]
+        want = run_cli(capsys, *_with_value(argv, str(float(Fraction(value))), tmp_path))
+        assert want[0] == 0
+        assert run_cli(capsys, *_with_value(argv, value, tmp_path)) == want
+
+    @pytest.mark.parametrize("slot", sorted(_FRACTION_FLAGS))
+    @pytest.mark.parametrize("token", ["1/0", "nan", "inf", "-inf", "1e400", "x", "1e", "1/2/3"])
+    def test_every_real_flag_has_one_refusal(self, capsys, tmp_path, slot, token):
+        argv = _FRACTION_FLAGS[slot][0]
+        code, out, err = _run_or_exit(capsys, _with_value(argv, token, tmp_path))
+        want_code, want_err = _refusal(argv, token, tmp_path)
+        assert (code, out) == (want_code, "") and err.endswith(want_err), err
+
+    @pytest.mark.parametrize("argv", [("expand", "wce", "--coeffs={}", "--order", "1"),
+                                      ("expand", "gram-charlier", "--x={}")])
+    def test_a_long_exponent_gets_the_guards_own_message(self, capsys, argv):
+        # 5000 digits: int() of them would raise Python's own "Exceeds the limit"
+        token = "1e" + "9" * 5000
+        result = _run_or_exit(capsys, [arg.replace("{}", token) for arg in argv])
+        assert result[:2] == (2, "")
+        assert result[2].endswith(f"{token!r} has an exponent beyond 4300\n")
+        assert "Exceeds the limit" not in result[2]
+
+    @pytest.mark.parametrize("limit", [0, 640, 100_000])
+    def test_the_guard_is_fixed_whatever_the_process_limit(self, limit):
+        # the exponent guard and the mantissa's digits take the default 4300, and the
+        # process's own limit is restored after
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            with pytest.raises(argparse.ArgumentTypeError, match="has an exponent beyond 4300"):
+                cli._number("1e4301")
+            assert cli._number("1e4300", exact=True) == 10**4300
+            assert cli._number("1" * 4300 + "/3", exact=True).denominator == 3
+            with pytest.raises(argparse.ArgumentTypeError, match="expected a finite number"):
+                cli._number("1" * 4301, exact=True)
+            assert sys.get_int_max_str_digits() == limit
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv", [("expand", "wce", "--coeffs", "1e99999999", "--order", "1"),
+                                      ("expand", "gram-charlier", "--x", "1e99999999")])
+    def test_no_process_limit_lets_an_exponent_through(self, argv):
+        # PYTHONINTMAXSTRDIGITS=0 lifts Python's own guard: 10**99999999 would take minutes
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(hermite_kit.__file__))}
+        result = subprocess.run([sys.executable, "-m", "hermite_kit.cli", *argv],
+                                capture_output=True, text=True, env=env, timeout=10)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.endswith("'1e99999999' has an exponent beyond 4300\n")
+
+    @pytest.mark.parametrize("xmax", ["-0.0", "-0", "-1e-400"])
+    def test_a_negative_zero_prints_with_its_sign(self, capsys, xmax):
+        argv = ("plotdata", "--kind", "poly", "--n", "0", "--xmin=-1", f"--xmax={xmax}",
+                "--samples", "2")
+        assert run_cli(capsys, *argv) == (0, "x\tvalue\n-1\t1\n-0\t1\n", "")
+
+
 _VALUES = ["0", "-1", "1", "2", "3", "7", "50", "1e308", "-1e308", "1e-300", "inf", "-inf",
-           "nan", "1/2", "1/0", "1e400"]
+           "nan", "1/2", "1/0", "1e400", "-0.0"]
 _NUMBERS = st.sampled_from(_VALUES)
 _LISTS = st.lists(_NUMBERS, min_size=1, max_size=4).map(",".join)
 _COMMANDS = {
@@ -844,19 +995,20 @@ class TestExpand:
     @pytest.mark.parametrize("command", [("wce", "--order", "2"), ("deconvolve", "--sigma", "1")])
     def test_coefficient_refusals(self, capsys, command):
         # Fraction would build 10**exponent: 10**99999999 takes minutes, so it is refused first
-        limit = sys.get_int_max_str_digits()
+        limit = sys.int_info.default_max_str_digits
         for coeffs, message in [
-                (f"1E+{limit + 1}", f"coefficient '1E+{limit + 1}' has an exponent beyond {limit}"),
-                ("0,1e-99999999", f"coefficient '1e-99999999' has an exponent beyond {limit}"),
-                (" -2.5e9_999_999 ",
-                 f"coefficient '-2.5e9_999_999' has an exponent beyond {limit}"),
-                ("1/0", "coefficient '1/0' is not a finite number"),
-                ("1e", "Invalid literal for Fraction: '1e'")]:  # Fraction's to refuse
+                (f"1E+{limit + 1}", f"'1E+{limit + 1}' has an exponent beyond {limit}"),
+                ("0,1e-99999999", f"'1e-99999999' has an exponent beyond {limit}"),
+                (" -2.5e9_999_999 ", f"'-2.5e9_999_999' has an exponent beyond {limit}"),
+                ("1/0", "expected a finite number, got '1/0'"),
+                ("1e", "expected a finite number, got '1e'"),
+                ("1,nan", "expected a finite number, got 'nan'"),
+                ("-inf", "expected a finite number, got '-inf'")]:
             argv = ("expand", command[0], f"--coeffs={coeffs}", *command[1:])
             assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_an_exponent_at_the_digit_guard_is_read(self, capsys):
-        limit = sys.get_int_max_str_digits()
+        limit = sys.int_info.default_max_str_digits
         argv = ("expand", "deconvolve", f"--coeffs=1e{limit},1e-{limit}", "--sigma", "1")
         big = decimal(10**limit)
         assert run_cli(capsys, *argv) == (0, f"{big},1/{big}\n", "")

@@ -70,4 +70,4 @@ def test_the_cli_examples_print_their_commented_output(capsys, tmp_path, monkeyp
         assert (comment in out) if " " in comment else (out == comment + "\n"), command
         checked.append(comment)
     assert checked == ["3,0,-6,0,1", "2,0,-4,0,1", '{"4":1,"2":4,"0":2}', "-1,0,1",
-                       '"coeffs": [1.0, 0.0, 1.0, 0.0, 0.0]']
+                       "0.35206532676429952", '"coeffs": [1.0, 0.0, 1.0, 0.0, 0.0]']

@@ -199,22 +199,33 @@ def test_replace_of_one_field_is_checked():
      r"tensor b\^\(2\) must have shape \(2, 2\), got None"),
     (lambda: WCETensorCoeffs(2, (1.0, (0.5, 0.25, 0.0))),
      r"tensor b\^\(1\) must have shape \(2,\), got \(3,\)"),
-    # an entry is a float, never text or a list that could change later, and an array's
-    # dtype is real: wce_reconstruct once read "1.5" as 1.5 and failed on complex or None
-    (lambda: WCETensorCoeffs(1, ("1.5",)), r"tensor b\^\(0\) must have shape \(\), got None"),
-    (lambda: WCETensorCoeffs(1, (1.0, [0.5])),
-     r"tensor b\^\(1\) must have shape \(1,\), got None"),
-    (lambda: WCETensorCoeffs(1, (np.array("1.5"),)),
-     r"tensor b\^\(0\) must have shape \(\), got None"),
-    (lambda: WCETensorCoeffs(1, (1.0, np.array([1j]))),
-     r"tensor b\^\(1\) must have shape \(1,\), got None"),
-    (lambda: WCETensorCoeffs(1, (np.array(None),)),
-     r"tensor b\^\(0\) must have shape \(\), got None"),
 ], ids=["ragged matrix", "misshapen tensor", "no dimension", "shallow tuple", "ragged tuple",
-        "long tuple", "text", "list", "text array", "complex array", "object array"])
+        "long tuple"])
 def test_malformed_records_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("tensors, message", [
+    # an entry is a float, never text or a list that could change later, and an array's
+    # dtype is real: wce_reconstruct once read "1.5" as 1.5 and failed on complex or None
+    (("1.5",), r"tensor b\^\(0\) must hold floats or a real array, got str"),
+    ((1.0, [0.5]), r"tensor b\^\(1\) must hold floats or a real array, got list"),
+    ((np.array("1.5"),), r"tensor b\^\(0\) must hold floats or a real array, got <U3 array"),
+    ((1.0, np.array([1j])),
+     r"tensor b\^\(1\) must hold floats or a real array, got complex128 array"),
+    ((np.array(None),), r"tensor b\^\(0\) must hold floats or a real array, got object array"),
+    # the type is named wherever the entry sits: deep in a tuple, or a Python int or complex
+    ((1.0, (0.5,), ((1.0,),), (((1j,),),)),
+     r"tensor b\^\(3\) must hold floats or a real array, got complex"),
+    ((1,), r"tensor b\^\(0\) must hold floats or a real array, got int"),
+    ((1.0, (None,)), r"tensor b\^\(1\) must hold floats or a real array, got NoneType"),
+    ((np.array(True),), r"tensor b\^\(0\) must hold floats or a real array, got bool array"),
+], ids=["text", "list", "text array", "complex array", "object array", "deep complex", "int",
+        "None", "bool array"])
+def test_entries_of_a_wrong_type_are_refused_by_their_type(tensors, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        WCETensorCoeffs(1, tensors)
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
