@@ -78,8 +78,8 @@ def _emit_series(series, out):
     print(json.dumps({"convention": series.convention, "coeffs": list(series.coeffs)}), file=out)
 
 
-def _split(text, read=str.strip, sep=","):  # each token of a list read, blank ones skipped
-    return [read(tok) for tok in text.split(sep) if tok.strip()]
+def _split(text, read=str.strip):  # each token of a list read, blank ones skipped
+    return [read(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_int_list(text):
@@ -164,21 +164,21 @@ def cmd_plotdata(args, out):
     return 0
 
 
-def _read_text(path):
+def _lines(path):
+    # (number, text) of each non-blank line, numbered as text mode splits: at \r\n, \r or \n only
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            lines = handle.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:  # a decode error, a ValueError, exits 3 here
         raise InputFileError(f"cannot read {path}: {exc}") from exc
+    return [(number, line.strip()) for number, line in enumerate(lines, start=1) if line.strip()]
 
 
 def _load_graph(path):
     # the edge-list format: the vertex count, then one 'u v' per line (1-indexed); blank lines
     # are skipped, and a bad line (a loop or a repeated pair too) exits 3 with its 1-based number
     vertex_count, seen = None, set()
-    for number, line in enumerate(_read_text(path).splitlines(), start=1):
-        if not (line := line.strip()):
-            continue
+    for number, line in _lines(path):
         at = f"line {number}:"
         if vertex_count is None:
             try:
@@ -258,9 +258,8 @@ def cmd_graph(args, out):
 
 
 def _read_moments_csv(path):
-    # text mode turns \r\n and \r into \n, so these are the lines a file iterates
     values = []
-    for number, tok in enumerate(_split(_read_text(path), sep="\n"), start=1):
+    for number, tok in _lines(path):
         try:
             values.append(_number(tok))
         except argparse.ArgumentTypeError as exc:

@@ -22,7 +22,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError as exc:  # numpy comes with the quadrature extra
+    raise ImportError("hermite_kit.quadrature needs numpy: "
+                      "pip install 'hermite-kit[quadrature]'") from exc
 
 from .exactpoly import _check_order, _real
 from .expansions import (DENSITY_WEIGHTED, MAX_FACTORIAL_ORDER, PLAIN_RV, HermiteSeries,

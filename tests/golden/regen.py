@@ -1,8 +1,8 @@
 """Golden corpora.  cli.tsv: one line per argv with its exit code and the
-short SHA-256s of its stdout and stderr, run in-process through
-hermite_kit.cli.main.  library.tsv: one line per seeded call of a public
-float function, with its result as float.hex, a short SHA-256 for anything
-else, or its exception type and message.
+short SHA-256s of its stdout and stderr, run through hermite_kit.cli.main in
+one child process that cannot import numpy.  library.tsv: one line per
+seeded call of a public float function, with its result as float.hex, a
+short SHA-256 for anything else, or its exception type and message.
 
     python tests/golden/regen.py                # rewrite cli.tsv and library.tsv
     python tests/golden/regen.py --show ARGV    # print one argv's full output
@@ -18,12 +18,14 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import math
 import os
 import pathlib
 import platform
 import random
 import shlex
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -75,7 +77,11 @@ REFUSALS = [
 ]
 
 
-def versions():
+def versions(corpus):
+    """The versions a corpus was made with, as its header names them: numpy's
+    only for library.tsv, since no argv of cli.tsv loads numpy."""
+    if corpus != LIBRARY:
+        return f"python {platform.python_version()}"
     import numpy
 
     return f"python {platform.python_version()} numpy {numpy.__version__}"
@@ -131,6 +137,31 @@ def digest(text):
 def line(argv, directory):
     code, out, err = run(argv, directory)
     return f"{shlex.join(argv)}\t{code}\t{digest(out)}\t{digest(err)}"
+
+
+_REPLAY = """\
+import json, sys
+sys.modules["numpy"] = None   # any import of numpy raises ImportError
+sys.path[:0] = json.loads(sys.argv[1])
+import regen
+directory, argvs = json.load(sys.stdin)
+with regen.environment():
+    print(json.dumps([regen.line(argv, directory) for argv in argvs]))
+"""
+
+
+def replay(argvs, directory):
+    """line() of each argv, run in one child process in which any import of
+    numpy raises ImportError.  argvs() reads the tests, which load numpy, so
+    this process lists the argvs and the child runs them with this hermite_kit."""
+    import hermite_kit
+
+    path = [str(HERE), str(pathlib.Path(hermite_kit.__file__).parents[1])]
+    child = subprocess.run([sys.executable, "-c", _REPLAY, json.dumps(path)], text=True,
+                           input=json.dumps([str(directory), argvs]), capture_output=True)
+    if child.returncode:
+        raise RuntimeError(f"the replay child exited {child.returncode}:\n{child.stderr}")
+    return json.loads(child.stdout)
 
 
 @contextlib.contextmanager
@@ -310,11 +341,11 @@ def main(argv=None):
             code, out, err = run(shlex.split(args.show), directory)
             print(f"exit code {code}\n--- stdout ---\n{out}--- stderr ---\n{err}", end="")
             return 0
-        lines = ["# argv\texit code\tsha256(stdout)[:16]\tsha256(stderr)[:16]", f"# {versions()}"]
-        lines += [line(a, directory) for a in argvs()]
+        lines = ["# argv\texit code\tsha256(stdout)[:16]\tsha256(stderr)[:16]",
+                 f"# {versions(CORPUS)}", *replay(argvs(), directory)]
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 2} lines to {CORPUS}")
-    lines = ["# call\tfloat.hex, sha256 of the parts or exception", f"# {versions()}"]
+    lines = ["# call\tfloat.hex, sha256 of the parts or exception", f"# {versions(LIBRARY)}"]
     lines += library_lines()
     LIBRARY.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 2} lines to {LIBRARY}")

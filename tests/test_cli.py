@@ -507,6 +507,16 @@ class TestEdgeListFormat:
         # blank lines are skipped but counted
         self.refused(capsys, tmp_path, "\n3\n\n1 2\n 1  2 \n", "line 5: duplicate edge (1, 2)")
 
+    def test_lines_are_the_text_mode_lines(self, capsys, tmp_path):
+        # as in a moments file: \r\n and \r end a line as \n does, and \x0c, a line
+        # break to str.splitlines, stays inside its line
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"3\r\n1 2\r2 1\r\n")
+        assert run_cli(capsys, "graph", "matches", "--file", str(path)) == \
+            (3, "", "error: line 3: duplicate edge (2, 1)\n")
+        self.refused(capsys, tmp_path, "3\n1 2\x0c2 3\n",
+                     "line 2: expected 'u v', got '1 2\\x0c2 3'")
+
     def test_loop_reports_line(self, capsys, tmp_path):
         self.refused(capsys, tmp_path, "3\n2 2\n", "line 2: loop edge (2, 2) not allowed")
 
@@ -829,6 +839,13 @@ class TestMomentsFiles:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == f"error: {path}: line 3: expected a finite number, got '0\\x1c3'\n"
+
+    def test_a_blank_line_is_counted(self, capsys, tmp_path):
+        # skipped, as in an edge-list file, but still numbered: the bad token is on line 4
+        path = tmp_path / "moments.csv"
+        path.write_text("0\n\n1\nx\n", encoding="utf-8")
+        result = run_cli(capsys, "expand", "gram-charlier", "--moments-csv", str(path), "--x", "0")
+        assert result == (3, "", f"error: {path}: line 4: expected a finite number, got 'x'\n")
 
 
 def _moment(k):

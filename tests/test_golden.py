@@ -1,6 +1,8 @@
 """CLI byte identity: every argv of tests/golden/cli.tsv keeps its exit code
-and the SHA-256s of its stdout and stderr.  Library bit identity: every call
-of tests/golden/library.tsv keeps its float.hex, hash or refusal.
+and the SHA-256s of its stdout and stderr, replayed in one child process that
+cannot import numpy, so the corpus also pins that no argv loads it.  Library
+bit identity: every call of tests/golden/library.tsv keeps its float.hex,
+hash or refusal.
 
 `python tests/golden/regen.py` rewrites both corpora, `--show ARGV` prints
 one argv's full output and `--call EXPR` one call's full result.  A change
@@ -14,8 +16,8 @@ from golden import regen
 
 def _recorded(corpus):
     header, *lines = corpus.read_text(encoding="utf-8").splitlines()[1:]
-    if header != f"# {regen.versions()}":
-        pytest.skip(f"{corpus.name} was made with {header[2:]}; this is {regen.versions()}")
+    if header != f"# {regen.versions(corpus)}":
+        pytest.skip(f"{corpus.name} was made with {header[2:]}; this is {regen.versions(corpus)}")
     return lines
 
 
@@ -28,9 +30,7 @@ def _moved(recorded, made):
 def test_cli_output_matches_the_golden_corpus(tmp_path):
     recorded = _recorded(regen.CORPUS)
     regen.write_inputs(tmp_path)
-    with regen.environment():
-        made = [regen.line(argv, tmp_path) for argv in regen.argvs()]
-    moved = _moved(recorded, made)
+    moved = _moved(recorded, regen.replay(regen.argvs(), tmp_path))
     assert not moved, f"lines moved (python tests/golden/regen.py --show ARGV):\n{moved}"
 
 

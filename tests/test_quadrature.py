@@ -191,6 +191,27 @@ class TestRuleBuilder:
                                 text=True, check=True, env=_CHILD_ENV)
         assert result.stdout.splitlines() == ["False []", "['hermite_kit.exactpoly']"]
 
+    def test_without_numpy_the_quadrature_names_name_the_extra(self):
+        # numpy is the quadrature extra: without it the exact and scalar names work, and
+        # importing quadrature, or a first use of one of its names, says what to install
+        code = "\n".join([
+            "import json, sys",
+            "sys.modules['numpy'] = None",
+            "import hermite_kit as hk",
+            "results = [hk.eval_hermite(3, 2.0), hk.match_count_table(hk.complete_graph(4))]",
+            "for attempt in ('import hermite_kit.quadrature', 'hk.gauss_hermite_rule(3)'):",
+            "    try:",
+            "        exec(attempt)",
+            "    except ImportError as exc:",
+            "        results.append([str(exc), type(exc.__cause__).__name__])",
+            "print(json.dumps(results))",
+        ])
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True, env=_CHILD_ENV)
+        refusal = ["hermite_kit.quadrature needs numpy: pip install 'hermite-kit[quadrature]'",
+                   "ModuleNotFoundError"]
+        assert json.loads(result.stdout) == [2.0, [1, 6, 3], refusal, refusal]
+
     def test_exact_cli_paths_run_without_numpy(self, tmp_path):
         # the records are named tuples, so neither dataclasses nor inspect loads
         graph, bad = tmp_path / "c4.txt", tmp_path / "bad.txt"
