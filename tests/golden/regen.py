@@ -1,8 +1,9 @@
 """Golden corpora.  cli.tsv: one line per argv with its exit code and the
 short SHA-256s of its stdout and stderr, run through hermite_kit.cli.main in
-one child process that cannot import numpy.  library.tsv: one line per
-seeded call of a public float function, with its result as float.hex, a
-short SHA-256 for anything else, or its exception type and message.
+one child process that cannot import numpy and in which every warning is an
+error.  library.tsv: one line per seeded call of a public float function,
+with its result as float.hex, a short SHA-256 for anything else, or its
+exception type and message.
 
     python tests/golden/regen.py                # rewrite cli.tsv and library.tsv
     python tests/golden/regen.py --show ARGV    # print one argv's full output
@@ -14,9 +15,7 @@ name as @tmp.  A change that moves a line must say which lines moved and why.
 """
 
 import argparse
-import contextlib
 import hashlib
-import io
 import itertools
 import json
 import math
@@ -30,7 +29,6 @@ import sys
 import tempfile
 import warnings
 from fractions import Fraction
-from unittest import mock
 
 HERE = pathlib.Path(__file__).resolve().parent
 CORPUS = HERE / "cli.tsv"
@@ -77,14 +75,16 @@ REFUSALS = [
 ]
 
 
-def versions(corpus):
-    """The versions a corpus was made with, as its header names them: numpy's
-    only for library.tsv, since no argv of cli.tsv loads numpy."""
-    if corpus != LIBRARY:
-        return f"python {platform.python_version()}"
+def python_version():
+    """The header of cli.tsv: the Python version alone, since no argv loads numpy."""
+    return f"python {platform.python_version()}"
+
+
+def library_versions():
+    """The header of library.tsv: the Python and numpy versions."""
     import numpy
 
-    return f"python {platform.python_version()} numpy {numpy.__version__}"
+    return f"{python_version()} numpy {numpy.__version__}"
 
 
 def write_inputs(directory):
@@ -116,65 +116,56 @@ def argvs():
     return list({shlex.join(argv): argv for argv in found}.values())
 
 
-def run(argv, directory):
-    """(exit code, stdout, stderr) of argv, @tmp standing for directory in all three."""
-    from hermite_kit import cli
-
-    argv = [arg.replace(TMP, str(directory)) for arg in argv]
+# the child of run(): argparse wraps usage at COLUMNS, and cli.main builds its
+# parser once, not once per argv, since parsing leaves the parser as it was
+_CHILD = """\
+import contextlib, io, json, os, sys
+sys.modules["numpy"] = None   # any import of numpy raises ImportError
+os.environ["COLUMNS"] = "80"
+from hermite_kit import cli
+parser = cli.build_parser()
+cli.build_parser = lambda: parser
+runs = []
+for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, *(s.getvalue().replace(str(directory), TMP) for s in (out, err))
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([runs, sorted({"dataclasses", "inspect"} & set(sys.modules))]))
+"""
+
+
+def run(argvs, directory):
+    """[exit code, stdout, stderr] of each argv through cli.main, @tmp standing
+    for directory in all three, and which of dataclasses and inspect loaded.
+    The argvs run in one child process, with this process's hermite_kit, in
+    which any import of numpy raises ImportError and every warning is an error.
+    argvs() and write_inputs() read the tests, which load numpy, so they run
+    here and not in the child."""
+    import hermite_kit
+
+    argvs = [[arg.replace(TMP, str(directory)) for arg in argv] for argv in argvs]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hermite_kit.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-W", "error", "-c", _CHILD], text=True, env=env,
+                           input=json.dumps(argvs), capture_output=True)
+    if child.returncode:
+        raise RuntimeError(f"the child of run() exited {child.returncode}:\n{child.stderr}")
+    runs, loaded = json.loads(child.stdout)
+    return [[code, *(s.replace(str(directory), TMP) for s in texts)]
+            for code, *texts in runs], loaded
 
 
 def digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def line(argv, directory):
-    code, out, err = run(argv, directory)
-    return f"{shlex.join(argv)}\t{code}\t{digest(out)}\t{digest(err)}"
-
-
-_REPLAY = """\
-import json, sys
-sys.modules["numpy"] = None   # any import of numpy raises ImportError
-sys.path[:0] = json.loads(sys.argv[1])
-import regen
-directory, argvs = json.load(sys.stdin)
-with regen.environment():
-    print(json.dumps([regen.line(argv, directory) for argv in argvs]))
-"""
-
-
-def replay(argvs, directory):
-    """line() of each argv, run in one child process in which any import of
-    numpy raises ImportError.  argvs() reads the tests, which load numpy, so
-    this process lists the argvs and the child runs them with this hermite_kit."""
-    import hermite_kit
-
-    path = [str(HERE), str(pathlib.Path(hermite_kit.__file__).parents[1])]
-    child = subprocess.run([sys.executable, "-c", _REPLAY, json.dumps(path)], text=True,
-                           input=json.dumps([str(directory), argvs]), capture_output=True)
-    if child.returncode:
-        raise RuntimeError(f"the replay child exited {child.returncode}:\n{child.stderr}")
-    return json.loads(child.stdout)
-
-
-@contextlib.contextmanager
-def environment():
-    """The fixed environment the corpus is made in: argparse wraps usage at
-    COLUMNS.  cli.main builds its parser once, not once per argv; parsing
-    leaves the parser as it was."""
-    from hermite_kit import cli
-
-    parser = cli.build_parser()
-    with mock.patch.dict(os.environ, COLUMNS="80"), \
-            mock.patch.object(cli, "build_parser", lambda: parser):
-        yield
+def cli_lines(argvs, directory):
+    """The corpus line of each argv."""
+    return [f"{shlex.join(argv)}\t{code}\t{digest(out)}\t{digest(err)}"
+            for argv, (code, out, err) in zip(argvs, run(argvs, directory)[0])]
 
 
 # float arguments at the extremes: signed zeros, subnormals, the smallest
@@ -335,17 +326,17 @@ def main(argv=None):
     if args.call is not None:
         print(repr(eval(args.call, _namespace())))
         return 0
-    with tempfile.TemporaryDirectory() as directory, environment():
+    with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
         if args.show is not None:
-            code, out, err = run(shlex.split(args.show), directory)
+            (code, out, err), = run([shlex.split(args.show)], directory)[0]
             print(f"exit code {code}\n--- stdout ---\n{out}--- stderr ---\n{err}", end="")
             return 0
         lines = ["# argv\texit code\tsha256(stdout)[:16]\tsha256(stderr)[:16]",
-                 f"# {versions(CORPUS)}", *replay(argvs(), directory)]
+                 f"# {python_version()}", *cli_lines(argvs(), directory)]
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 2} lines to {CORPUS}")
-    lines = ["# call\tfloat.hex, sha256 of the parts or exception", f"# {versions(LIBRARY)}"]
+    lines = ["# call\tfloat.hex, sha256 of the parts or exception", f"# {library_versions()}"]
     lines += library_lines()
     LIBRARY.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {len(lines) - 2} lines to {LIBRARY}")

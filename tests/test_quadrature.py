@@ -42,33 +42,6 @@ SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _CHILD_ENV = {**os.environ,
               "PYTHONPATH": os.path.dirname(os.path.dirname(hermite_kit.__file__))}
 
-
-def _cli_without_numpy(commands):
-    """[status, stdout, stderr] of each argv through cli.main, in one child where
-    None in sys.modules makes any import of numpy raise ImportError, and which of
-    dataclasses and inspect that child loaded."""
-    code = "\n".join([
-        "import contextlib, io, json, sys",
-        "sys.modules['numpy'] = None",
-        "import hermite_kit",
-        "from hermite_kit.cli import main",
-        "results = []",
-        "for argv in json.loads(sys.argv[1]):",
-        "    out, err = io.StringIO(), io.StringIO()",
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
-        "        try:",
-        "            status = main(argv)",
-        "        except SystemExit as exc:",
-        "            status = exc.code",
-        "    results.append([status, out.getvalue(), err.getvalue()])",
-        "print(json.dumps([results, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))",
-    ])
-    result = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
-                            capture_output=True, text=True, check=True,
-                            env=_CHILD_ENV)
-    return json.loads(result.stdout)
-
-
 _QUADS = [(n, fmt) for n in (1, 2, 3, 200) for fmt in ("csv", "tsv", "json")]
 
 # `expand fourier-hermite --mu 0.5 --order 2`: mu^n / (n! sqrt(2 pi)), correctly rounded (mpmath)
@@ -245,7 +218,7 @@ class TestRuleBuilder:
             ["graph", "match-poly", "--file", str(bad)],
             *(["quad", f"--n={n}", f"--format={fmt}"] for n, fmt in _QUADS),
         ]
-        results, loaded = _cli_without_numpy(commands)
+        results, loaded = regen.run(commands, tmp_path)
         assert [status for status, _, _ in results] == [0] * 14 + [2] * 7 + [3] + [0] * 12
         assert results[0][1] == "3,0,-6,0,1\n"
         assert results[4][1] == "20.053026197048002\n"
