@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import hermite_kit as hk
 
-from .exactpoly import _check_order
 from .polynomials import SQRT_TWO_PI, _check_rule_order, _read_rule, _rounded
 
 # each cap is checked in one command below; README.md's limits table lists them
@@ -53,8 +52,8 @@ def _emit_table(header, rows, fmt, out):
 
 
 @contextlib.contextmanager
-def _digit_guard(digits):
-    # 0 while exact integers print, at any length; Python's fixed default while input is read
+def _digit_guard(digits=sys.int_info.default_max_str_digits):
+    # input is read at Python's fixed default, whatever PYTHONINTMAXSTRDIGITS says; output at 0
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(digits)
     try:
@@ -64,8 +63,7 @@ def _digit_guard(digits):
 
 
 def _emit_coeffs(poly, fmt, out):
-    with _digit_guard(0):
-        strings = [str(c) for c in poly.coeffs]
+    strings = [str(c) for c in poly.coeffs]
     if fmt == "json":
         print(json.dumps(strings), file=out)
     else:
@@ -82,10 +80,12 @@ def _split(text, read=str.strip):  # each token of a list read, blank ones skipp
     return [read(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_int_list(text):
-    with contextlib.suppress(ValueError):
-        return _split(text, int)
-    raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _integer(text):
+    # every integer token, flag or --parts, read as _number reads a real one: at the fixed guard
+    with contextlib.suppress(ValueError), _digit_guard():
+        if (value := int(text)) >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
 def _number(text, exact=False):
@@ -96,12 +96,20 @@ def _number(text, exact=False):
     digits = (e := _EXPONENT.search(text)) and e[1].replace("_", "").lstrip("0")
     if digits and (len(digits) > len(str(bound)) or int(digits) > bound):
         raise argparse.ArgumentTypeError(f"{text!r} has an exponent beyond {bound}")
-    with contextlib.suppress(ValueError, ZeroDivisionError), _digit_guard(bound):
+    with contextlib.suppress(ValueError, ZeroDivisionError), _digit_guard():
         if exact:
             return Fraction(text)
         if math.isfinite(value := _rounded(Fraction(text))):  # Fraction("-0.0") is 0
             return -0.0 if not value and text.strip().startswith("-") else value
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _coeffs(args, exact=False):
+    # after the caps: the 18 700 tokens 1e4299 of one 128 KiB argument take 1 s to read exactly
+    try:
+        return [_number(token, exact) for token in args.coeffs]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"argument --coeffs: {exc}") from None
 
 
 class InputFileError(Exception):
@@ -113,7 +121,6 @@ def cmd_poly(args, out):
         raise ValueError(f"--n is capped at {MAX_POLY_N}, got {args.n}")
     poly = hk.hermite_explicit(args.n, args.family)
     _emit_coeffs(poly, args.format, out)
-    return 0
 
 
 def cmd_quad(args, out):
@@ -122,7 +129,6 @@ def cmd_quad(args, out):
         print(json.dumps({"nodes": nodes, "weights": weights}), file=out)
     else:
         _emit_table(("node", "weight"), zip(nodes, weights), args.format, out)
-    return 0
 
 
 def _grid(lo, hi, samples):
@@ -154,14 +160,12 @@ def cmd_plotdata(args, out):
     grid = _grid(args.xmin, args.xmax, args.samples)
     if args.kind == "series":
         convention = hk.DENSITY_WEIGHTED if args.convention == "density" else hk.PLAIN_RV
-        series = hk.HermiteSeries([_number(c) for c in args.coeffs], convention)
+        series = hk.HermiteSeries(_coeffs(args), convention)
         rows = ((x, hk.evaluate_series(series, x)) for x in grid)
     else:
         value = hk.eval_hermite if args.kind == "poly" else hk.eval_hermite_function
-        n = _check_order(args.n)  # here: each row is written once computed, after the header
-        rows = ((x, value(n, x, args.family)) for x in grid)
+        rows = ((x, value(args.n, x, args.family)) for x in grid)
     _emit_table(("x", "value"), rows, args.format, out)
-    return 0
 
 
 def _lines(path):
@@ -178,29 +182,30 @@ def _load_graph(path):
     # the edge-list format: the vertex count, then one 'u v' per line (1-indexed); blank lines
     # are skipped, and a bad line (a loop or a repeated pair too) exits 3 with its 1-based number
     vertex_count, seen = None, set()
-    for number, line in _lines(path):
-        at = f"line {number}:"
-        if vertex_count is None:
+    with _digit_guard():  # each int() as _integer's
+        for number, line in _lines(path):
+            at = f"line {number}:"
+            if vertex_count is None:
+                try:
+                    vertex_count = int(line)
+                except ValueError:
+                    raise InputFileError(f"{at} expected the vertex count, got {line!r}") from None
+                if vertex_count < 1:
+                    raise InputFileError(f"{at} vertex count must be positive, got {vertex_count}")
+                continue
+            if len(parts := line.split()) != 2:
+                raise InputFileError(f"{at} expected 'u v', got {line!r}")
             try:
-                vertex_count = int(line)
+                u, v = int(parts[0]), int(parts[1])
             except ValueError:
-                raise InputFileError(f"{at} expected the vertex count, got {line!r}") from None
-            if vertex_count < 1:
-                raise InputFileError(f"{at} vertex count must be positive, got {vertex_count}")
-            continue
-        if len(parts := line.split()) != 2:
-            raise InputFileError(f"{at} expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise InputFileError(f"{at} non-integer vertex in {line!r}") from None
-        if u == v:
-            raise InputFileError(f"{at} loop edge ({u}, {v}) not allowed")
-        if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
-            raise InputFileError(f"{at} vertex outside 1..{vertex_count} in ({u}, {v})")
-        if (pair := (min(u, v), max(u, v))) in seen:
-            raise InputFileError(f"{at} duplicate edge ({u}, {v})")
-        seen.add(pair)
+                raise InputFileError(f"{at} non-integer vertex in {line!r}") from None
+            if u == v:
+                raise InputFileError(f"{at} loop edge ({u}, {v}) not allowed")
+            if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
+                raise InputFileError(f"{at} vertex outside 1..{vertex_count} in ({u}, {v})")
+            if (pair := (min(u, v), max(u, v))) in seen:
+                raise InputFileError(f"{at} duplicate edge ({u}, {v})")
+            seen.add(pair)
     if vertex_count is None:
         raise InputFileError("line 1: empty graph file")
     return hk.SimpleGraph(vertex_count, frozenset(seen))
@@ -219,22 +224,19 @@ def cmd_graph(args, out):
             rows = [(str(j), str(c)) for j, c in enumerate(counts)]
             _emit_table(("j", "count"), rows, args.format, out)
     elif args.graph_command == "kpartite":
-        sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
+        sizes = args.parts
         if (edges := (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2) > MAX_KPARTITE_EDGES:
             raise ValueError(f"--parts makes {edges} edges, capped at {MAX_KPARTITE_EDGES}")
         from .graphs import _kpartite_edges  # _load_graph's format, written as generated
         print(hk.SimpleGraph(sum(sizes), ()).vertex_count, file=out)  # refuses 0 vertices
         out.writelines(f"{u} {v}\n" for u, v in _kpartite_edges(sizes))
     elif args.graph_command == "product-integral":
-        sizes = [_check_order(s, "part size") for s in args.parts]  # their refusals come first
-        cap, shape = (MAX_PARTS_TOTAL, "three or fewer") if len(sizes) <= 3 \
+        cap, shape = (MAX_PARTS_TOTAL, "three or fewer") if len(args.parts) <= 3 \
             else (MAX_PARTS_TOTAL_FOLDED, "four or more")
-        if (total := sum(sizes)) > cap:
+        if (total := sum(args.parts)) > cap:
             raise ValueError(f"--parts sums to {total}, capped at {cap} for {shape} parts")
         p = hk.count_complete_matches(args.parts)
-        value = SQRT_TWO_PI * _rounded(p)  # as hermite_product_integral
-        with _digit_guard(0):
-            count = str(p)
+        value, count = SQRT_TWO_PI * _rounded(p), str(p)  # J as hermite_product_integral
         if args.format == "json":
             print(json.dumps({"parts": args.parts, "P": count, "J": float(value)}), file=out)
         elif args.format == "plain":
@@ -243,18 +245,15 @@ def cmd_graph(args, out):
             parts_label = " ".join(str(p) for p in args.parts)
             _emit_table(("parts", "P", "J"), [(parts_label, count, value)], args.format, out)
     else:  # linearize
-        orders = [_check_order(k, "order") for k in (args.m, args.n)]  # their refusals come first
-        if (total := sum(orders)) > MAX_LINEARIZE_TOTAL:
+        if (total := args.m + args.n) > MAX_LINEARIZE_TOTAL:
             raise ValueError(f"--m + --n is {total}, capped at {MAX_LINEARIZE_TOTAL}")
         table = hk.linearization_coeffs(args.m, args.n)
-        with _digit_guard(0):
-            if args.format in ("csv", "tsv"):
-                rows = [(str(l), str(a)) for l, a in table.items()]
-                _emit_table(("l", "coefficient"), rows, args.format, out)
-            else:
-                payload = {str(l): a for l, a in table.items()}
-                print(json.dumps(payload, separators=(",", ":")), file=out)
-    return 0
+        if args.format in ("csv", "tsv"):
+            rows = [(str(l), str(a)) for l, a in table.items()]
+            _emit_table(("l", "coefficient"), rows, args.format, out)
+        else:
+            payload = {str(l): a for l, a in table.items()}
+            print(json.dumps(payload, separators=(",", ":")), file=out)
 
 
 def _read_moments_csv(path):
@@ -271,12 +270,12 @@ def _read_moments_csv(path):
 
 def cmd_expand(args, out):
     if args.expand_command == "fourier-hermite":
-        if (order := _check_order(args.order, "truncation order")) > MAX_FOURIER_ORDER:
-            raise ValueError(f"--order is capped at {MAX_FOURIER_ORDER}, got {order}")
+        if args.order > MAX_FOURIER_ORDER:
+            raise ValueError(f"--order is capped at {MAX_FOURIER_ORDER}, got {args.order}")
         # e^(mu x - mu^2/2) = sum He_n(x) mu^n / n!: N(mu, 1) has a_n = mu^n / (n! sqrt(2 pi)),
         # sqrt(2 pi) to 40 digits (the float SQRT_TWO_PI is 1.04e-16 low, near half its ulp)
         mu, norm = Fraction(args.mu), Fraction(2506628274631000502415765284811045253007, 10**39)
-        coeffs = [_rounded(mu**n / math.factorial(n) / norm) for n in range(order + 1)]
+        coeffs = [_rounded(mu**n / math.factorial(n) / norm) for n in range(args.order + 1)]
         _emit_series(hk.HermiteSeries(coeffs, hk.DENSITY_WEIGHTED), out)
     elif args.expand_command == "gram-charlier":
         if args.moments_csv is not None:
@@ -289,20 +288,19 @@ def cmd_expand(args, out):
             print("warning: truncated expansion is negative at this point", file=sys.stderr)
         print(_fmt(value), file=out)
     elif args.expand_command in ("wce", "deconvolve"):
-        if (degree := len(args.coeffs) - 1) > MAX_COEFFS_DEGREE:  # checked before any parsing
+        if (degree := len(args.coeffs) - 1) > MAX_COEFFS_DEGREE:
             raise ValueError(f"--coeffs has degree {degree}, capped at {MAX_COEFFS_DEGREE}")
-        poly = hk.ExactPolynomial([_number(c, exact=True) for c in args.coeffs])
+        if args.expand_command == "wce" and args.order > MAX_POLY_N:
+            raise ValueError(f"--order is capped at {MAX_POLY_N}, got {args.order}")
+        poly = hk.ExactPolynomial(_coeffs(args, exact=True))
         if args.expand_command == "deconvolve":
             _emit_coeffs(hk.gaussian_mixture_deconvolve(poly, args.sigma), args.format, out)
         else:  # a polynomial's chaos coefficients are its He coefficients: the connection problem
-            if (order := _check_order(args.order, "truncation order")) > MAX_POLY_N:
-                raise ValueError(f"--order is capped at {MAX_POLY_N}, got {order}")
             he = hk.change_of_basis(poly.degree, "monomial", "he").apply(poly.coeffs)
-            coeffs = [_rounded(b) for b in he[:order + 1]] + [0.0] * (order - poly.degree)
+            coeffs = [_rounded(b) for b in he[:args.order + 1]] + [0.0] * (args.order - poly.degree)
             _emit_series(hk.HermiteSeries(coeffs, hk.PLAIN_RV), out)
     else:  # fourier-check
         print(_fmt(hk.fourier_eigen_check(args.n, _grid(-args.kmax, args.kmax, 25))), file=out)
-    return 0
 
 
 def build_parser():
@@ -317,25 +315,25 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "tsv", "json"), default=default)
 
     p = sub.add_parser("poly", help="exact polynomial coefficients, constant term first")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--family", choices=("he", "h"), default="he")
     add_format(p)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("quad", help="Gauss-Hermite nodes and weights for e^(-x^2/2)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     add_format(p)
     p.set_defaults(func=cmd_quad)
 
     p = sub.add_parser("plotdata", help="sampled values on a uniform grid")
     p.add_argument("--kind", choices=("poly", "function", "series"), required=True)
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=_integer, default=0)
     p.add_argument("--family", choices=("he", "h"), default="he")
     p.add_argument("--coeffs", type=_split, default=[])
     p.add_argument("--convention", choices=("density", "plain"), default="density")
     p.add_argument("--xmin", type=_number, required=True)
     p.add_argument("--xmax", type=_number, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_integer, required=True)
     add_format(p, default="tsv")
     p.set_defaults(func=cmd_plotdata)
 
@@ -348,20 +346,20 @@ def build_parser():
 
     g = gsub.add_parser("matches", help="j-match counts from an edge-list file")
     g.add_argument("--file", required=True)
-    g.add_argument("--j", type=int, default=None)
+    g.add_argument("--j", type=_integer, default=None)
     add_format(g)
 
     g = gsub.add_parser("kpartite", help="emit the complete k-partite graph as an edge list")
-    g.add_argument("--parts", type=_parse_int_list, required=True)
+    g.add_argument("--parts", type=lambda text: _split(text, _integer), required=True)
 
     g = gsub.add_parser("product-integral",
                         help="integral of a product of Chebyshev-Hermite polynomials")
-    g.add_argument("--parts", type=_parse_int_list, required=True)
+    g.add_argument("--parts", type=lambda text: _split(text, _integer), required=True)
     g.add_argument("--format", choices=("plain", "csv", "tsv", "json"), default="plain")
 
     g = gsub.add_parser("linearize", help="He_m He_n re-expanded in the He basis")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--n", type=int, required=True)
+    g.add_argument("--m", type=_integer, required=True)
+    g.add_argument("--n", type=_integer, required=True)
     add_format(g, default="json")
     p.set_defaults(func=cmd_graph)
 
@@ -371,21 +369,21 @@ def build_parser():
     e = esub.add_parser("fourier-hermite",
                         help="density-weighted expansion of a shifted Gaussian density")
     e.add_argument("--mu", type=_number, required=True)
-    e.add_argument("--order", type=int, default=30)
+    e.add_argument("--order", type=_integer, default=30)
 
     e = esub.add_parser("gram-charlier", help="Gram-Charlier density value")
     e.add_argument("--mu", type=_number, default=0.0)
     e.add_argument("--sigma", type=_number, default=1.0)
     e.add_argument("--nu3", type=_number, default=0.0)
     e.add_argument("--nu4", type=_number, default=3.0)
-    e.add_argument("--order", type=int, default=4)
+    e.add_argument("--order", type=_integer, default=4)
     e.add_argument("--x", type=_number, required=True)
     e.add_argument("--moments-csv", default=None,
                    help="file with one value per line: mu, sigma, nu3, nu4, ...")
 
     e = esub.add_parser("wce", help="chaos coefficients of a polynomial of a unit Gaussian")
     e.add_argument("--coeffs", type=_split, required=True)
-    e.add_argument("--order", type=int, required=True)
+    e.add_argument("--order", type=_integer, required=True)
 
     e = esub.add_parser("deconvolve", help="exact Gaussian-mixture deconvolution of a polynomial")
     e.add_argument("--coeffs", type=_split, required=True)
@@ -393,7 +391,7 @@ def build_parser():
     add_format(e)
 
     e = esub.add_parser("fourier-check", help="Fourier eigenfunction residual of h_n")
-    e.add_argument("--n", type=int, required=True)
+    e.add_argument("--n", type=_integer, required=True)
     e.add_argument("--kmax", type=_number, default=3.0)
     p.set_defaults(func=cmd_expand)
 
@@ -401,13 +399,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
-    except (InputFileError, ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+        with _digit_guard(0):  # exact integers, and refusals naming them, print in full
+            args.func(args, sys.stdout)
+    except (InputFileError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, InputFileError) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -308,8 +308,6 @@ class TestGraph:
         ("1000,1001", "--parts makes 1001000 edges, capped at 1000000"),
         ("1,1000,1000", "--parts makes 1002000 edges, capped at 1000000"),
         ("10000,10000", "--parts makes 100000000 edges, capped at 1000000"),
-        # the part sizes are checked first
-        ("-1,2000,2000", "part size must be a nonnegative integer, got -1"),
         (",", "graph needs at least one vertex"),
     ])
     def test_kpartite_refusals(self, capsys, parts, message):
@@ -346,8 +344,6 @@ class TestGraph:
     @pytest.mark.parametrize("parts, message", [
         ("0,0,50001", "--parts sums to 50001, capped at 50000 for three or fewer parts"),
         ("501,500,500,500", "--parts sums to 2001, capped at 2000 for four or more parts"),
-        # the part sizes are checked first
-        ("-1,60000", "part size must be a nonnegative integer, got -1"),
     ])
     def test_product_integral_refusals(self, capsys, monkeypatch, parts, message):
         # refused before any count: 4 x 2500 took 16 s, 4 x 25000 passed 1.2 GB
@@ -366,8 +362,6 @@ class TestGraph:
     @pytest.mark.parametrize("m, n, message", [
         ("3001", "3000", "--m + --n is 6001, capped at 6000"),
         ("0", "6001", "--m + --n is 6001, capped at 6000"),
-        # the orders are checked first
-        ("-1", "7000", "order must be a nonnegative integer, got -1"),
     ])
     def test_linearize_refusals(self, capsys, monkeypatch, m, n, message):
         # refused before any coefficient: 5000 and 5000 took 12 s and printed 49 MB
@@ -620,13 +614,14 @@ def _with_value(argv, value, tmp_path):
 
 
 def _refusal(argv, token, tmp_path):
-    # the one refusal text: argparse names the flag, a file its line, --coeffs neither
+    # the one refusal text: argparse names the flag, --coeffs names it after the caps, and a
+    # file names its line
     flag = next(arg for arg in argv if "{}" in arg).split("=")[0]
     if flag == "--moments-csv":
         return 3, f"error: {tmp_path / 'moments.csv'}: line 3: expected a finite number, " \
                   f"got {token!r}\n"
     if flag == "--coeffs":
-        return 2, f"error: expected a finite number, got {token!r}\n"
+        return 2, f"error: argument --coeffs: expected a finite number, got {token!r}\n"
     return 2, f"argument {flag}: expected a finite number, got {token!r}\n"
 
 
@@ -636,6 +631,15 @@ def _run_or_exit(capsys, argv):
         return run_cli(capsys, *argv)
     except SystemExit as exc:
         return exc.code, *capsys.readouterr()
+
+
+def _cli_child(argv, **env):
+    # exit code, stdout and stderr of a fresh `python -m hermite_kit.cli` under env
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}, **env,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(hermite_kit.__file__))}
+    result = subprocess.run([sys.executable, "-m", "hermite_kit.cli", *argv],
+                            capture_output=True, text=True, env=env, timeout=10)
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestNumbers:
@@ -724,18 +728,82 @@ class TestNumbers:
                                       ("expand", "gram-charlier", "--x", "1e99999999")])
     def test_no_process_limit_lets_an_exponent_through(self, argv):
         # PYTHONINTMAXSTRDIGITS=0 lifts Python's own guard: 10**99999999 would take minutes
-        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "0",
-               "PYTHONPATH": os.path.dirname(os.path.dirname(hermite_kit.__file__))}
-        result = subprocess.run([sys.executable, "-m", "hermite_kit.cli", *argv],
-                                capture_output=True, text=True, env=env, timeout=10)
-        assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.endswith("'1e99999999' has an exponent beyond 4300\n")
+        code, out, err = _cli_child(argv, PYTHONINTMAXSTRDIGITS="0")
+        assert (code, out) == (2, "")
+        assert err.endswith("'1e99999999' has an exponent beyond 4300\n")
 
     @pytest.mark.parametrize("xmax", ["-0.0", "-0", "-1e-400"])
     def test_a_negative_zero_prints_with_its_sign(self, capsys, xmax):
         argv = ("plotdata", "--kind", "poly", "--n", "0", "--xmin=-1", f"--xmax={xmax}",
                 "--samples", "2")
         assert run_cli(capsys, *argv) == (0, "x\tvalue\n-1\t1\n-0\t1\n", "")
+
+
+def _options(parser, command=()):
+    # (subcommand, action) of every option the CLI takes, subparser by subparser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from _options(subparser, (*command, name))
+        else:
+            yield command, action
+
+
+_OPTIONS = list(_options(cli.build_parser()))
+# every integer flag, and --parts, whose comma-separated parts the same reader takes
+_INTEGER_FLAGS = [(command, action.option_strings[0]) for command, action in _OPTIONS
+                  if action.type is cli._integer or action.dest == "parts"]
+
+
+class TestIntegers:
+    """One reader takes every integer token, each integer flag and each part of --parts: a
+    nonnegative int read at Python's default 4300-digit guard, whatever the process limit,
+    and refused by argparse with one text that names the flag."""
+
+    def test_no_option_reads_with_bare_int(self):
+        assert [(command, action.option_strings) for command, action in _OPTIONS
+                if action.type is int] == []
+        assert len(_INTEGER_FLAGS) == 13  # 11 integer flags and the two --parts
+        assert {flag for _, flag in _INTEGER_FLAGS} == \
+            {"--n", "--samples", "--j", "--m", "--order", "--parts"}
+
+    @pytest.mark.parametrize("command, flag", _INTEGER_FLAGS,
+                             ids=[" ".join((*command, flag)) for command, flag in _INTEGER_FLAGS])
+    def test_every_integer_flag_has_one_refusal(self, capsys, command, flag):
+        cases = [(token, token) for token in ("-1", "1.5", "9" * 5000)]
+        if flag == "--parts":  # each part alone: 1,x and -1,5 once got two texts
+            cases += [("1,x", "x"), ("-1,5", "-1"), ("2, 1/2", " 1/2")]
+        old = sys.get_int_max_str_digits()
+        for text, token in cases:
+            for limit in (old, 0) if len(token) > 4300 else (old,):
+                sys.set_int_max_str_digits(limit)
+                try:
+                    code, out, err = _run_or_exit(capsys, [*command, f"{flag}={text}"])
+                    assert sys.get_int_max_str_digits() == limit
+                finally:
+                    sys.set_int_max_str_digits(old)
+                assert (code, out) == (2, "")
+                assert err.endswith(f": error: argument {flag}: expected a nonnegative "
+                                    f"integer, got {token!r}\n")
+
+    @pytest.mark.parametrize("text, want", [("7", 7), (" 7 ", 7), ("+7", 7), ("-0", 0),
+                                            ("1_000", 1000), ("0" * 4300, 0)])
+    def test_a_token_is_read_as_int_reads_it(self, text, want):
+        assert cli._integer(text) == want
+
+    def test_the_digit_bound_holds_whatever_pythonintmaxstrdigits_says(self, tmp_path):
+        # a flag, a graph file's vertex count or edge line, and a cap's refusal that names an
+        # integer past 4300 digits give the same bytes with the limit unset and lifted
+        long = "9" * 5000
+        (count := tmp_path / "count.txt").write_text(f"{long}\n", encoding="utf-8")
+        (edge := tmp_path / "edge.txt").write_text(f"3\n1 {long}\n", encoding="utf-8")
+        argvs = [("poly", "--n", long), ("graph", "matches", "--file", str(count)),
+                 ("graph", "match-poly", "--file", str(edge)),
+                 ("graph", "kpartite", "--parts", f"{long[:3000]},{long[:3000]}")]
+        for argv, code in zip(argvs, (2, 3, 3, 2)):
+            result = _cli_child(argv)
+            assert result == _cli_child(argv, PYTHONINTMAXSTRDIGITS="0")
+            assert result[:2] == (code, "") and "Exceeds the limit" not in result[2], argv
 
 
 _VALUES = ["0", "-1", "1", "2", "3", "7", "50", "1e308", "-1e308", "1e-300", "inf", "-inf",
@@ -1022,7 +1090,7 @@ class TestExpand:
                 ("1,nan", "expected a finite number, got 'nan'"),
                 ("-inf", "expected a finite number, got '-inf'")]:
             argv = ("expand", command[0], f"--coeffs={coeffs}", *command[1:])
-            assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+            assert run_cli(capsys, *argv) == (2, "", f"error: argument --coeffs: {message}\n")
 
     def test_an_exponent_at_the_digit_guard_is_read(self, capsys):
         limit = sys.int_info.default_max_str_digits

@@ -76,6 +76,13 @@ PUBLIC_NAMES = [
     "wce_reconstruct", "weierstrass_preimage_polynomial",
 ]
 
+# the names of hermite_kit.quadrature, the only ones that need numpy
+QUADRATURE_NAMES = [
+    "CubatureRule", "QuadratureRule", "fourier_hermite_coeffs", "gauss_hermite_rule",
+    "integrate_cubature", "integrate_weighted", "integrate_whole_line", "tensor_cubature",
+    "wce_coeffs_1d", "wce_coeffs_multi",
+]
+
 # paper identities and float copies of exact results that the tests check and
 # the package must not export
 REMOVED_NAMES = [
@@ -184,6 +191,33 @@ class TestRuleBuilder:
         refusal = ["hermite_kit.quadrature needs numpy: pip install 'hermite-kit[quadrature]'",
                    "ModuleNotFoundError"]
         assert json.loads(result.stdout) == [2.0, [1, 6, 3], refusal, refusal]
+
+    def test_all_is_one_constant_and_a_star_import_names_the_extra(self):
+        # __all__ lists the 47 names whether or not numpy imports: without it each of the 37
+        # numpy-free names imports by name, and a star import, which takes all 47, says
+        # what to install
+        numpy_free = sorted(set(PUBLIC_NAMES) - set(QUADRATURE_NAMES))
+        code = "\n".join([
+            "import json, sys",
+            "sys.modules['numpy'] = None",
+            "import hermite_kit",
+            "results = [sorted(hermite_kit.__all__)]",
+            "for name in json.loads(sys.argv[1]):",
+            "    exec(f'from hermite_kit import {name}', {})",
+            "try:",
+            "    exec('from hermite_kit import *', {})",
+            "except ImportError as exc:",
+            "    results.append(str(exc))",
+            "print(json.dumps(results))",
+        ])
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(numpy_free)],
+                                capture_output=True, text=True, check=True, env=_CHILD_ENV)
+        assert len(numpy_free) == 37
+        assert sorted(name for name, module in hermite_kit._PUBLIC.items()
+                      if module == "quadrature") == QUADRATURE_NAMES
+        assert json.loads(result.stdout) == [
+            PUBLIC_NAMES,
+            "hermite_kit.quadrature needs numpy: pip install 'hermite-kit[quadrature]'"]
 
     def test_exact_cli_paths_run_without_numpy(self, tmp_path):
         # the records are named tuples, so neither dataclasses nor inspect loads
