@@ -82,9 +82,13 @@ def _split(text, read=str.strip):  # each token of a list read, blank ones skipp
 
 def _integer(text):
     # every integer token, flag or --parts, read as _number reads a real one: at the fixed guard
-    with contextlib.suppress(ValueError), _digit_guard():
-        if (value := int(text)) >= 0:
-            return value
+    try:
+        short = len(text) <= sys.int_info.str_digits_check_threshold  # below any settable limit
+        with contextlib.nullcontext() if short else _digit_guard():
+            if (value := int(text)) >= 0:
+                return value
+    except ValueError:
+        pass
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 

@@ -65,7 +65,7 @@ class StandardizedMoments(namedtuple("StandardizedMoments", "mu sigma nu")):
 
     def standardized(self, k):
         """nu_k with the fixed values nu_0 = 1, nu_1 = 0, nu_2 = 1."""
-        if not 0 <= k < len(self.nu) + 3:
+        if (k := _check_order(k, "moment index")) >= len(self.nu) + 3:
             raise ValueError(f"standardized moment nu_{k} was not supplied")
         return _rounded(self.nu[k - 3]) if k > 2 else (1.0, 0.0, 1.0)[k]
 

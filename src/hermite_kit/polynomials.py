@@ -193,7 +193,7 @@ def index_multiplicities(indices, dimension):
     """How many times each coordinate 0..d-1 occurs among the indices."""
     counts = [0] * dimension
     for a in indices:
-        if not 0 <= a < dimension:
+        if (a := _check_order(a, "index")) >= dimension:
             raise ValueError(f"index {a} outside dimension {dimension}")
         counts[a] += 1
     return tuple(counts)

@@ -175,12 +175,9 @@ def tensor_cubature(d, N):
     base = gauss_hermite_rule(N)  # checks N first, with the 1-d rule's messages
     N = base.order  # a Python int: a numpy N**d could wrap
     # N**d has d log2(N) bits, so it is built only where it is small: N >= 2 is over budget from
-    # d = 24 on (2**24 > 10**7), and the refusal names it by its digits where Python prints them
+    # d = 24 on (2**24 > 10**7), and the refusal names it by its digits, at most 53, below that
     if N > 1 and (d >= CUBATURE_POINT_BUDGET.bit_length() or N**d > CUBATURE_POINT_BUDGET):
-        try:
-            size = f"{N**d}" if d <= 2**16 else f"{N}**{d}"
-        except ValueError:  # more digits than Python converts
-            size = f"{N}**{d}"
+        size = f"{N**d}" if d < CUBATURE_POINT_BUDGET.bit_length() else f"{N}**{d}"
         raise ValueError(f"cubature of order {N} in dimension {d} needs {size} points, "
                          f"above the budget of {CUBATURE_POINT_BUDGET}")
     if d > MAX_CUBATURE_DIMENSION:  # only N = 1 is here

@@ -791,6 +791,21 @@ class TestIntegers:
     def test_a_token_is_read_as_int_reads_it(self, text, want):
         assert cli._integer(text) == want
 
+    def test_a_long_parts_list_sets_the_digit_limit_no_more_often(self, monkeypatch):
+        # a token no Python limit can reach is read without the guard, so no part sets the limit
+        def calls(parts):
+            counted = []
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "set_int_max_str_digits",
+                              lambda digits, set_limit=sys.set_int_max_str_digits:
+                              counted.append(digits) or set_limit(digits))
+                args = cli.build_parser().parse_args(
+                    ["graph", "product-integral", "--parts", ",".join(["1"] * parts)])
+            assert args.parts == [1] * parts
+            return len(counted)
+
+        assert calls(1000) == calls(1)
+
     def test_the_digit_bound_holds_whatever_pythonintmaxstrdigits_says(self, tmp_path):
         # a flag, a graph file's vertex count or edge line, and a cap's refusal that names an
         # integer past 4300 digits give the same bytes with the limit unset and lifted
