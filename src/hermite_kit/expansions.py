@@ -197,7 +197,9 @@ def fourier_eigen_check(n, k_grid, quad_order=None):
     if quad_order is None and n > (largest := (MAX_ORDER - 10) // 2):
         raise ValueError(f"n {n} exceeds {largest}, the default quadrature's limit")
     rule_order = MAX_ORDER if quad_order is None else _check_rule_order(quad_order, 2 * n + 10)
-    ks, band = [_real(q, "k") for q in k_grid], MAX_EIGEN_FREQUENCY
+    if not (ks := [_real(q, "k") for q in k_grid]):  # no frequency checked is no residual
+        raise ValueError("k_grid needs at least one frequency")
+    band = MAX_EIGEN_FREQUENCY
     if quad_order is None and (far := [k for k in ks if not abs(k) <= band]):
         raise ValueError(f"k must be in [-{band}, {band}] on the default rule, got {far[0]!r}")
     half = rule_order // 2  # the nonnegative half; an odd rule's middle node, 0.0, comes first

@@ -42,8 +42,9 @@ class SimpleGraph(namedtuple("SimpleGraph", "vertex_count edges")):
 
     @classmethod
     def from_edges(cls, vertex_count, edges):
-        canonical = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        return cls(vertex_count=vertex_count, edges=canonical)
+        # each endpoint is read as the constructor reads it, before the pair is ordered
+        edges = ((_check_order(u, "vertex"), _check_order(v, "vertex")) for u, v in edges)
+        return cls(vertex_count=vertex_count, edges={(min(u, v), max(u, v)) for u, v in edges})
 
     @property
     def edge_count(self):

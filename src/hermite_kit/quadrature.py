@@ -48,6 +48,15 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "order", order := _check_order(self.order, "quadrature order", 1))
+        for name, array in (("nodes", self.nodes), ("weights", self.weights)):
+            if not (is_array := isinstance(array, np.ndarray)) or array.dtype != np.float64:
+                got = f"{array.dtype} array" if is_array else type(array).__name__
+                raise TypeError(f"rule {name} must be a float64 array, got {got}")
+            if array.shape != (order,):
+                raise ValueError(f"rule {name} must have shape {(order,)}, got {array.shape}")
+
     @functools.cached_property
     def whole_line_weights(self):
         """w_i e^{x_i^2/2} per node, read-only, built on first read.  Finite for
@@ -70,6 +79,21 @@ class CubatureRule:
     base: QuadratureRule
     order = property(lambda self: self.base.order)
     nodes = property(lambda self: self.base.nodes)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", d := _check_order(self.dimension, "dimension", 1))
+        if not isinstance(self.base, QuadratureRule):
+            raise TypeError(f"cubature base must be a QuadratureRule, "
+                            f"got {type(self.base).__name__}")
+        N = self.order  # a Python int, as QuadratureRule keeps it: a numpy N**d could wrap
+        # N**d has d log2(N) bits, so it is built only where it is small: N >= 2 is over budget from
+        # d = 24 on (2**24 > 10**7), and the refusal names it by its digits, at most 53, below that
+        if N > 1 and (d >= CUBATURE_POINT_BUDGET.bit_length() or N**d > CUBATURE_POINT_BUDGET):
+            size = f"{N**d}" if d < CUBATURE_POINT_BUDGET.bit_length() else f"{N}**{d}"
+            raise ValueError(f"cubature of order {N} in dimension {d} needs {size} points, "
+                             f"above the budget of {CUBATURE_POINT_BUDGET}")
+        if d > MAX_CUBATURE_DIMENSION:  # only N = 1 is here
+            raise ValueError(f"dimension must be 1..{MAX_CUBATURE_DIMENSION}, got {d}")
 
     @property
     def weights(self):
@@ -106,21 +130,26 @@ def integrand_values(f, rule):
     """f at every node of a QuadratureRule, or every point of a CubatureRule,
     as an array: one call per node, in order.
 
-    A cubature point is a row of a freshly built block, so f may keep or
-    modify it.  A value v is float(v - 0.0), which keeps -0.0 and takes an np.bool_, or else the
+    A 1-d node is passed as a Python float holding the tabled double, so f
+    computes by Python's float rules: x ** 400 past double range raises
+    OverflowError, 1 / x at an odd rule's middle node 0.0 ZeroDivisionError,
+    and x ** 0.5 at a negative node gives a complex, refused below.  A
+    cubature point is a float64 row of a freshly built block, so f may keep
+    or modify it.  A value v is float(v - 0.0), which keeps -0.0 and takes an np.bool_, or else the
     int its __index__ gives, rounded once; a str, Decimal or complex raises TypeError naming its
     type, and a non-finite value, an int or Fraction past double range too, ValueError its index.
     """
     cubature = isinstance(rule, CubatureRule)
-    values = np.empty(rule.order ** rule.dimension if cubature else len(rule.weights))
-    for i, x in enumerate(itertools.chain.from_iterable(rule._blocks()) if cubature else rule.nodes):
+    values = np.empty(rule.order ** rule.dimension if cubature else rule.order)
+    for i, x in enumerate(itertools.chain.from_iterable(rule._blocks()) if cubature
+                          else rule.nodes.tolist()):
         v = f(x)
         try:
             y = float(v - 0.0)
         except (TypeError, OverflowError):  # an int or Fraction past double range is +-inf
             y = _rounded(_real(v, "integrand value"))
         if not math.isfinite(y):
-            where = f"point index {i}" if cubature else f"node index {i} (x={float(x)!r})"
+            where = f"point index {i}" if cubature else f"node index {i} (x={x!r})"
             raise ValueError(f"integrand returned non-finite value {y!r} at {where}")
         values[i] = y
     return values
@@ -171,18 +200,9 @@ def integrate_whole_line(f, rule):
 
 def tensor_cubature(d, N):
     """Tensor-product rule on R^d; exact for per-variable degree <= 2N-1."""
-    d = _check_order(d, "dimension", 1)
-    base = gauss_hermite_rule(N)  # checks N first, with the 1-d rule's messages
-    N = base.order  # a Python int: a numpy N**d could wrap
-    # N**d has d log2(N) bits, so it is built only where it is small: N >= 2 is over budget from
-    # d = 24 on (2**24 > 10**7), and the refusal names it by its digits, at most 53, below that
-    if N > 1 and (d >= CUBATURE_POINT_BUDGET.bit_length() or N**d > CUBATURE_POINT_BUDGET):
-        size = f"{N**d}" if d < CUBATURE_POINT_BUDGET.bit_length() else f"{N}**{d}"
-        raise ValueError(f"cubature of order {N} in dimension {d} needs {size} points, "
-                         f"above the budget of {CUBATURE_POINT_BUDGET}")
-    if d > MAX_CUBATURE_DIMENSION:  # only N = 1 is here
-        raise ValueError(f"dimension must be 1..{MAX_CUBATURE_DIMENSION}, got {d}")
-    return CubatureRule(dimension=d, base=base)
+    # refused in turn: the dimension's type, N with the 1-d rule's messages, then the point
+    # budget and the dimension bound, which CubatureRule checks
+    return CubatureRule(_check_order(d, "dimension", 1), gauss_hermite_rule(N))
 
 
 def _quad_order(order, quad_order):

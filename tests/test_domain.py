@@ -95,6 +95,7 @@ ORDERS = {
     "tensor_cubature(order)": lambda n: tensor_cubature(2, n),
     "SimpleGraph": lambda n: SimpleGraph(n, frozenset({(1, 2)})),
     "SimpleGraph(vertex)": lambda n: SimpleGraph(4, [(1, n)]),
+    "SimpleGraph.from_edges(vertex)": lambda n: SimpleGraph.from_edges(4, [(1, n)]),
     "tensor_component": lambda n: tensor_component((0, n), (0.5, 1.5, -0.5, 2.0)),
     "StandardizedMoments.standardized": GAUSSIAN.standardized,
     "WCETensorCoeffs": lambda n: WCETensorCoeffs(n, (1.0,)),

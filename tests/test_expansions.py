@@ -1014,6 +1014,12 @@ class TestFourierEigenfunctions:
             fourier_eigen_check(3, [0.0], -4)
         assert fourier_eigen_check(3, [0.0], 16) <= 1e-12
 
+    @pytest.mark.parametrize("quad_order", [None, 40])
+    def test_an_empty_grid_is_refused(self, quad_order):
+        # a check of no frequency has no residual to report
+        with pytest.raises(ValueError, match="^k_grid needs at least one frequency$"):
+            fourier_eigen_check(2, [], quad_order)
+
     def test_overflowing_frequencies_raise(self):
         with pytest.raises(OverflowError):
             fourier_eigen_check(3, [0.0, 1e308], 40)

@@ -806,6 +806,99 @@ class TestIntegrandValues:
         with pytest.raises(TypeError, match="^from the integrand$"):
             integrate_weighted(f, gauss_hermite_rule(3))
 
+    @pytest.mark.parametrize("f, N, error", [
+        (lambda x: 1 / x, 3, ZeroDivisionError),   # at the middle node, 0.0
+        (lambda x: x ** 400, 200, OverflowError)], ids=["1 / x", "x ** 400"])
+    def test_python_float_errors_inside_the_integrand_propagate(self, f, N, error):
+        # a node is a Python float, so f fails by Python's rules, with no numpy warning
+        with pytest.raises(error):
+            integrate_weighted(f, gauss_hermite_rule(N))
+
+    def test_a_root_of_a_negative_node_is_refused_as_complex(self):
+        with pytest.raises(TypeError, match="^integrand value must be a real number, got complex$"):
+            integrate_weighted(lambda x: x ** 0.5, gauss_hermite_rule(2))
+
+
+class TestOneDimensionalCalls:
+    """Every 1-d entry point calls f once per node, in node order, on a Python
+    float that holds the tabled double."""
+
+    @pytest.mark.parametrize("call, N", [
+        (lambda f: integrate_weighted(f, gauss_hermite_rule(20)), 20),
+        (lambda f: integrate_whole_line(f, gauss_hermite_rule(21)), 21),
+        (lambda f: fourier_hermite_coeffs(f, 7), 26),
+        (lambda f: wce_coeffs_1d(f, 3, 9), 9)],
+        ids=["integrate_weighted", "integrate_whole_line", "fourier_hermite_coeffs",
+             "wce_coeffs_1d"])
+    def test_each_node_is_a_float(self, call, N):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return math.cos(x)
+
+        call(f)
+        assert [type(x) for x in seen] == [float] * N
+        assert np.array(seen).tobytes() == gauss_hermite_rule(N).nodes.tobytes()
+
+
+class TestRuleRecords:
+    """Both rule records check their fields when built; tensor_cubature's refusals
+    are CubatureRule's."""
+
+    @pytest.mark.parametrize("fields, error, message", [
+        (lambda r: (4, r.nodes[:3], r.weights), ValueError,
+         r"rule nodes must have shape \(4,\), got \(3,\)"),
+        (lambda r: (4, r.nodes, r.weights[:3]), ValueError,
+         r"rule weights must have shape \(4,\), got \(3,\)"),
+        (lambda r: (7, r.nodes, r.weights), ValueError,
+         r"rule nodes must have shape \(7,\), got \(4,\)"),
+        (lambda r: (4, r.nodes.reshape(2, 2), r.weights), ValueError,
+         r"rule nodes must have shape \(4,\), got \(2, 2\)"),
+        (lambda r: (0, r.nodes, r.weights), ValueError,
+         "quadrature order must be a positive integer, got 0"),
+        (lambda r: (4.0, r.nodes, r.weights), ValueError,
+         "quadrature order must be a positive integer, got 4.0"),
+        (lambda r: (4, list(r.nodes), r.weights), TypeError,
+         "rule nodes must be a float64 array, got list"),
+        (lambda r: (4, r.nodes, r.weights.astype(np.float32)), TypeError,
+         "rule weights must be a float64 array, got float32 array")],
+        ids=["short nodes", "short weights", "long order", "2-d nodes", "order 0", "order 4.0",
+             "list nodes", "float32 weights"])
+    def test_quadrature_rule_refusals(self, fields, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            quadrature.QuadratureRule(*fields(gauss_hermite_rule(4)))
+
+    @pytest.mark.parametrize("dimension, N, message", [
+        (0, 4, "dimension must be a positive integer, got 0"),
+        (2.0, 4, "dimension must be a positive integer, got 2.0"),
+        (40, 200, r"cubature of order 200 in dimension 40 needs 200\*\*40 points, "
+                  "above the budget of 10000000"),
+        (7, 11, "cubature of order 11 in dimension 7 needs 19487171 points, "
+                "above the budget of 10000000"),
+        (33, 1, r"dimension must be 1\.\.32, got 33")],
+        ids=["dimension 0", "dimension 2.0", "budget as a power", "budget", "dimension bound"])
+    def test_cubature_rule_refusals(self, dimension, N, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            quadrature.CubatureRule(dimension, gauss_hermite_rule(N))
+
+    @pytest.mark.parametrize("base", ["4", None, tensor_cubature(1, 4)])
+    def test_a_cubature_base_must_be_a_quadrature_rule(self, base):
+        with pytest.raises(TypeError, match="^cubature base must be a QuadratureRule, got "):
+            quadrature.CubatureRule(2, base)
+
+    def test_the_fields_are_kept_as_python_ints(self):
+        rule = gauss_hermite_rule(4)
+        built = quadrature.QuadratureRule(np.int64(4), rule.nodes, rule.weights)
+        cube = quadrature.CubatureRule(np.int64(2), built)
+        assert (type(built.order), type(cube.dimension), type(cube.order)) == (int, int, int)
+        assert integrate_weighted(lambda p: 1.0, cube) == pytest.approx(2 * math.pi, rel=1e-15)
+
+    def test_tensor_cubature_refuses_the_dimension_type_before_the_order(self):
+        for d in ("2", 2.0, 0):
+            with pytest.raises(ValueError, match="^dimension must be a positive integer"):
+                tensor_cubature(d, 201)
+
 
 class TestStreamedPoints:
     """integrand_values builds the points block by block from the 1-d nodes;
